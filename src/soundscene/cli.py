@@ -11,6 +11,7 @@ partial file behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +24,6 @@ from soundscene.audio import write_wav
 from soundscene.config import (
     ConfigError,
     PipelineConfig,
-    SamplerConfig,
     load_config,
 )
 from soundscene.diffusion import (
@@ -42,7 +42,7 @@ from soundscene.dsl import (
     serialize,
     validate,
 )
-from soundscene.manifest import write_jsonl_atomic
+from soundscene.manifest import encode_events, read_tsv, write_jsonl_atomic
 from soundscene.phonemes import (
     LexiconError,
     OovWordError,
@@ -145,15 +145,7 @@ def _scene_record(index: int, scene: Any) -> dict[str, Any]:
         "audio": f"audio/scene{index:05d}.wav",
         "caption": scene.prompt.caption,
         "prompt": serialize(scene.prompt),
-        "events": [
-            {
-                "label": a.label,
-                "start": a.span.start,
-                "end": a.span.end,
-                "transcript": a.transcript,
-            }
-            for a in scene.annotations
-        ],
+        "events": encode_events(scene.annotations),
         "scenario": scene.spec.scenario,
         "snr_db": scene.spec.snr_db,
         "seed": scene.spec.seed,
@@ -224,45 +216,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _read_transcript_table(path: Path) -> dict[tuple[str, int], str]:
     table: dict[tuple[str, int], str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields"
-                    f" (clip_id, event index, transcript), got {len(parts)}"
-                )
-            clip_id, index_s, transcript = parts
-            try:
-                index = int(index_s)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer event index: {exc}") from exc
-            key = (clip_id, index)
-            if key in table:
-                raise ValueError(f"{path}:{lineno}: duplicate transcript key {key}")
-            table[key] = transcript
+    for where, row in read_tsv(path, ("clip_id", "event_index", "transcript")):
+        try:
+            index = int(row["event_index"])
+        except ValueError as exc:
+            raise ValueError(f"{where}: non-integer event index: {exc}") from exc
+        key = (row["clip_id"], index)
+        if key in table:
+            raise ValueError(f"{where}: duplicate transcript key {key}")
+        table[key] = row["transcript"]
     return table
 
 
 def _read_caption_table(path: Path) -> dict[str, str]:
     table: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 2 tab-separated fields"
-                    f" (clip_id, caption), got {len(parts)}"
-                )
-            if parts[0] in table:
-                raise ValueError(f"{path}:{lineno}: duplicate caption for clip {parts[0]!r}")
-            table[parts[0]] = parts[1]
+    for where, row in read_tsv(path, ("clip_id", "caption")):
+        if row["clip_id"] in table:
+            raise ValueError(f"{where}: duplicate caption for clip {row['clip_id']!r}")
+        table[row["clip_id"]] = row["caption"]
     return table
 
 
@@ -305,15 +276,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 "clip_id": clip.clip_id,
                 "caption": caption,
                 "prompt": serialize(prompt),
-                "events": [
-                    {
-                        "label": a.label,
-                        "start": a.span.start,
-                        "end": a.span.end,
-                        "transcript": a.transcript,
-                    }
-                    for a in joined
-                ],
+                "events": encode_events(joined),
             }
         )
     for key in sorted(set(transcripts) - used):
@@ -348,8 +311,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- sample
 
 
-def _sampler_with_overrides(cfg: SamplerConfig, args: argparse.Namespace) -> SamplerConfig:
-    fields = {
+def cmd_sample(args: argparse.Namespace) -> int:
+    cfg, base = _load_config_resolved(args.config)
+    overrides = {
         "T": args.T,
         "schedule": args.schedule,
         "t1": args.t1,
@@ -358,37 +322,18 @@ def _sampler_with_overrides(cfg: SamplerConfig, args: argparse.Namespace) -> Sam
         "mode": args.mode,
         "seed": args.seed,
     }
-    overrides = {k: v for k, v in fields.items() if v is not None}
-    if not overrides:
-        return cfg
-    merged = {
-        "T": cfg.T,
-        "schedule": cfg.schedule,
-        "t1": cfg.t1,
-        "w_low": cfg.w_low,
-        "w_high": cfg.w_high,
-        "mode": cfg.mode,
-        "seed": cfg.seed,
-    }
-    merged.update(overrides)
-    return SamplerConfig(**merged)
-
-
-def cmd_sample(args: argparse.Namespace) -> int:
-    cfg, base = _load_config_resolved(args.config)
-    sc = _sampler_with_overrides(cfg.sampler, args)
+    sc = dataclasses.replace(cfg.sampler, **{k: v for k, v in overrides.items() if v is not None})
     sched = cosine_schedule(sc.T) if sc.schedule == "cosine" else linear_schedule(sc.T)
 
     if args.denoiser == "gaussian_oracle":
         dim = args.dim
-        target = GaussianCondition(np.full(dim, args.mu), args.sigma2)
-        denoiser: Any = GaussianOracleDenoiser(
-            prior=GaussianCondition(np.zeros(dim), 1.0), sched=sched
-        )
-        c1: Any = target
-        c2: Any = target
+        # the coarse phase is steered by the broad prior, the full phase by the target
+        c1: Any = GaussianCondition(np.zeros(dim), 1.0)
+        c2: Any = GaussianCondition(np.full(dim, args.mu), args.sigma2)
+        denoiser: Any = GaussianOracleDenoiser(prior=c1, sched=sched)
         cond_label = {
-            id(target): f"gauss:mu={args.mu:g},sigma2={args.sigma2:g}",
+            id(c1): "gauss:mu=0,sigma2=1",
+            id(c2): f"gauss:mu={args.mu:g},sigma2={args.sigma2:g}",
         }
     else:
         if not args.checkpoint:

@@ -8,12 +8,12 @@ exercise the preprocessing path.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .audio import SAMPLE_RATE, write_wav
+from .manifest import write_jsonl_atomic
 
 __all__ = ["DEMO_SENTENCES", "build_demo_pools"]
 
@@ -122,10 +122,6 @@ def build_demo_pools(
 
     speech_manifest = root / "speech_manifest.jsonl"
     background_manifest = root / "background_manifest.jsonl"
-    with open(speech_manifest, "w", encoding="utf-8") as fh:
-        for row in speech_rows:
-            fh.write(json.dumps(row) + "\n")
-    with open(background_manifest, "w", encoding="utf-8") as fh:
-        for row in background_rows:
-            fh.write(json.dumps(row) + "\n")
+    write_jsonl_atomic(speech_manifest, speech_rows)
+    write_jsonl_atomic(background_manifest, background_rows)
     return speech_manifest, background_manifest

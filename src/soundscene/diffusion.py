@@ -25,7 +25,6 @@ __all__ = [
     "sample_cfg",
     "GaussianCondition",
     "GaussianOracleDenoiser",
-    "gaussian_oracle_denoiser",
 ]
 
 REVERSE_MODES = ("ancestral", "deterministic")
@@ -304,6 +303,3 @@ class GaussianOracleDenoiser:
         z_t = np.asarray(z_t, dtype=np.float64)
         return np.sqrt(1.0 - ab) * (z_t - np.sqrt(ab) * cond.mu) / (ab * cond.sigma2 + 1.0 - ab)
 
-
-def gaussian_oracle_denoiser(c: GaussianCondition, sched: NoiseSchedule) -> GaussianOracleDenoiser:
-    return GaussianOracleDenoiser(prior=c, sched=sched)

@@ -1,32 +1,102 @@
-"""Line-delimited JSON manifests with atomic writes."""
+"""The pipeline's line formats: JSONL manifests with atomic writes,
+header-less tab-separated tables, and the ``events`` row codec that the
+scene and prompt manifests share.  Every reader error names ``path:line``."""
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-__all__ = ["read_jsonl", "write_jsonl_atomic"]
+from .dsl import EventAnnotation, TimeSpan
+
+__all__ = [
+    "iter_jsonl",
+    "read_jsonl",
+    "read_tsv",
+    "encode_events",
+    "decode_events",
+    "write_jsonl_atomic",
+]
 
 
-def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    """Read one JSON object per line; blank lines are ignored."""
-    records: list[dict[str, Any]] = []
+def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict[str, Any]]]:
+    """Yield (``path:line``, record) for each JSON object line; blank lines
+    are ignored."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                raise ValueError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
-            records.append(obj)
-    return records
+                raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+            yield where, obj
+
+
+def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
+    """Read one JSON object per line; blank lines are ignored."""
+    return [rec for _, rec in iter_jsonl(path)]
+
+
+def read_tsv(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[str, dict[str, str]]]:
+    """Yield (``path:line``, {column: field}) for each row of a header-less
+    tab-separated table; blank lines are ignored and every other row must
+    have exactly one field per column."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            fields = line.split("\t")
+            if len(fields) != len(columns):
+                raise ValueError(
+                    f"{where}: expected {len(columns)} tab-separated fields"
+                    f" ({', '.join(columns)}), got {len(fields)}"
+                )
+            yield where, dict(zip(columns, fields))
+
+
+def encode_events(events: Iterable[EventAnnotation]) -> list[dict[str, Any]]:
+    """Manifest ``events`` rows: label, onset and offset in seconds, and the
+    transcript (null for a non-speech event)."""
+    return [
+        {"label": a.label, "start": a.span.start, "end": a.span.end, "transcript": a.transcript}
+        for a in events
+    ]
+
+
+def decode_events(rows: Any, where: str) -> tuple[EventAnnotation, ...]:
+    """Parse ``events`` rows (mappings with label, start, end and an optional
+    transcript).  Spans must satisfy 0 <= start < end < inf; any malformed
+    row raises ValueError naming ``where``."""
+    if not isinstance(rows, list):
+        raise ValueError(f"{where}: malformed event record: events must be a list")
+    events = []
+    for row in rows:
+        if not isinstance(row, dict):
+            raise ValueError(f"{where}: malformed event record: {row!r} is not an object")
+        try:
+            label = str(row["label"])
+            start, end = float(row["start"]), float(row["end"])
+        except KeyError as exc:
+            raise ValueError(f"{where}: malformed event record: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: malformed event record: {exc}") from exc
+        if not label.strip():
+            raise ValueError(f"{where}: empty label")
+        if not 0 <= start < end < math.inf:
+            raise ValueError(f"{where}: invalid span [{start}, {end}]")
+        events.append(EventAnnotation(label, TimeSpan(start, end), row.get("transcript")))
+    return tuple(events)
 
 
 def write_jsonl_atomic(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:

@@ -43,7 +43,6 @@ __all__ = [
     "sample_scenario",
     "sample_utterance_count",
     "arrange_timing",
-    "Placement",
     "SceneSpec",
     "ComposedScene",
     "compose_scene",
@@ -237,9 +236,6 @@ def sample_utterance_count(priors: ScenePriors, rng: np.random.Generator) -> int
         if r < acc:
             return k
     return items[-1][0]
-
-
-Placement = tuple  # (UtteranceClip, start_seconds)
 
 
 def arrange_timing(

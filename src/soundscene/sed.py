@@ -9,12 +9,12 @@ on event order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
-from .dsl import EventAnnotation, TimeSpan
+from .dsl import EventAnnotation
+from .manifest import decode_events, iter_jsonl, read_tsv
 
 __all__ = [
     "EbConfig",
@@ -202,75 +202,26 @@ def clip_level_macro_f1(
     return total / len(truth_labels)
 
 
-def _annotation_from_fields(
-    label: str, start: float, end: float, transcript: str | None, where: str
-) -> EventAnnotation:
-    if not label.strip():
-        raise ValueError(f"{where}: empty label")
-    if start < 0 or end <= start:
-        raise ValueError(f"{where}: invalid span [{start}, {end}]")
-    return EventAnnotation(label=label, span=TimeSpan(start, end), transcript=transcript)
-
-
 def _from_jsonl(path: Path) -> list[ClipAnnotations]:
     clips: list[ClipAnnotations] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(rec, dict) or "clip_id" not in rec:
-                raise ValueError(f"{where}: expected an object with a clip_id")
-            clip_id = str(rec["clip_id"])
-            if clip_id in seen:
-                raise ValueError(f"{where}: duplicate clip_id {clip_id!r}")
-            seen.add(clip_id)
-            events = []
-            for ev in rec.get("events", []):
-                try:
-                    events.append(
-                        _annotation_from_fields(
-                            str(ev["label"]),
-                            float(ev["start"]),
-                            float(ev["end"]),
-                            ev.get("transcript"),
-                            where,
-                        )
-                    )
-                except (KeyError, TypeError) as exc:
-                    raise ValueError(f"{where}: malformed event record: {exc}") from exc
-            clips.append(ClipAnnotations(clip_id=clip_id, events=tuple(events)))
+    for where, rec in iter_jsonl(path):
+        if "clip_id" not in rec:
+            raise ValueError(f"{where}: expected an object with a clip_id")
+        clip_id = str(rec["clip_id"])
+        if clip_id in seen:
+            raise ValueError(f"{where}: duplicate clip_id {clip_id!r}")
+        seen.add(clip_id)
+        events = decode_events(rec.get("events", []), where)
+        clips.append(ClipAnnotations(clip_id=clip_id, events=events))
     return clips
 
 
 def _from_tsv(path: Path) -> list[ClipAnnotations]:
-    order: list[str] = []
     events: dict[str, list[EventAnnotation]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{where}: expected 4 tab-separated fields, got {len(parts)}")
-            clip_id, label, start_s, end_s = parts
-            try:
-                start, end = float(start_s), float(end_s)
-            except ValueError as exc:
-                raise ValueError(f"{where}: non-numeric span: {exc}") from exc
-            if clip_id not in events:
-                order.append(clip_id)
-                events[clip_id] = []
-            events[clip_id].append(_annotation_from_fields(label, start, end, None, where))
-    return [ClipAnnotations(clip_id=cid, events=tuple(events[cid])) for cid in order]
+    for where, row in read_tsv(path, ("clip_id", "label", "start", "end")):
+        events.setdefault(row["clip_id"], []).extend(decode_events([row], where))
+    return [ClipAnnotations(clip_id=cid, events=tuple(evs)) for cid, evs in events.items()]
 
 
 def annotations_from_manifest(path: str | Path) -> list[ClipAnnotations]:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,18 @@ class TestSimulate:
             wav = f"audio/scene{i:05d}.wav"
             assert (out_1 / wav).read_bytes() == (out_2 / wav).read_bytes()
 
+    def test_scene_record_key_order(self, run_config, tmp_path):
+        rc = main(["simulate", "--config", str(run_config), "--count", "1"])
+        assert rc == 0
+        line = (tmp_path / "out" / "scenes.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        assert line.startswith('{"clip_id": "scene00000", "audio": "audio/scene00000.wav", ')
+        rec = json.loads(line)
+        assert list(rec) == [
+            "clip_id", "audio", "caption", "prompt", "events", "scenario", "snr_db", "seed"
+        ]
+        assert rec["events"]
+        assert all(list(ev) == ["label", "start", "end", "transcript"] for ev in rec["events"])
+
     def test_count_zero_writes_empty_manifest(self, run_config, tmp_path, capsys):
         rc = main(["simulate", "--config", str(run_config), "--count", "0"])
         out, _ = read_out(capsys)
@@ -236,6 +249,23 @@ class TestIngest:
         assert b["caption"] == ""
         assert b["prompt"].startswith("@{")
 
+    def test_output_line_bytes(self, tmp_path):
+        (tmp_path / "events.tsv").write_text("c\tMan speaking\t0.5\t2.0\nc\tdog barking\t3.0\t4.5\n")
+        (tmp_path / "tx.tsv").write_text("c\t0\tHello there\nc\t1\t\n")
+        (tmp_path / "cap.tsv").write_text("c\tCafé terrace\n", encoding="utf-8")
+        out_path = tmp_path / "prompts.jsonl"
+        rc = main(["ingest", "--events", str(tmp_path / "events.tsv"),
+                   "--transcripts", str(tmp_path / "tx.tsv"),
+                   "--captions", str(tmp_path / "cap.tsv"), "--output", str(out_path)])
+        assert rc == 0
+        assert out_path.read_text(encoding="utf-8") == (
+            '{"clip_id": "c", "caption": "Café terrace", "prompt": "Café terrace'
+            ' @{Man speaking & <0.50,2.00> \\"Hello there\\"} @{dog barking & <3.00,4.50>}",'
+            ' "events": [{"label": "Man speaking", "start": 0.5, "end": 2.0,'
+            ' "transcript": "Hello there"}, {"label": "dog barking", "start": 3.0,'
+            ' "end": 4.5, "transcript": null}]}\n'
+        )
+
     def test_event_without_transcript_row_skipped_with_warning(self, tmp_path, capsys):
         (tmp_path / "events.tsv").write_text(
             "c\tthud\t0.5\t1.0\nc\tthud\t2.0\t3.0\n"
@@ -279,6 +309,34 @@ class TestIngest:
         _, err = read_out(capsys)
         assert rc == 1
         assert "tx.tsv:2" in err
+
+    @pytest.mark.parametrize(
+        "table, text, message",
+        [
+            ("events", "c\tthud\t0.5\n",
+             r"events\.tsv:1: expected 4 tab-separated fields \(clip_id, label, start, end\), got 3"),
+            ("transcripts", "c\t0\tok\n\nc\t1\n", r"tx\.tsv:3: expected 3 tab-separated fields"),
+            ("captions", "c\tA\textra\n", r"cap\.tsv:1: expected 2 tab-separated fields"),
+            ("captions", "c\tfirst\nc\tsecond\n", r"cap\.tsv:2: duplicate caption for clip 'c'"),
+        ],
+        ids=["events-field-count", "transcripts-field-count", "captions-field-count",
+             "captions-duplicate"],
+    )
+    def test_table_reader_errors_name_line(self, tmp_path, capsys, table, text, message):
+        tables = {
+            "events": ("events.tsv", "c\tthud\t0.5\t1.0\n"),
+            "transcripts": ("tx.tsv", "c\t0\t\n"),
+            "captions": ("cap.tsv", "c\tA thud\n"),
+        }
+        args = ["ingest", "--output", str(tmp_path / "o.jsonl")]
+        for name, (filename, default) in tables.items():
+            (tmp_path / filename).write_text(text if name == table else default)
+            args += [f"--{name}", str(tmp_path / filename)]
+        rc = main(args)
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert re.search(message, err)
+        assert not (tmp_path / "o.jsonl").exists()
 
 
 class TestPlanCommand:
@@ -366,6 +424,9 @@ class TestSample:
         assert rows[-1][:3] == ["100", "1", "2"]
         assert all(r[4] == "3" for r in rows[:12])
         assert all(r[4] == "9" for r in rows[12:])
+        # coarse phase on the broad prior, full phase on the target
+        assert {r[3] for r in rows[:12]} == {"gauss:mu=0,sigma2=1"}
+        assert {r[3] for r in rows[12:]} == {"gauss:mu=2,sigma2=0.25"}
         z = np.load(tmp_path / "out" / "sample" / "latents.npy")
         assert z.shape == (2,)
         assert np.all(np.isfinite(z))

@@ -11,7 +11,6 @@ from soundscene.diffusion import (
     cosine_schedule,
     diffusion_loss,
     forward_noise,
-    gaussian_oracle_denoiser,
     linear_schedule,
     reverse_step,
     sample_cfg,
@@ -163,7 +162,7 @@ class TestDiffusionLoss:
     def test_oracle_beats_zero_predictor(self):
         sched = cosine_schedule(100)
         cond = GaussianCondition(mu=1.0, sigma2=0.5)
-        oracle = gaussian_oracle_denoiser(cond, sched)
+        oracle = GaussianOracleDenoiser(prior=cond, sched=sched)
         zero = _StubDenoiser(lambda z, t, c: np.zeros_like(z))
         rng = np.random.default_rng(42)
         t = 60
@@ -310,13 +309,13 @@ class TestGaussianOracle:
 
     def test_no_noise_no_prediction(self):
         sched = cosine_schedule(10)
-        oracle = gaussian_oracle_denoiser(GaussianCondition(2.0, 1.0), sched)
+        oracle = GaussianOracleDenoiser(prior=GaussianCondition(2.0, 1.0), sched=sched)
         # alpha_bar[0] = 1: nothing was added, so nothing is predicted
         assert np.array_equal(oracle.predict(np.array([5.0]), 0), np.array([0.0]))
 
     def test_pure_noise_limit_returns_input(self):
         sched = NoiseSchedule(np.array([1.0, 1e-12]))
-        oracle = gaussian_oracle_denoiser(GaussianCondition(3.0, 2.0), sched)
+        oracle = GaussianOracleDenoiser(prior=GaussianCondition(3.0, 2.0), sched=sched)
         z = np.array([0.7, -0.4])
         assert np.allclose(oracle.predict(z, 1), z, atol=1e-5)
 
@@ -338,7 +337,7 @@ class TestGaussianOracle:
     def test_beats_scaled_perturbations(self, t):
         sched = cosine_schedule(100)
         cond = GaussianCondition(mu=1.0, sigma2=0.25)
-        oracle = gaussian_oracle_denoiser(cond, sched)
+        oracle = GaussianOracleDenoiser(prior=cond, sched=sched)
         rng = np.random.default_rng(100 + t)
         n = 4000
         z0 = cond.mu + np.sqrt(cond.sigma2) * rng.standard_normal((n, 1))
@@ -356,7 +355,7 @@ class TestSampling:
     def test_step_accounting_at_operating_point(self):
         sched = cosine_schedule(100)
         cond = GaussianCondition(0.0, 1.0)
-        oracle = gaussian_oracle_denoiser(cond, sched)
+        oracle = GaussianOracleDenoiser(prior=cond, sched=sched)
         gs = GuidanceSchedule(c1=cond, c2=cond, w_low=3.0, w_high=9.0, t1=88, T=100)
         seen = []
         rng = np.random.default_rng(0)
@@ -372,7 +371,7 @@ class TestSampling:
     def test_phase_collapse_bit_identity(self):
         sched = cosine_schedule(60)
         cond = GaussianCondition(1.0, 0.5)
-        oracle = gaussian_oracle_denoiser(cond, sched)
+        oracle = GaussianOracleDenoiser(prior=cond, sched=sched)
         gs = GuidanceSchedule(c1=cond, c2=cond, w_low=2.5, w_high=2.5, t1=20, T=60)
         for seed in range(10):
             z_T = np.random.default_rng(seed).standard_normal(3)
@@ -385,7 +384,7 @@ class TestSampling:
         cond = GaussianCondition(0.0, 1.0)
         gs = GuidanceSchedule(cond, cond, 1.0, 1.0, t1=10, T=60)
         with pytest.raises(ValueError, match="match"):
-            sample_progressive(gaussian_oracle_denoiser(cond, sched), gs, sched, np.zeros(2))
+            sample_progressive(GaussianOracleDenoiser(prior=cond, sched=sched), gs, sched, np.zeros(2))
 
     def test_marginals_match_closed_form(self):
         # the ancestral chain with a linear predictor is exactly Gaussian;
@@ -393,7 +392,7 @@ class TestSampling:
         sched = cosine_schedule(400)
         mu, sigma2 = 1.5, 0.25
         cond = GaussianCondition(mu, sigma2)
-        oracle = gaussian_oracle_denoiser(cond, sched)
+        oracle = GaussianOracleDenoiser(prior=cond, sched=sched)
         rng = np.random.default_rng(7)
         n = 4000
         z = sample_cfg(oracle, cond, 1.0, sched, rng.standard_normal((n, 1)), rng=rng)
@@ -413,7 +412,7 @@ class TestSampling:
     def test_deterministic_mode_needs_no_rng(self):
         sched = cosine_schedule(50)
         cond = GaussianCondition(4.0, 1e-8)
-        oracle = gaussian_oracle_denoiser(cond, sched)
+        oracle = GaussianOracleDenoiser(prior=cond, sched=sched)
         z = sample_cfg(oracle, cond, 1.0, sched, np.random.default_rng(0).standard_normal(4), mode="deterministic")
         # with a near-point target the deterministic chain collapses onto mu
         assert np.allclose(z, 4.0, atol=1e-3)

@@ -307,9 +307,10 @@ class TestManifestReader:
 
     def test_tsv_bad_span_order_raises_with_line(self, tmp_path):
         path = tmp_path / "events.tsv"
-        path.write_text("c1\tSpeech\t5.00\t3.00\n")
-        with pytest.raises(ValueError, match="events.tsv:1"):
-            annotations_from_manifest(path)
+        for span in ("5.00\t3.00", "nan\t2.00", "1.00\tinf", "-inf\t1.00"):
+            path.write_text(f"c1\tSpeech\t{span}\n")
+            with pytest.raises(ValueError, match="events.tsv:1"):
+                annotations_from_manifest(path)
 
     def test_tsv_non_numeric_raises_with_line(self, tmp_path):
         path = tmp_path / "events.tsv"
@@ -357,6 +358,17 @@ class TestManifestReader:
         path.write_text('{"clip_id": "a", "events": [{"label": "Speech", "start": 1.0}]}\n')
         with pytest.raises(ValueError, match="malformed event"):
             annotations_from_manifest(path)
+        good = '{"clip_id": "ok", "events": [{"label": "Speech", "start": 1.0, "end": 2.0}]}\n'
+        for events in (
+            "5",
+            "[5]",
+            '[{"label": "Speech", "start": "x", "end": 2.0}]',
+            '[{"label": "Speech", "start": NaN, "end": 2.0}]',
+            '[{"label": "Speech", "start": 1.0, "end": Infinity}]',
+        ):
+            path.write_text(good + '{"clip_id": "a", "events": ' + events + "}\n")
+            with pytest.raises(ValueError, match=r"scenes\.jsonl:2: "):
+                annotations_from_manifest(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "events.tsv"
