@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
-from scipy.signal import resample_poly
 
 __all__ = [
     "SAMPLE_RATE",
@@ -53,6 +52,10 @@ def resample_to_clip_rate(audio: np.ndarray, source_rate: int) -> np.ndarray:
         raise ValueError(f"source_rate must be positive, got {source_rate}")
     if source_rate == SAMPLE_RATE:
         return np.asarray(audio, dtype=np.float64)
+    # imported here: scipy.signal takes about a second to import, and only
+    # resampling needs it
+    from scipy.signal import resample_poly
+
     g = math.gcd(SAMPLE_RATE, int(source_rate))
     return resample_poly(np.asarray(audio, dtype=np.float64), SAMPLE_RATE // g, source_rate // g)
 

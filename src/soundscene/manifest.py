@@ -75,9 +75,10 @@ def encode_events(events: Iterable[EventAnnotation]) -> list[dict[str, Any]]:
 
 
 def decode_events(rows: Any, where: str) -> tuple[EventAnnotation, ...]:
-    """Parse ``events`` rows (mappings with label, start, end and an optional
-    transcript).  Spans must satisfy 0 <= start < end < inf; any malformed
-    row raises ValueError naming ``where``."""
+    """Parse ``events`` rows (mappings with a string label, start, end and an
+    optional string-or-null transcript).  Spans must satisfy
+    0 <= start < end < inf; any malformed row raises ValueError naming
+    ``where``."""
     if not isinstance(rows, list):
         raise ValueError(f"{where}: malformed event record: events must be a list")
     events = []
@@ -85,17 +86,23 @@ def decode_events(rows: Any, where: str) -> tuple[EventAnnotation, ...]:
         if not isinstance(row, dict):
             raise ValueError(f"{where}: malformed event record: {row!r} is not an object")
         try:
-            label = str(row["label"])
+            label, transcript = row["label"], row.get("transcript")
             start, end = float(row["start"]), float(row["end"])
         except KeyError as exc:
             raise ValueError(f"{where}: malformed event record: missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{where}: malformed event record: {exc}") from exc
+        if not isinstance(label, str):
+            raise ValueError(f"{where}: malformed event record: label {label!r} is not a string")
+        if not (transcript is None or isinstance(transcript, str)):
+            raise ValueError(
+                f"{where}: malformed event record: transcript {transcript!r} is not a string or null"
+            )
         if not label.strip():
             raise ValueError(f"{where}: empty label")
         if not 0 <= start < end < math.inf:
             raise ValueError(f"{where}: invalid span [{start}, {end}]")
-        events.append(EventAnnotation(label, TimeSpan(start, end), row.get("transcript")))
+        events.append(EventAnnotation(label, TimeSpan(start, end), transcript))
     return tuple(events)
 
 

@@ -4,7 +4,10 @@ label presence.
 
 Matching within each (clip, class) pair is exact maximum-cardinality
 bipartite matching on the collar-feasibility graph, so scores do not depend
-on event order.
+on event order.  The graph of every pair is built at once with a sorted
+onset search and scored by one Hopcroft-Karp run
+(``scipy.sparse.csgraph.maximum_bipartite_matching``); no edge crosses
+pairs, so that is the per-pair matching.
 """
 
 from __future__ import annotations
@@ -12,6 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .dsl import EventAnnotation
 from .manifest import decode_events, iter_jsonl, read_tsv
@@ -30,6 +37,10 @@ __all__ = [
 
 # guards <= comparisons against float dust in span arithmetic
 _TOL = 1e-9
+# relative widening of the onset search window: far above the few-ulp
+# float64 rounding of its bounds and of the onset test, so the window holds
+# every prediction that test accepts
+_WINDOW_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -91,49 +102,67 @@ def _by_clip(side: Sequence[ClipAnnotations], name: str) -> dict[str, ClipAnnota
     return out
 
 
-def _matches(truth: EventAnnotation, pred: EventAnnotation, cfg: EbConfig) -> bool:
-    if abs(pred.span.start - truth.span.start) > cfg.onset_collar + _TOL:
-        return False
-    allowance = max(cfg.offset_collar_abs, cfg.offset_collar_rel * truth.span.duration)
-    return abs(pred.span.end - truth.span.end) <= allowance + _TOL
+def _columns(
+    clips: dict[str, ClipAnnotations],
+    group_of: dict[tuple[str, str], int],
+    label_of: dict[str, int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(clip, label) group id, label id, onset and offset of every event on
+    one side; new groups and labels are numbered in order of appearance."""
+    groups: list[int] = []
+    labels: list[int] = []
+    starts: list[float] = []
+    ends: list[float] = []
+    for clip_id, clip in clips.items():
+        for e in clip.events:
+            groups.append(group_of.setdefault((clip_id, e.label), len(group_of)))
+            labels.append(label_of.setdefault(e.label, len(label_of)))
+            starts.append(e.span.start)
+            ends.append(e.span.end)
+    return (
+        np.array(groups, dtype=np.int64),
+        np.array(labels, dtype=np.int64),
+        np.array(starts, dtype=np.float64),
+        np.array(ends, dtype=np.float64),
+    )
 
 
-def _max_matching(adjacency: list[list[int]], n_pred: int) -> int:
-    """Kuhn's augmenting-path algorithm; returns the matching size."""
-    matched_pred = [-1] * n_pred
-
-    def augment(u: int, visited: list[bool]) -> bool:
-        for v in adjacency[u]:
-            if visited[v]:
-                continue
-            visited[v] = True
-            if matched_pred[v] == -1 or augment(matched_pred[v], visited):
-                matched_pred[v] = u
-                return True
-        return False
-
-    size = 0
-    for u in range(len(adjacency)):
-        if augment(u, [False] * n_pred):
-            size += 1
-    return size
-
-
-def _class_counts(
-    truth_events: Sequence[EventAnnotation],
-    pred_events: Sequence[EventAnnotation],
+def _feasibility_graph(
+    t_group: np.ndarray,
+    t_start: np.ndarray,
+    t_end: np.ndarray,
+    p_group: np.ndarray,
+    p_start: np.ndarray,
+    p_end: np.ndarray,
     cfg: EbConfig,
-) -> dict[str, tuple[int, int, int]]:
-    """(tp, fp, fn) per label for one clip."""
-    labels = {e.label for e in truth_events} | {e.label for e in pred_events}
-    out: dict[str, tuple[int, int, int]] = {}
-    for label in labels:
-        t = [e for e in truth_events if e.label == label]
-        p = [e for e in pred_events if e.label == label]
-        adjacency = [[j for j, pe in enumerate(p) if _matches(te, pe, cfg)] for te in t]
-        tp = _max_matching(adjacency, len(p))
-        out[label] = (tp, len(p) - tp, len(t) - tp)
-    return out
+) -> csr_matrix:
+    """Sparse (n_truth, n_pred) graph of collar-feasible pairs; pairs in
+    different (clip, label) groups are never candidates."""
+    order = np.lexsort((p_start, p_group))
+    reach = cfg.onset_collar + _TOL
+    slack = _WINDOW_SLACK * (1.0 + np.abs(t_start) + reach)
+    bounds = np.concatenate([p_start[order], t_start - reach - slack, t_start + reach + slack])
+    # (group, onset rank) as one exact integer key; predictions sorted by
+    # (group, onset) have ascending keys, so each truth event's window is a
+    # contiguous run of them
+    values, rank = np.unique(bounds, return_inverse=True)
+    key = np.concatenate([p_group[order], t_group, t_group]) * len(values) + rank
+    p_key, lo_key, hi_key = np.split(key, [len(order), len(order) + len(t_group)])
+    first = np.searchsorted(p_key, lo_key, side="left")
+    count = np.searchsorted(p_key, hi_key, side="right") - first
+    # expand each truth event's window into (row, position-in-order) pairs
+    rows = np.repeat(np.arange(len(t_group)), count)
+    offsets = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+    cols = order[np.repeat(first, count) + offsets]
+    allowance = np.maximum(cfg.offset_collar_abs, cfg.offset_collar_rel * (t_end - t_start))
+    ok = (np.abs(p_start[cols] - t_start[rows]) <= reach) & (
+        np.abs(p_end[cols] - t_end[rows]) <= allowance[rows] + _TOL
+    )
+    rows, cols = rows[ok], cols[ok]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(t_group)))])
+    return csr_matrix(
+        (np.ones(len(cols), dtype=np.int8), cols, indptr), shape=(len(t_group), len(p_group))
+    )
 
 
 def event_based_f1(
@@ -144,23 +173,22 @@ def event_based_f1(
     """Collar-matched event scores.  Clips missing from one side count as
     empty on that side; classes never seen in the truth still accumulate
     false positives but stay out of the macro average."""
-    truth_map = _by_clip(truth, "truth")
-    pred_map = _by_clip(pred, "predictions")
-    totals: dict[str, list[int]] = {}
-    for clip_id in sorted(set(truth_map) | set(pred_map)):
-        t_events = truth_map[clip_id].events if clip_id in truth_map else ()
-        p_events = pred_map[clip_id].events if clip_id in pred_map else ()
-        for label, (tp, fp, fn) in _class_counts(t_events, p_events, cfg).items():
-            acc = totals.setdefault(label, [0, 0, 0])
-            acc[0] += tp
-            acc[1] += fp
-            acc[2] += fn
-    per_class = {label: _prf(*counts) for label, counts in sorted(totals.items())}
-    micro = _prf(
-        sum(c[0] for c in totals.values()),
-        sum(c[1] for c in totals.values()),
-        sum(c[2] for c in totals.values()),
-    )
+    group_of: dict[tuple[str, str], int] = {}
+    label_of: dict[str, int] = {}
+    t_group, t_label, t_start, t_end = _columns(_by_clip(truth, "truth"), group_of, label_of)
+    p_group, p_label, p_start, p_end = _columns(_by_clip(pred, "predictions"), group_of, label_of)
+    graph = _feasibility_graph(t_group, t_start, t_end, p_group, p_start, p_end, cfg)
+    # one Hopcroft-Karp run over the block-diagonal graph of all groups
+    matched = maximum_bipartite_matching(graph, perm_type="column") >= 0
+    n_labels = len(label_of)
+    tp = np.bincount(t_label[matched], minlength=n_labels)
+    n_truth = np.bincount(t_label, minlength=n_labels)
+    n_pred = np.bincount(p_label, minlength=n_labels)
+    per_class = {
+        label: _prf(int(tp[i]), int(n_pred[i] - tp[i]), int(n_truth[i] - tp[i]))
+        for label, i in sorted(label_of.items())
+    }
+    micro = _prf(int(tp.sum()), int(n_pred.sum() - tp.sum()), int(n_truth.sum() - tp.sum()))
     truth_labels = [label for label, prf in per_class.items() if prf.tp + prf.fn > 0]
     macro_f1 = (
         sum(per_class[label].f1 for label in truth_labels) / len(truth_labels)
@@ -170,36 +198,31 @@ def event_based_f1(
     return EbResult(micro=micro, per_class=per_class, macro_f1=macro_f1)
 
 
+def _presence(side: Sequence[ClipAnnotations], name: str) -> dict[str, set[str]]:
+    """The clips in which each label is present."""
+    out: dict[str, set[str]] = {}
+    for clip_id, clip in _by_clip(side, name).items():
+        for e in clip.events:
+            out.setdefault(e.label, set()).add(clip_id)
+    return out
+
+
 def clip_level_macro_f1(
     truth: Sequence[ClipAnnotations],
     pred: Sequence[ClipAnnotations],
 ) -> float:
     """Each clip is a binary presence trial per class; per-class F1 over
     clips, macro-averaged over classes present in the truth."""
-    truth_map = _by_clip(truth, "truth")
-    pred_map = _by_clip(pred, "predictions")
-    clip_ids = sorted(set(truth_map) | set(pred_map))
-    truth_labels = sorted({e.label for clip in truth_map.values() for e in clip.events})
-    if not truth_labels:
+    truth_clips = _presence(truth, "truth")
+    pred_clips = _presence(pred, "predictions")
+    if not truth_clips:
         return 0.0
     total = 0.0
-    for label in truth_labels:
-        tp = fp = fn = 0
-        for clip_id in clip_ids:
-            in_truth = clip_id in truth_map and any(
-                e.label == label for e in truth_map[clip_id].events
-            )
-            in_pred = clip_id in pred_map and any(
-                e.label == label for e in pred_map[clip_id].events
-            )
-            if in_truth and in_pred:
-                tp += 1
-            elif in_pred:
-                fp += 1
-            elif in_truth:
-                fn += 1
-        total += _prf(tp, fp, fn).f1
-    return total / len(truth_labels)
+    for label in sorted(truth_clips):
+        in_truth, in_pred = truth_clips[label], pred_clips.get(label, set())
+        tp = len(in_truth & in_pred)
+        total += _prf(tp, len(in_pred) - tp, len(in_truth) - tp).f1
+    return total / len(truth_clips)
 
 
 def _from_jsonl(path: Path) -> list[ClipAnnotations]:

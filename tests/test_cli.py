@@ -1,6 +1,9 @@
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -614,3 +617,17 @@ class TestParserSurface:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        # scipy.signal takes about a second to import; only resampling needs it
+        import soundscene
+
+        src = str(Path(soundscene.__file__).resolve().parents[1])
+        code = "import sys, soundscene.cli; print('scipy.signal' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

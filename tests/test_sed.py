@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soundscene.dsl import EventAnnotation, TimeSpan
 from soundscene.sed import (
@@ -23,16 +25,25 @@ def clip(clip_id, *events):
     return ClipAnnotations(clip_id=clip_id, events=tuple(events))
 
 
+def collar_feasible(truth, pred, cfg):
+    """Reference predicate, one pair at a time: onsets within the onset
+    collar, offsets within max(abs, rel * truth length), each with a 1e-9
+    tolerance."""
+    tol = 1e-9
+    if abs(pred.span.start - truth.span.start) > cfg.onset_collar + tol:
+        return False
+    allowance = max(cfg.offset_collar_abs, cfg.offset_collar_rel * truth.span.duration)
+    return abs(pred.span.end - truth.span.end) <= allowance + tol
+
+
 def greedy_tp(truth_events, pred_events, cfg):
     """Order-dependent foil: each truth event takes the first still-free
     feasible prediction in list order."""
-    from soundscene.sed import _matches
-
     taken = [False] * len(pred_events)
     tp = 0
     for te in truth_events:
         for j, pe in enumerate(pred_events):
-            if not taken[j] and _matches(te, pe, cfg):
+            if not taken[j] and collar_feasible(te, pe, cfg):
                 taken[j] = True
                 tp += 1
                 break
@@ -41,16 +52,58 @@ def greedy_tp(truth_events, pred_events, cfg):
 
 def brute_force_tp(truth_events, pred_events, cfg):
     """Maximum matching by trying every injective assignment."""
-    from soundscene.sed import _matches
-
     n, m = len(truth_events), len(pred_events)
     best = 0
     for k in range(min(n, m), 0, -1):
         for t_idx in itertools.combinations(range(n), k):
             for p_perm in itertools.permutations(range(m), k):
-                if all(_matches(truth_events[i], pred_events[j], cfg) for i, j in zip(t_idx, p_perm)):
+                if all(
+                    collar_feasible(truth_events[i], pred_events[j], cfg)
+                    for i, j in zip(t_idx, p_perm)
+                ):
                     return k
     return best
+
+
+def brute_force_counts(truth, pred, cfg):
+    """Per-label [tp, fp, fn] summed over clips with the brute-force
+    matcher; clips missing from one side count as empty there."""
+    t_map = {c.clip_id: c.events for c in truth}
+    p_map = {c.clip_id: c.events for c in pred}
+    totals = {}
+    for clip_id in set(t_map) | set(p_map):
+        t_events, p_events = t_map.get(clip_id, ()), p_map.get(clip_id, ())
+        for label in {e.label for e in t_events} | {e.label for e in p_events}:
+            t = [e for e in t_events if e.label == label]
+            p = [e for e in p_events if e.label == label]
+            tp = brute_force_tp(t, p, cfg)
+            acc = totals.setdefault(label, [0, 0, 0])
+            acc[0] += tp
+            acc[1] += len(p) - tp
+            acc[2] += len(t) - tp
+    return totals
+
+
+# small multi-clip, multi-label sides on a 0.1 s grid, so many pairs sit
+# exactly on a collar edge
+_events = st.lists(
+    st.builds(
+        lambda label, start, length: ev(label, start / 10, (start + length) / 10),
+        st.sampled_from(["a", "b"]),
+        st.integers(0, 30),
+        st.integers(1, 20),
+    ),
+    max_size=4,
+)
+_sides = st.dictionaries(st.sampled_from(["c1", "c2", "c3"]), _events, max_size=3).map(
+    lambda clips: [clip(cid, *events) for cid, events in clips.items()]
+)
+_configs = st.builds(
+    EbConfig,
+    st.sampled_from([0.0, 0.1, 0.2, 0.5]),
+    st.sampled_from([0.0, 0.1, 0.2]),
+    st.sampled_from([0.0, 0.2, 0.5]),
+)
 
 
 class TestEbConfig:
@@ -182,6 +235,36 @@ class TestEventBasedF1:
             )
             res = event_based_f1([clip("c1", *truth_events)], [clip("c1", *pred_events)], cfg)
             assert res.micro.tp == brute_force_tp(truth_events, pred_events, cfg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sides, _sides, _configs)
+    def test_matches_brute_force_across_clips_and_labels(self, truth, pred, cfg):
+        res = event_based_f1(truth, pred, cfg)
+        got = {label: [prf.tp, prf.fp, prf.fn] for label, prf in res.per_class.items()}
+        assert got == brute_force_counts(truth, pred, cfg)
+        assert list(res.per_class) == sorted(res.per_class)
+
+    def test_long_displacement_chain_is_matched_in_full(self):
+        # truth i is feasible with predictions i-1 and i only; a recursive
+        # augmenting-path search overflows the stack on this chain
+        n = 1201
+        truth = [clip("c1", *(ev("a", 0.3 * i, 0.3 * i + 0.25) for i in range(n)))]
+        pred = [clip("c1", *(ev("a", 0.3 * i + 0.15, 0.3 * i + 0.4) for i in range(n)))]
+        cfg = EbConfig()
+        assert collar_feasible(truth[0].events[1], pred[0].events[0], cfg)
+        assert not collar_feasible(truth[0].events[0], pred[0].events[1], cfg)
+        res = event_based_f1(truth, pred, cfg)
+        assert (res.micro.tp, res.micro.fp, res.micro.fn) == (n, 0, 0)
+
+    def test_large_class_in_one_clip(self):
+        # 3,000 truth events 0.5 s apart; every second one has a prediction
+        # 0.1 s late, plus 500 predictions far from any truth onset
+        n = 3000
+        truth = [clip("c1", *(ev("a", 0.5 * i, 0.5 * i + 1.0) for i in range(n)))]
+        hits = [ev("a", 0.5 * i + 0.1, 0.5 * i + 1.1) for i in range(0, n, 2)]
+        misses = [ev("a", 2000.0 + 0.5 * i, 2000.0 + 0.5 * i + 1.0) for i in range(500)]
+        res = event_based_f1(truth, [clip("c1", *hits, *misses)])
+        assert (res.micro.tp, res.micro.fp, res.micro.fn) == (1500, 500, 1500)
 
     def test_swap_symmetry_with_absolute_collars(self):
         # with the relative collar off, the match criterion is symmetric,
@@ -365,6 +448,9 @@ class TestManifestReader:
             '[{"label": "Speech", "start": "x", "end": 2.0}]',
             '[{"label": "Speech", "start": NaN, "end": 2.0}]',
             '[{"label": "Speech", "start": 1.0, "end": Infinity}]',
+            '[{"label": null, "start": 1.0, "end": 2.0}]',
+            '[{"label": 5, "start": 1.0, "end": 2.0}]',
+            '[{"label": "Speech", "start": 1.0, "end": 2.0, "transcript": 5}]',
         ):
             path.write_text(good + '{"clip_id": "a", "events": ' + events + "}\n")
             with pytest.raises(ValueError, match=r"scenes\.jsonl:2: "):
