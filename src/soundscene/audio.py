@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
+from soundscene.dsl import DEFAULT_CLIP_SECONDS as CLIP_SECONDS
+
 __all__ = [
     "SAMPLE_RATE",
     "CLIP_SECONDS",
@@ -23,7 +25,6 @@ __all__ = [
 ]
 
 SAMPLE_RATE = 16000
-CLIP_SECONDS = 10.0
 CLIP_SAMPLES = int(SAMPLE_RATE * CLIP_SECONDS)
 
 PREPROCESS_MODES = ("pad_crop_head", "pad_crop_random")

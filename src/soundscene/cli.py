@@ -24,14 +24,15 @@ from soundscene.audio import write_wav
 from soundscene.config import (
     ConfigError,
     PipelineConfig,
+    SamplerConfig,
+    field_types,
     load_config,
 )
 from soundscene.diffusion import (
+    SCHEDULES,
     GaussianCondition,
     GaussianOracleDenoiser,
     GuidanceSchedule,
-    cosine_schedule,
-    linear_schedule,
     sample_progressive,
 )
 from soundscene.dsl import (
@@ -44,6 +45,7 @@ from soundscene.dsl import (
 )
 from soundscene.manifest import encode_events, read_tsv, write_jsonl_atomic
 from soundscene.phonemes import (
+    OOV_POLICIES,
     LexiconError,
     OovWordError,
     build_vocab,
@@ -69,18 +71,16 @@ from soundscene.sed import (
 from soundscene.toytrain import load_checkpoint
 
 
-def _resolve(base: Path, p: str | None) -> Path | None:
-    """Paths inside a config file resolve against the config's directory."""
-    if p is None:
-        return None
-    q = Path(p)
-    return q if q.is_absolute() else base / q
-
-
-def _load_config_resolved(config_path: str) -> tuple[PipelineConfig, Path]:
-    cfg = load_config(config_path)
-    base = Path(config_path).resolve().parent
-    return cfg, base
+def _load_config_resolved(args: argparse.Namespace) -> PipelineConfig:
+    """Load ``--config`` with its paths resolved against the config's directory
+    and ``--output-dir``, on commands that have it, in place of output_dir."""
+    cfg = load_config(args.config)
+    base = Path(args.config).resolve().parent
+    keys = ("output_dir", "speech_manifest", "background_manifest")
+    paths = {k: str(base / v) for k in keys if (v := getattr(cfg, k)) is not None}
+    if getattr(args, "output_dir", None):
+        paths["output_dir"] = args.output_dir
+    return dataclasses.replace(cfg, **paths)
 
 
 def _read_prompt_arg(args: argparse.Namespace) -> str:
@@ -171,15 +171,12 @@ def _sim_task(task: tuple[int, int, str]) -> tuple[int, dict[str, Any]]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg, base = _load_config_resolved(args.config)
+    cfg = _load_config_resolved(args)
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     if cfg.speech_manifest is None or cfg.background_manifest is None:
         raise ConfigError("simulate needs speech_manifest and background_manifest in the config")
-    speech_manifest = str(_resolve(base, cfg.speech_manifest))
-    background_manifest = str(_resolve(base, cfg.background_manifest))
-    out_dir = Path(args.output_dir) if args.output_dir else _resolve(base, cfg.output_dir)
-    assert out_dir is not None
+    out_dir = Path(cfg.output_dir)
     (out_dir / "audio").mkdir(parents=True, exist_ok=True)
 
     tasks = [
@@ -192,7 +189,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ]
     records: dict[int, dict[str, Any]] = {}
     if args.workers <= 1 or not tasks:
-        _init_sim_worker(speech_manifest, background_manifest, cfg.priors)
+        _init_sim_worker(cfg.speech_manifest, cfg.background_manifest, cfg.priors)
         for task in tasks:
             i, rec = _sim_task(task)
             records[i] = rec
@@ -200,7 +197,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         with ProcessPoolExecutor(
             max_workers=args.workers,
             initializer=_init_sim_worker,
-            initargs=(speech_manifest, background_manifest, cfg.priors),
+            initargs=(cfg.speech_manifest, cfg.background_manifest, cfg.priors),
         ) as pool:
             for i, rec in pool.map(_sim_task, tasks):
                 records[i] = rec
@@ -296,12 +293,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    cfg, base = _load_config_resolved(args.config)
+    cfg = _load_config_resolved(args)
     if cfg.planner is None:
         raise ConfigError("config has no planner section; set planner.url and planner.model")
-    out_dir = _resolve(base, cfg.output_dir)
-    assert out_dir is not None
-    raw_dump = Path(args.raw_dump) if args.raw_dump else out_dir / "planner_raw.txt"
+    raw_dump = Path(args.raw_dump) if args.raw_dump else Path(cfg.output_dir) / "planner_raw.txt"
     client = PlannerClient(cfg.planner)
     prompt = client.plan(args.caption, speech_text=args.speech, raw_dump_path=raw_dump)
     print(serialize(prompt))
@@ -312,18 +307,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    cfg, base = _load_config_resolved(args.config)
-    overrides = {
-        "T": args.T,
-        "schedule": args.schedule,
-        "t1": args.t1,
-        "w_low": args.w_low,
-        "w_high": args.w_high,
-        "mode": args.mode,
-        "seed": args.seed,
-    }
-    sc = dataclasses.replace(cfg.sampler, **{k: v for k, v in overrides.items() if v is not None})
-    sched = cosine_schedule(sc.T) if sc.schedule == "cosine" else linear_schedule(sc.T)
+    cfg = _load_config_resolved(args)
+    sc = dataclasses.replace(cfg.sampler, **_given_fields(args, SamplerConfig))
+    sched = SCHEDULES[sc.schedule](sc.T)
 
     if args.denoiser == "gaussian_oracle":
         dim = args.dim
@@ -363,15 +349,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
             f"\t{cond_label[id(info.condition)]}\t{info.w:g}"
         )
 
-    z0 = sample_progressive(
-        denoiser, gs, sched, z_T,
-        rng=rng if sc.mode == "ancestral" else None,
-        mode=sc.mode, on_step=on_step,
-    )
+    z0 = sample_progressive(denoiser, gs, sched, z_T, rng=rng, mode=sc.mode, on_step=on_step)
 
-    out_dir = Path(args.output_dir) if args.output_dir else _resolve(base, cfg.output_dir)
-    assert out_dir is not None
-    sample_dir = out_dir / "sample"
+    sample_dir = Path(cfg.output_dir) / "sample"
     sample_dir.mkdir(parents=True, exist_ok=True)
     latents_path = sample_dir / "latents.npy"
     np.save(latents_path, z0)
@@ -392,11 +372,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise OSError(f"truth manifest not found: {truth_path}")
     if not pred_path.exists():
         raise OSError(f"prediction manifest not found: {pred_path}")
-    cfg = EbConfig(
-        onset_collar=args.onset_collar,
-        offset_collar_abs=args.offset_collar_abs,
-        offset_collar_rel=args.offset_collar_rel,
-    )
+    cfg = EbConfig(**_given_fields(args, EbConfig))
     truth = annotations_from_manifest(truth_path)
     pred = annotations_from_manifest(pred_path)
     eb = event_based_f1(truth, pred, cfg)
@@ -414,6 +390,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _add_prompt_source(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("prompt", nargs="?", help="prompt text (omit when using --file)")
     sp.add_argument("--file", help="read the prompt from this file instead")
+
+
+def _add_field_flags(sp: argparse.ArgumentParser, cls: type, help_text: str) -> None:
+    """One ``--field-name`` flag per field of the settings dataclass ``cls``,
+    typed like the field; ``help_text`` may use the field's name and default."""
+    for f in dataclasses.fields(cls):
+        sp.add_argument("--" + f.name.replace("_", "-"), type=field_types(cls)[f.name],
+                        help=help_text.format(name=f.name, default=f.default))
+
+
+def _given_fields(args: argparse.Namespace, cls: type) -> dict[str, Any]:
+    """The fields of ``cls`` whose flags were given; the rest keep their value."""
+    return {f.name: v for f in dataclasses.fields(cls) if (v := getattr(args, f.name)) is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--oov-policy",
         default="letter_fallback",
-        choices=("error", "skip", "letter_fallback"),
-        help="handling for out-of-vocabulary words (default: letter_fallback)",
+        choices=OOV_POLICIES,
+        help="handling for out-of-vocabulary words (default: %(default)s)",
     )
     sp.add_argument(
         "--vocab-corpus",
@@ -495,25 +484,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="gaussian_oracle target variance (default: 0.25)")
     sp.add_argument("--dim", type=int, default=2,
                     help="latent dimension for gaussian_oracle (default: 2)")
-    sp.add_argument("--T", type=int, help="override sampler.T")
-    sp.add_argument("--schedule", choices=("cosine", "linear"), help="override sampler.schedule")
-    sp.add_argument("--t1", type=int, help="override sampler.t1 (phase switch step)")
-    sp.add_argument("--w-low", type=float, help="override sampler.w_low")
-    sp.add_argument("--w-high", type=float, help="override sampler.w_high")
-    sp.add_argument("--mode", choices=("ancestral", "deterministic"), help="override sampler.mode")
-    sp.add_argument("--seed", type=int, help="override sampler.seed")
+    _add_field_flags(sp, SamplerConfig, "override sampler.{name}")
     sp.add_argument("--output-dir", help="override the config's output_dir")
     sp.set_defaults(func=cmd_sample)
 
-    sp = sub.add_parser("evaluate", help="score predictions against reference annotations")
+    sp = sub.add_parser("evaluate", help="score predictions against reference annotations",
+                        description=EbConfig.__doc__)
     sp.add_argument("--truth", required=True, help="reference manifest (JSONL or TSV)")
     sp.add_argument("--pred", required=True, help="prediction manifest (JSONL or TSV)")
-    sp.add_argument("--onset-collar", type=float, default=0.2,
-                    help="onset tolerance in seconds (default: 0.2)")
-    sp.add_argument("--offset-collar-abs", type=float, default=0.2,
-                    help="absolute offset tolerance in seconds (default: 0.2)")
-    sp.add_argument("--offset-collar-rel", type=float, default=0.2,
-                    help="offset tolerance as a fraction of truth length (default: 0.2)")
+    _add_field_flags(sp, EbConfig, "{name} (default: {default:g})")
     sp.add_argument("--report", help="also write the report to this file")
     sp.set_defaults(func=cmd_evaluate)
 

@@ -4,23 +4,26 @@ One config file drives the whole pipeline: dataset seeding, pool
 manifests, scene priors, sampler settings, and the planner endpoint.
 Secrets never live in the file; the planner section names an
 environment variable and the token is read from the process
-environment at request time.
+environment at request time.  Each section's keys, types, defaults
+and checks are those of its frozen dataclass.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
+import sys
+import typing
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 import yaml
 
-from soundscene.phonemes import OOV_POLICIES
+from soundscene.diffusion import REVERSE_MODES, SCHEDULES
 from soundscene.scene import ScenePriors
-
-SCHEDULE_FAMILIES = ("cosine", "linear")
-SAMPLER_MODES = ("ancestral", "deterministic")
 
 DEFAULT_API_KEY_ENV = "PLANNER_API_KEY"
 
@@ -43,17 +46,18 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         if self.T < 1:
-            raise ConfigError(f"sampler.T must be >= 1, got {self.T}")
-        if self.schedule not in SCHEDULE_FAMILIES:
-            raise ConfigError(
-                f"sampler.schedule must be one of {SCHEDULE_FAMILIES}, got {self.schedule!r}"
-            )
+            raise ConfigError(f"T must be >= 1, got {self.T}")
+        if self.schedule not in SCHEDULES:
+            raise ConfigError(f"schedule must be one of {tuple(SCHEDULES)}, got {self.schedule!r}")
         if not 0 <= self.t1 <= self.T:
-            raise ConfigError(f"sampler.t1 must lie in [0, T={self.T}], got {self.t1}")
-        if self.mode not in SAMPLER_MODES:
-            raise ConfigError(
-                f"sampler.mode must be one of {SAMPLER_MODES}, got {self.mode!r}"
-            )
+            raise ConfigError(f"t1 must lie in [0, T={self.T}], got {self.t1}")
+        for name in ("w_low", "w_high"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.mode not in REVERSE_MODES:
+            raise ConfigError(f"mode must be one of {REVERSE_MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -64,18 +68,18 @@ class PlannerEndpoint:
     token; the token itself is never written to disk.
     """
 
-    url: str
-    model: str
+    url: str = ""
+    model: str = ""
     api_key_env: str = DEFAULT_API_KEY_ENV
     timeout: float = 30.0
 
     def __post_init__(self) -> None:
         if not self.url:
-            raise ConfigError("planner.url must be a non-empty URL")
+            raise ConfigError("url must be a non-empty URL")
         if not self.model:
-            raise ConfigError("planner.model must be a non-empty model name")
+            raise ConfigError("model must be a non-empty model name")
         if self.timeout <= 0:
-            raise ConfigError(f"planner.timeout must be positive, got {self.timeout}")
+            raise ConfigError(f"timeout must be positive, got {self.timeout}")
 
 
 @dataclass(frozen=True)
@@ -86,104 +90,75 @@ class PipelineConfig:
     background_manifest: str | None = None
     priors: ScenePriors = field(default_factory=ScenePriors)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    lexicon_path: str | None = None
-    oov_policy: str = "letter_fallback"
     planner: PlannerEndpoint | None = None
 
     def __post_init__(self) -> None:
-        if self.oov_policy not in OOV_POLICIES:
-            raise ConfigError(
-                f"oov_policy must be one of {OOV_POLICIES}, got {self.oov_policy!r}"
-            )
+        if self.dataset_seed < 0:
+            raise ConfigError(f"dataset_seed must be >= 0, got {self.dataset_seed}")
 
 
-def _check_keys(section: str, raw: dict[str, Any], allowed: set[str]) -> None:
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise ConfigError(f"{section}: unknown keys {unknown}")
+@functools.cache
+def field_types(cls: type) -> dict[str, Any]:
+    """The resolved type of each field of the settings dataclass ``cls``."""
+    return typing.get_type_hints(cls)
 
 
-def _priors_from_dict(raw: dict[str, Any]) -> ScenePriors:
-    _check_keys(
-        "priors", raw, {"p_single_speaker", "utterance_count_pmf", "snr_range_db"}
-    )
-    kwargs: dict[str, Any] = {}
-    if "p_single_speaker" in raw:
-        kwargs["p_single_speaker"] = float(raw["p_single_speaker"])
-    if "utterance_count_pmf" in raw:
-        pmf_raw = raw["utterance_count_pmf"]
-        if not isinstance(pmf_raw, dict):
-            raise ConfigError("priors.utterance_count_pmf must be a mapping")
-        # YAML keys may arrive as strings; counts are integers
-        kwargs["utterance_count_pmf"] = {
-            int(k): float(v) for k, v in pmf_raw.items()
+_SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a finite number"),
+            str: ((str,), "a string")}
+
+
+def _value(where: str, tp: Any, value: Any) -> Any:
+    """Check ``value`` against the field type ``tp`` and build it: an int fits a
+    float field, a bool fits nothing and null fits only ``X | None``; a tuple
+    field takes a YAML list, and a mapping's integer keys may arrive as strings."""
+    if dataclasses.is_dataclass(tp):
+        return _section(tp, where, value)
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None
+        return None if value is None else _value(where, args[0], value)
+    origin = typing.get_origin(tp)
+    if origin is tuple:
+        if not isinstance(value, list) or len(value) != len(args):
+            raise ConfigError(f"{where} must be a list of {len(args)} values, got {value!r}")
+        return tuple(_value(f"{where}[{i}]", a, v) for i, (a, v) in enumerate(zip(args, value)))
+    if origin is Mapping:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a mapping, got {value!r}")
+        return {
+            _value(f"{where} key", args[0], int(k) if isinstance(k, str) and k.isdecimal() else k):
+            _value(f"{where}[{k!r}]", args[1], v)
+            for k, v in value.items()
         }
-    if "snr_range_db" in raw:
-        rng = raw["snr_range_db"]
-        if not isinstance(rng, (list, tuple)) or len(rng) != 2:
-            raise ConfigError("priors.snr_range_db must be a [low, high] pair")
-        kwargs["snr_range_db"] = (float(rng[0]), float(rng[1]))
+    kinds, kind_name = _SCALARS[tp]
+    fits = isinstance(value, kinds) and not isinstance(value, bool)
+    # not math.isfinite, which overflows on a huge YAML integer
+    if not fits or (tp is float and not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{where} must be {kind_name}, got {value!r}")
+    return value
+
+
+def _section(cls: type, name: str, raw: Any) -> Any:
+    """Build the dataclass ``cls`` from the mapping at ``name`` ("" for the root),
+    checking keys and types against its fields and naming its own check failures."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name or 'config root'} must be a mapping, got {type(raw).__name__}")
+    prefix = f"{name}." if name else ""
+    hints = field_types(cls)
+    unknown = sorted(str(k) for k in set(raw) - hints.keys())
+    if unknown:
+        raise ConfigError(f"unknown keys {[prefix + k for k in unknown]}")
+    kwargs = {key: _value(prefix + key, hints[key], value) for key, value in raw.items()}
     try:
-        return ScenePriors(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"priors: {exc}") from exc
-
-
-def _sampler_from_dict(raw: dict[str, Any]) -> SamplerConfig:
-    fields = {f.name for f in dataclasses.fields(SamplerConfig)}
-    _check_keys("sampler", raw, fields)
-    return SamplerConfig(**raw)
-
-
-def _planner_from_dict(raw: dict[str, Any]) -> PlannerEndpoint:
-    if "api_key" in raw or "token" in raw:
-        raise ConfigError("planner: store no token in the config; set api_key_env")
-    fields = {f.name for f in dataclasses.fields(PlannerEndpoint)}
-    _check_keys("planner", raw, fields)
-    return PlannerEndpoint(**raw)
-
-
-_TOP_LEVEL_KEYS = {
-    "dataset_seed",
-    "output_dir",
-    "speech_manifest",
-    "background_manifest",
-    "priors",
-    "sampler",
-    "lexicon_path",
-    "oov_policy",
-    "planner",
-}
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def config_from_dict(raw: dict[str, Any]) -> PipelineConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
-    _check_keys("config", raw, _TOP_LEVEL_KEYS)
-    kwargs: dict[str, Any] = {}
-    for key in ("dataset_seed",):
-        if key in raw:
-            kwargs[key] = int(raw[key])
-    for key in ("output_dir", "speech_manifest", "background_manifest",
-                "lexicon_path", "oov_policy"):
-        if key in raw and raw[key] is not None:
-            kwargs[key] = str(raw[key])
-    if raw.get("priors") is not None:
-        if not isinstance(raw["priors"], dict):
-            raise ConfigError("priors must be a mapping")
-        kwargs["priors"] = _priors_from_dict(raw["priors"])
-    if raw.get("sampler") is not None:
-        if not isinstance(raw["sampler"], dict):
-            raise ConfigError("sampler must be a mapping")
-        kwargs["sampler"] = _sampler_from_dict(raw["sampler"])
-    if raw.get("planner") is not None:
-        if not isinstance(raw["planner"], dict):
-            raise ConfigError("planner must be a mapping")
-        kwargs["planner"] = _planner_from_dict(raw["planner"])
-    try:
-        return PipelineConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    planner = raw.get("planner") if isinstance(raw, dict) else None
+    if isinstance(planner, dict) and {"api_key", "token"} & set(planner):
+        raise ConfigError("planner: store no token in the config; set api_key_env")
+    return _section(PipelineConfig, "", raw)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -197,9 +172,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{p}: invalid YAML: {exc}") from exc
-    if raw is None:
-        raw = {}
     try:
-        return config_from_dict(raw)
+        return config_from_dict({} if raw is None else raw)
     except ConfigError as exc:
         raise ConfigError(f"{p}: {exc}") from exc

@@ -94,6 +94,9 @@ def linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) ->
     return NoiseSchedule(alpha_bar=ab, family="linear")
 
 
+SCHEDULES = {"cosine": cosine_schedule, "linear": linear_schedule}
+
+
 def forward_noise(z0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
     """z_t = sqrt(alpha_bar[t]) z0 + sqrt(1 - alpha_bar[t]) eps.
 

@@ -5,7 +5,6 @@ scene and prompt manifests share.  Every reader error names ``path:line``."""
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from pathlib import Path
@@ -76,9 +75,9 @@ def encode_events(events: Iterable[EventAnnotation]) -> list[dict[str, Any]]:
 
 def decode_events(rows: Any, where: str) -> tuple[EventAnnotation, ...]:
     """Parse ``events`` rows (mappings with a string label, start, end and an
-    optional string-or-null transcript).  Spans must satisfy
-    0 <= start < end < inf; any malformed row raises ValueError naming
-    ``where``."""
+    optional string-or-null transcript).  Spans must be finite and, once
+    rounded to centiseconds, satisfy 0 <= start < end; any malformed row
+    raises ValueError naming ``where``."""
     if not isinstance(rows, list):
         raise ValueError(f"{where}: malformed event record: events must be a list")
     events = []
@@ -88,6 +87,7 @@ def decode_events(rows: Any, where: str) -> tuple[EventAnnotation, ...]:
         try:
             label, transcript = row["label"], row.get("transcript")
             start, end = float(row["start"]), float(row["end"])
+            span = TimeSpan(start, end)  # rejects non-finite times
         except KeyError as exc:
             raise ValueError(f"{where}: malformed event record: missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -100,9 +100,9 @@ def decode_events(rows: Any, where: str) -> tuple[EventAnnotation, ...]:
             )
         if not label.strip():
             raise ValueError(f"{where}: empty label")
-        if not 0 <= start < end < math.inf:
+        if not 0 <= span.start < span.end:
             raise ValueError(f"{where}: invalid span [{start}, {end}]")
-        events.append(EventAnnotation(label, TimeSpan(start, end), transcript))
+        events.append(EventAnnotation(label, span, transcript))
     return tuple(events)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import requests
 
 from soundscene.config import DEFAULT_API_KEY_ENV, PlannerEndpoint
-from soundscene.dsl import PromptSyntaxError, StructuredPrompt, parse
+from soundscene.dsl import DEFAULT_CLIP_SECONDS, PromptSyntaxError, StructuredPrompt, parse
 
 TEMPLATE_VERSION = "v1"
 
@@ -61,7 +61,7 @@ class PlannerRequest:
 
     caption: str
     speech_text: str | None = None
-    clip_seconds: float = 10.0
+    clip_seconds: float = DEFAULT_CLIP_SECONDS
     template_version: str = TEMPLATE_VERSION
 
     def render(self) -> str:

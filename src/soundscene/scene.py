@@ -212,9 +212,9 @@ class ScenePriors:
             raise ValueError("utterance_count_pmf is empty")
         for k, p in pmf.items():
             if not (isinstance(k, int) and k >= 1):
-                raise ValueError(f"utterance counts must be integers >= 1, got {k!r}")
+                raise ValueError(f"utterance_count_pmf counts must be integers >= 1, got {k!r}")
             if p < 0.0:
-                raise ValueError(f"negative probability for count {k}")
+                raise ValueError(f"utterance_count_pmf has a negative probability for count {k}")
         if abs(sum(pmf.values()) - 1.0) > 1e-9:
             raise ValueError(f"utterance_count_pmf sums to {sum(pmf.values())!r}, not 1")
         lo, hi = self.snr_range_db

@@ -12,6 +12,7 @@ pairs, so that is the per-pair matching.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -45,16 +46,18 @@ _WINDOW_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class EbConfig:
-    """Collars for event matching: onsets must agree within onset_collar,
-    offsets within max(offset_collar_abs, offset_collar_rel * truth length)."""
+    """Collars for event matching, in seconds (offset_collar_rel is a fraction): onsets
+    agree within onset_collar, offsets within max(offset_collar_abs,
+    offset_collar_rel * truth length)."""
 
     onset_collar: float = 0.2
     offset_collar_abs: float = 0.2
     offset_collar_rel: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.onset_collar < 0 or self.offset_collar_abs < 0 or self.offset_collar_rel < 0:
-            raise ValueError("collars must be non-negative")
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)

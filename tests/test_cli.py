@@ -509,6 +509,36 @@ class TestSample:
         assert rc == 1
         assert "--checkpoint" in err
 
+    @pytest.mark.parametrize(
+        "argv, text, key",
+        [
+            (["sample"], "sampler:\n  T: '100'\n", "sampler.T"),
+            (["sample"], "sampler:\n  w_low: '3'\n", "sampler.w_low"),
+            (["sample"], "dataset_seed: 42.9\n", "dataset_seed"),
+            (["plan", "--caption", "c"],
+             "planner:\n  url: https://planner.test/v1/chat\n  model: m\n  timeout: '30'\n",
+             "planner.timeout"),
+        ],
+    )
+    def test_malformed_config_value_exits_1(self, tmp_path, capsys, argv, text, key):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        rc = main([argv[0], "--config", str(cfg), *argv[1:]])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert key in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--schedule", "quadratic"), ("--mode", "ddim"), ("--w-low", "nan"), ("--w-high", "inf"),
+    ])
+    def test_bad_sampler_flag_exits_1(self, run_config, tmp_path, capsys, flag, value):
+        rc = main(["sample", "--config", str(run_config), flag, value,
+                   "--output-dir", str(tmp_path / "x")])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert flag[2:].replace("-", "_") in err and value in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestEvaluate:
     def test_truth_vs_truth_is_perfect(self, run_config, tmp_path, capsys):
@@ -545,6 +575,18 @@ class TestEvaluate:
         out, _ = read_out(capsys)
         assert rc == 0
         assert "F1 100.0" in out
+
+    @pytest.mark.parametrize("flag", ["--onset-collar", "--offset-collar-abs",
+                                      "--offset-collar-rel"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+    def test_bad_collar_rejected(self, tmp_path, capsys, flag, value):
+        truth = tmp_path / "t.tsv"
+        truth.write_text("c\tdog\t1.0\t2.0\n")
+        rc = main(["evaluate", "--truth", str(truth), "--pred", str(truth), flag, value])
+        out, err = read_out(capsys)
+        assert rc == 1
+        assert flag[2:].replace("-", "_") in err
+        assert "F1" not in out
 
     def test_report_file_written(self, tmp_path, capsys):
         truth = tmp_path / "t.tsv"

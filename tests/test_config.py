@@ -1,4 +1,8 @@
+import dataclasses
+from pathlib import Path
+
 import pytest
+import yaml
 
 from soundscene.config import (
     ConfigError,
@@ -21,9 +25,7 @@ class TestDefaults:
         cfg = load_config(write_yaml(tmp_path, ""))
         assert cfg.dataset_seed == 0
         assert cfg.output_dir == "out"
-        assert cfg.oov_policy == "letter_fallback"
         assert cfg.planner is None
-        assert cfg.lexicon_path is None
 
     def test_sampler_defaults(self):
         sc = SamplerConfig()
@@ -47,8 +49,6 @@ dataset_seed: 42
 output_dir: data/run1
 speech_manifest: pools/speech.jsonl
 background_manifest: pools/bg.jsonl
-oov_policy: skip
-lexicon_path: lex.dict
 priors:
   p_single_speaker: 0.5
   utterance_count_pmf: {1: 0.25, 2: 0.75}
@@ -90,6 +90,17 @@ planner:
         )
         assert cfg.priors.utterance_count_pmf == {1: 0.5, 2: 0.5}
 
+    def test_int_accepted_for_float_field(self):
+        cfg = config_from_dict({"sampler": {"w_low": 3}, "priors": {"snr_range_db": [0, 6]}})
+        assert cfg.sampler.w_low == 3
+        assert cfg.priors.snr_range_db == (0, 6)
+
+    def test_example_config_matches_schema(self):
+        example = Path(__file__).resolve().parents[1] / "configs" / "example.yaml"
+        cfg = load_config(example)
+        assert cfg.sampler == SamplerConfig()
+        assert cfg.speech_manifest == "demo/speech_manifest.jsonl"
+
 
 class TestValidation:
     def test_unknown_top_level_key(self, tmp_path):
@@ -129,8 +140,38 @@ class TestValidation:
             SamplerConfig(mode="ddim")
 
     def test_bad_oov_policy(self):
-        with pytest.raises(ConfigError, match="oov_policy"):
-            PipelineConfig(oov_policy="mumble")
+        # tokenize takes its policy and lexicon as flags; the config keys are gone
+        for text in ("oov_policy: skip", "lexicon_path: lex.dict"):
+            with pytest.raises(ConfigError, match="unknown keys"):
+                config_from_dict(yaml.safe_load(text))
+        assert "oov_policy" not in {f.name for f in dataclasses.fields(PipelineConfig)}
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("sampler: {T: '100'}", "sampler.T"),
+            ("sampler: {w_low: '3'}", "sampler.w_low"),
+            ("sampler: {seed: true}", "sampler.seed"),
+            ("sampler: {seed: -1}", "sampler.seed"),
+            ("sampler: {w_high: -1}", "sampler.w_high"),
+            ("planner: {url: u, model: m, timeout: '30'}", "planner.timeout"),
+            ("planner: {model: m}", "planner.url"),
+            ("dataset_seed: 42.9", "dataset_seed"),
+            ("dataset_seed: '42'", "dataset_seed"),
+            ("dataset_seed: -1", "dataset_seed"),
+            ("speech_manifest: 5", "speech_manifest"),
+            ("output_dir: null", "output_dir"),
+            ("priors: {p_single_speaker: .nan}", "priors.p_single_speaker"),
+            ("sampler: {w_low: 1" + "0" * 400 + "}", "sampler.w_low"),
+            ("priors: {snr_range_db: [0, x]}", r"priors.snr_range_db\[1\]"),
+            ("priors: {utterance_count_pmf: {1.5: 1.0}}", "priors.utterance_count_pmf key"),
+            ("priors: {p_single_speaker: 2.0}", "priors.p_single_speaker"),
+            ("sampler: 5", "sampler"),
+        ],
+    )
+    def test_malformed_value_names_key(self, text, key):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(yaml.safe_load(text))
 
     def test_planner_needs_url_and_model(self):
         with pytest.raises(ConfigError, match="url"):
@@ -160,4 +201,4 @@ class TestValidation:
 
     def test_error_names_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="run.yaml"):
-            load_config(write_yaml(tmp_path, "oov_policy: mumble"))
+            load_config(write_yaml(tmp_path, "sampler: {mode: ddim}"))

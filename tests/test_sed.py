@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -114,6 +115,10 @@ class TestEbConfig:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             EbConfig(onset_collar=-0.1)
+        for bad in (math.nan, math.inf, -math.inf):
+            for name in ("onset_collar", "offset_collar_abs", "offset_collar_rel"):
+                with pytest.raises(ValueError, match=name):
+                    EbConfig(**{name: bad})
 
 
 class TestEventBasedF1:
@@ -390,7 +395,8 @@ class TestManifestReader:
 
     def test_tsv_bad_span_order_raises_with_line(self, tmp_path):
         path = tmp_path / "events.tsv"
-        for span in ("5.00\t3.00", "nan\t2.00", "1.00\tinf", "-inf\t1.00"):
+        # 1.001-1.004 rounds to the empty span [1.00, 1.00]
+        for span in ("5.00\t3.00", "nan\t2.00", "1.00\tinf", "-inf\t1.00", "1.001\t1.004"):
             path.write_text(f"c1\tSpeech\t{span}\n")
             with pytest.raises(ValueError, match="events.tsv:1"):
                 annotations_from_manifest(path)
@@ -448,6 +454,7 @@ class TestManifestReader:
             '[{"label": "Speech", "start": "x", "end": 2.0}]',
             '[{"label": "Speech", "start": NaN, "end": 2.0}]',
             '[{"label": "Speech", "start": 1.0, "end": Infinity}]',
+            '[{"label": "Speech", "start": 1.001, "end": 1.004}]',
             '[{"label": null, "start": 1.0, "end": 2.0}]',
             '[{"label": 5, "start": 1.0, "end": 2.0}]',
             '[{"label": "Speech", "start": 1.0, "end": 2.0, "transcript": 5}]',
