@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -37,7 +36,6 @@ from soundscene.diffusion import (
 )
 from soundscene.dsl import (
     EventAnnotation,
-    PromptSyntaxError,
     from_annotations,
     parse,
     serialize,
@@ -46,15 +44,13 @@ from soundscene.dsl import (
 from soundscene.manifest import encode_events, read_tsv, write_jsonl_atomic
 from soundscene.phonemes import (
     OOV_POLICIES,
-    LexiconError,
-    OovWordError,
     build_vocab,
     load_default_lexicon,
     load_lexicon,
     render_tokens,
     tokenize_prompt,
 )
-from soundscene.planner import PlannerClient, PlannerError
+from soundscene.planner import PlannerClient
 from soundscene.scene import (
     compose_scene,
     derive_scene_seed,
@@ -504,19 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PromptSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (
-        ConfigError,
-        PlannerError,
-        LexiconError,
-        OovWordError,
-        ValueError,
-        RuntimeError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

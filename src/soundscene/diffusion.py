@@ -43,7 +43,6 @@ class NoiseSchedule:
     """Cumulative signal fractions alpha_bar[0..T] with alpha_bar[0] = 1."""
 
     alpha_bar: np.ndarray
-    family: str = "custom"
 
     def __post_init__(self) -> None:
         ab = np.asarray(self.alpha_bar, dtype=np.float64)
@@ -83,7 +82,7 @@ def cosine_schedule(T: int, s: float = 0.008) -> NoiseSchedule:
     ab = f / f[0]
     betas = np.clip(1.0 - ab[1:] / ab[:-1], 0.0, 0.999)
     ab = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-    return NoiseSchedule(alpha_bar=ab, family="cosine")
+    return NoiseSchedule(alpha_bar=ab)
 
 
 def linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
@@ -91,7 +90,7 @@ def linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) ->
         raise ValueError("T must be >= 1")
     betas = np.linspace(beta_start, beta_end, T)
     ab = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-    return NoiseSchedule(alpha_bar=ab, family="linear")
+    return NoiseSchedule(alpha_bar=ab)
 
 
 SCHEDULES = {"cosine": cosine_schedule, "linear": linear_schedule}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "DEFAULT_CLIP_SECONDS",
@@ -42,9 +42,10 @@ class PromptSyntaxError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class TimeSpan:
-    """Half-open interval in seconds, quantized to centiseconds.
+    """Half-open interval in seconds, quantized to centiseconds; spans
+    order by (start, end).
 
     Construction rejects non-finite values but deliberately not ordering
     or range problems; those are data for validate() to report.
@@ -193,7 +194,7 @@ def _parse_block(cur: _Cursor) -> EventSpec:
     cur.expect("}")
     # canonical span order so parse(serialize(p)) == p regardless of the
     # order spans were written in the source
-    spans.sort(key=lambda s: (s.start, s.end))
+    spans.sort()
     return EventSpec(description=description, spans=tuple(spans), speech=speech)
 
 
@@ -308,7 +309,7 @@ def _serialize_with_speech_regions(
                 )
         span_text = " ".join(
             f"<{_format_time(s.start)},{_format_time(s.end)}>"
-            for s in sorted(event.spans, key=lambda s: (s.start, s.end))
+            for s in sorted(event.spans)
         )
         block = f"@{{{description} & {span_text}"
         if parts:
@@ -326,10 +327,9 @@ def _serialize_with_speech_regions(
     return "".join(parts), regions
 
 
-def validate(
-    p: StructuredPrompt, clip_duration: float = DEFAULT_CLIP_SECONDS
-) -> list[Violation]:
-    """Report every finding; no error-severity findings means valid.
+def validate(p: StructuredPrompt) -> list[Violation]:
+    """Report every finding against the fixed clip length; no
+    error-severity findings means valid.
 
     Overlapping spans inside one event are legal data and come back as
     warnings, not errors.
@@ -364,17 +364,17 @@ def validate(
                         span_index=j,
                     )
                 )
-            if s.end > clip_duration:
+            if s.end > DEFAULT_CLIP_SECONDS:
                 findings.append(
                     Violation(
                         "end-exceeds-clip",
                         f"event {i} span {j}: end {_format_time(s.end)} "
-                        f"beyond clip {_format_time(clip_duration)}",
+                        f"beyond clip {_format_time(DEFAULT_CLIP_SECONDS)}",
                         event_index=i,
                         span_index=j,
                     )
                 )
-        ordered = sorted(event.spans, key=lambda s: (s.start, s.end))
+        ordered = sorted(event.spans)
         for a, b in zip(ordered, ordered[1:]):
             if b.start < a.end:
                 findings.append(
@@ -390,11 +390,7 @@ def validate(
     return findings
 
 
-def from_annotations(
-    caption: str,
-    annotations: list[EventAnnotation],
-    clip_duration: float = DEFAULT_CLIP_SECONDS,
-) -> StructuredPrompt:
+def from_annotations(caption: str, annotations: list[EventAnnotation]) -> StructuredPrompt:
     """Assemble a prompt from ground-truth annotation rows.
 
     Rows sharing a label merge into one multi-span event when they all
@@ -404,11 +400,11 @@ def from_annotations(
     """
     for k, ann in enumerate(annotations):
         s = ann.span
-        if not (0.0 <= s.start < s.end <= clip_duration):
+        if not (0.0 <= s.start < s.end <= DEFAULT_CLIP_SECONDS):
             raise ValueError(
                 f"annotation {k} ({ann.label!r}): span "
                 f"<{_format_time(s.start)},{_format_time(s.end)}> outside "
-                f"0.00..{_format_time(clip_duration)} or degenerate"
+                f"0.00..{_format_time(DEFAULT_CLIP_SECONDS)} or degenerate"
             )
         if not ann.label.strip():
             raise ValueError(f"annotation {k}: empty label")
@@ -422,7 +418,7 @@ def from_annotations(
         transcripts = {(row.transcript or None) for row in rows}
         if len(transcripts) == 1:
             speech = next(iter(transcripts))
-            spans = tuple(sorted((row.span for row in rows), key=lambda s: (s.start, s.end)))
+            spans = tuple(sorted(row.span for row in rows))
             events.append(EventSpec(description=label, spans=spans, speech=speech))
         else:
             for row in rows:

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, ClassVar, Iterable
 
 __all__ = [
     "ARPABET_CONSONANTS",
@@ -79,7 +79,6 @@ class PhonemeLexicon:
     """Case-insensitive word -> pronunciation map over a fixed inventory."""
 
     entries: dict[str, tuple[str, ...]]
-    phoneme_inventory: frozenset[str] = ARPABET_INVENTORY
 
     def lookup(self, word: str) -> tuple[str, ...] | None:
         return self.entries.get(word.upper())
@@ -182,8 +181,8 @@ class ExtendedVocabulary:
 
     base_tokens: tuple[str, ...]
     phoneme_tokens: tuple[str, ...]
-    boundary_open: str = "<SPK>"
-    boundary_close: str = "</SPK>"
+    boundary_open: ClassVar[str] = "<SPK>"
+    boundary_close: ClassVar[str] = "</SPK>"
     _ids: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -220,57 +219,13 @@ class ExtendedVocabulary:
             raise ValueError(f"token id {idx} out of range 0..{len(tokens) - 1}")
         return tokens[idx]
 
-    def write_tsv(self, dest: str | Path | IO[str]) -> None:
-        """Two columns: token, tab, id."""
-        if isinstance(dest, (str, Path)):
-            with open(dest, "w", encoding="utf-8") as fh:
-                self.write_tsv(fh)
-            return
-        for i, tok in enumerate(self.all_tokens()):
-            dest.write(f"{tok}\t{i}\n")
-
-    @classmethod
-    def read_tsv(cls, source: str | Path | IO[str]) -> "ExtendedVocabulary":
-        """Rebuild from write_tsv output.
-
-        The last two rows are the boundary markers; the contiguous run of
-        inventory phonemes before them is the phoneme segment (base tokens
-        are lowercased and can never collide with it).
-        """
-        if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8") as fh:
-                return cls.read_tsv(fh)
-        rows: list[str] = []
-        for lineno, line in enumerate(source, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise ValueError(f"line {lineno}: expected 'token<TAB>id'")
-            if int(parts[1]) != len(rows):
-                raise ValueError(f"line {lineno}: ids must be dense and ascending")
-            rows.append(parts[0])
-        if len(rows) < 2:
-            raise ValueError("vocabulary file missing boundary tokens")
-        boundary_open, boundary_close = rows[-2], rows[-1]
-        body = rows[:-2]
-        split = len(body)
-        while split > 0 and body[split - 1] in ARPABET_INVENTORY:
-            split -= 1
-        return cls(
-            base_tokens=tuple(body[:split]),
-            phoneme_tokens=tuple(body[split:]),
-            boundary_open=boundary_open,
-            boundary_close=boundary_close,
-        )
-
 
 def build_vocab(
     corpus: str | IO[str] | Iterable[str], lex: PhonemeLexicon
 ) -> ExtendedVocabulary:
     """Base tokens ordered by corpus frequency (ties lexicographic), then
-    the lexicon's full phoneme inventory, then the boundary pair."""
+    every ARPAbet phoneme, then the boundary pair.  The phoneme segment does
+    not depend on ``lex``: a lexicon holds only ARPABET_INVENTORY phonemes."""
     if isinstance(corpus, str):
         lines: Iterable[str] = corpus.splitlines()
     else:
@@ -281,7 +236,7 @@ def build_vocab(
     base = tuple(tok for tok, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
     return ExtendedVocabulary(
         base_tokens=base,
-        phoneme_tokens=tuple(sorted(lex.phoneme_inventory)),
+        phoneme_tokens=tuple(sorted(ARPABET_INVENTORY)),
     )
 
 

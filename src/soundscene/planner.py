@@ -19,8 +19,6 @@ import requests
 from soundscene.config import DEFAULT_API_KEY_ENV, PlannerEndpoint
 from soundscene.dsl import DEFAULT_CLIP_SECONDS, PromptSyntaxError, StructuredPrompt, parse
 
-TEMPLATE_VERSION = "v1"
-
 INSTRUCTION_TEMPLATE = """\
 You are planning the audio content of a clip that is exactly {clip_seconds:g} seconds long.
 
@@ -61,22 +59,15 @@ class PlannerRequest:
 
     caption: str
     speech_text: str | None = None
-    clip_seconds: float = DEFAULT_CLIP_SECONDS
-    template_version: str = TEMPLATE_VERSION
 
     def render(self) -> str:
-        if self.template_version != TEMPLATE_VERSION:
-            raise PlannerError(
-                f"unknown template version {self.template_version!r};"
-                f" this build renders {TEMPLATE_VERSION!r}"
-            )
         speech_section = ""
         if self.speech_text:
             speech_section = SPEECH_SECTION_TEMPLATE.format(speech_text=self.speech_text)
         return INSTRUCTION_TEMPLATE.format(
             caption=self.caption,
             speech_section=speech_section,
-            clip_seconds=self.clip_seconds,
+            clip_seconds=DEFAULT_CLIP_SECONDS,
         )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +27,9 @@ from .audio import (
     to_mono,
 )
 from .dsl import EventAnnotation, StructuredPrompt, TimeSpan, from_annotations
-from .manifest import read_jsonl
+# read_jsonl is unused here but stays bound: the benchmark's simulate
+# workload traces scene.read_jsonl (bench/workloads.py)
+from .manifest import iter_jsonl, read_jsonl  # noqa: F401
 
 __all__ = [
     "MIN_UTTERANCE_SECONDS",
@@ -151,8 +153,7 @@ def load_speech_pool(manifest_path: str | Path) -> SpeechPool:
     root = manifest_path.parent
     by_speaker: dict[str, list[UtteranceClip]] = {}
     genders: dict[str, str | None] = {}
-    for i, rec in enumerate(read_jsonl(manifest_path)):
-        where = f"{manifest_path} row {i}"
+    for where, rec in iter_jsonl(manifest_path):
         rel = str(_require(rec, "path", where))
         speaker = str(_require(rec, "speaker_id", where))
         transcript = str(_require(rec, "transcript", where))
@@ -177,8 +178,7 @@ def load_background_pool(manifest_path: str | Path) -> BackgroundPool:
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     clips: list[BackgroundClip] = []
-    for i, rec in enumerate(read_jsonl(manifest_path)):
-        where = f"{manifest_path} row {i}"
+    for where, rec in iter_jsonl(manifest_path):
         rel = str(_require(rec, "path", where))
         caption = str(_require(rec, "caption", where))
         if not caption.strip():
@@ -241,7 +241,6 @@ def sample_utterance_count(priors: ScenePriors, rng: np.random.Generator) -> int
 def arrange_timing(
     utterances: Sequence[UtteranceClip],
     rng: np.random.Generator,
-    clip_seconds: float = CLIP_SECONDS,
     max_fill: float = 0.95,
 ) -> list[tuple[UtteranceClip, float]]:
     """Place utterances on the timeline without overlap, in random order,
@@ -255,19 +254,19 @@ def arrange_timing(
     if not utterances:
         return []
     total = sum(u.duration for u in utterances)
-    if total > max_fill * clip_seconds:
+    if total > max_fill * CLIP_SECONDS:
         raise ValueError(
-            f"utterances fill {total:.2f} s of a {clip_seconds:.2f} s clip "
-            f"(budget {max_fill * clip_seconds:.2f} s)"
+            f"utterances fill {total:.2f} s of a {CLIP_SECONDS:.2f} s clip "
+            f"(budget {max_fill * CLIP_SECONDS:.2f} s)"
         )
     order = rng.permutation(len(utterances))
-    gaps = rng.dirichlet(np.ones(len(utterances) + 1)) * (clip_seconds - total)
+    gaps = rng.dirichlet(np.ones(len(utterances) + 1)) * (CLIP_SECONDS - total)
     placements: list[tuple[UtteranceClip, float]] = []
     t = 0.0
     for idx, gap in zip(order, gaps[:-1]):
         u = utterances[int(idx)]
         t += float(gap)
-        start = min(max(t, 0.0), clip_seconds - u.duration)
+        start = min(max(t, 0.0), CLIP_SECONDS - u.duration)
         placements.append((u, start))
         t = start + u.duration
     return placements
@@ -355,7 +354,6 @@ def compose_scene(
     background_pool: BackgroundPool,
     priors: ScenePriors,
     seed: int,
-    max_fill: float = 0.95,
 ) -> ComposedScene:
     """Compose one fully annotated scene from the pools, deterministically
     for a given seed.
@@ -380,7 +378,7 @@ def compose_scene(
                 utts = _draw_monologue(speech_pool, priors, rng)
             else:
                 utts = _draw_dialogue(speech_pool, priors, rng)
-            placements = arrange_timing(utts, rng, max_fill=max_fill)
+            placements = arrange_timing(utts, rng)
         except (_Redraw, ValueError):
             continue
         break

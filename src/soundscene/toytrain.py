@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -38,6 +38,10 @@ __all__ = [
 
 # Condition granularities, coarsest first; "null" is the unconditional branch.
 GRANULARITIES = ("text", "text_timing", "full", "null")
+
+# Sizes of the (text, timing, phoneme) condition levels; a full condition
+# id indexes their product.
+LEVEL_SIZES = (2, 2, 2)
 
 _CKPT_MAGIC = b"TOYDNZR\x00"
 _CKPT_VERSION = 1
@@ -70,7 +74,7 @@ class ToyDenoiser:
         T: int,
         hidden: int = 64,
         emb: int = 8,
-        level_sizes: tuple[int, int, int] = (2, 2, 2),
+        level_sizes: tuple[int, int, int] = LEVEL_SIZES,
         n_freq: int = 4,
         rng: np.random.Generator | None = None,
     ):
@@ -279,11 +283,9 @@ def train_toy_denoiser(
     sched: NoiseSchedule,
     seed: int,
     denoiser: ToyDenoiser | None = None,
-    hidden: int = 64,
-    emb: int = 8,
-    level_sizes: tuple[int, int, int] = (2, 2, 2),
 ) -> ToyDenoiser:
-    """Train (or continue training) the toy denoiser through the curriculum.
+    """Train (or continue training) the toy denoiser through the curriculum;
+    without ``denoiser`` a new one with ToyDenoiser's default sizes starts.
 
     Each step draws a batch with replacement, one granularity for the whole
     batch, per-item timesteps and noise, and takes one Adam step on the
@@ -293,7 +295,7 @@ def train_toy_denoiser(
     n, dim = z0_all.shape
     rng = np.random.default_rng(seed)
     if denoiser is None:
-        denoiser = ToyDenoiser(dim, sched.T, hidden=hidden, emb=emb, level_sizes=level_sizes, rng=rng)
+        denoiser = ToyDenoiser(dim, sched.T, rng=rng)
     if denoiser.dim != dim:
         raise ValueError(f"denoiser dimension {denoiser.dim} != dataset dimension {dim}")
     if denoiser.T != sched.T:
@@ -377,7 +379,6 @@ def make_toy_dataset(
     n: int,
     dim: int,
     rng: np.random.Generator,
-    level_sizes: tuple[int, int, int] = (2, 2, 2),
     spread: float = 2.0,
     sigma: float = 0.4,
 ) -> list[tuple[np.ndarray, int]]:
@@ -387,7 +388,7 @@ def make_toy_dataset(
     levels add progressively smaller offsets, so every granularity carries
     usable signal.
     """
-    s1, s2, s3 = level_sizes
+    s1, s2, s3 = LEVEL_SIZES
     items: list[tuple[np.ndarray, int]] = []
     for _ in range(n):
         cid = int(rng.integers(0, s1 * s2 * s3))

@@ -119,6 +119,15 @@ class TestTokenize:
         ids = out.split()
         assert ids and all(tok.lstrip("-").isdigit() for tok in ids)
 
+    def test_malformed_lexicon_exits_1_with_line(self, tmp_path, capsys):
+        lexicon = tmp_path / "lex.dict"
+        lexicon.write_text("HELLO  HH AH0 L OW1\nBAD\n", encoding="utf-8")
+        rc = main(["tokenize", "--lexicon", str(lexicon), 'x @{a man & <0,1> "hello"}'])
+        out, err = read_out(capsys)
+        assert rc == 1
+        assert out == ""
+        assert err == "error: line 2: entry 'BAD' has no pronunciation\n"
+
 
 class TestSimulate:
     def test_writes_manifest_and_audio(self, run_config, tmp_path, capsys):

@@ -64,10 +64,6 @@ class TestSchedules:
         assert np.all(np.diff(sched.alpha_bar) < 0)
         assert sched.alpha_bar[-1] > 0
 
-    def test_family_tag(self):
-        assert cosine_schedule(10).family == "cosine"
-        assert linear_schedule(10).family == "linear"
-
     def test_cosine_betas_clipped(self):
         sched = cosine_schedule(1000)
         betas = [sched.beta(t) for t in range(1, 1001)]

@@ -136,14 +136,6 @@ class TestBuildVocab:
         with pytest.raises(ValueError, match="duplicate token"):
             ExtendedVocabulary(base_tokens=("AH0",), phoneme_tokens=("AH0",))
 
-    def test_tsv_round_trip(self, tmp_path):
-        vocab = build_vocab("the cat sat. on the mat!", LEX)
-        path = tmp_path / "vocab.tsv"
-        vocab.write_tsv(path)
-        text = path.read_text()
-        assert f"the\t0" in text.splitlines()[0]
-        assert ExtendedVocabulary.read_tsv(path) == vocab
-
     def test_unknown_token_error(self):
         vocab = build_vocab("a b", LEX)
         with pytest.raises(ValueError, match="not in vocabulary"):

@@ -91,11 +91,6 @@ class TestTemplate:
         assert '@{description & <start,end>}' in text
         assert '@{description & <start,end> "sentence"}' in text
 
-    def test_unknown_template_version_rejected(self):
-        req = PlannerRequest(caption="c", template_version="v99")
-        with pytest.raises(PlannerError, match="v99"):
-            req.render()
-
 
 class TestExtractPrompt:
     def test_final_parseable_line_wins(self):

@@ -188,10 +188,12 @@ class TestPoolLoading:
         assert background_pool.clips[0].clip_id == "background/bg00.wav"
 
     def test_missing_field_raises(self, tmp_path):
-        manifest = tmp_path / "m.jsonl"
-        manifest.write_text(json.dumps({"path": "x.wav", "speaker_id": "a"}) + "\n")
-        with pytest.raises(ValueError, match="transcript"):
+        manifest = tmp_path / "sp.jsonl"
+        # the blank first line still counts: errors name the file line
+        manifest.write_text("\n" + json.dumps({"path": "x.wav", "speaker_id": "a"}) + "\n")
+        with pytest.raises(ValueError) as exc_info:
             load_speech_pool(manifest)
+        assert str(exc_info.value) == f"{manifest}:2: missing required field 'transcript'"
 
     def test_unknown_gender_raises(self, tmp_path):
         write_wav(tmp_path / "x.wav", np.full(SAMPLE_RATE, 0.1))
@@ -220,10 +222,12 @@ class TestPoolLoading:
 
     def test_empty_caption_raises(self, tmp_path):
         write_wav(tmp_path / "x.wav", np.full(SAMPLE_RATE, 0.1))
-        manifest = tmp_path / "m.jsonl"
-        manifest.write_text(json.dumps({"path": "x.wav", "caption": "  "}) + "\n")
-        with pytest.raises(ValueError, match="caption"):
+        manifest = tmp_path / "bg.jsonl"
+        rows = [{"path": "x.wav", "caption": "rain"}, {"path": "x.wav", "caption": "  "}]
+        manifest.write_text(json.dumps(rows[0]) + "\n\n" + json.dumps(rows[1]) + "\n")
+        with pytest.raises(ValueError) as exc_info:
             load_background_pool(manifest)
+        assert str(exc_info.value) == f"{manifest}:3: empty caption"
 
     def test_overlong_utterance_raises(self, tmp_path):
         write_wav(tmp_path / "x.wav", np.full(11 * SAMPLE_RATE, 0.1))
