@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -495,9 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser unchanged, so one per process serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:

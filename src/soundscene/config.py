@@ -27,6 +27,9 @@ from soundscene.scene import ScenePriors
 
 DEFAULT_API_KEY_ENV = "PLANNER_API_KEY"
 
+# libyaml's safe loader when PyYAML was built with it, else the pure-Python one
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ConfigError(ValueError):
     """Raised when a config file is malformed or inconsistent."""
@@ -169,7 +172,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{p}: invalid YAML: {exc}") from exc
     try:

@@ -145,6 +145,13 @@ def _require(record: Mapping, key: str, where: str) -> object:
     return record[key]
 
 
+def _read_pool_wav(path: Path, where: str) -> tuple[int, np.ndarray]:
+    try:
+        return read_wav(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{where}: cannot read WAV file {path}: {exc}") from exc
+
+
 def load_speech_pool(manifest_path: str | Path) -> SpeechPool:
     """Load utterances from a JSONL manifest of {path, speaker_id, transcript,
     gender?} rows.  Paths resolve relative to the manifest; audio is downmixed
@@ -162,7 +169,7 @@ def load_speech_pool(manifest_path: str | Path) -> SpeechPool:
             raise ValueError(f"{where}: unknown gender {gender!r}")
         if speaker in genders and genders[speaker] != gender:
             raise ValueError(f"{where}: conflicting gender for speaker {speaker!r}")
-        rate, raw = read_wav(root / rel)
+        rate, raw = _read_pool_wav(root / rel, where)
         audio = resample_to_clip_rate(to_mono(raw), rate)
         clip = UtteranceClip(audio=audio, speaker_id=speaker, transcript=transcript)
         by_speaker.setdefault(speaker, []).append(clip)
@@ -183,7 +190,7 @@ def load_background_pool(manifest_path: str | Path) -> BackgroundPool:
         caption = str(_require(rec, "caption", where))
         if not caption.strip():
             raise ValueError(f"{where}: empty caption")
-        rate, raw = read_wav(root / rel)
+        rate, raw = _read_pool_wav(root / rel, where)
         audio = preprocess_clip(raw, rate, mode="pad_crop_head")
         clips.append(BackgroundClip(clip_id=rel, audio=audio, caption=caption))
     if not clips:

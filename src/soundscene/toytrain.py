@@ -43,6 +43,13 @@ GRANULARITIES = ("text", "text_timing", "full", "null")
 # id indexes their product.
 LEVEL_SIZES = (2, 2, 2)
 
+# make_toy_dataset: the text level's mean offset and the within-condition std
+_TOY_SPREAD = 2.0
+_TOY_SIGMA = 0.4
+
+# validation_loss: fresh (t, eps) draws per dataset item
+_VALIDATION_REPEATS = 8
+
 _CKPT_MAGIC = b"TOYDNZR\x00"
 _CKPT_VERSION = 1
 
@@ -56,9 +63,10 @@ class TrainingDiverged(RuntimeError):
         self.step = step
 
 
-def _time_features(t: np.ndarray, T: int, n_freq: int) -> np.ndarray:
-    """Sinusoidal features of normalized time, shape (n, 2*n_freq)."""
-    tau = np.asarray(t, dtype=np.float64)[:, None] / T
+def _time_features(t: np.ndarray | float, T: int, n_freq: int) -> np.ndarray:
+    """Sinusoidal features of normalized time, one row per step (a scalar
+    step gives one row), shape (n, 2*n_freq)."""
+    tau = np.reshape(np.asarray(t, dtype=np.float64), (-1, 1)) / T
     freqs = 2.0 ** np.arange(n_freq)
     angles = 2.0 * np.pi * tau * freqs
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
@@ -104,6 +112,8 @@ class ToyDenoiser:
             "E_full": 0.1 * rng.standard_normal((s1 * s2 * s3, emb)),
             "E_null": 0.1 * rng.standard_normal((1, emb)),
         }
+        # predict's (x, h1, h2) scratch rows, resized when the row count changes
+        self._work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ---- condition bookkeeping -------------------------------------------
 
@@ -134,16 +144,39 @@ class ToyDenoiser:
 
     # ---- forward / backward ----------------------------------------------
 
-    def _forward(self, z_t: np.ndarray, t: np.ndarray, granularity: str, view_ids: np.ndarray):
+    def _buffers(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Uninitialized (x, h1, h2) activation arrays for n rows."""
+        in_dim = self.dim + 2 * self.n_freq + self.emb
+        return np.empty((n, in_dim)), np.empty((n, self.hidden)), np.empty((n, self.hidden))
+
+    def _forward(
+        self,
+        z_t: np.ndarray,
+        t: np.ndarray | float,
+        granularity: str,
+        view_ids: np.ndarray | int,
+        work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ):
+        """Output for the rows of z_t; ``t`` and ``view_ids`` are per-row
+        arrays, or scalars broadcast over the rows.  The input and hidden
+        activations are written into ``work`` (x, h1, h2) when given, else
+        into fresh arrays; the output is always a fresh array."""
         table = self._table(granularity)
         E = self.params[table]
         if np.any(view_ids < 0) or np.any(view_ids >= E.shape[0]):
             raise ValueError(f"view id outside the {granularity} table of {E.shape[0]} rows")
-        feats = _time_features(t, self.T, self.n_freq)
-        x = np.concatenate([z_t, feats, E[view_ids]], axis=1)
-        h1 = np.tanh(x @ self.params["W1"] + self.params["b1"])
-        h2 = np.tanh(h1 @ self.params["W2"] + self.params["b2"])
-        out = h2 @ self.params["W3"] + self.params["b3"]
+        x, h1, h2 = self._buffers(z_t.shape[0]) if work is None else work
+        d, f = self.dim, self.dim + 2 * self.n_freq
+        x[:, :d] = z_t
+        x[:, d:f] = _time_features(t, self.T, self.n_freq)
+        x[:, f:] = E[view_ids]
+        p = self.params
+        for h, h_in, W, b in ((h1, x, "W1", "b1"), (h2, h1, "W2", "b2")):
+            np.matmul(h_in, p[W], out=h)
+            h += p[b]
+            np.tanh(h, out=h)
+        out = h2 @ p["W3"]
+        out += p["b3"]
         return out, (x, h1, h2, table, view_ids)
 
     def _loss_and_grads(
@@ -178,17 +211,21 @@ class ToyDenoiser:
     # ---- Denoiser interface ----------------------------------------------
 
     def predict(self, z_t: np.ndarray, t: int, c: tuple[str, int] | None = None) -> np.ndarray:
+        """Predicted noise for one latent (dim,) or a batch (n, dim) at step t.
+
+        The activations go to this instance's scratch rows, so one instance
+        must not predict from two threads at once; the result is always a
+        fresh array."""
         z = np.asarray(z_t, dtype=np.float64)
         single = z.ndim == 1
         z2 = z[None, :] if single else z
         if z2.ndim != 2 or z2.shape[1] != self.dim:
             raise ValueError(f"expected latents of dimension {self.dim}, got shape {z.shape}")
-        if c is None:
-            granularity, vid = "null", 0
-        else:
-            granularity, vid = c
-        view_ids = np.full(z2.shape[0], int(vid))
-        out, _ = self._forward(z2, np.full(z2.shape[0], t, dtype=np.float64), granularity, view_ids)
+        granularity, vid = ("null", 0) if c is None else c
+        n = z2.shape[0]
+        if self._work is None or self._work[0].shape[0] != n:
+            self._work = self._buffers(n)
+        out, _ = self._forward(z2, float(t), granularity, int(vid), self._work)
         return out[0] if single else out
 
 
@@ -344,7 +381,6 @@ def validation_loss(
     sched: NoiseSchedule,
     granularity: str,
     rng: np.random.Generator,
-    repeats: int = 8,
 ) -> float:
     """Mean squared-noise-error over the dataset with fresh (t, eps) draws.
 
@@ -359,7 +395,7 @@ def validation_loss(
     sqrt_ab = np.sqrt(sched.alpha_bar)
     sqrt_1mab = np.sqrt(1.0 - sched.alpha_bar)
     total = 0.0
-    for _ in range(repeats):
+    for _ in range(_VALIDATION_REPEATS):
         t = rng.integers(1, sched.T + 1, size=n)
         eps = rng.standard_normal((n, dim))
         z_t = sqrt_ab[t, None] * z0_all + sqrt_1mab[t, None] * eps
@@ -372,19 +408,13 @@ def validation_loss(
             view_ids = np.array([denoiser.view_of(int(c), granularity) for c in cid_all])
         out, _ = denoiser._forward(z_t, t.astype(np.float64), granularity, view_ids)
         total += float(np.sum((out - eps) ** 2))
-    return total / (n * repeats)
+    return total / (n * _VALIDATION_REPEATS)
 
 
-def make_toy_dataset(
-    n: int,
-    dim: int,
-    rng: np.random.Generator,
-    spread: float = 2.0,
-    sigma: float = 0.4,
-) -> list[tuple[np.ndarray, int]]:
+def make_toy_dataset(n: int, dim: int, rng: np.random.Generator) -> list[tuple[np.ndarray, int]]:
     """Gaussian components indexed by the full condition id.
 
-    The text level sets the dominant mean (+/- spread); timing and phoneme
+    The text level sets the dominant mean (+/- _TOY_SPREAD); timing and phoneme
     levels add progressively smaller offsets, so every granularity carries
     usable signal.
     """
@@ -395,10 +425,10 @@ def make_toy_dataset(
         tt = cid // (s2 * s3)
         gg = (cid // s3) % s2
         pp = cid % s3
-        mean = spread * (2.0 * tt / max(1, s1 - 1) - 1.0)
-        mean += 0.25 * spread * (2.0 * gg / max(1, s2 - 1) - 1.0)
-        mean += 0.125 * spread * (2.0 * pp / max(1, s3 - 1) - 1.0)
-        z0 = mean + sigma * rng.standard_normal(dim)
+        mean = _TOY_SPREAD * (2.0 * tt / max(1, s1 - 1) - 1.0)
+        mean += 0.25 * _TOY_SPREAD * (2.0 * gg / max(1, s2 - 1) - 1.0)
+        mean += 0.125 * _TOY_SPREAD * (2.0 * pp / max(1, s3 - 1) - 1.0)
+        z0 = mean + _TOY_SIGMA * rng.standard_normal(dim)
         items.append((z0, cid))
     return items
 

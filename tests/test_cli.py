@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from soundscene import cli
 from soundscene import planner as planner_mod
 from soundscene.cli import main
 from soundscene.dsl import parse, serialize, validate
@@ -223,6 +224,33 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(cfg), "--count", "1"])
         assert rc == 0
         assert (tmp_path / "relout" / "scenes.jsonl").exists()
+
+    @pytest.mark.parametrize("bad", ["missing", "not_wav"])
+    def test_unreadable_pool_wav_names_manifest_line(self, tmp_path, demo_pool_dir, capsys, bad):
+        pools = tmp_path / "pools"
+        pools.mkdir()
+        if bad == "not_wav":
+            (pools / "nope.wav").write_text("not a wave file\n")
+        rows = (demo_pool_dir / "speech_manifest.jsonl").read_text(encoding="utf-8").splitlines()
+        rows[2] = json.dumps({**json.loads(rows[2]), "path": "nope.wav"})
+        for i, row in enumerate(rows):
+            rec = json.loads(row)
+            if rec["path"] != "nope.wav":
+                rows[i] = json.dumps({**rec, "path": str(demo_pool_dir / rec["path"])})
+        (pools / "speech.jsonl").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(
+            f"speech_manifest: {pools / 'speech.jsonl'}\n"
+            f"background_manifest: {demo_pool_dir / 'background_manifest.jsonl'}\n"
+            f"output_dir: {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        rc = main(["simulate", "--config", str(cfg), "--count", "1"])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert err.startswith(
+            f"error: {pools / 'speech.jsonl'}:3: cannot read WAV file {pools / 'nope.wav'}: "
+        )
 
 
 class TestIngest:
@@ -668,6 +696,33 @@ class TestParserSurface:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_successive_calls_do_not_leak_arguments(self, run_config, tmp_path, capsys):
+        # main parses every call with one parser per process
+        prompt = 'x @{a man & <0,1> "hello"}'
+        assert main(["sample", "--config", str(run_config), "--T", "50", "--t1", "10",
+                     "--w-low", "1", "--output-dir", str(tmp_path / "a")]) == 0
+        read_out(capsys)
+        assert main(["tokenize", "--ids", prompt]) == 0
+        ids_out, _ = read_out(capsys)
+        assert main(["sample", "--config", str(run_config),
+                     "--output-dir", str(tmp_path / "b")]) == 0
+        read_out(capsys)
+        assert main(["tokenize", prompt]) == 0
+        tokens_out, _ = read_out(capsys)
+        assert all(tok.isdigit() for tok in ids_out.split())
+        assert "<SPK>" in tokens_out
+        # the second sample ran on the config alone, as a fresh parser would
+        fresh = cli.build_parser().parse_args(
+            ["sample", "--config", str(run_config), "--output-dir", str(tmp_path / "c")]
+        )
+        assert fresh.func(fresh) == 0
+        b, c = tmp_path / "b" / "sample", tmp_path / "c" / "sample"
+        assert (b / "latents.npy").read_bytes() == (c / "latents.npy").read_bytes()
+        assert (b / "steps.log").read_bytes() == (c / "steps.log").read_bytes()
+        assert len((b / "steps.log").read_text().splitlines()) == 101
+        for argv in (["fmt", prompt], ["tokenize", prompt], ["sample", "--config", "x.yaml"]):
+            assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
 
     def test_import_leaves_scipy_signal_unloaded(self):
         # scipy.signal takes about a second to import; only resampling needs it

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from soundscene import config as config_mod
 from soundscene.config import (
     ConfigError,
     PipelineConfig,
@@ -18,6 +19,53 @@ def write_yaml(tmp_path, text):
     p = tmp_path / "run.yaml"
     p.write_text(text, encoding="utf-8")
     return p
+
+
+FULL_CONFIG = """
+dataset_seed: 42
+output_dir: data/run1
+speech_manifest: pools/speech.jsonl
+background_manifest: pools/bg.jsonl
+priors:
+  p_single_speaker: 0.5
+  utterance_count_pmf: {1: 0.25, 2: 0.75}
+  snr_range_db: [0.0, 6.0]
+sampler:
+  T: 50
+  schedule: linear
+  t1: 10
+  w_low: 1.0
+  w_high: 4.0
+  mode: deterministic
+  seed: 9
+planner:
+  url: https://planner.example/v1/chat/completions
+  model: plan-large
+  timeout: 5.0
+"""
+
+MALFORMED_VALUES = [
+    ("sampler: {T: '100'}", "sampler.T"),
+    ("sampler: {w_low: '3'}", "sampler.w_low"),
+    ("sampler: {seed: true}", "sampler.seed"),
+    ("sampler: {seed: -1}", "sampler.seed"),
+    ("sampler: {w_high: -1}", "sampler.w_high"),
+    ("planner: {url: u, model: m, timeout: '30'}", "planner.timeout"),
+    ("planner: {model: m}", "planner.url"),
+    ("dataset_seed: 42.9", "dataset_seed"),
+    ("dataset_seed: '42'", "dataset_seed"),
+    ("dataset_seed: -1", "dataset_seed"),
+    ("speech_manifest: 5", "speech_manifest"),
+    ("output_dir: null", "output_dir"),
+    ("priors: {p_single_speaker: .nan}", "priors.p_single_speaker"),
+    ("sampler: {w_low: 1" + "0" * 400 + "}", "sampler.w_low"),
+    ("priors: {snr_range_db: [0, x]}", r"priors.snr_range_db\[1\]"),
+    ("priors: {utterance_count_pmf: {1.5: 1.0}}", "priors.utterance_count_pmf key"),
+    ("priors: {p_single_speaker: 2.0}", "priors.p_single_speaker"),
+    ("sampler: 5", "sampler"),
+]
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example.yaml"
 
 
 class TestDefaults:
@@ -41,33 +89,7 @@ class TestDefaults:
 
 class TestFullLoad:
     def test_all_sections(self, tmp_path):
-        cfg = load_config(
-            write_yaml(
-                tmp_path,
-                """
-dataset_seed: 42
-output_dir: data/run1
-speech_manifest: pools/speech.jsonl
-background_manifest: pools/bg.jsonl
-priors:
-  p_single_speaker: 0.5
-  utterance_count_pmf: {1: 0.25, 2: 0.75}
-  snr_range_db: [0.0, 6.0]
-sampler:
-  T: 50
-  schedule: linear
-  t1: 10
-  w_low: 1.0
-  w_high: 4.0
-  mode: deterministic
-  seed: 9
-planner:
-  url: https://planner.example/v1/chat/completions
-  model: plan-large
-  timeout: 5.0
-""",
-            )
-        )
+        cfg = load_config(write_yaml(tmp_path, FULL_CONFIG))
         assert cfg.dataset_seed == 42
         assert cfg.speech_manifest == "pools/speech.jsonl"
         assert cfg.priors.p_single_speaker == 0.5
@@ -96,8 +118,7 @@ planner:
         assert cfg.priors.snr_range_db == (0, 6)
 
     def test_example_config_matches_schema(self):
-        example = Path(__file__).resolve().parents[1] / "configs" / "example.yaml"
-        cfg = load_config(example)
+        cfg = load_config(EXAMPLE_CONFIG)
         assert cfg.sampler == SamplerConfig()
         assert cfg.speech_manifest == "demo/speech_manifest.jsonl"
 
@@ -146,29 +167,7 @@ class TestValidation:
                 config_from_dict(yaml.safe_load(text))
         assert "oov_policy" not in {f.name for f in dataclasses.fields(PipelineConfig)}
 
-    @pytest.mark.parametrize(
-        "text, key",
-        [
-            ("sampler: {T: '100'}", "sampler.T"),
-            ("sampler: {w_low: '3'}", "sampler.w_low"),
-            ("sampler: {seed: true}", "sampler.seed"),
-            ("sampler: {seed: -1}", "sampler.seed"),
-            ("sampler: {w_high: -1}", "sampler.w_high"),
-            ("planner: {url: u, model: m, timeout: '30'}", "planner.timeout"),
-            ("planner: {model: m}", "planner.url"),
-            ("dataset_seed: 42.9", "dataset_seed"),
-            ("dataset_seed: '42'", "dataset_seed"),
-            ("dataset_seed: -1", "dataset_seed"),
-            ("speech_manifest: 5", "speech_manifest"),
-            ("output_dir: null", "output_dir"),
-            ("priors: {p_single_speaker: .nan}", "priors.p_single_speaker"),
-            ("sampler: {w_low: 1" + "0" * 400 + "}", "sampler.w_low"),
-            ("priors: {snr_range_db: [0, x]}", r"priors.snr_range_db\[1\]"),
-            ("priors: {utterance_count_pmf: {1.5: 1.0}}", "priors.utterance_count_pmf key"),
-            ("priors: {p_single_speaker: 2.0}", "priors.p_single_speaker"),
-            ("sampler: 5", "sampler"),
-        ],
-    )
+    @pytest.mark.parametrize("text, key", MALFORMED_VALUES)
     def test_malformed_value_names_key(self, text, key):
         with pytest.raises(ConfigError, match=key):
             config_from_dict(yaml.safe_load(text))
@@ -202,3 +201,49 @@ class TestValidation:
     def test_error_names_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="run.yaml"):
             load_config(write_yaml(tmp_path, "sampler: {mode: ddim}"))
+
+
+HAS_LIBYAML = hasattr(yaml, "CSafeLoader")
+
+YAML_INPUTS = [
+    "",
+    "dataset_seed: 3",
+    FULL_CONFIG,
+    EXAMPLE_CONFIG.read_text(encoding="utf-8"),
+    "dataset_sed: 1",
+    "oov_policy: skip",
+    "lexicon_path: lex.dict",
+    "- 1\n- 2\n",
+    "sampler: {mode: ddim}",
+] + [text for text, _ in MALFORMED_VALUES]
+
+
+class TestYamlLoader:
+    """load_config parses with libyaml's CSafeLoader when PyYAML has it;
+    it must read every config exactly as the pure-Python SafeLoader does."""
+
+    def test_prefers_libyaml(self):
+        want = yaml.CSafeLoader if HAS_LIBYAML else yaml.SafeLoader
+        assert config_mod._YAML_LOADER is want
+
+    @pytest.mark.skipif(not HAS_LIBYAML, reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("text", YAML_INPUTS, ids=range(len(YAML_INPUTS)))
+    def test_loaders_build_equal_objects(self, text):
+        py = yaml.load(text, Loader=yaml.SafeLoader)
+        c = yaml.load(text, Loader=yaml.CSafeLoader)
+        # repr compares types exactly (1 vs 1.0) and treats NaN as equal
+        assert repr(c) == repr(py)
+
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    def test_load_config_same_under_each_loader(self, tmp_path, monkeypatch, loader):
+        if not hasattr(yaml, loader):
+            pytest.skip("PyYAML built without libyaml")
+        monkeypatch.setattr(config_mod, "_YAML_LOADER", getattr(yaml, loader))
+        assert load_config(EXAMPLE_CONFIG) == config_from_dict(
+            yaml.safe_load(EXAMPLE_CONFIG.read_text(encoding="utf-8"))
+        )
+        assert load_config(write_yaml(tmp_path, FULL_CONFIG)) == config_from_dict(
+            yaml.safe_load(FULL_CONFIG)
+        )
+        with pytest.raises(ConfigError, match="invalid YAML"):
+            load_config(write_yaml(tmp_path, "a: [unclosed"))

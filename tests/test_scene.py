@@ -25,6 +25,13 @@ from soundscene.scene import (
 )
 
 
+# each pool loader with the fields a row needs besides its path
+POOL_LOADERS = [
+    (load_speech_pool, {"speaker_id": "a", "transcript": "hi"}),
+    (load_background_pool, {"caption": "rain"}),
+]
+
+
 def _clip(duration, speaker="s0", transcript="hi there", amp=0.1):
     n = int(round(duration * SAMPLE_RATE))
     audio = amp * np.sin(2 * np.pi * 200 * np.arange(n) / SAMPLE_RATE)
@@ -228,6 +235,30 @@ class TestPoolLoading:
         with pytest.raises(ValueError) as exc_info:
             load_background_pool(manifest)
         assert str(exc_info.value) == f"{manifest}:3: empty caption"
+
+    @pytest.mark.parametrize("loader, row", POOL_LOADERS)
+    def test_missing_wav_names_manifest_line(self, tmp_path, loader, row):
+        write_wav(tmp_path / "x.wav", np.full(SAMPLE_RATE, 0.1))
+        manifest = tmp_path / "m.jsonl"
+        rows = [{"path": "x.wav", **row}, {"path": "nope.wav", **row}]
+        manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(ValueError) as exc_info:
+            loader(manifest)
+        msg = str(exc_info.value)
+        assert msg.startswith(f"{manifest}:2: cannot read WAV file {tmp_path / 'nope.wav'}: ")
+        assert "No such file" in msg
+        assert isinstance(exc_info.value.__cause__, OSError)
+
+    @pytest.mark.parametrize("loader, row", POOL_LOADERS)
+    def test_non_wav_file_names_manifest_line(self, tmp_path, loader, row):
+        (tmp_path / "notes.wav").write_text("not a wave file at all\n")
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("\n" + json.dumps({"path": "notes.wav", **row}) + "\n")
+        with pytest.raises(ValueError) as exc_info:
+            loader(manifest)
+        assert str(exc_info.value).startswith(
+            f"{manifest}:2: cannot read WAV file {tmp_path / 'notes.wav'}: "
+        )
 
     def test_overlong_utterance_raises(self, tmp_path):
         write_wav(tmp_path / "x.wav", np.full(11 * SAMPLE_RATE, 0.1))

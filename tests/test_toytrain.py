@@ -1,11 +1,13 @@
 import copy
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from soundscene.diffusion import cosine_schedule, sample_cfg
 from soundscene.toytrain import (
+    GRANULARITIES,
     CurriculumStage,
     InverseLR,
     ToyDenoiser,
@@ -120,6 +122,109 @@ class TestPredict:
         dn = _tiny_denoiser()
         with pytest.raises(ValueError, match="dimension"):
             dn.predict(np.zeros(3), 1, None)
+
+
+def _reference_predict(dn, z_t, t, c=None):
+    """The forward pass as first written: concatenate the per-row inputs,
+    then np.tanh(x @ W + b) per layer, all in fresh arrays."""
+    z = np.asarray(z_t, dtype=np.float64)
+    z2 = z[None, :] if z.ndim == 1 else z
+    n = z2.shape[0]
+    granularity, vid = ("null", 0) if c is None else c
+    E = dn.params[dn._table(granularity)]
+    tau = np.full(n, t, dtype=np.float64)[:, None] / dn.T
+    angles = 2.0 * np.pi * tau * 2.0 ** np.arange(dn.n_freq)
+    feats = np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
+    x = np.concatenate([z2, feats, E[np.full(n, int(vid))]], axis=1)
+    p = dn.params
+    h1 = np.tanh(x @ p["W1"] + p["b1"])
+    h2 = np.tanh(h1 @ p["W2"] + p["b2"])
+    out = h2 @ p["W3"] + p["b3"]
+    return out[0] if z.ndim == 1 else out
+
+
+def _sampling_denoiser():
+    """Default-sized denoiser with nonzero biases, as after training."""
+    dn = ToyDenoiser(4, 100, rng=np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    for key in ("b1", "b2", "b3"):
+        dn.params[key] = 0.3 * rng.standard_normal(dn.params[key].shape)
+    return dn
+
+
+class TestPredictWorkspace:
+    CONDITIONS = [None] + [(g, 0 if g == "null" else 1) for g in GRANULARITIES]
+
+    @pytest.mark.parametrize("c", CONDITIONS, ids=str)
+    def test_bytes_match_reference_forward(self, c):
+        dn = _sampling_denoiser()
+        rng = np.random.default_rng(7)
+        # interleaved row counts resize the scratch rows between calls
+        for n in (1, 1024, 2, 7, 1024, 1, 7):
+            z = rng.standard_normal((n, dn.dim))
+            for t in (1, dn.T // 2, dn.T):
+                got = dn.predict(z, t, c)
+                assert got.tobytes() == _reference_predict(dn, z, t, c).tobytes(), (n, t)
+        z1 = rng.standard_normal(dn.dim)
+        assert dn.predict(z1, 3, c).tobytes() == _reference_predict(dn, z1, 3, c).tobytes()
+
+    def test_every_view_id_matches_reference(self):
+        dn = _sampling_denoiser()
+        z = np.random.default_rng(8).standard_normal((7, dn.dim))
+        for g in GRANULARITIES:
+            for vid in range(dn.params[dn._table(g)].shape[0]):
+                got = dn.predict(z, 40, (g, vid))
+                assert got.tobytes() == _reference_predict(dn, z, 40, (g, vid)).tobytes()
+
+    def test_outputs_do_not_alias(self):
+        dn = _sampling_denoiser()
+        rng = np.random.default_rng(9)
+        z = rng.standard_normal((1024, dn.dim))
+        a = dn.predict(z, 50, ("text", 1))
+        kept = a.tobytes()
+        b = dn.predict(z, 50, None)
+        assert a.tobytes() == kept
+        assert not np.shares_memory(a, b)
+        assert not any(np.shares_memory(a, w) for w in dn._work)
+        single = dn.predict(z[0], 50, ("full", 3))
+        dn.predict(z[1], 50, ("full", 3))
+        assert not any(np.shares_memory(single, w) for w in dn._work)
+
+    def test_scratch_rows_kept_until_row_count_changes(self):
+        dn = _sampling_denoiser()
+        z = np.zeros((7, dn.dim))
+        dn.predict(z, 5, None)
+        work = dn._work
+        dn.predict(z, 6, ("text", 0))
+        assert dn._work is work
+        dn.predict(z[:2], 6, ("text", 0))
+        assert dn._work is not work and dn._work[0].shape[0] == 2
+
+    def test_warm_batch_predict_allocates_little(self):
+        dn = _sampling_denoiser()
+        z = np.random.default_rng(10).standard_normal((1024, dn.dim))
+        dn.predict(z, 50, ("text", 1))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            dn.predict(z, 50, ("text", 1))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the (1024, 4) result is 32 KB; fresh activations would be ~1.9 MB
+        assert peak < 128 * 1024
+
+    @pytest.mark.parametrize("c", [("full", 8), ("full", -1), ("text", 2), ("null", 1)])
+    def test_view_id_outside_table_raises(self, c):
+        dn = _sampling_denoiser()
+        with pytest.raises(ValueError, match="view id outside"):
+            dn.predict(np.zeros((3, dn.dim)), 5, c)
+
+    def test_unknown_granularity_raises(self):
+        dn = _sampling_denoiser()
+        with pytest.raises(ValueError, match="granularity"):
+            dn.predict(np.zeros(dn.dim), 5, ("prosody", 0))
 
 
 class TestStageValidation:
