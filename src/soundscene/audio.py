@@ -3,12 +3,13 @@ and 16-bit PCM WAV I/O."""
 
 from __future__ import annotations
 
+import functools
 import math
+import wave
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from soundscene.dsl import DEFAULT_CLIP_SECONDS as CLIP_SECONDS
 
@@ -47,8 +48,25 @@ def to_mono(audio: np.ndarray) -> np.ndarray:
     raise ValueError(f"expected 1-D or (frames, channels) audio, got shape {audio.shape}")
 
 
+@functools.cache
+def _resampling_filter(up: int, down: int) -> np.ndarray:
+    """The low-pass FIR ``resample_poly`` designs by default for (up, down):
+    a Kaiser-windowed sinc (beta 5) of 20 * max(up, down) + 1 taps."""
+    from scipy.signal import firwin
+
+    max_rate = max(up, down)
+    h = firwin(20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
+    h.flags.writeable = False  # shared by every call with this (up, down)
+    return h
+
+
 def resample_to_clip_rate(audio: np.ndarray, source_rate: int) -> np.ndarray:
-    """Windowed-sinc polyphase resampling to the 16 kHz clip rate."""
+    """Windowed-sinc polyphase resampling to the 16 kHz clip rate.
+
+    The output equals ``scipy.signal.resample_poly`` with its default
+    window bit for bit; the filter is designed once per (up, down) pair and
+    passed as ``window``, which scipy copies and uses unchanged.
+    """
     if source_rate <= 0:
         raise ValueError(f"source_rate must be positive, got {source_rate}")
     if source_rate == SAMPLE_RATE:
@@ -58,7 +76,9 @@ def resample_to_clip_rate(audio: np.ndarray, source_rate: int) -> np.ndarray:
     from scipy.signal import resample_poly
 
     g = math.gcd(SAMPLE_RATE, int(source_rate))
-    return resample_poly(np.asarray(audio, dtype=np.float64), SAMPLE_RATE // g, source_rate // g)
+    up, down = SAMPLE_RATE // g, source_rate // g
+    h = _resampling_filter(up, down)
+    return resample_poly(np.asarray(audio, dtype=np.float64), up, down, window=h)
 
 
 def preprocess_clip(
@@ -106,14 +126,17 @@ def mix_at_snr(
     background: np.ndarray,
     snr_db: float,
     active: np.ndarray | None = None,
+    background_rms: float | None = None,
 ) -> MixResult:
     """Mix speech over background at a target speech-active SNR.
 
     The background gain is rms(speech over active samples) divided by
     rms(background) * 10^(snr_db/20); speech RMS intentionally counts only
     the active region (the whole clip when ``active`` is None), background
-    RMS the full clip.  If the sum would clip beyond full scale, the output
-    is peak-normalized to 0.95.
+    RMS the full clip.  A caller that mixes one background many times can
+    pass its ``rms(background)`` as ``background_rms`` instead of having it
+    recomputed.  If the sum would clip beyond full scale, the output is
+    peak-normalized to 0.95.  The waveform is always a fresh array.
     """
     speech = np.asarray(speech, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
@@ -135,21 +158,28 @@ def mix_at_snr(
     s_rms = rms(active_speech)
     if s_rms == 0.0:
         raise ValueError("silent speech over the active region")
-    b_rms = rms(background)
+    b_rms = rms(background) if background_rms is None else background_rms
     if b_rms == 0.0:
         raise ValueError("silent background")
+    if background_rms is not None and not (math.isfinite(b_rms) and b_rms > 0.0):
+        raise ValueError(f"background_rms must be finite and positive, got {b_rms}")
     gain = s_rms / (b_rms * 10.0 ** (snr_db / 20.0))
-    mix = speech + gain * background
-    peak = float(np.max(np.abs(mix)))
+    # gain * background + speech: one fresh array, no temporaries
+    mix = np.multiply(background, gain)
+    mix += speech
+    peak = max(float(mix.max()), -float(mix.min()))
     norm = 1.0
     if peak > 1.0:
         norm = 0.95 / peak
-        mix = mix * norm
+        mix *= norm
     return MixResult(waveform=mix, background_gain=gain, peak_norm=norm)
 
 
 def read_wav(path: str | Path) -> tuple[int, np.ndarray]:
     """(rate, float64 audio in [-1, 1]); stereo stays (frames, channels)."""
+    # imported here: scipy.io pulls in scipy.sparse, and only reading needs it
+    from scipy.io import wavfile
+
     rate, data = wavfile.read(path)
     if data.dtype == np.int16:
         audio = data.astype(np.float64) / 32768.0
@@ -163,7 +193,17 @@ def read_wav(path: str | Path) -> tuple[int, np.ndarray]:
 
 
 def write_wav(path: str | Path, audio: np.ndarray, rate: int = SAMPLE_RATE) -> None:
-    """Write 16-bit PCM; values are clipped to [-1, 1] first."""
-    x = np.clip(np.asarray(audio, dtype=np.float64), -1.0, 1.0)
-    pcm = np.round(x * 32767.0).astype(np.int16)
-    wavfile.write(path, rate, pcm)
+    """Write 16-bit PCM: round(clip(audio, -1, 1) * 32767), half to even.
+    1-D audio is mono, (frames, channels) audio interleaves its channels."""
+    pcm = np.clip(np.asarray(audio, dtype=np.float64), -1.0, 1.0)
+    if pcm.ndim not in (1, 2):
+        raise ValueError(f"expected 1-D or (frames, channels) audio, got shape {pcm.shape}")
+    pcm *= 32767.0
+    np.rint(pcm, out=pcm)
+    # native byte order: wave swaps to little-endian itself; the row-major
+    # ravel of a (frames, channels) array is its interleaved frames
+    frames = pcm.astype(np.int16)
+    channels = 1 if frames.ndim == 1 else frames.shape[1]
+    with open(path, "wb") as f, wave.open(f, "wb") as w:
+        w.setparams((channels, 2, rate, frames.shape[0], "NONE", "not compressed"))
+        w.writeframes(frames.ravel())

@@ -24,6 +24,7 @@ from .audio import (
     preprocess_clip,
     read_wav,
     resample_to_clip_rate,
+    rms,
     to_mono,
 )
 from .dsl import EventAnnotation, StructuredPrompt, TimeSpan, from_annotations
@@ -124,11 +125,19 @@ class SpeechPool:
         return sum(len(v) for v in self.by_speaker.values())
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BackgroundClip:
+    """One background bed; ``audio_rms`` is ``rms(audio)``, computed once
+    here so every scene mixed over this bed reuses it.  Frozen, so the
+    cached value cannot drift from a reassigned ``audio``."""
+
     clip_id: str
     audio: np.ndarray
     caption: str
+    audio_rms: float = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "audio_rms", rms(self.audio))
 
 
 @dataclass(eq=False)
@@ -416,7 +425,7 @@ def compose_scene(
                 transcript=clip.transcript,
             )
         )
-    mix = mix_at_snr(speech, bg.audio, snr_db, active=active)
+    mix = mix_at_snr(speech, bg.audio, snr_db, active=active, background_rms=bg.audio_rms)
     prompt = from_annotations(bg.caption, annotations)
     spec = SceneSpec(
         scenario=scenario,

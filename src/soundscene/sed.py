@@ -15,14 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .dsl import EventAnnotation
 from .manifest import decode_events, iter_jsonl, read_tsv
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "EbConfig",
@@ -141,6 +142,10 @@ def _feasibility_graph(
 ) -> csr_matrix:
     """Sparse (n_truth, n_pred) graph of collar-feasible pairs; pairs in
     different (clip, label) groups are never candidates."""
+    # imported here, as is the matcher: scipy.sparse is slow to import and
+    # only scoring needs it
+    from scipy.sparse import csr_matrix
+
     order = np.lexsort((p_start, p_group))
     reach = cfg.onset_collar + _TOL
     slack = _WINDOW_SLACK * (1.0 + np.abs(t_start) + reach)
@@ -176,6 +181,8 @@ def event_based_f1(
     """Collar-matched event scores.  Clips missing from one side count as
     empty on that side; classes never seen in the truth still accumulate
     false positives but stay out of the macro average."""
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     group_of: dict[tuple[str, str], int] = {}
     label_of: dict[str, int] = {}
     t_group, t_label, t_start, t_end = _columns(_by_clip(truth, "truth"), group_of, label_of)

@@ -211,7 +211,8 @@ class ToyDenoiser:
     # ---- Denoiser interface ----------------------------------------------
 
     def predict(self, z_t: np.ndarray, t: int, c: tuple[str, int] | None = None) -> np.ndarray:
-        """Predicted noise for one latent (dim,) or a batch (n, dim) at step t.
+        """Predicted noise for one latent (dim,) or a batch (n, dim) at step t
+        in 0..T; a condition's view id must be an integer.
 
         The activations go to this instance's scratch rows, so one instance
         must not predict from two threads at once; the result is always a
@@ -221,11 +222,19 @@ class ToyDenoiser:
         z2 = z[None, :] if single else z
         if z2.ndim != 2 or z2.shape[1] != self.dim:
             raise ValueError(f"expected latents of dimension {self.dim}, got shape {z.shape}")
-        granularity, vid = ("null", 0) if c is None else c
+        if not 0 <= t <= self.T:
+            raise ValueError(f"step {t} outside 0..{self.T}")
+        granularity, view = ("null", 0) if c is None else c
+        try:
+            vid = int(view)
+            if vid != view:
+                raise ValueError
+        except (OverflowError, TypeError, ValueError):
+            raise ValueError(f"view id {view!r} is not an integer") from None
         n = z2.shape[0]
         if self._work is None or self._work[0].shape[0] != n:
             self._work = self._buffers(n)
-        out, _ = self._forward(z2, float(t), granularity, int(vid), self._work)
+        out, _ = self._forward(z2, float(t), granularity, vid, self._work)
         return out[0] if single else out
 
 

@@ -1,5 +1,13 @@
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.io import wavfile
+from scipy.signal import resample_poly
 
 from soundscene.audio import (
     CLIP_SAMPLES,
@@ -64,6 +72,15 @@ class TestResample:
     def test_bad_rate_raises(self):
         with pytest.raises(ValueError):
             resample_to_clip_rate(np.zeros(10), 0)
+
+    @pytest.mark.parametrize("rate", [22050, 44100, 8000])
+    def test_bits_match_resample_poly_default_window(self, rate):
+        x = np.random.default_rng(rate).standard_normal(3 * rate + 17)
+        g = math.gcd(SAMPLE_RATE, rate)
+        want = resample_poly(x, SAMPLE_RATE // g, rate // g).tobytes()
+        # twice: the second call reuses the designed filter
+        assert resample_to_clip_rate(x, rate).tobytes() == want
+        assert resample_to_clip_rate(x, rate).tobytes() == want
 
 
 class TestPreprocessClip:
@@ -190,6 +207,41 @@ class TestMixAtSnr:
         with pytest.raises(ValueError):
             mix_at_snr(np.ones((10, 2)), np.ones((10, 2)), 5.0)
 
+    @staticmethod
+    def _reference_mix(speech, background, snr_db, active):
+        """The mixer as first written: fresh arrays on every pass."""
+        s_rms = rms(speech[active])
+        gain = s_rms / (rms(background) * 10.0 ** (snr_db / 20.0))
+        mix = speech + gain * background
+        peak = float(np.max(np.abs(mix)))
+        norm = 0.95 / peak if peak > 1.0 else 1.0
+        return (mix * norm if peak > 1.0 else mix), gain, norm
+
+    @pytest.mark.parametrize("speech_amp", [0.1, 3.0])  # without and with peak normalization
+    def test_cached_background_rms_matches_recomputed(self, speech_amp):
+        rng = np.random.default_rng(11)
+        speech = speech_amp * rng.standard_normal(CLIP_SAMPLES)
+        background = 0.2 * rng.standard_normal(CLIP_SAMPLES)
+        active = np.zeros(CLIP_SAMPLES, dtype=bool)
+        active[1000:90000] = True
+        speech[~active] = 0.0
+        kept = background.tobytes(), speech.tobytes()
+        cached = mix_at_snr(speech, background, 4.2, active=active, background_rms=rms(background))
+        fresh = mix_at_snr(speech, background, 4.2, active=active)
+        wave, gain, norm = self._reference_mix(speech, background, 4.2, active)
+        assert (speech_amp > 1.0) == (norm < 1.0)
+        for res in (cached, fresh):
+            assert res.waveform.tobytes() == wave.tobytes()
+            assert (res.background_gain, res.peak_norm) == (gain, norm)
+        assert not np.shares_memory(cached.waveform, fresh.waveform)
+        assert not np.shares_memory(cached.waveform, background)
+        assert (background.tobytes(), speech.tobytes()) == kept
+
+    @pytest.mark.parametrize("b_rms", [0.0, float("nan"), float("inf"), -0.5])
+    def test_cached_silent_background_raises(self, b_rms):
+        with pytest.raises(ValueError, match="background"):
+            mix_at_snr(np.ones(10), np.ones(10), 5.0, background_rms=b_rms)
+
 
 class TestWavIo:
     def test_round_trip(self, tmp_path):
@@ -223,3 +275,79 @@ class TestWavIo:
         _, y = read_wav(path)
         assert y[0] == pytest.approx(32767 / 32768)
         assert y[1] == pytest.approx(-32767 / 32768)
+
+
+def _reference_wav_bytes(audio, rate=SAMPLE_RATE):
+    """The writer as first written: clip, scale, round half to even, then
+    scipy.io.wavfile.write."""
+    pcm = np.round(np.clip(np.asarray(audio, dtype=np.float64), -1.0, 1.0) * 32767.0)
+    buf = io.BytesIO()
+    wavfile.write(buf, rate, pcm.astype(np.int16))
+    return buf.getvalue()
+
+
+def _half_lsb_ties():
+    """Values whose scaled form is exactly k + 0.5, so rounding sees a tie."""
+    k = np.arange(-40, 40) + 0.5
+    x = k / 32767.0
+    x = x[x * 32767.0 == k]
+    return np.concatenate([x, [0.5 / 32767.0, -0.5 / 32767.0]])
+
+
+class TestWriteWavMatchesScipy:
+    CASES = {
+        "mono": 0.6 * np.random.default_rng(1).uniform(-1, 1, 4001),
+        "stereo": 0.6 * np.random.default_rng(2).uniform(-1, 1, (1500, 2)),
+        "stereo_fortran": np.asfortranarray(0.6 * np.random.default_rng(3).uniform(-1, 1, (700, 2))),
+        "out_of_range": np.array([1.5, -1.5, 1.0, -1.0, 1.0000001, np.inf, -np.inf, 1e308]),
+        "half_lsb_ties": _half_lsb_ties(),
+        "signed_zero": np.array([-0.0, 0.0, -0.0]),
+        "empty": np.zeros(0),
+        "float32": np.random.default_rng(4).uniform(-1.2, 1.2, 999).astype(np.float32),
+        "list": [0.25, -0.5, 0.75],
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_bytes_equal_reference(self, tmp_path, name):
+        audio = self.CASES[name]
+        path = tmp_path / "x.wav"
+        write_wav(path, audio)
+        assert path.read_bytes() == _reference_wav_bytes(audio)
+
+    def test_ties_round_half_to_even(self, tmp_path):
+        ties = _half_lsb_ties()
+        assert len(ties) > 10
+        write_wav(tmp_path / "t.wav", ties)
+        _, pcm = wavfile.read(tmp_path / "t.wav")
+        assert np.all(pcm % 2 == 0)
+
+    def test_custom_rate_and_str_path(self, tmp_path):
+        audio = self.CASES["stereo"]
+        path = tmp_path / "r.wav"
+        write_wav(str(path), audio, rate=22050)
+        assert path.read_bytes() == _reference_wav_bytes(audio, 22050)
+
+    def test_input_left_unchanged(self, tmp_path):
+        audio = self.CASES["out_of_range"].copy()
+        write_wav(tmp_path / "u.wav", audio)
+        assert audio.tobytes() == self.CASES["out_of_range"].tobytes()
+
+    def test_3d_raises(self, tmp_path):
+        with pytest.raises(ValueError, match="shape"):
+            write_wav(tmp_path / "z.wav", np.zeros((4, 2, 2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.one_of(
+                st.tuples(st.integers(0, 300)),
+                st.tuples(st.integers(0, 100), st.integers(1, 3)),
+            ),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_property_bytes_equal_reference(self, tmp_path_factory, audio):
+        path = tmp_path_factory.mktemp("wav") / "p.wav"
+        write_wav(path, audio)
+        assert path.read_bytes() == _reference_wav_bytes(audio)

@@ -725,15 +725,20 @@ class TestParserSurface:
             assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
 
     def test_import_leaves_scipy_signal_unloaded(self):
-        # scipy.signal takes about a second to import; only resampling needs it
+        # scipy.signal takes about a second to import and only resampling
+        # needs it; scipy.io (WAV reading) and scipy.sparse (the matcher)
+        # are likewise loaded on first use
         import soundscene
 
         src = str(Path(soundscene.__file__).resolve().parents[1])
-        code = "import sys, soundscene.cli; print('scipy.signal' in sys.modules)"
+        code = (
+            "import sys, soundscene.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.io', 'scipy.sparse') if m in sys.modules])"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"

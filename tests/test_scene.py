@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -279,6 +280,26 @@ class TestComposeScene:
         assert a.spec.snr_db == b.spec.snr_db
         assert a.spec.background_id == b.spec.background_id
         assert a.annotations == b.annotations
+
+    def test_background_rms_computed_once_at_load(self, background_pool):
+        for clip in background_pool.clips:
+            assert clip.audio_rms == rms(clip.audio)
+        bed = BackgroundClip("b", np.full(8, 0.5), "A room")
+        assert bed.audio_rms == 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bed.audio = np.full(8, 0.25)  # would leave audio_rms stale
+
+    def test_each_scene_owns_a_fresh_waveform(self, speech_pool, background_pool):
+        priors = ScenePriors()
+        beds = [c.audio.tobytes() for c in background_pool.clips]
+        scenes = [compose_scene(speech_pool, background_pool, priors, seed=s) for s in range(6)]
+        kept = [sc.waveform.tobytes() for sc in scenes]
+        for i, sc in enumerate(scenes):
+            assert sc.waveform is sc.mix.waveform
+            assert not any(np.shares_memory(sc.waveform, c.audio) for c in background_pool.clips)
+            assert not any(np.shares_memory(sc.waveform, o.waveform) for o in scenes[i + 1 :])
+        assert [sc.waveform.tobytes() for sc in scenes] == kept
+        assert [c.audio.tobytes() for c in background_pool.clips] == beds
 
     def test_seeds_differ(self, speech_pool, background_pool):
         priors = ScenePriors()

@@ -123,6 +123,32 @@ class TestPredict:
         with pytest.raises(ValueError, match="dimension"):
             dn.predict(np.zeros(3), 1, None)
 
+    @pytest.mark.parametrize("t", [-3, -1, 11, 5000, float("nan")])
+    def test_step_outside_schedule_raises(self, t):
+        dn = _tiny_denoiser()
+        with pytest.raises(ValueError, match=r"outside 0\.\.10"):
+            dn.predict(np.zeros(2), t, None)
+
+    def test_schedule_end_steps_accepted(self):
+        dn = _tiny_denoiser()
+        for t in (0, dn.T, np.int64(dn.T)):
+            assert dn.predict(np.zeros(2), t, ("text", 1)).shape == (2,)
+
+    @pytest.mark.parametrize(
+        "vid", [1.7, 0.5, -0.5, np.float64(1.25), float("inf"), float("nan"), None]
+    )
+    def test_fractional_view_id_raises(self, vid):
+        dn = _tiny_denoiser()
+        with pytest.raises(ValueError, match="not an integer"):
+            dn.predict(np.zeros(2), 3, ("text", vid))
+
+    def test_integral_view_id_of_any_type_is_that_view(self):
+        dn = _tiny_denoiser()
+        z = np.random.default_rng(2).standard_normal((3, 2))
+        want = dn.predict(z, 3, ("text", 1)).tobytes()
+        for vid in (1.0, np.int64(1), np.float64(1.0)):
+            assert dn.predict(z, 3, ("text", vid)).tobytes() == want
+
 
 def _reference_predict(dn, z_t, t, c=None):
     """The forward pass as first written: concatenate the per-row inputs,
