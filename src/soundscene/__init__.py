@@ -1,175 +1,38 @@
 """Structured audio-scene tooling: a timing-aware prompt DSL, phoneme
 tokenization, scene simulation, progressively guided diffusion sampling,
-and event-based evaluation."""
+and event-based evaluation.
 
-from soundscene.audio import (
-    CLIP_SAMPLES,
-    SAMPLE_RATE,
-    MixResult,
-    mix_at_snr,
-    preprocess_clip,
-    read_wav,
-    resample_to_clip_rate,
-    write_wav,
+The package exports each library module's ``__all__``; the command line
+(``soundscene.cli``) is not part of it."""
+
+from soundscene import (
+    audio, config, demo, diffusion, dsl, manifest, phonemes, planner, scene, sed, toytrain,
 )
-from soundscene.config import (
-    ConfigError,
-    PipelineConfig,
-    PlannerEndpoint,
-    SamplerConfig,
-    load_config,
-)
-from soundscene.diffusion import (
-    GaussianCondition,
-    GaussianOracleDenoiser,
-    GuidanceSchedule,
-    NoiseSchedule,
-    StepInfo,
-    cfg_combine,
-    cosine_schedule,
-    diffusion_loss,
-    forward_noise,
-    linear_schedule,
-    reverse_step,
-    sample_cfg,
-    sample_progressive,
-)
-from soundscene.dsl import (
-    DEFAULT_CLIP_SECONDS,
-    EventAnnotation,
-    EventSpec,
-    PromptSyntaxError,
-    StructuredPrompt,
-    TimeSpan,
-    Violation,
-    from_annotations,
-    parse,
-    serialize,
-    validate,
-)
-from soundscene.manifest import read_jsonl, write_jsonl_atomic
-from soundscene.phonemes import (
-    ExtendedVocabulary,
-    PhonemeLexicon,
-    TokenizedPrompt,
-    build_vocab,
-    g2p,
-    load_default_lexicon,
-    load_lexicon,
-    tokenize_prompt,
-)
-from soundscene.planner import PlannerClient, PlannerError, PlannerRequest
-from soundscene.scene import (
-    BackgroundPool,
-    ComposedScene,
-    ScenePriors,
-    SceneSpec,
-    SpeechPool,
-    UtteranceClip,
-    arrange_timing,
-    compose_scene,
-    derive_scene_seed,
-    load_background_pool,
-    load_speech_pool,
-)
-from soundscene.sed import (
-    ClipAnnotations,
-    EbConfig,
-    EbResult,
-    annotations_from_manifest,
-    clip_level_macro_f1,
-    event_based_f1,
-    render_report,
-)
-from soundscene.toytrain import (
-    CurriculumStage,
-    ToyDenoiser,
-    default_curriculum,
-    load_checkpoint,
-    make_toy_dataset,
-    save_checkpoint,
-    train_toy_denoiser,
-    validation_loss,
-)
+from soundscene.audio import *  # noqa: F403
+from soundscene.config import *  # noqa: F403
+from soundscene.demo import *  # noqa: F403
+from soundscene.diffusion import *  # noqa: F403
+from soundscene.dsl import *  # noqa: F403
+from soundscene.manifest import *  # noqa: F403
+from soundscene.phonemes import *  # noqa: F403
+from soundscene.planner import *  # noqa: F403
+from soundscene.scene import *  # noqa: F403
+from soundscene.sed import *  # noqa: F403
+from soundscene.toytrain import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CLIP_SAMPLES",
-    "DEFAULT_CLIP_SECONDS",
-    "SAMPLE_RATE",
-    "BackgroundPool",
-    "ClipAnnotations",
-    "ComposedScene",
-    "ConfigError",
-    "CurriculumStage",
-    "EbConfig",
-    "EbResult",
-    "EventAnnotation",
-    "EventSpec",
-    "ExtendedVocabulary",
-    "GaussianCondition",
-    "GaussianOracleDenoiser",
-    "GuidanceSchedule",
-    "MixResult",
-    "NoiseSchedule",
-    "PhonemeLexicon",
-    "PipelineConfig",
-    "PlannerClient",
-    "PlannerEndpoint",
-    "PlannerError",
-    "PlannerRequest",
-    "PromptSyntaxError",
-    "SamplerConfig",
-    "ScenePriors",
-    "SceneSpec",
-    "SpeechPool",
-    "StepInfo",
-    "StructuredPrompt",
-    "TimeSpan",
-    "TokenizedPrompt",
-    "ToyDenoiser",
-    "UtteranceClip",
-    "Violation",
-    "annotations_from_manifest",
-    "arrange_timing",
-    "build_vocab",
-    "cfg_combine",
-    "clip_level_macro_f1",
-    "compose_scene",
-    "cosine_schedule",
-    "default_curriculum",
-    "derive_scene_seed",
-    "diffusion_loss",
-    "event_based_f1",
-    "forward_noise",
-    "from_annotations",
-    "g2p",
-    "linear_schedule",
-    "load_background_pool",
-    "load_checkpoint",
-    "load_config",
-    "load_default_lexicon",
-    "load_lexicon",
-    "load_speech_pool",
-    "make_toy_dataset",
-    "mix_at_snr",
-    "parse",
-    "preprocess_clip",
-    "read_jsonl",
-    "read_wav",
-    "render_report",
-    "resample_to_clip_rate",
-    "reverse_step",
-    "sample_cfg",
-    "sample_progressive",
-    "save_checkpoint",
-    "serialize",
-    "tokenize_prompt",
-    "train_toy_denoiser",
-    "validate",
-    "validation_loss",
-    "write_jsonl_atomic",
-    "write_wav",
+    *audio.__all__,
+    *config.__all__,
+    *demo.__all__,
+    *diffusion.__all__,
+    *dsl.__all__,
+    *manifest.__all__,
+    *phonemes.__all__,
+    *planner.__all__,
+    *scene.__all__,
+    *sed.__all__,
+    *toytrain.__all__,
     "__version__",
 ]

@@ -19,6 +19,7 @@ __all__ = [
     "CLIP_SAMPLES",
     "rms",
     "preprocess_clip",
+    "resample_to_clip_rate",
     "MixResult",
     "mix_at_snr",
     "read_wav",

@@ -310,6 +310,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
     if args.denoiser == "gaussian_oracle":
         dim = args.dim
+        if dim < 1:
+            raise ValueError(f"--dim must be >= 1, got {dim}")
         # the coarse phase is steered by the broad prior, the full phase by the target
         c1: Any = GaussianCondition(np.zeros(dim), 1.0)
         c2: Any = GaussianCondition(np.full(dim, args.mu), args.sigma2)

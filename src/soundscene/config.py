@@ -25,6 +25,8 @@ import yaml
 from soundscene.diffusion import REVERSE_MODES, SCHEDULES
 from soundscene.scene import ScenePriors
 
+__all__ = ["ConfigError", "SamplerConfig", "PlannerEndpoint", "PipelineConfig", "load_config"]
+
 DEFAULT_API_KEY_ENV = "PLANNER_API_KEY"
 
 # libyaml's safe loader when PyYAML was built with it, else the pure-Python one

@@ -22,7 +22,6 @@ __all__ = [
     "GuidanceSchedule",
     "StepInfo",
     "sample_progressive",
-    "sample_cfg",
     "GaussianCondition",
     "GaussianOracleDenoiser",
 ]
@@ -96,18 +95,29 @@ def linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) ->
 SCHEDULES = {"cosine": cosine_schedule, "linear": linear_schedule}
 
 
-def forward_noise(z0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
+def forward_noise(
+    z0: np.ndarray, t: int | np.ndarray, eps: np.ndarray, sched: NoiseSchedule
+) -> np.ndarray:
     """z_t = sqrt(alpha_bar[t]) z0 + sqrt(1 - alpha_bar[t]) eps.
 
-    t = 0 is allowed and returns z0 unchanged.
+    ``t`` is one step for all of z0, or an integer array with one step per
+    leading row of z0.  Step 0 is allowed and returns z0 unchanged.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if z0.shape != eps.shape:
         raise ValueError(f"shape mismatch: z0 {z0.shape}, eps {eps.shape}")
-    if not 0 <= t <= sched.T:
-        raise ValueError(f"step {t} outside 0..{sched.T}")
-    ab = sched.alpha_bar[t]
+    steps = np.asarray(t)
+    if steps.dtype.kind not in "iu":
+        raise ValueError(f"steps must be integers, got {steps.dtype}")
+    if steps.ndim and (steps.ndim > 1 or z0.ndim == 0 or steps.shape[0] != z0.shape[0]):
+        raise ValueError(f"steps of shape {steps.shape} do not match z0 of shape {z0.shape}")
+    outside = (steps < 0) | (steps > sched.T)
+    if np.any(outside):
+        raise ValueError(f"step {steps[outside].flat[0]} outside 0..{sched.T}")
+    ab = sched.alpha_bar[steps]
+    if steps.ndim:
+        ab = ab.reshape(-1, *(1,) * (z0.ndim - 1))
     return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
 
 
@@ -184,7 +194,9 @@ class GuidanceSchedule:
     """Two-phase sampling policy: steps t > t1 run under (c1, w_low), the
     remaining t1 steps under (c2, w_high).
 
-    t1 = 0 keeps the first phase throughout; t1 = T starts in the second.
+    t1 = 0 keeps the first phase throughout, so ``GuidanceSchedule(c, c, w,
+    w, t1=0, T=T)`` is single-phase classifier-free guidance under (c, w);
+    t1 = T starts in the second.
     """
 
     c1: Any
@@ -249,28 +261,6 @@ def sample_progressive(
     return z
 
 
-def sample_cfg(
-    denoiser: Denoiser,
-    c: Any,
-    w: float,
-    sched: NoiseSchedule,
-    z_T: np.ndarray,
-    rng: np.random.Generator | None = None,
-    mode: str = "ancestral",
-    on_step: Callable[[StepInfo, np.ndarray], None] | None = None,
-) -> np.ndarray:
-    """Single-phase CFG sampling: the same chain with one fixed condition and
-    weight.  Kept as an independent loop so the two-phase sampler's collapse
-    behavior can be checked against it."""
-    z = np.asarray(z_T, dtype=np.float64)
-    for t in range(sched.T, 0, -1):
-        eps = _guided_eps(denoiser, z, t, c, w)
-        z = reverse_step(z, t, eps, sched, mode=mode, rng=rng)
-        if on_step is not None:
-            on_step(StepInfo(t=t, phase=1, condition=c, w=w), z)
-    return z
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianCondition:
     """Target N(mu, sigma2 I); mu may be a scalar or a vector."""
@@ -281,8 +271,10 @@ class GaussianCondition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=np.float64))
         object.__setattr__(self, "sigma2", float(self.sigma2))
-        if self.sigma2 <= 0.0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        if not np.all(np.isfinite(self.mu)):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not 0.0 < self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
 
 
 class GaussianOracleDenoiser:

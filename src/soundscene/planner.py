@@ -19,6 +19,8 @@ import requests
 from soundscene.config import DEFAULT_API_KEY_ENV, PlannerEndpoint
 from soundscene.dsl import DEFAULT_CLIP_SECONDS, PromptSyntaxError, StructuredPrompt, parse
 
+__all__ = ["PlannerError", "PlannerRequest", "PlannerClient"]
+
 INSTRUCTION_TEMPLATE = """\
 You are planning the audio content of a clip that is exactly {clip_seconds:g} seconds long.
 

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .diffusion import NoiseSchedule
+from .diffusion import NoiseSchedule, forward_noise
 
 __all__ = [
     "GRANULARITIES",
@@ -323,6 +323,26 @@ def _stack_dataset(dataset: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarra
     return z0, cids
 
 
+def _noised_batch(
+    denoiser: ToyDenoiser | None,
+    z0: np.ndarray,
+    cids: np.ndarray,
+    granularity: str,
+    sched: NoiseSchedule,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """(z_t, t, eps, view_ids) for the rows of z0: per-row steps in 1..T are
+    drawn before the noise, and each condition id is range-checked and
+    projected onto the granularity's view (no view ids without a denoiser)."""
+    t = rng.integers(1, sched.T + 1, size=z0.shape[0])
+    eps = rng.standard_normal(z0.shape)
+    z_t = forward_noise(z0, t, eps, sched)
+    view_ids = None
+    if denoiser is not None:
+        view_ids = np.array([denoiser.view_of(int(c), granularity) for c in cids], dtype=np.int64)
+    return z_t, t.astype(np.float64), eps, view_ids
+
+
 def train_toy_denoiser(
     dataset: Sequence[tuple[np.ndarray, int]],
     curriculum: Sequence[CurriculumStage],
@@ -349,9 +369,6 @@ def train_toy_denoiser(
     if np.any(cid_all < 0) or np.any(cid_all >= denoiser.n_conditions):
         raise ValueError(f"condition ids must lie in 0..{denoiser.n_conditions - 1}")
 
-    sqrt_ab = np.sqrt(sched.alpha_bar)
-    sqrt_1mab = np.sqrt(1.0 - sched.alpha_bar)
-
     # fresh Adam state per call; continuing training restarts the optimizer
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     m = {k: np.zeros_like(v) for k, v in denoiser.params.items()}
@@ -362,14 +379,10 @@ def train_toy_denoiser(
         for step in range(stage.steps):
             idx = rng.integers(0, n, size=stage.batch_size)
             granularity = _draw_granularity(stage.granularity_probs, rng)
-            t = rng.integers(1, sched.T + 1, size=stage.batch_size)
-            eps = rng.standard_normal((stage.batch_size, dim))
-            z_t = sqrt_ab[t, None] * z0_all[idx] + sqrt_1mab[t, None] * eps
-            if granularity == "null":
-                view_ids = np.zeros(stage.batch_size, dtype=np.int64)
-            else:
-                view_ids = np.array([denoiser.view_of(int(c), granularity) for c in cid_all[idx]])
-            loss, grads = denoiser._loss_and_grads(z_t, t.astype(np.float64), eps, granularity, view_ids)
+            z_t, t, eps, view_ids = _noised_batch(
+                denoiser, z0_all[idx], cid_all[idx], granularity, sched, rng
+            )
+            loss, grads = denoiser._loss_and_grads(z_t, t, eps, granularity, view_ids)
             if not np.isfinite(loss):
                 raise TrainingDiverged(stage.name, step)
             lr = stage.lr_schedule.lr_at(step, stage.steps) if stage.lr_schedule else stage.lr
@@ -400,24 +413,12 @@ def validation_loss(
     if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity {granularity!r}")
     z0_all, cid_all = _stack_dataset(dataset)
-    n, dim = z0_all.shape
-    sqrt_ab = np.sqrt(sched.alpha_bar)
-    sqrt_1mab = np.sqrt(1.0 - sched.alpha_bar)
     total = 0.0
     for _ in range(_VALIDATION_REPEATS):
-        t = rng.integers(1, sched.T + 1, size=n)
-        eps = rng.standard_normal((n, dim))
-        z_t = sqrt_ab[t, None] * z0_all + sqrt_1mab[t, None] * eps
-        if denoiser is None:
-            total += float(np.sum(eps * eps))
-            continue
-        if granularity == "null":
-            view_ids = np.zeros(n, dtype=np.int64)
-        else:
-            view_ids = np.array([denoiser.view_of(int(c), granularity) for c in cid_all])
-        out, _ = denoiser._forward(z_t, t.astype(np.float64), granularity, view_ids)
+        z_t, t, eps, view_ids = _noised_batch(denoiser, z0_all, cid_all, granularity, sched, rng)
+        out = 0.0 if denoiser is None else denoiser._forward(z_t, t, granularity, view_ids)[0]
         total += float(np.sum((out - eps) ** 2))
-    return total / (n * _VALIDATION_REPEATS)
+    return total / (z0_all.shape[0] * _VALIDATION_REPEATS)
 
 
 def make_toy_dataset(n: int, dim: int, rng: np.random.Generator) -> list[tuple[np.ndarray, int]]:
@@ -465,28 +466,59 @@ def save_checkpoint(denoiser: ToyDenoiser, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ToyDenoiser:
+    """Read a save_checkpoint file.  Raises ValueError naming the path unless
+    the file holds exactly one parameter of the right shape for each
+    parameter of the model its header sizes build."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a toy-denoiser checkpoint")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        prefix = fh.read(8)
+        if len(prefix) != 8:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        version, header_len = struct.unpack("<II", prefix)
         if version != _CKPT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        denoiser = ToyDenoiser(
-            dim=header["dim"],
-            T=header["T"],
-            hidden=header["hidden"],
-            emb=header["emb"],
-            level_sizes=tuple(header["level_sizes"]),
-            n_freq=header["n_freq"],
-        )
-        for name, shape in header["params"]:
-            count = int(np.prod(shape))
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise ValueError(f"{path}: unreadable checkpoint header: {exc}") from None
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: checkpoint header is not a JSON object")
+        try:
+            denoiser = ToyDenoiser(
+                dim=header["dim"],
+                T=header["T"],
+                hidden=header["hidden"],
+                emb=header["emb"],
+                level_sizes=tuple(header["level_sizes"]),
+                n_freq=header["n_freq"],
+            )
+            entries = [(str(name), tuple(int(n) for n in shape)) for name, shape in header["params"]]
+        except KeyError as exc:
+            raise ValueError(f"{path}: checkpoint header has no {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed checkpoint header: {exc}") from None
+        loaded: set[str] = set()
+        for name, shape in entries:
+            if name not in denoiser.params:
+                raise ValueError(f"{path}: unknown parameter {name!r}")
+            if name in loaded:
+                raise ValueError(f"{path}: parameter {name!r} appears twice")
+            expected = denoiser.params[name].shape
+            if shape != expected:
+                raise ValueError(
+                    f"{path}: parameter {name!r} has shape {shape}, the header's sizes give {expected}"
+                )
+            count = int(np.prod(expected))
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise ValueError(f"{path}: truncated checkpoint at parameter {name!r}")
-            denoiser.params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            denoiser.params[name] = np.frombuffer(raw, dtype="<f8").reshape(expected).copy()
+            loaded.add(name)
+        missing = sorted(set(denoiser.params) - loaded)
+        if missing:
+            raise ValueError(f"{path}: missing parameters {missing}")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after parameters")
     return denoiser

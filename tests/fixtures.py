@@ -1,9 +1,10 @@
-"""Shared test data and generators for valid prompts."""
+"""Shared test data, generators for valid prompts, and a reference sampler."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from soundscene.diffusion import cfg_combine, reverse_step
 from soundscene.dsl import EventSpec, StructuredPrompt, TimeSpan
 
 # Sample planner outputs: caption plus timed event blocks, some with quoted
@@ -73,3 +74,15 @@ def random_prompt(rng: np.random.Generator, max_events: int = 4) -> StructuredPr
             speech = _random_field(rng, _SPEECH_CHARS, 0, 30)
         events.append(EventSpec(description=desc, spans=tuple(spans), speech=speech))
     return StructuredPrompt(caption=caption, events=tuple(events))
+
+
+def reference_cfg_loop(denoiser, c, w, sched, z_T, rng=None, mode="ancestral"):
+    """Single-phase classifier-free guidance as its own reverse loop: the
+    reference that sample_progressive must match bit for bit whenever its
+    schedule keeps one condition and weight throughout."""
+    z = np.asarray(z_T, dtype=np.float64)
+    for t in range(sched.T, 0, -1):
+        eps_c = np.asarray(denoiser.predict(z, t, c), dtype=np.float64)
+        eps_u = np.asarray(denoiser.predict(z, t, None), dtype=np.float64)
+        z = reverse_step(z, t, cfg_combine(eps_c, eps_u, w), sched, mode=mode, rng=rng)
+    return z

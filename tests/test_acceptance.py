@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fixtures import PLANNED_PROMPT_SAMPLES, random_prompt
+from fixtures import PLANNED_PROMPT_SAMPLES, random_prompt, reference_cfg_loop
 from soundscene.audio import SAMPLE_RATE
 from soundscene.cli import main as cli_main
 from soundscene.diffusion import (
@@ -24,7 +24,6 @@ from soundscene.diffusion import (
     cfg_combine,
     cosine_schedule,
     diffusion_loss,
-    sample_cfg,
     sample_progressive,
 )
 from soundscene.dsl import EventAnnotation, TimeSpan, parse, serialize, validate
@@ -172,7 +171,7 @@ def test_c06_two_phase_step_accounting(capsys):
             two = sample_progressive(
                 den, collapse, sched, z_T, rng=np.random.default_rng(1000 + seed)
             )
-            one = sample_cfg(
+            one = reference_cfg_loop(
                 den, b, 2.5, sched, z_T, rng=np.random.default_rng(1000 + seed)
             )
             assert np.array_equal(two, one)
@@ -189,7 +188,8 @@ def test_c07_oracle_sampler_marginals(capsys):
             target = GaussianCondition(np.full(2, mu), sigma2)
             rng = np.random.default_rng(70 + k)
             z_T = rng.standard_normal((20_000, 2))
-            z0 = sample_cfg(den, target, 1.0, sched, z_T, rng=rng)
+            gs = GuidanceSchedule(target, target, 1.0, 1.0, t1=0, T=1000)
+            z0 = sample_progressive(den, gs, sched, z_T, rng=rng)
             for j in range(2):
                 p = stats.kstest(z0[:, j], "norm", args=(mu, np.sqrt(sigma2))).pvalue
                 assert p > 0.01, (mu, sigma2, j, p)

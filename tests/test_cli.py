@@ -576,6 +576,31 @@ class TestSample:
         assert flag[2:].replace("-", "_") in err and value in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("flag, value, text", [
+        ("--mu", "nan", "mu must be finite"),
+        ("--mu", "-inf", "mu must be finite"),
+        ("--sigma2", "inf", "sigma2 must be positive and finite"),
+        ("--sigma2", "nan", "sigma2 must be positive and finite"),
+        ("--dim", "0", "--dim must be >= 1, got 0"),
+        ("--dim", "-3", "--dim must be >= 1, got -3"),
+    ])
+    def test_bad_oracle_target_exits_1(self, run_config, tmp_path, capsys, flag, value, text):
+        rc = main(["sample", "--config", str(run_config), f"{flag}={value}",
+                   "--output-dir", str(tmp_path / "x")])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert err.startswith("error:") and text in err
+        assert not (tmp_path / "x").exists()
+
+    def test_short_checkpoint_header_exits_1(self, run_config, tmp_path, capsys):
+        ckpt = tmp_path / "short.ckpt"
+        ckpt.write_bytes(b"TOYDNZR\x00\x01\x00")
+        rc = main(["sample", "--config", str(run_config),
+                   "--denoiser", "toy_checkpoint", "--checkpoint", str(ckpt)])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert err.startswith("error:") and f"{ckpt}: truncated checkpoint header" in err
+
 
 class TestEvaluate:
     def test_truth_vs_truth_is_perfect(self, run_config, tmp_path, capsys):

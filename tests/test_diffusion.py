@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fixtures import reference_cfg_loop
 from soundscene.diffusion import (
     GaussianCondition,
     GaussianOracleDenoiser,
@@ -13,7 +14,6 @@ from soundscene.diffusion import (
     forward_noise,
     linear_schedule,
     reverse_step,
-    sample_cfg,
     sample_progressive,
 )
 
@@ -138,6 +138,46 @@ class TestForwardNoise:
             forward_noise(np.zeros(3), 11, np.zeros(3), sched)
         with pytest.raises(ValueError):
             forward_noise(np.zeros(3), -1, np.zeros(3), sched)
+
+    def test_step_array_matches_scalar_calls_and_inline_form(self):
+        sched = cosine_schedule(100)
+        rng = np.random.default_rng(5)
+        t = rng.integers(0, 101, size=64)
+        z0 = rng.standard_normal((64, 4))
+        eps = rng.standard_normal((64, 4))
+        out = forward_noise(z0, t, eps, sched)
+        rows = np.stack([forward_noise(z0[i], int(t[i]), eps[i], sched) for i in range(64)])
+        sqrt_ab = np.sqrt(sched.alpha_bar)
+        sqrt_1mab = np.sqrt(1.0 - sched.alpha_bar)
+        inline = sqrt_ab[t, None] * z0 + sqrt_1mab[t, None] * eps
+        assert out.tobytes() == rows.tobytes() == inline.tobytes()
+
+    def test_step_array_over_higher_rank_rows(self):
+        sched = cosine_schedule(10)
+        rng = np.random.default_rng(6)
+        z0 = rng.standard_normal((3, 2, 5))
+        eps = rng.standard_normal((3, 2, 5))
+        t = np.array([0, 4, 10])
+        out = forward_noise(z0, t, eps, sched)
+        for i in range(3):
+            assert np.array_equal(out[i], forward_noise(z0[i], int(t[i]), eps[i], sched))
+
+    def test_step_array_with_one_step_out_of_range_raises(self):
+        sched = cosine_schedule(10)
+        z = np.zeros((4, 2))
+        for bad in (11, -1):
+            with pytest.raises(ValueError, match=f"step {bad} outside 0..10"):
+                forward_noise(z, np.array([3, 0, bad, 10]), z, sched)
+
+    def test_step_array_must_match_rows_and_be_integral(self):
+        sched = cosine_schedule(10)
+        z = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="do not match"):
+            forward_noise(z, np.array([1, 2, 3]), z, sched)
+        with pytest.raises(ValueError, match="do not match"):
+            forward_noise(z, np.ones((4, 2), dtype=np.int64), z, sched)
+        with pytest.raises(ValueError, match="integers"):
+            forward_noise(z, np.array([1.0, 2.0, 3.0, 4.0]), z, sched)
 
 
 class TestDiffusionLoss:
@@ -303,6 +343,16 @@ class TestGaussianOracle:
         with pytest.raises(ValueError, match="sigma2"):
             GaussianCondition(mu=0.0, sigma2=0.0)
 
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -np.inf])
+    def test_condition_rejects_non_finite_variance(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
+            GaussianCondition(mu=0.0, sigma2=sigma2)
+
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, [0.0, -np.inf]])
+    def test_condition_rejects_non_finite_mean(self, mu):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            GaussianCondition(mu=mu, sigma2=1.0)
+
     def test_no_noise_no_prediction(self):
         sched = cosine_schedule(10)
         oracle = GaussianOracleDenoiser(prior=GaussianCondition(2.0, 1.0), sched=sched)
@@ -372,8 +422,25 @@ class TestSampling:
         for seed in range(10):
             z_T = np.random.default_rng(seed).standard_normal(3)
             a = sample_progressive(oracle, gs, sched, z_T, rng=np.random.default_rng(1000 + seed))
-            b = sample_cfg(oracle, cond, 2.5, sched, z_T, rng=np.random.default_rng(1000 + seed))
+            b = reference_cfg_loop(oracle, cond, 2.5, sched, z_T, rng=np.random.default_rng(1000 + seed))
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
+    def test_one_phase_schedule_matches_reference_loop(self, mode):
+        sched = cosine_schedule(40)
+        cond = GaussianCondition(np.array([1.0, -0.5]), 0.5)
+        oracle = GaussianOracleDenoiser(prior=GaussianCondition(np.zeros(2), 1.0), sched=sched)
+        gs = GuidanceSchedule(cond, cond, 2.5, 2.5, t1=0, T=40)
+        z_T = np.random.default_rng(3).standard_normal((16, 2))
+        seen = []
+        a = sample_progressive(
+            oracle, gs, sched, z_T, rng=np.random.default_rng(4), mode=mode,
+            on_step=lambda info, z: seen.append(info),
+        )
+        b = reference_cfg_loop(oracle, cond, 2.5, sched, z_T, rng=np.random.default_rng(4), mode=mode)
+        assert a.tobytes() == b.tobytes()
+        assert [info.t for info in seen] == list(range(40, 0, -1))
+        assert all(info.phase == 1 and info.w == 2.5 and info.condition is cond for info in seen)
 
     def test_schedule_length_mismatch_raises(self):
         sched = cosine_schedule(50)
@@ -391,7 +458,8 @@ class TestSampling:
         oracle = GaussianOracleDenoiser(prior=cond, sched=sched)
         rng = np.random.default_rng(7)
         n = 4000
-        z = sample_cfg(oracle, cond, 1.0, sched, rng.standard_normal((n, 1)), rng=rng)
+        gs = GuidanceSchedule(cond, cond, 1.0, 1.0, t1=0, T=400)
+        z = sample_progressive(oracle, gs, sched, rng.standard_normal((n, 1)), rng=rng)
         m_cf, v_cf = chain_moments(sched, mu, sigma2)
         assert z.mean() == pytest.approx(m_cf, abs=4 * np.sqrt(v_cf / n))
         assert z.var() == pytest.approx(v_cf, abs=4 * v_cf * np.sqrt(2 / n))
@@ -409,7 +477,8 @@ class TestSampling:
         sched = cosine_schedule(50)
         cond = GaussianCondition(4.0, 1e-8)
         oracle = GaussianOracleDenoiser(prior=cond, sched=sched)
-        z = sample_cfg(oracle, cond, 1.0, sched, np.random.default_rng(0).standard_normal(4), mode="deterministic")
+        gs = GuidanceSchedule(cond, cond, 1.0, 1.0, t1=0, T=50)
+        z = sample_progressive(oracle, gs, sched, np.random.default_rng(0).standard_normal(4), mode="deterministic")
         # with a near-point target the deterministic chain collapses onto mu
         assert np.allclose(z, 4.0, atol=1e-3)
 

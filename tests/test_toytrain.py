@@ -1,11 +1,13 @@
 import copy
+import json
+import re
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from soundscene.diffusion import cosine_schedule, sample_cfg
+from soundscene.diffusion import GuidanceSchedule, cosine_schedule, sample_progressive
 from soundscene.toytrain import (
     GRANULARITIES,
     CurriculumStage,
@@ -26,6 +28,28 @@ def _tiny_denoiser(dim=2, T=10, hidden=5, emb=3, n_freq=2, seed=0):
         dim, T, hidden=hidden, emb=emb, level_sizes=(2, 2, 2), n_freq=n_freq,
         rng=np.random.default_rng(seed),
     )
+
+
+def _checkpoint_parts(dn):
+    """The header sizes and (name, array) parameters save_checkpoint writes."""
+    header = {
+        "dim": dn.dim, "T": dn.T, "hidden": dn.hidden, "emb": dn.emb,
+        "level_sizes": list(dn.level_sizes), "n_freq": dn.n_freq,
+    }
+    return header, [(name, dn.params[name]) for name in sorted(dn.params)]
+
+
+def _write_checkpoint(tmp_path, header, params):
+    """A checkpoint file laid out as save_checkpoint lays it out, holding
+    these header sizes and these (name, array) parameters in order."""
+    header = dict(header, params=[[name, list(np.shape(value))] for name, value in params])
+    blob = json.dumps(header).encode("utf-8")
+    path = tmp_path / "edited.ckpt"
+    with open(path, "wb") as fh:
+        fh.write(b"TOYDNZR\x00" + struct.pack("<II", 1, len(blob)) + blob)
+        for _, value in params:
+            fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
+    return path
 
 
 def _loss_only(dn, z_t, t, eps, gran, view_ids):
@@ -398,6 +422,39 @@ class TestValidationLoss:
         with pytest.raises(ValueError, match="granularity"):
             validation_loss(None, data, sched, "wave", np.random.default_rng(0))
 
+    @pytest.mark.parametrize("granularity", [*GRANULARITIES, None])
+    def test_matches_inline_reference(self, granularity):
+        # steps drawn before noise, the inline forward process, null rows on view 0;
+        # granularity None scores the zero predictor
+        sched = cosine_schedule(30)
+        data = make_toy_dataset(40, 3, np.random.default_rng(2))
+        dn = None if granularity is None else ToyDenoiser(3, 30, rng=np.random.default_rng(3))
+        z0 = np.stack([z for z, _ in data])
+        cids = [c for _, c in data]
+        sqrt_ab, sqrt_1mab = np.sqrt(sched.alpha_bar), np.sqrt(1.0 - sched.alpha_bar)
+        rng = np.random.default_rng(4)
+        total = 0.0
+        for _ in range(8):
+            t = rng.integers(1, 31, size=40)
+            eps = rng.standard_normal((40, 3))
+            z_t = sqrt_ab[t, None] * z0 + sqrt_1mab[t, None] * eps
+            if dn is None:
+                total += float(np.sum(eps * eps))
+                continue
+            views = np.array([0 if granularity == "null" else dn.view_of(c, granularity) for c in cids])
+            out, _ = dn._forward(z_t, t.astype(np.float64), granularity, views)
+            total += float(np.sum((out - eps) ** 2))
+        got = validation_loss(dn, data, sched, granularity or "text", np.random.default_rng(4))
+        assert got == total / (40 * 8)
+
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    @pytest.mark.parametrize("bad_id", [8, 99, -1])
+    def test_condition_ids_checked_for_every_granularity(self, granularity, bad_id):
+        sched = cosine_schedule(10)
+        data = make_toy_dataset(8, 2, np.random.default_rng(0)) + [(np.zeros(2), bad_id)]
+        with pytest.raises(ValueError, match=f"condition id {bad_id} outside 0..7"):
+            validation_loss(_tiny_denoiser(), data, sched, granularity, np.random.default_rng(0))
+
 
 class TestToyDataset:
     def test_shapes_and_id_range(self):
@@ -459,6 +516,79 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="trailing"):
             load_checkpoint(path)
 
+    def test_rewritten_file_matches_saved_bytes(self, tmp_path):
+        dn = _tiny_denoiser()
+        saved = tmp_path / "saved.ckpt"
+        save_checkpoint(dn, saved)
+        path = _write_checkpoint(tmp_path, *_checkpoint_parts(dn))
+        assert path.read_bytes() == saved.read_bytes()
+
+    def test_short_header_raises(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(b"TOYDNZR\x00" + struct.pack("<I", 1))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated checkpoint header")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob, text", [
+        (b"[1, 2]", "checkpoint header is not a JSON object"),
+        (b'{"dim": 2', "unreadable checkpoint header"),
+        (b"\xff{}", "unreadable checkpoint header"),
+    ])
+    def test_malformed_header_raises(self, tmp_path, blob, text):
+        path = tmp_path / "header.ckpt"
+        path.write_bytes(b"TOYDNZR\x00" + struct.pack("<II", 1, len(blob)) + blob)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {text}")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value, text", [
+        ("dim", "2", "malformed checkpoint header"),
+        ("hidden", 0, "malformed checkpoint header: all sizes must be positive"),
+        ("level_sizes", 2, "malformed checkpoint header"),
+        ("params", 5, "malformed checkpoint header"),
+        ("params", [["W1", 7]], "malformed checkpoint header"),
+        ("params", [["W1"]], "malformed checkpoint header"),
+        ("params", [[["W1"], [2]]], "unknown parameter \"['W1']\""),
+    ])
+    def test_malformed_header_field_raises(self, tmp_path, field, value, text):
+        header, _ = _checkpoint_parts(_tiny_denoiser())
+        blob = json.dumps({**header, "params": [], field: value}).encode("utf-8")
+        path = tmp_path / "field.ckpt"
+        path.write_bytes(b"TOYDNZR\x00" + struct.pack("<II", 1, len(blob)) + blob)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {text}")):
+            load_checkpoint(path)
+
+    def test_missing_header_key_raises(self, tmp_path):
+        header, params = _checkpoint_parts(_tiny_denoiser())
+        del header["hidden"]
+        path = _write_checkpoint(tmp_path, header, params)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint header has no 'hidden'")):
+            load_checkpoint(path)
+
+    def test_unknown_parameter_raises(self, tmp_path):
+        header, params = _checkpoint_parts(_tiny_denoiser())
+        path = _write_checkpoint(tmp_path, header, params + [("W9", np.zeros(2))])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unknown parameter 'W9'")):
+            load_checkpoint(path)
+
+    def test_missing_parameter_raises(self, tmp_path):
+        header, params = _checkpoint_parts(_tiny_denoiser())
+        path = _write_checkpoint(tmp_path, header, [(k, v) for k, v in params if k != "W1"])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing parameters ['W1']")):
+            load_checkpoint(path)
+
+    def test_duplicate_parameter_raises(self, tmp_path):
+        header, params = _checkpoint_parts(_tiny_denoiser())
+        path = _write_checkpoint(tmp_path, header, params + [params[0]])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: parameter '{params[0][0]}' appears twice")):
+            load_checkpoint(path)
+
+    def test_wrong_parameter_shape_raises(self, tmp_path):
+        header, params = _checkpoint_parts(_tiny_denoiser())
+        params = [(k, np.zeros(1) if k == "b1" else v) for k, v in params]
+        path = _write_checkpoint(tmp_path, header, params)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: parameter 'b1' has shape (1,)")):
+            load_checkpoint(path)
+
 
 class TestGuidedSamplingWithTrainedDenoiser:
     def test_higher_weight_concentrates_on_conditioned_component(self):
@@ -469,8 +599,12 @@ class TestGuidedSamplingWithTrainedDenoiser:
         n = 2000
         z_T = np.random.default_rng(10).standard_normal((n, 2))
         cond = ("text", 0)  # the component centered near -2
-        low = sample_cfg(dn, cond, 1.0, sched, z_T, rng=np.random.default_rng(11))
-        high = sample_cfg(dn, cond, 3.0, sched, z_T, rng=np.random.default_rng(11))
+        low = sample_progressive(
+            dn, GuidanceSchedule(cond, cond, 1.0, 1.0, t1=0, T=50), sched, z_T, rng=np.random.default_rng(11)
+        )
+        high = sample_progressive(
+            dn, GuidanceSchedule(cond, cond, 3.0, 3.0, t1=0, T=50), sched, z_T, rng=np.random.default_rng(11)
+        )
         frac_low = float(np.mean(low.mean(axis=1) < 0))
         frac_high = float(np.mean(high.mean(axis=1) < 0))
         assert frac_high >= frac_low
