@@ -29,8 +29,6 @@ __all__ = [
 SAMPLE_RATE = 16000
 CLIP_SAMPLES = int(SAMPLE_RATE * CLIP_SECONDS)
 
-PREPROCESS_MODES = ("pad_crop_head", "pad_crop_random")
-
 
 def rms(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
@@ -82,31 +80,18 @@ def resample_to_clip_rate(audio: np.ndarray, source_rate: int) -> np.ndarray:
     return resample_poly(np.asarray(audio, dtype=np.float64), up, down, window=h)
 
 
-def preprocess_clip(
-    audio: np.ndarray,
-    source_rate: int,
-    mode: str = "pad_crop_head",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def preprocess_clip(audio: np.ndarray, source_rate: int) -> np.ndarray:
     """Normalize any input recording to one 10 s mono clip at 16 kHz.
 
-    Long inputs crop (head, or a random 10 s segment under
-    ``pad_crop_random``); short ones right-pad with zeros.
+    Long inputs keep their first 10 s; short ones right-pad with zeros.
     """
-    if mode not in PREPROCESS_MODES:
-        raise ValueError(f"unknown mode {mode!r}, want one of {PREPROCESS_MODES}")
     x = to_mono(audio)
     if x.size == 0:
         raise ValueError("empty input audio")
     x = resample_to_clip_rate(x, source_rate)
     n = x.shape[0]
     if n >= CLIP_SAMPLES:
-        if mode == "pad_crop_head" or n == CLIP_SAMPLES:
-            return x[:CLIP_SAMPLES].copy()
-        if rng is None:
-            raise ValueError("pad_crop_random needs an rng")
-        start = int(rng.integers(0, n - CLIP_SAMPLES + 1))
-        return x[start : start + CLIP_SAMPLES].copy()
+        return x[:CLIP_SAMPLES].copy()
     out = np.zeros(CLIP_SAMPLES, dtype=np.float64)
     out[:n] = x
     return out

@@ -171,6 +171,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config_resolved(args)
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     if cfg.speech_manifest is None or cfg.background_manifest is None:
         raise ConfigError("simulate needs speech_manifest and background_manifest in the config")
     out_dir = Path(cfg.output_dir)
@@ -185,7 +187,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for i in range(args.count)
     ]
     records: dict[int, dict[str, Any]] = {}
-    if args.workers <= 1 or not tasks:
+    if args.workers == 1 or not tasks:
         _init_sim_worker(cfg.speech_manifest, cfg.background_manifest, cfg.priors)
         for task in tasks:
             i, rec = _sim_task(task)

@@ -19,6 +19,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
+from urllib.parse import urlsplit
 
 import yaml
 
@@ -26,8 +27,6 @@ from soundscene.diffusion import REVERSE_MODES, SCHEDULES
 from soundscene.scene import ScenePriors
 
 __all__ = ["ConfigError", "SamplerConfig", "PlannerEndpoint", "PipelineConfig", "load_config"]
-
-DEFAULT_API_KEY_ENV = "PLANNER_API_KEY"
 
 # libyaml's safe loader when PyYAML was built with it, else the pure-Python one
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -69,20 +68,23 @@ class SamplerConfig:
 class PlannerEndpoint:
     """Chat-completion endpoint for the prompt planner.
 
-    api_key_env names the environment variable holding the bearer
-    token; the token itself is never written to disk.
+    url is an http or https URL (any other scheme, file:// included, is
+    refused); api_key_env names the environment variable holding the
+    bearer token; the token itself is never written to disk.
     """
 
     url: str = ""
     model: str = ""
-    api_key_env: str = DEFAULT_API_KEY_ENV
+    api_key_env: str = "PLANNER_API_KEY"
     timeout: float = 30.0
 
     def __post_init__(self) -> None:
-        if not self.url:
-            raise ConfigError("url must be a non-empty URL")
+        if urlsplit(self.url).scheme not in ("http", "https"):
+            raise ConfigError(f"url must be an http or https URL, got {self.url!r}")
         if not self.model:
             raise ConfigError("model must be a non-empty model name")
+        if not self.api_key_env.strip():
+            raise ConfigError(f"api_key_env must name a variable, got {self.api_key_env!r}")
         if self.timeout <= 0:
             raise ConfigError(f"timeout must be positive, got {self.timeout}")
 

@@ -10,13 +10,12 @@ when parsing fails.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
-from soundscene.config import DEFAULT_API_KEY_ENV, PlannerEndpoint
+from soundscene.config import PlannerEndpoint
 from soundscene.dsl import DEFAULT_CLIP_SECONDS, PromptSyntaxError, StructuredPrompt, parse
 
 __all__ = ["PlannerError", "PlannerRequest", "PlannerClient"]
@@ -100,33 +99,44 @@ class PlannerClient:
 
     The bearer token comes from the environment variable named by the
     endpoint config (default PLANNER_API_KEY) and is read per request.
+    A redirect is refused, so the token goes only to the configured URL;
+    proxies come from HTTP(S)_PROXY as for any urllib request.
     """
 
     def __init__(self, endpoint: PlannerEndpoint):
         self.endpoint = endpoint
 
     def _post(self, content: str) -> str:
-        env_name = self.endpoint.api_key_env or DEFAULT_API_KEY_ENV
+        # imported here: urllib.request pulls in http.client, email and ssl,
+        # which only planning needs
+        import http.client
+        import urllib.request
+
+        class RefuseRedirect(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, *args, **kwargs):
+                return None  # a 3xx reply raises HTTPError; the token never follows it
+
+        env_name = self.endpoint.api_key_env
         token = os.environ.get(env_name)
         if not token:
             raise PlannerError(
                 f"planner auth token missing: set the {env_name} environment variable"
             )
-        body = {
-            "model": self.endpoint.model,
-            "messages": [{"role": "user", "content": content}],
-        }
+        body = {"model": self.endpoint.model, "messages": [{"role": "user", "content": content}]}
+        request = urllib.request.Request(  # a POST, since it carries data
+            self.endpoint.url,
+            data=json.dumps(body).encode("utf-8"),
+            headers={"Authorization": f"Bearer {token}", "Content-Type": "application/json"},
+        )
+        opener = urllib.request.build_opener(RefuseRedirect)
         try:
-            resp = requests.post(
-                self.endpoint.url,
-                json=body,
-                headers={"Authorization": f"Bearer {token}"},
-                timeout=self.endpoint.timeout,
-            )
-            resp.raise_for_status()
-            data = resp.json()
-        except requests.RequestException as exc:
+            with opener.open(request, timeout=self.endpoint.timeout) as resp:
+                raw = resp.read()
+        # a malformed status line raises http.client.BadStatusLine, not an OSError
+        except (OSError, http.client.HTTPException) as exc:
             raise PlannerError(f"planner request failed: {exc}") from exc
+        try:
+            data = json.loads(raw)
         except ValueError as exc:
             raise PlannerError(f"planner response is not JSON: {exc}") from exc
         try:
@@ -160,6 +170,7 @@ class PlannerClient:
             try:
                 return extract_prompt(second_reply)
             except PlannerError as second_err:
+                saved = ""
                 if raw_dump_path is not None:
                     dump = Path(raw_dump_path)
                     dump.parent.mkdir(parents=True, exist_ok=True)
@@ -168,10 +179,7 @@ class PlannerClient:
                         + "\n== attempt 2 ==\n" + second_reply + "\n",
                         encoding="utf-8",
                     )
-                    raise PlannerError(
-                        f"planner reply unparseable after repair retry: {second_err}"
-                        f" (raw replies saved to {dump})"
-                    ) from second_err
+                    saved = f" (raw replies saved to {dump})"
                 raise PlannerError(
-                    f"planner reply unparseable after repair retry: {second_err}"
+                    f"planner reply unparseable after repair retry: {second_err}{saved}"
                 ) from second_err

@@ -200,7 +200,7 @@ def load_background_pool(manifest_path: str | Path) -> BackgroundPool:
         if not caption.strip():
             raise ValueError(f"{where}: empty caption")
         rate, raw = _read_pool_wav(root / rel, where)
-        audio = preprocess_clip(raw, rate, mode="pad_crop_head")
+        audio = preprocess_clip(raw, rate)
         clips.append(BackgroundClip(clip_id=rel, audio=audio, caption=caption))
     if not clips:
         raise ValueError(f"{manifest_path}: empty background manifest")

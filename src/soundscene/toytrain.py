@@ -122,20 +122,23 @@ class ToyDenoiser:
         s1, s2, s3 = self.level_sizes
         return s1 * s2 * s3
 
-    def view_of(self, full_id: int, granularity: str) -> int:
-        """Project a full condition id onto a coarser granularity."""
-        if not 0 <= full_id < self.n_conditions:
-            raise ValueError(f"condition id {full_id} outside 0..{self.n_conditions - 1}")
+    def view_of(self, full_id: int | np.ndarray, granularity: str) -> int | np.ndarray:
+        """Project full condition ids (an int, or an integer array projected
+        element-wise) onto a coarser granularity; a scalar id gives an int."""
+        ids = np.asarray(full_id)
+        n = self.n_conditions
+        if ids.dtype.kind not in "iu":
+            raise ValueError(f"condition ids must be integers in 0..{n - 1}, got {full_id!r}")
+        bad = (ids < 0) | (ids >= n)
+        if bad.any():
+            raise ValueError(f"condition id {ids[bad].flat[0]} outside 0..{n - 1}")
         _, s2, s3 = self.level_sizes
-        if granularity == "full":
-            return full_id
-        if granularity == "text_timing":
-            return full_id // s3
-        if granularity == "text":
-            return full_id // (s2 * s3)
-        if granularity == "null":
-            return 0
-        raise ValueError(f"unknown granularity {granularity!r}")
+        # every in-range id // n is 0, the null table's one row
+        divisors = {"full": 1, "text_timing": s3, "text": s2 * s3, "null": n}
+        if granularity not in divisors:
+            raise ValueError(f"unknown granularity {granularity!r}")
+        views = ids // divisors[granularity]
+        return int(views) if views.ndim == 0 else views
 
     def _table(self, granularity: str) -> str:
         if granularity not in GRANULARITIES:
@@ -339,7 +342,7 @@ def _noised_batch(
     z_t = forward_noise(z0, t, eps, sched)
     view_ids = None
     if denoiser is not None:
-        view_ids = np.array([denoiser.view_of(int(c), granularity) for c in cids], dtype=np.int64)
+        view_ids = denoiser.view_of(cids, granularity)
     return z_t, t.astype(np.float64), eps, view_ids
 
 

@@ -1,6 +1,12 @@
-"""Shared test data, generators for valid prompts, and a reference sampler."""
+"""Shared test data, generators for valid prompts, a reference sampler, and a
+loopback HTTP server that stands in for the planner's chat-completion endpoint."""
 
 from __future__ import annotations
+
+import json
+import threading
+from dataclasses import dataclass
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
@@ -86,3 +92,72 @@ def reference_cfg_loop(denoiser, c, w, sched, z_T, rng=None, mode="ancestral"):
         eps_u = np.asarray(denoiser.predict(z, t, None), dtype=np.float64)
         z = reverse_step(z, t, cfg_combine(eps_c, eps_u, w), sched, mode=mode, rng=rng)
     return z
+
+
+@dataclass(frozen=True)
+class Reply:
+    """One scripted answer of a LoopbackPlanner."""
+
+    status: int = 200
+    body: bytes = b""
+    headers: tuple[tuple[str, str], ...] = ()
+    raw: bytes | None = None  # written to the socket as is, in place of a well-formed reply
+    stall: float = 0.0  # seconds to wait before answering
+
+
+class LoopbackPlanner:
+    """An HTTP server on 127.0.0.1 playing a chat-completion endpoint.
+
+    Each request, POST or GET, gets the next item of ``replies``: a ``Reply``,
+    or a JSON payload sent with status 200 (a 500 once the script is used
+    up).  Each is recorded in ``received`` as {"method", "path", "headers",
+    "json"}, with "json" None for an empty body.
+    """
+
+    def __init__(self, replies=()):
+        self.replies = list(replies)
+        self.received: list[dict] = []
+        self._closing = threading.Event()  # cuts a stalled reply short
+        owner = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                owner._answer(self)
+
+            do_GET = do_POST
+
+            def log_message(self, *args):
+                pass
+
+        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+        )
+        self._thread.start()
+        self.url = f"http://127.0.0.1:{self._httpd.server_port}/v1/chat"
+
+    def _answer(self, handler: BaseHTTPRequestHandler) -> None:
+        body = handler.rfile.read(int(handler.headers.get("Content-Length", 0)))
+        self.received.append({"method": handler.command, "path": handler.path,
+                              "headers": handler.headers, "json": json.loads(body or "null")})
+        reply = self.replies.pop(0) if self.replies else Reply(500, b"no scripted reply")
+        if not isinstance(reply, Reply):
+            reply = Reply(body=json.dumps(reply).encode("utf-8"))
+        if self._closing.wait(reply.stall):
+            return
+        if reply.raw is not None:
+            handler.wfile.write(reply.raw)
+            return
+        handler.send_response(reply.status)
+        for name, value in reply.headers:
+            handler.send_header(name, value)
+        handler.send_header("Content-Length", str(len(reply.body)))
+        handler.end_headers()
+        handler.wfile.write(reply.body)
+
+    def close(self) -> None:
+        self._closing.set()
+        self._httpd.shutdown()
+        self._httpd.server_close()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive(), "loopback planner did not stop"

@@ -93,35 +93,13 @@ class TestPreprocessClip:
 
     def test_head_crop_long_input(self):
         x = np.arange(11 * SAMPLE_RATE, dtype=np.float64)
-        out = preprocess_clip(x, SAMPLE_RATE, mode="pad_crop_head")
+        out = preprocess_clip(x, SAMPLE_RATE)
         assert np.array_equal(out, x[:CLIP_SAMPLES])
 
     def test_exact_length_passthrough(self):
         x = np.random.default_rng(1).standard_normal(CLIP_SAMPLES)
         out = preprocess_clip(x, SAMPLE_RATE)
         assert np.array_equal(out, x)
-
-    def test_random_crop_is_contiguous_segment(self):
-        x = np.arange(12 * SAMPLE_RATE, dtype=np.float64)
-        rng = np.random.default_rng(7)
-        out = preprocess_clip(x, SAMPLE_RATE, mode="pad_crop_random", rng=rng)
-        start = int(out[0])
-        assert 0 <= start <= x.shape[0] - CLIP_SAMPLES
-        assert np.array_equal(out, x[start : start + CLIP_SAMPLES])
-
-    def test_random_crop_varies(self):
-        x = np.arange(12 * SAMPLE_RATE, dtype=np.float64)
-        rng = np.random.default_rng(7)
-        starts = {
-            int(preprocess_clip(x, SAMPLE_RATE, mode="pad_crop_random", rng=rng)[0])
-            for _ in range(8)
-        }
-        assert len(starts) > 1
-
-    def test_random_crop_needs_rng(self):
-        x = np.zeros(12 * SAMPLE_RATE)
-        with pytest.raises(ValueError, match="rng"):
-            preprocess_clip(x, SAMPLE_RATE, mode="pad_crop_random")
 
     def test_stereo_is_downmixed(self):
         x = np.stack([np.ones(SAMPLE_RATE), np.zeros(SAMPLE_RATE)], axis=1)
@@ -131,10 +109,6 @@ class TestPreprocessClip:
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="empty"):
             preprocess_clip(np.array([]), SAMPLE_RATE)
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError, match="mode"):
-            preprocess_clip(np.zeros(10), SAMPLE_RATE, mode="loop")
 
 
 class TestMixAtSnr:

@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 from soundscene import cli
-from soundscene import planner as planner_mod
 from soundscene.cli import main
 from soundscene.dsl import parse, serialize, validate
 from soundscene.manifest import read_jsonl
 from soundscene.toytrain import ToyDenoiser, save_checkpoint
 
-from test_planner import FakeResponse, GOOD_PROMPT, RecordingPost, chat_reply
+from test_planner import GOOD_PROMPT, chat_reply
 
 
 @pytest.fixture
@@ -203,6 +202,15 @@ class TestSimulate:
         assert rc == 1
         assert "--count" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_rejected(self, run_config, tmp_path, workers, capsys):
+        rc = main(["simulate", "--config", str(run_config), "--count", "2",
+                   "--workers", workers])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert f"error: --workers must be >= 1, got {workers}" in err
+        assert not (tmp_path / "out" / "scenes.jsonl").exists()
+
     def test_pools_required_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "bare.yaml"
         cfg.write_text("dataset_seed: 1\n")
@@ -381,66 +389,63 @@ class TestIngest:
 
 class TestPlanCommand:
     @pytest.fixture
-    def planner_config(self, tmp_path):
+    def server(self, planner_server):
+        return planner_server()
+
+    @pytest.fixture
+    def planner_config(self, tmp_path, server):
         cfg = tmp_path / "plan.yaml"
         cfg.write_text(
             "output_dir: out\n"
             "planner:\n"
-            "  url: https://planner.test/v1/chat\n"
+            f"  url: {server.url}\n"
             "  model: plan-1\n",
             encoding="utf-8",
         )
         return cfg
 
-    def test_prints_planned_prompt(self, planner_config, monkeypatch, capsys):
+    def test_prints_planned_prompt(self, planner_config, server, monkeypatch, capsys):
         monkeypatch.setenv("PLANNER_API_KEY", "tok")
-        post = RecordingPost([FakeResponse(chat_reply(GOOD_PROMPT))])
-        monkeypatch.setattr(planner_mod.requests, "post", post)
+        server.replies.append(chat_reply(GOOD_PROMPT))
         rc = main(["plan", "--config", str(planner_config),
                    "--caption", "Rain falls on a tin roof"])
         out, _ = read_out(capsys)
         assert rc == 0
         assert out.strip() == GOOD_PROMPT
-        assert "Rain falls on a tin roof" in post.calls[0]["json"]["messages"][0]["content"]
+        assert "Rain falls on a tin roof" in server.received[0]["json"]["messages"][0]["content"]
 
-    def test_speech_flag_threads_through(self, planner_config, monkeypatch, capsys):
+    def test_speech_flag_threads_through(self, planner_config, server, monkeypatch, capsys):
         monkeypatch.setenv("PLANNER_API_KEY", "tok")
-        post = RecordingPost([FakeResponse(chat_reply(GOOD_PROMPT))])
-        monkeypatch.setattr(planner_mod.requests, "post", post)
+        server.replies.append(chat_reply(GOOD_PROMPT))
         rc = main(["plan", "--config", str(planner_config), "--caption", "c",
                    "--speech", "Hold the door"])
         assert rc == 0
-        assert "Hold the door" in post.calls[0]["json"]["messages"][0]["content"]
+        assert "Hold the door" in server.received[0]["json"]["messages"][0]["content"]
 
-    def test_missing_planner_section_is_config_error(self, tmp_path, monkeypatch, capsys):
+    def test_missing_planner_section_is_config_error(self, tmp_path, server, monkeypatch,
+                                                     capsys):
         monkeypatch.setenv("PLANNER_API_KEY", "tok")
-        post = RecordingPost([])
-        monkeypatch.setattr(planner_mod.requests, "post", post)
         cfg = tmp_path / "noplanner.yaml"
         cfg.write_text("dataset_seed: 1\n")
         rc = main(["plan", "--config", str(cfg), "--caption", "c"])
         _, err = read_out(capsys)
         assert rc == 1
         assert "planner" in err
-        assert post.calls == []
+        assert server.received == []
 
-    def test_missing_token_fails_before_network(self, planner_config, monkeypatch, capsys):
+    def test_missing_token_fails_before_network(self, planner_config, server, monkeypatch,
+                                                capsys):
         monkeypatch.delenv("PLANNER_API_KEY", raising=False)
-        post = RecordingPost([])
-        monkeypatch.setattr(planner_mod.requests, "post", post)
         rc = main(["plan", "--config", str(planner_config), "--caption", "c"])
         _, err = read_out(capsys)
         assert rc == 1
         assert "PLANNER_API_KEY" in err
-        assert post.calls == []
+        assert server.received == []
 
-    def test_double_parse_failure_saves_raw_replies(self, planner_config, tmp_path,
+    def test_double_parse_failure_saves_raw_replies(self, planner_config, server, tmp_path,
                                                     monkeypatch, capsys):
         monkeypatch.setenv("PLANNER_API_KEY", "tok")
-        post = RecordingPost(
-            [FakeResponse(chat_reply("bad one")), FakeResponse(chat_reply("bad two"))]
-        )
-        monkeypatch.setattr(planner_mod.requests, "post", post)
+        server.replies += [chat_reply("bad one"), chat_reply("bad two")]
         rc = main(["plan", "--config", str(planner_config), "--caption", "c"])
         _, err = read_out(capsys)
         assert rc == 1
@@ -752,14 +757,14 @@ class TestParserSurface:
     def test_import_leaves_scipy_signal_unloaded(self):
         # scipy.signal takes about a second to import and only resampling
         # needs it; scipy.io (WAV reading) and scipy.sparse (the matcher)
-        # are likewise loaded on first use
+        # are likewise loaded on first use, and the planner's HTTP stack
+        # (urllib.request, http.client) on its first request
         import soundscene
 
         src = str(Path(soundscene.__file__).resolve().parents[1])
-        code = (
-            "import sys, soundscene.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.io', 'scipy.sparse') if m in sys.modules])"
-        )
+        lazy = ("scipy.signal", "scipy.io", "scipy.sparse", "requests", "urllib.request",
+                "http.client")
+        code = f"import sys, soundscene.cli; print([m for m in {lazy!r} if m in sys.modules])"
         proc = subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": src},

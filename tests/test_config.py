@@ -52,6 +52,11 @@ MALFORMED_VALUES = [
     ("sampler: {w_high: -1}", "sampler.w_high"),
     ("planner: {url: u, model: m, timeout: '30'}", "planner.timeout"),
     ("planner: {model: m}", "planner.url"),
+    ("planner: {url: 'file:///etc/passwd', model: m}", "planner.url"),
+    ("planner: {url: planner.example/v1/chat, model: m}", "planner.url"),
+    ("planner: {url: 'ftp://planner.example/v1', model: m}", "planner.url"),
+    ("planner: {url: 'https://x', model: m, api_key_env: ''}", "planner.api_key_env"),
+    ("planner: {url: 'https://x', model: m, api_key_env: '  '}", "planner.api_key_env"),
     ("dataset_seed: 42.9", "dataset_seed"),
     ("dataset_seed: '42'", "dataset_seed"),
     ("dataset_seed: -1", "dataset_seed"),

@@ -1,9 +1,12 @@
-import pytest
-import requests
+import json
+import socket
+import time
 
+import pytest
+
+from fixtures import Reply
 from soundscene.config import PlannerEndpoint
 from soundscene.dsl import serialize
-from soundscene import planner as planner_mod
 from soundscene.planner import (
     PlannerClient,
     PlannerError,
@@ -25,51 +28,23 @@ GOOD_REPLY = (
 )
 
 
-class FakeResponse:
-    def __init__(self, payload=None, status=200, body_is_json=True):
-        self.payload = payload
-        self.status = status
-        self.body_is_json = body_is_json
-
-    def raise_for_status(self):
-        if self.status >= 400:
-            raise requests.HTTPError(f"{self.status} error")
-
-    def json(self):
-        if not self.body_is_json:
-            raise ValueError("not json")
-        return self.payload
-
-
 def chat_reply(text):
     return {"choices": [{"message": {"content": text}}]}
 
 
 @pytest.fixture
-def endpoint():
-    return PlannerEndpoint(url="https://planner.test/v1/chat", model="plan-1", timeout=7.0)
+def server(planner_server):
+    return planner_server()
+
+
+@pytest.fixture
+def endpoint(server):
+    return PlannerEndpoint(url=server.url, model="plan-1", timeout=7.0)
 
 
 @pytest.fixture
 def api_key(monkeypatch):
     monkeypatch.setenv("PLANNER_API_KEY", "tok-123")
-
-
-class RecordingPost:
-    """Stand-in for requests.post that replays scripted responses."""
-
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.calls = []
-
-    def __call__(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
-        if not self.responses:
-            raise AssertionError("unexpected extra request")
-        r = self.responses.pop(0)
-        if isinstance(r, Exception):
-            raise r
-        return r
 
 
 class TestTemplate:
@@ -121,109 +96,122 @@ class TestExtractPrompt:
 
 
 class TestClientRequest:
-    def test_success_posts_chat_completion_shape(self, endpoint, api_key, monkeypatch):
-        post = RecordingPost([FakeResponse(chat_reply(GOOD_REPLY))])
-        monkeypatch.setattr(planner_mod.requests, "post", post)
+    def test_success_posts_chat_completion_shape(self, server, endpoint, api_key):
+        server.replies.append(chat_reply(GOOD_REPLY))
         p = PlannerClient(endpoint).plan("Rain falls on a tin roof")
         assert serialize(p) == GOOD_PROMPT
-        assert len(post.calls) == 1
-        call = post.calls[0]
-        assert call["url"] == "https://planner.test/v1/chat"
-        assert call["timeout"] == 7.0
+        assert len(server.received) == 1
+        call = server.received[0]
+        assert call["method"] == "POST"
+        assert call["path"] == "/v1/chat"
         assert call["headers"]["Authorization"] == "Bearer tok-123"
+        assert call["headers"]["Content-Type"] == "application/json"
         body = call["json"]
         assert body["model"] == "plan-1"
         assert len(body["messages"]) == 1
         assert body["messages"][0]["role"] == "user"
         assert "Caption: Rain falls on a tin roof" in body["messages"][0]["content"]
 
-    def test_missing_api_key_fails_before_any_request(self, endpoint, monkeypatch):
+    def test_missing_api_key_fails_before_any_request(self, server, endpoint, monkeypatch):
         monkeypatch.delenv("PLANNER_API_KEY", raising=False)
-        post = RecordingPost([])
-        monkeypatch.setattr(planner_mod.requests, "post", post)
         with pytest.raises(PlannerError, match="PLANNER_API_KEY"):
             PlannerClient(endpoint).plan("c")
-        assert post.calls == []
+        assert server.received == []
 
-    def test_custom_api_key_env_honored(self, monkeypatch):
-        ep = PlannerEndpoint(url="https://x", model="m", api_key_env="OTHER_TOKEN")
+    def test_custom_api_key_env_honored(self, server, monkeypatch):
+        ep = PlannerEndpoint(url=server.url, model="m", api_key_env="OTHER_TOKEN")
         monkeypatch.delenv("PLANNER_API_KEY", raising=False)
         monkeypatch.setenv("OTHER_TOKEN", "tok-other")
-        post = RecordingPost([FakeResponse(chat_reply(GOOD_REPLY))])
-        monkeypatch.setattr(planner_mod.requests, "post", post)
+        server.replies.append(chat_reply(GOOD_REPLY))
         PlannerClient(ep).plan("c")
-        assert post.calls[0]["headers"]["Authorization"] == "Bearer tok-other"
+        assert server.received[0]["headers"]["Authorization"] == "Bearer tok-other"
 
-    def test_network_error_wrapped(self, endpoint, api_key, monkeypatch):
-        post = RecordingPost([requests.ConnectionError("refused")])
-        monkeypatch.setattr(planner_mod.requests, "post", post)
+    def test_network_error_wrapped(self, api_key, planner_server):
+        # planner_server clears proxy variables; a bound socket that never
+        # listens refuses every connection
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            port = closed.getsockname()[1]
+            ep = PlannerEndpoint(url=f"http://127.0.0.1:{port}/v1/chat", model="m")
+            with pytest.raises(PlannerError, match="request failed"):
+                PlannerClient(ep).plan("c")
+
+    def test_http_error_wrapped(self, server, endpoint, api_key):
+        for status in (401, 500):
+            server.replies.append(Reply(status, b'{"error": "no"}'))
+            with pytest.raises(PlannerError, match=f"request failed: HTTP Error {status}"):
+                PlannerClient(endpoint).plan("c")
+
+    def test_timeout_wrapped(self, server, api_key):
+        ep = PlannerEndpoint(url=server.url, model="m", timeout=0.3)
+        server.replies.append(Reply(body=json.dumps(chat_reply(GOOD_REPLY)).encode(), stall=60.0))
+        start = time.monotonic()
+        with pytest.raises(PlannerError, match="request failed"):
+            PlannerClient(ep).plan("c")
+        elapsed = time.monotonic() - start
+        assert 0.25 <= elapsed < 0.3 + 3.0
+
+    def test_malformed_status_line_wrapped(self, server, endpoint, api_key):
+        server.replies.append(Reply(raw=b"garbage\r\n\r\n"))
         with pytest.raises(PlannerError, match="request failed"):
             PlannerClient(endpoint).plan("c")
 
-    def test_http_error_wrapped(self, endpoint, api_key, monkeypatch):
-        post = RecordingPost([FakeResponse(status=401)])
-        monkeypatch.setattr(planner_mod.requests, "post", post)
-        with pytest.raises(PlannerError, match="request failed"):
-            PlannerClient(endpoint).plan("c")
-
-    def test_non_json_body_wrapped(self, endpoint, api_key, monkeypatch):
-        post = RecordingPost([FakeResponse(body_is_json=False)])
-        monkeypatch.setattr(planner_mod.requests, "post", post)
+    def test_non_json_body_wrapped(self, server, endpoint, api_key):
+        server.replies.append(Reply(body=b"<html>not json</html>"))
         with pytest.raises(PlannerError, match="not JSON"):
             PlannerClient(endpoint).plan("c")
 
-    def test_missing_choices_wrapped(self, endpoint, api_key, monkeypatch):
-        post = RecordingPost([FakeResponse({"status": "ok"})])
-        monkeypatch.setattr(planner_mod.requests, "post", post)
+    def test_missing_choices_wrapped(self, server, endpoint, api_key):
+        server.replies.append({"status": "ok"})
         with pytest.raises(PlannerError, match="choices"):
             PlannerClient(endpoint).plan("c")
 
+    def test_non_text_content_wrapped(self, server, endpoint, api_key):
+        server.replies.append({"choices": [{"message": {"content": 5}}]})
+        with pytest.raises(PlannerError, match="not text"):
+            PlannerClient(endpoint).plan("c")
+
+    def test_redirect_refused_and_token_not_forwarded(self, server, endpoint, api_key,
+                                                      planner_server):
+        target = planner_server(chat_reply(GOOD_REPLY))
+        server.replies.append(Reply(302, headers=(("Location", target.url),)))
+        with pytest.raises(PlannerError, match="request failed: HTTP Error 302"):
+            PlannerClient(endpoint).plan("c")
+        assert len(server.received) == 1
+        assert target.received == []
+
 
 class TestRepairRetry:
-    def test_repair_round_trip_succeeds(self, endpoint, api_key, monkeypatch):
-        post = RecordingPost(
-            [
-                FakeResponse(chat_reply("sorry, here is prose with no prompt")),
-                FakeResponse(chat_reply(GOOD_PROMPT)),
-            ]
-        )
-        monkeypatch.setattr(planner_mod.requests, "post", post)
+    def test_repair_round_trip_succeeds(self, server, endpoint, api_key):
+        server.replies += [
+            chat_reply("sorry, here is prose with no prompt"),
+            chat_reply(GOOD_PROMPT),
+        ]
         p = PlannerClient(endpoint).plan("c")
         assert serialize(p) == GOOD_PROMPT
-        assert len(post.calls) == 2
-        repair = post.calls[1]["json"]["messages"][0]["content"]
+        assert len(server.received) == 2
+        repair = server.received[1]["json"]["messages"][0]["content"]
         assert "could not be parsed" in repair
         assert "sorry, here is prose with no prompt" in repair
 
-    def test_double_failure_saves_raw_and_raises(self, endpoint, api_key, monkeypatch, tmp_path):
-        post = RecordingPost(
-            [
-                FakeResponse(chat_reply("first bad reply")),
-                FakeResponse(chat_reply("second bad reply")),
-            ]
-        )
-        monkeypatch.setattr(planner_mod.requests, "post", post)
+    def test_double_failure_saves_raw_and_raises(self, server, endpoint, api_key, tmp_path):
+        server.replies += [chat_reply("first bad reply"), chat_reply("second bad reply")]
         dump = tmp_path / "raw" / "planner_raw.txt"
-        with pytest.raises(PlannerError, match="after repair retry"):
+        with pytest.raises(PlannerError, match="after repair retry") as exc:
             PlannerClient(endpoint).plan("c", raw_dump_path=dump)
-        assert len(post.calls) == 2
+        assert str(exc.value).endswith(f"(raw replies saved to {dump})")
+        assert len(server.received) == 2
         raw = dump.read_text(encoding="utf-8")
         assert "first bad reply" in raw
         assert "second bad reply" in raw
 
-    def test_double_failure_without_dump_path(self, endpoint, api_key, monkeypatch):
-        post = RecordingPost(
-            [
-                FakeResponse(chat_reply("bad")),
-                FakeResponse(chat_reply("still bad")),
-            ]
-        )
-        monkeypatch.setattr(planner_mod.requests, "post", post)
-        with pytest.raises(PlannerError, match="after repair retry"):
+    def test_double_failure_without_dump_path(self, server, endpoint, api_key):
+        server.replies += [chat_reply("bad"), chat_reply("still bad")]
+        with pytest.raises(PlannerError, match="after repair retry") as exc:
             PlannerClient(endpoint).plan("c")
+        assert "saved" not in str(exc.value)
 
-    def test_no_retry_when_first_reply_parses(self, endpoint, api_key, monkeypatch):
-        post = RecordingPost([FakeResponse(chat_reply(GOOD_REPLY))])
-        monkeypatch.setattr(planner_mod.requests, "post", post)
+    def test_no_retry_when_first_reply_parses(self, server, endpoint, api_key):
+        server.replies.append(chat_reply(GOOD_REPLY))
         PlannerClient(endpoint).plan("c")
-        assert len(post.calls) == 1
+        assert len(server.received) == 1

@@ -121,6 +121,31 @@ class TestConditionViews:
         with pytest.raises(ValueError, match="granularity"):
             dn.view_of(0, "prosody")
 
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    def test_array_form_matches_scalar_calls(self, granularity):
+        dn = ToyDenoiser(2, 10, level_sizes=(3, 4, 5), rng=np.random.default_rng(0))
+        ids = np.random.default_rng(1).permutation(dn.n_conditions).reshape(6, 10)
+        scalar = [[dn.view_of(int(c), granularity) for c in row] for row in ids]
+        assert all(type(v) is int for row in scalar for v in row)
+        views = dn.view_of(ids, granularity)
+        assert views.shape == ids.shape and views.dtype == ids.dtype
+        assert views.tolist() == scalar
+        assert type(dn.view_of(np.int64(37), granularity)) is int
+
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    def test_one_bad_id_in_array_raises(self, granularity):
+        dn = _tiny_denoiser()
+        with pytest.raises(ValueError, match="condition id 8 outside 0..7"):
+            dn.view_of(np.array([0, 3, 8, 99, 1]), granularity)
+        with pytest.raises(ValueError, match="condition id -2 outside 0..7"):
+            dn.view_of(np.array([[0, 7], [-2, 1]]), granularity)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, np.array([1.0, 2.0]), "3"])
+    def test_non_integer_ids_rejected(self, bad):
+        dn = _tiny_denoiser()
+        with pytest.raises(ValueError, match="must be integers"):
+            dn.view_of(bad, "full")
+
 
 class TestPredict:
     def test_shape_follows_input(self):
