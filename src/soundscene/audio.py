@@ -111,18 +111,18 @@ def mix_at_snr(
     speech: np.ndarray,
     background: np.ndarray,
     snr_db: float,
-    active: np.ndarray | None = None,
-    background_rms: float | None = None,
+    active: np.ndarray,
+    background_rms: float,
 ) -> MixResult:
     """Mix speech over background at a target speech-active SNR.
 
-    The background gain is rms(speech over active samples) divided by
-    rms(background) * 10^(snr_db/20); speech RMS intentionally counts only
-    the active region (the whole clip when ``active`` is None), background
-    RMS the full clip.  A caller that mixes one background many times can
-    pass its ``rms(background)`` as ``background_rms`` instead of having it
-    recomputed.  If the sum would clip beyond full scale, the output is
-    peak-normalized to 0.95.  The waveform is always a fresh array.
+    The background gain is rms(speech over the ``active`` samples) divided
+    by background_rms * 10^(snr_db/20): speech RMS intentionally counts
+    only the active region, while ``background_rms`` is the caller's
+    ``rms(background)`` over the full clip, so a background mixed into many
+    scenes has it computed once.  If the sum would clip beyond full scale,
+    the output is peak-normalized to 0.95.  The waveform is always a fresh
+    array.
     """
     speech = np.asarray(speech, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
@@ -132,24 +132,17 @@ def mix_at_snr(
         raise ValueError(
             f"length mismatch: speech {speech.shape[0]}, background {background.shape[0]}"
         )
-    if active is None:
-        active_speech = speech
-    else:
-        active = np.asarray(active, dtype=bool)
-        if active.shape != speech.shape:
-            raise ValueError("active mask must match the signal length")
-        if not active.any():
-            raise ValueError("speech-active region is empty")
-        active_speech = speech[active]
-    s_rms = rms(active_speech)
+    active = np.asarray(active, dtype=bool)
+    if active.shape != speech.shape:
+        raise ValueError("active mask must match the signal length")
+    if not active.any():
+        raise ValueError("speech-active region is empty")
+    s_rms = rms(speech[active])
     if s_rms == 0.0:
         raise ValueError("silent speech over the active region")
-    b_rms = rms(background) if background_rms is None else background_rms
-    if b_rms == 0.0:
-        raise ValueError("silent background")
-    if background_rms is not None and not (math.isfinite(b_rms) and b_rms > 0.0):
-        raise ValueError(f"background_rms must be finite and positive, got {b_rms}")
-    gain = s_rms / (b_rms * 10.0 ** (snr_db / 20.0))
+    if not (math.isfinite(background_rms) and background_rms > 0.0):
+        raise ValueError(f"background RMS must be finite and positive, got {background_rms}")
+    gain = s_rms / (background_rms * 10.0 ** (snr_db / 20.0))
     # gain * background + speech: one fresh array, no temporaries
     mix = np.multiply(background, gain)
     mix += speech
@@ -162,7 +155,8 @@ def mix_at_snr(
 
 
 def read_wav(path: str | Path) -> tuple[int, np.ndarray]:
-    """(rate, float64 audio in [-1, 1]); stereo stays (frames, channels)."""
+    """(rate, float64 audio in [-1, 1]); stereo stays (frames, channels).
+    A floating-point file with a NaN or infinite sample is an error."""
     # imported here: scipy.io pulls in scipy.sparse, and only reading needs it
     from scipy.io import wavfile
 
@@ -175,6 +169,8 @@ def read_wav(path: str | Path) -> tuple[int, np.ndarray]:
         audio = (data.astype(np.float64) - 128.0) / 128.0
     else:  # float32/float64 files are already in [-1, 1]
         audio = data.astype(np.float64)
+        if not np.isfinite(audio).all():
+            raise ValueError("non-finite sample in a floating-point WAV")
     return int(rate), audio
 
 

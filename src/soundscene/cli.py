@@ -37,6 +37,7 @@ from soundscene.diffusion import (
 )
 from soundscene.dsl import (
     EventAnnotation,
+    check_caption,
     from_annotations,
     parse,
     serialize,
@@ -136,10 +137,10 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
 _WORKER_STATE: dict[str, Any] = {}
 
 
-def _scene_record(index: int, scene: Any) -> dict[str, Any]:
+def _scene_record(clip_id: str, scene: Any) -> dict[str, Any]:
     return {
-        "clip_id": f"scene{index:05d}",
-        "audio": f"audio/scene{index:05d}.wav",
+        "clip_id": clip_id,
+        "audio": f"audio/{clip_id}.wav",
         "caption": scene.prompt.caption,
         "prompt": serialize(scene.prompt),
         "events": encode_events(scene.annotations),
@@ -155,16 +156,17 @@ def _init_sim_worker(speech_manifest: str, background_manifest: str, priors: Any
     _WORKER_STATE["priors"] = priors
 
 
-def _sim_task(task: tuple[int, int, str]) -> tuple[int, dict[str, Any]]:
-    index, seed, wav_path = task
+def _sim_task(task: tuple[int, int, Path]) -> tuple[int, dict[str, Any]]:
+    index, seed, out_dir = task
     scene = compose_scene(
         _WORKER_STATE["speech"],
         _WORKER_STATE["background"],
         _WORKER_STATE["priors"],
         seed=seed,
     )
-    write_wav(wav_path, scene.waveform)
-    return index, _scene_record(index, scene)
+    record = _scene_record(f"scene{index:05d}", scene)
+    write_wav(out_dir / record["audio"], scene.waveform)
+    return index, record
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -178,14 +180,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.output_dir)
     (out_dir / "audio").mkdir(parents=True, exist_ok=True)
 
-    tasks = [
-        (
-            i,
-            derive_scene_seed(cfg.dataset_seed, i),
-            str(out_dir / "audio" / f"scene{i:05d}.wav"),
-        )
-        for i in range(args.count)
-    ]
+    tasks = [(i, derive_scene_seed(cfg.dataset_seed, i), out_dir) for i in range(args.count)]
     records: dict[int, dict[str, Any]] = {}
     if args.workers == 1 or not tasks:
         _init_sim_worker(cfg.speech_manifest, cfg.background_manifest, cfg.priors)
@@ -229,6 +224,7 @@ def _read_caption_table(path: Path) -> dict[str, str]:
     for where, row in read_tsv(path, ("clip_id", "caption")):
         if row["clip_id"] in table:
             raise ValueError(f"{where}: duplicate caption for clip {row['clip_id']!r}")
+        check_caption(row["caption"], f"{where}: caption")
         table[row["clip_id"]] = row["caption"]
     return table
 
@@ -318,10 +314,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         c1: Any = GaussianCondition(np.zeros(dim), 1.0)
         c2: Any = GaussianCondition(np.full(dim, args.mu), args.sigma2)
         denoiser: Any = GaussianOracleDenoiser(prior=c1, sched=sched)
-        cond_label = {
-            id(c1): "gauss:mu=0,sigma2=1",
-            id(c2): f"gauss:mu={args.mu:g},sigma2={args.sigma2:g}",
-        }
+        phase_label = {1: "gauss:mu=0,sigma2=1", 2: f"gauss:mu={args.mu:g},sigma2={args.sigma2:g}"}
     else:
         if not args.checkpoint:
             raise ValueError("--denoiser toy_checkpoint needs --checkpoint PATH")
@@ -334,7 +327,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         full_id = args.condition_id
         c2 = ("full", full_id)
         c1 = ("text", denoiser.view_of(full_id, "text"))
-        cond_label = {id(c1): f"text:{c1[1]}", id(c2): f"full:{c2[1]}"}
+        phase_label = {1: f"text:{c1[1]}", 2: f"full:{c2[1]}"}
 
     gs = GuidanceSchedule(c1=c1, c2=c2, w_low=sc.w_low, w_high=sc.w_high, t1=sc.t1, T=sc.T)
     rng = np.random.default_rng(sc.seed)
@@ -347,7 +340,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         counter["step"] += 1
         log_lines.append(
             f"{counter['step']}\t{info.t}\t{info.phase}"
-            f"\t{cond_label[id(info.condition)]}\t{info.w:g}"
+            f"\t{phase_label[info.phase]}\t{info.w:g}"
         )
 
     z0 = sample_progressive(denoiser, gs, sched, z_T, rng=rng, mode=sc.mode, on_step=on_step)

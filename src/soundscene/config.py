@@ -68,9 +68,10 @@ class SamplerConfig:
 class PlannerEndpoint:
     """Chat-completion endpoint for the prompt planner.
 
-    url is an http or https URL (any other scheme, file:// included, is
-    refused); api_key_env names the environment variable holding the
-    bearer token; the token itself is never written to disk.
+    url is an http or https URL that names a host (any other scheme,
+    file:// included, is refused); api_key_env names the environment
+    variable holding the bearer token; the token itself is never written
+    to disk.
     """
 
     url: str = ""
@@ -79,8 +80,9 @@ class PlannerEndpoint:
     timeout: float = 30.0
 
     def __post_init__(self) -> None:
-        if urlsplit(self.url).scheme not in ("http", "https"):
-            raise ConfigError(f"url must be an http or https URL, got {self.url!r}")
+        parts = urlsplit(self.url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ConfigError(f"url must be an http or https URL with a host, got {self.url!r}")
         if not self.model:
             raise ConfigError("model must be a non-empty model name")
         if not self.api_key_env.strip():

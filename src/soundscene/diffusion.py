@@ -59,12 +59,9 @@ class NoiseSchedule:
     def T(self) -> int:
         return self.alpha_bar.shape[0] - 1
 
-    def _check_step(self, t: int) -> None:
+    def alpha(self, t: int) -> float:
         if not 1 <= t <= self.T:
             raise ValueError(f"step {t} outside 1..{self.T}")
-
-    def alpha(self, t: int) -> float:
-        self._check_step(t)
         return float(self.alpha_bar[t] / self.alpha_bar[t - 1])
 
     def beta(self, t: int) -> float:
@@ -168,15 +165,13 @@ def reverse_step(
     """
     if mode not in REVERSE_MODES:
         raise ValueError(f"unknown mode {mode!r}, want one of {REVERSE_MODES}")
-    sched._check_step(t)
+    alpha, beta = sched.alpha(t), sched.beta(t)
     z_t = np.asarray(z_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
     if z_t.shape != eps_hat.shape:
         raise ValueError(f"shape mismatch: z_t {z_t.shape}, eps_hat {eps_hat.shape}")
     ab = sched.alpha_bar[t]
     ab_prev = sched.alpha_bar[t - 1]
-    alpha = ab / ab_prev
-    beta = 1.0 - alpha
     if mode == "deterministic":
         z0_hat = (z_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
         return np.sqrt(ab_prev) * z0_hat + np.sqrt(1.0 - ab_prev) * eps_hat

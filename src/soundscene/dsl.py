@@ -29,6 +29,7 @@ __all__ = [
     "serialize",
     "validate",
     "from_annotations",
+    "check_caption",
 ]
 
 DEFAULT_CLIP_SECONDS = 10.0
@@ -260,6 +261,13 @@ def _check_field_text(text: str, what: str):
         raise ValueError(f"forbidden '@{{' in {what}: {text!r}")
 
 
+def check_caption(caption: str, what: str = "caption") -> None:
+    """Raise ValueError, naming ``what``, if the grammar cannot carry
+    ``caption``: a caption must not contain the event-block opener '@{'."""
+    if "@{" in caption:
+        raise ValueError(f"{what} contains the event-block opener '@{{'")
+
+
 def _escape_speech(speech: str) -> str:
     return speech.replace("\\", "\\\\").replace('"', '\\"')
 
@@ -283,8 +291,7 @@ def _serialize_with_speech_regions(
     The region covers the quotes themselves; the tokenizer uses the
     regions to swap quoted speech for phoneme token runs.
     """
-    if "@{" in p.caption:
-        raise ValueError("caption contains the event-block opener '@{'")
+    check_caption(p.caption)
     parts: list[str] = []
     regions: list[tuple[int, int, str]] = []
     length = 0

@@ -244,7 +244,9 @@ def build_vocab(
 class TokenizedPrompt:
     """Token ids over the canonical serialization of a prompt.
 
-    spans_meta holds one (start, end) byte range into ``source`` per token;
+    spans_meta holds one (start, end) pair of ``str`` indices into
+    ``source`` per token (character offsets, not UTF-8 bytes: in
+    ``'café …'`` the first two tokens span (0, 3) and (3, 5));
     speech-side tokens (boundaries, phonemes) carry zero-width ranges, so
     concatenating every slice reproduces the source with the quoted speech
     segments removed.

@@ -27,7 +27,7 @@ from .audio import (
     rms,
     to_mono,
 )
-from .dsl import EventAnnotation, StructuredPrompt, TimeSpan, from_annotations
+from .dsl import EventAnnotation, StructuredPrompt, TimeSpan, check_caption, from_annotations
 # read_jsonl is unused here but stays bound: the benchmark's simulate
 # workload traces scene.read_jsonl (bench/workloads.py)
 from .manifest import iter_jsonl, read_jsonl  # noqa: F401
@@ -190,7 +190,9 @@ def load_speech_pool(manifest_path: str | Path) -> SpeechPool:
 
 def load_background_pool(manifest_path: str | Path) -> BackgroundPool:
     """Load 10 s background beds from a JSONL manifest of {path, caption}
-    rows.  Long recordings keep their head; short ones are zero-padded."""
+    rows.  Long recordings keep their head; short ones are zero-padded.
+    A caption the prompt grammar cannot carry, or a bed that is silent
+    over its 10 s, is an error naming the manifest line."""
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     clips: list[BackgroundClip] = []
@@ -199,9 +201,12 @@ def load_background_pool(manifest_path: str | Path) -> BackgroundPool:
         caption = str(_require(rec, "caption", where))
         if not caption.strip():
             raise ValueError(f"{where}: empty caption")
+        check_caption(caption, f"{where}: caption")
         rate, raw = _read_pool_wav(root / rel, where)
-        audio = preprocess_clip(raw, rate)
-        clips.append(BackgroundClip(clip_id=rel, audio=audio, caption=caption))
+        clip = BackgroundClip(clip_id=rel, audio=preprocess_clip(raw, rate), caption=caption)
+        if clip.audio_rms == 0.0:
+            raise ValueError(f"{where}: background {root / rel} is silent over the clip")
+        clips.append(clip)
     if not clips:
         raise ValueError(f"{manifest_path}: empty background manifest")
     return BackgroundPool(clips=clips)
@@ -244,14 +249,9 @@ def sample_scenario(priors: ScenePriors, rng: np.random.Generator) -> str:
 
 
 def sample_utterance_count(priors: ScenePriors, rng: np.random.Generator) -> int:
-    r = rng.random()
-    acc = 0.0
-    items = sorted(priors.utterance_count_pmf.items())
-    for k, p in items:
-        acc += p
-        if r < acc:
-            return k
-    return items[-1][0]
+    counts = sorted(priors.utterance_count_pmf)
+    probs = [priors.utterance_count_pmf[k] for k in counts]
+    return counts[rng.choice(len(counts), p=probs)]
 
 
 def arrange_timing(

@@ -27,7 +27,6 @@ __all__ = [
     "ToyDenoiser",
     "CurriculumStage",
     "default_curriculum",
-    "InverseLR",
     "TrainingDiverged",
     "train_toy_denoiser",
     "validation_loss",
@@ -242,26 +241,6 @@ class ToyDenoiser:
 
 
 @dataclass(frozen=True)
-class InverseLR:
-    """Constant for the first ``constant_fraction`` of steps, then decays as
-    eta0 * (1 + t'/gamma)^-0.5 where t' counts steps past the cut."""
-
-    eta0: float
-    gamma: float = 1e6
-    constant_fraction: float = 0.99
-
-    def __post_init__(self) -> None:
-        if self.eta0 <= 0 or self.gamma <= 0 or not 0.0 <= self.constant_fraction <= 1.0:
-            raise ValueError("invalid InverseLR parameters")
-
-    def lr_at(self, step: int, total_steps: int) -> float:
-        cut = int(np.floor(self.constant_fraction * total_steps))
-        if step < cut:
-            return self.eta0
-        return self.eta0 * (1.0 + (step - cut) / self.gamma) ** -0.5
-
-
-@dataclass(frozen=True)
 class CurriculumStage:
     """One training stage: how long, how big, how fast, and which condition
     granularities its batches draw from."""
@@ -271,7 +250,6 @@ class CurriculumStage:
     batch_size: int
     lr: float
     granularity_probs: Mapping[str, float]
-    lr_schedule: InverseLR | None = None
 
     def __post_init__(self) -> None:
         if self.steps < 1 or self.batch_size < 1 or self.lr <= 0:
@@ -305,15 +283,9 @@ def default_curriculum(steps: int = 300, batch_size: int = 64, lr: float = 3e-3)
 
 
 def _draw_granularity(probs: Mapping[str, float], rng: np.random.Generator) -> str:
-    r = rng.random()
-    acc = 0.0
     # canonical order keeps the draw independent of dict insertion order
-    items = [(g, probs[g]) for g in GRANULARITIES if g in probs]
-    for g, p in items:
-        acc += p
-        if r < acc:
-            return g
-    return items[-1][0]
+    keys = [g for g in GRANULARITIES if g in probs]
+    return keys[rng.choice(len(keys), p=[probs[g] for g in keys])]
 
 
 def _stack_dataset(dataset: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +360,6 @@ def train_toy_denoiser(
             loss, grads = denoiser._loss_and_grads(z_t, t, eps, granularity, view_ids)
             if not np.isfinite(loss):
                 raise TrainingDiverged(stage.name, step)
-            lr = stage.lr_schedule.lr_at(step, stage.steps) if stage.lr_schedule else stage.lr
             adam_t += 1
             for key in denoiser.params:
                 g = grads[key]
@@ -396,7 +367,7 @@ def train_toy_denoiser(
                 v[key] = beta2 * v[key] + (1 - beta2) * g * g
                 m_hat = m[key] / (1 - beta1**adam_t)
                 v_hat = v[key] / (1 - beta2**adam_t)
-                denoiser.params[key] -= lr * m_hat / (np.sqrt(v_hat) + adam_eps)
+                denoiser.params[key] -= stage.lr * m_hat / (np.sqrt(v_hat) + adam_eps)
     return denoiser
 
 

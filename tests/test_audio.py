@@ -111,13 +111,18 @@ class TestPreprocessClip:
             preprocess_clip(np.array([]), SAMPLE_RATE)
 
 
+def _everywhere(signal):
+    """An active mask covering the whole signal."""
+    return np.ones(signal.shape, dtype=bool)
+
+
 class TestMixAtSnr:
     def test_gain_oracle(self):
         # rms 0.1 speech over rms 0.2 background at 6 dB:
         # g = 0.1 / (0.2 * 10^0.3) = 0.2505937
         speech = np.full(1000, 0.1)
         background = np.tile([0.2, -0.2], 500)
-        res = mix_at_snr(speech, background, 6.0)
+        res = mix_at_snr(speech, background, 6.0, _everywhere(speech), rms(background))
         assert res.background_gain == pytest.approx(0.2505937, abs=1e-6)
         assert res.peak_norm == 1.0
         assert np.allclose(res.waveform, speech + res.background_gain * background)
@@ -129,7 +134,7 @@ class TestMixAtSnr:
         active = np.zeros(4000, dtype=bool)
         active[500:2500] = True
         speech[~active] = 0.0
-        res = mix_at_snr(speech, background, 7.3, active=active)
+        res = mix_at_snr(speech, background, 7.3, active, rms(background))
         measured = 20 * np.log10(rms(speech[active]) / rms(res.background_gain * background))
         assert measured == pytest.approx(7.3, abs=1e-9)
 
@@ -137,15 +142,16 @@ class TestMixAtSnr:
         speech = np.concatenate([np.full(100, 0.4), np.zeros(100)])
         background = np.full(200, 0.1)
         active = np.concatenate([np.ones(100, dtype=bool), np.zeros(100, dtype=bool)])
-        g_masked = mix_at_snr(speech, background, 5.0, active=active).background_gain
-        g_full = mix_at_snr(speech, background, 5.0).background_gain
+        b_rms = rms(background)
+        g_masked = mix_at_snr(speech, background, 5.0, active, b_rms).background_gain
+        g_full = mix_at_snr(speech, background, 5.0, _everywhere(speech), b_rms).background_gain
         # full-clip rms counts the silence, so the full-clip gain is smaller
         assert g_masked == pytest.approx(g_full * np.sqrt(2), rel=1e-9)
 
     def test_peak_normalization(self):
         speech = np.full(100, 0.9)
         background = np.full(100, 1.0)
-        res = mix_at_snr(speech, background, 0.0)
+        res = mix_at_snr(speech, background, 0.0, _everywhere(speech), rms(background))
         assert res.peak_norm < 1.0
         assert np.max(np.abs(res.waveform)) == pytest.approx(0.95, abs=1e-12)
         raw = speech + res.background_gain * background
@@ -154,32 +160,32 @@ class TestMixAtSnr:
     def test_no_normalization_below_full_scale(self):
         speech = np.full(100, 0.1)
         background = np.tile([0.1, -0.1], 50)
-        res = mix_at_snr(speech, background, 10.0)
+        res = mix_at_snr(speech, background, 10.0, _everywhere(speech), rms(background))
         assert res.peak_norm == 1.0
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="length"):
-            mix_at_snr(np.ones(10), np.ones(11), 5.0)
+            mix_at_snr(np.ones(10), np.ones(11), 5.0, np.ones(10, dtype=bool), 1.0)
 
     def test_silent_background_raises(self):
         with pytest.raises(ValueError, match="background"):
-            mix_at_snr(np.ones(10), np.zeros(10), 5.0)
+            mix_at_snr(np.ones(10), np.zeros(10), 5.0, np.ones(10, dtype=bool), rms(np.zeros(10)))
 
     def test_silent_speech_raises(self):
         with pytest.raises(ValueError, match="speech"):
-            mix_at_snr(np.zeros(10), np.ones(10), 5.0)
+            mix_at_snr(np.zeros(10), np.ones(10), 5.0, np.ones(10, dtype=bool), 1.0)
 
     def test_empty_active_mask_raises(self):
         with pytest.raises(ValueError, match="active"):
-            mix_at_snr(np.ones(10), np.ones(10), 5.0, active=np.zeros(10, dtype=bool))
+            mix_at_snr(np.ones(10), np.ones(10), 5.0, np.zeros(10, dtype=bool), 1.0)
 
     def test_mask_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="mask"):
-            mix_at_snr(np.ones(10), np.ones(10), 5.0, active=np.ones(9, dtype=bool))
+            mix_at_snr(np.ones(10), np.ones(10), 5.0, np.ones(9, dtype=bool), 1.0)
 
     def test_2d_raises(self):
         with pytest.raises(ValueError):
-            mix_at_snr(np.ones((10, 2)), np.ones((10, 2)), 5.0)
+            mix_at_snr(np.ones((10, 2)), np.ones((10, 2)), 5.0, np.ones((10, 2), dtype=bool), 1.0)
 
     @staticmethod
     def _reference_mix(speech, background, snr_db, active):
@@ -200,21 +206,19 @@ class TestMixAtSnr:
         active[1000:90000] = True
         speech[~active] = 0.0
         kept = background.tobytes(), speech.tobytes()
-        cached = mix_at_snr(speech, background, 4.2, active=active, background_rms=rms(background))
-        fresh = mix_at_snr(speech, background, 4.2, active=active)
+        res = mix_at_snr(speech, background, 4.2, active, rms(background))
         wave, gain, norm = self._reference_mix(speech, background, 4.2, active)
         assert (speech_amp > 1.0) == (norm < 1.0)
-        for res in (cached, fresh):
-            assert res.waveform.tobytes() == wave.tobytes()
-            assert (res.background_gain, res.peak_norm) == (gain, norm)
-        assert not np.shares_memory(cached.waveform, fresh.waveform)
-        assert not np.shares_memory(cached.waveform, background)
+        assert res.waveform.tobytes() == wave.tobytes()
+        assert (res.background_gain, res.peak_norm) == (gain, norm)
+        assert not np.shares_memory(res.waveform, background)
+        assert not np.shares_memory(res.waveform, speech)
         assert (background.tobytes(), speech.tobytes()) == kept
 
     @pytest.mark.parametrize("b_rms", [0.0, float("nan"), float("inf"), -0.5])
     def test_cached_silent_background_raises(self, b_rms):
         with pytest.raises(ValueError, match="background"):
-            mix_at_snr(np.ones(10), np.ones(10), 5.0, background_rms=b_rms)
+            mix_at_snr(np.ones(10), np.ones(10), 5.0, np.ones(10, dtype=bool), b_rms)
 
 
 class TestWavIo:
@@ -242,6 +246,22 @@ class TestWavIo:
         _, y = read_wav(path)
         assert y.shape == (500, 2)
         assert np.max(np.abs(y - x)) < 5e-5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_sample_raises(self, tmp_path, bad):
+        x = np.full(100, 0.25, dtype=np.float32)
+        x[7] = bad
+        path = tmp_path / "f.wav"
+        wavfile.write(path, SAMPLE_RATE, x)
+        with pytest.raises(ValueError, match="non-finite"):
+            read_wav(path)
+
+    def test_finite_float_wav_reads_unscaled(self, tmp_path):
+        x = np.array([0.25, -0.5, 1.0], dtype=np.float32)
+        wavfile.write(tmp_path / "f.wav", 22050, x)
+        rate, y = read_wav(tmp_path / "f.wav")
+        assert rate == 22050
+        assert y.dtype == np.float64 and y.tolist() == [0.25, -0.5, 1.0]
 
     def test_write_clips_out_of_range(self, tmp_path):
         path = tmp_path / "d.wav"

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from soundscene import cli
+from soundscene.audio import SAMPLE_RATE, write_wav
 from soundscene.cli import main
 from soundscene.dsl import parse, serialize, validate
 from soundscene.manifest import read_jsonl
@@ -261,6 +263,44 @@ class TestSimulate:
         )
 
 
+    @pytest.mark.parametrize("pool, fault", [
+        ("speech", "nan_sample"), ("background", "silent_bed"), ("background", "block_opener"),
+    ])
+    def test_unmixable_pool_fails_before_any_wav(self, tmp_path, demo_pool_dir, capsys,
+                                                 pool, fault):
+        pools = tmp_path / "pools"
+        pools.mkdir()
+        if fault == "nan_sample":
+            audio = np.full(SAMPLE_RATE, 0.1, dtype=np.float32)
+            audio[50] = np.nan
+            wavfile.write(pools / "bad.wav", SAMPLE_RATE, audio)
+        elif fault == "silent_bed":
+            write_wav(pools / "bad.wav", np.zeros(SAMPLE_RATE))
+        for name in ("speech", "background"):
+            rows = [json.loads(r) for r in (demo_pool_dir / f"{name}_manifest.jsonl")
+                    .read_text(encoding="utf-8").splitlines()]
+            rows = [{**r, "path": str(demo_pool_dir / r["path"])} for r in rows]
+            if name == pool and fault == "block_opener":
+                rows[2] = {**rows[2], "caption": "rain @{ on tin"}
+            elif name == pool:
+                rows[2] = {**rows[2], "path": "bad.wav"}
+            (pools / f"{name}.jsonl").write_text(
+                "\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(
+            f"speech_manifest: {pools / 'speech.jsonl'}\n"
+            f"background_manifest: {pools / 'background.jsonl'}\n"
+            f"output_dir: {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        rc = main(["simulate", "--config", str(cfg), "--count", "3"])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert err.startswith(f"error: {pools / (pool + '.jsonl')}:3: ")
+        assert list((tmp_path / "out").rglob("*.wav")) == []
+        assert not (tmp_path / "out" / "scenes.jsonl").exists()
+
+
 class TestIngest:
     def test_join_and_prompt_output(self, tmp_path, capsys):
         (tmp_path / "events.tsv").write_text(
@@ -366,9 +406,11 @@ class TestIngest:
             ("transcripts", "c\t0\tok\n\nc\t1\n", r"tx\.tsv:3: expected 3 tab-separated fields"),
             ("captions", "c\tA\textra\n", r"cap\.tsv:1: expected 2 tab-separated fields"),
             ("captions", "c\tfirst\nc\tsecond\n", r"cap\.tsv:2: duplicate caption for clip 'c'"),
+            ("captions", "c\tA thud @{x\n",
+             r"cap\.tsv:1: caption contains the event-block opener '@\{'"),
         ],
         ids=["events-field-count", "transcripts-field-count", "captions-field-count",
-             "captions-duplicate"],
+             "captions-duplicate", "captions-block-opener"],
     )
     def test_table_reader_errors_name_line(self, tmp_path, capsys, table, text, message):
         tables = {

@@ -55,6 +55,7 @@ MALFORMED_VALUES = [
     ("planner: {url: 'file:///etc/passwd', model: m}", "planner.url"),
     ("planner: {url: planner.example/v1/chat, model: m}", "planner.url"),
     ("planner: {url: 'ftp://planner.example/v1', model: m}", "planner.url"),
+    ("planner: {url: 'https:///v1/chat', model: m}", "planner.url"),
     ("planner: {url: 'https://x', model: m, api_key_env: ''}", "planner.api_key_env"),
     ("planner: {url: 'https://x', model: m, api_key_env: '  '}", "planner.api_key_env"),
     ("dataset_seed: 42.9", "dataset_seed"),

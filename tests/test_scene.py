@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.io import wavfile
 
 from soundscene.audio import CLIP_SAMPLES, SAMPLE_RATE, rms, write_wav
 from soundscene.dsl import parse, serialize, validate
@@ -124,6 +125,20 @@ class TestSampling:
         expected = n * np.array([priors.utterance_count_pmf[k] for k in range(1, 9)])
         _, p = stats.chisquare(observed, expected)
         assert p > 0.001
+
+    # first 40 default-prior draws per seed, recorded from the hand-written
+    # inverse-CDF draw; a change to the rng stream fails here
+    PINNED_COUNTS = {
+        0: "3111563436515141531211433287444214312562",
+        1: "3616125231432412121141276431173134361321",
+        2: "1151341114312423742123541624111545323352",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_COUNTS))
+    def test_count_stream_pinned(self, seed):
+        rng = np.random.default_rng(seed)
+        draws = "".join(str(sample_utterance_count(ScenePriors(), rng)) for _ in range(40))
+        assert draws == self.PINNED_COUNTS[seed]
 
     def test_degenerate_pmf(self):
         priors = ScenePriors(utterance_count_pmf={3: 1.0})
@@ -259,6 +274,48 @@ class TestPoolLoading:
             loader(manifest)
         assert str(exc_info.value).startswith(
             f"{manifest}:2: cannot read WAV file {tmp_path / 'notes.wav'}: "
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("loader, row", POOL_LOADERS)
+    def test_non_finite_float_wav_names_manifest_line(self, tmp_path, loader, row, bad):
+        audio = np.full(SAMPLE_RATE, 0.1, dtype=np.float32)
+        audio[100] = bad
+        wavfile.write(tmp_path / "f.wav", SAMPLE_RATE, audio)
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("\n" + json.dumps({"path": "f.wav", **row}) + "\n")
+        with pytest.raises(ValueError) as exc_info:
+            loader(manifest)
+        assert str(exc_info.value) == (
+            f"{manifest}:2: cannot read WAV file {tmp_path / 'f.wav'}: "
+            "non-finite sample in a floating-point WAV"
+        )
+
+    # (silent, loud) seconds: a bed whose sound starts after the 10 s it
+    # keeps is silent too
+    @pytest.mark.parametrize("silent, loud", [(1, 0), (11, 1)])
+    def test_silent_background_names_manifest_line(self, tmp_path, silent, loud):
+        write_wav(tmp_path / "x.wav", np.full(SAMPLE_RATE, 0.1))
+        bed = np.concatenate([np.zeros(silent * SAMPLE_RATE), np.full(loud * SAMPLE_RATE, 0.1)])
+        write_wav(tmp_path / "quiet.wav", bed)
+        manifest = tmp_path / "bg.jsonl"
+        rows = [{"path": "x.wav", "caption": "rain"}, {"path": "quiet.wav", "caption": "hush"}]
+        manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(ValueError) as exc_info:
+            load_background_pool(manifest)
+        assert str(exc_info.value) == (
+            f"{manifest}:2: background {tmp_path / 'quiet.wav'} is silent over the clip"
+        )
+
+    def test_caption_with_block_opener_names_manifest_line(self, tmp_path):
+        write_wav(tmp_path / "x.wav", np.full(SAMPLE_RATE, 0.1))
+        manifest = tmp_path / "bg.jsonl"
+        rows = [{"path": "x.wav", "caption": "rain"}, {"path": "x.wav", "caption": "a @{b"}]
+        manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(ValueError) as exc_info:
+            load_background_pool(manifest)
+        assert str(exc_info.value) == (
+            f"{manifest}:2: caption contains the event-block opener '@{{'"
         )
 
     def test_overlong_utterance_raises(self, tmp_path):

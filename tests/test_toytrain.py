@@ -11,9 +11,9 @@ from soundscene.diffusion import GuidanceSchedule, cosine_schedule, sample_progr
 from soundscene.toytrain import (
     GRANULARITIES,
     CurriculumStage,
-    InverseLR,
     ToyDenoiser,
     TrainingDiverged,
+    _draw_granularity,
     default_curriculum,
     load_checkpoint,
     make_toy_dataset,
@@ -329,37 +329,24 @@ class TestStageValidation:
         assert "full" in stages[2].granularity_probs
 
 
-class TestInverseLR:
-    def test_constant_region(self):
-        lr = InverseLR(0.01, gamma=100.0, constant_fraction=0.5)
-        assert lr.lr_at(0, 1000) == 0.01
-        assert lr.lr_at(499, 1000) == 0.01
+class TestGranularityDraw:
+    # stage3 of default_curriculum, 40 draws from default_rng(0), as
+    # GRANULARITIES indices; recorded from the hand-written inverse-CDF draw
+    STAGE3_SEED0 = "2000232213202020210100222133222102111231"
 
-    def test_decay_formula(self):
-        lr = InverseLR(0.01, gamma=100.0, constant_fraction=0.5)
-        # 300 steps past the cut at 500: 0.01 * (1 + 300/100)^-0.5 = 0.005
-        assert lr.lr_at(800, 1000) == pytest.approx(0.005)
-
-    def test_boundary_step_is_eta0(self):
-        lr = InverseLR(0.02, gamma=10.0, constant_fraction=0.99)
-        assert lr.lr_at(990, 1000) == pytest.approx(0.02)
-
-    def test_invalid_raises(self):
-        with pytest.raises(ValueError):
-            InverseLR(0.0)
-        with pytest.raises(ValueError):
-            InverseLR(0.01, constant_fraction=1.5)
-
-    def test_schedule_plugs_into_stage(self):
-        sched = cosine_schedule(20)
+    def test_stage3_sequence_pinned(self):
+        probs = default_curriculum()[2].granularity_probs
         rng = np.random.default_rng(0)
-        data = make_toy_dataset(64, 2, rng)
-        stage = CurriculumStage(
-            "s", 30, 16, 1e-3, {"text": 0.9, "null": 0.1},
-            lr_schedule=InverseLR(1e-3, gamma=10.0, constant_fraction=0.5),
-        )
-        dn = train_toy_denoiser(data, [stage], sched, seed=5)
-        assert all(np.all(np.isfinite(p)) for p in dn.params.values())
+        seq = [_draw_granularity(probs, rng) for _ in range(40)]
+        assert "".join(str(GRANULARITIES.index(g)) for g in seq) == self.STAGE3_SEED0
+
+    def test_insertion_order_does_not_matter(self):
+        probs = default_curriculum()[2].granularity_probs
+        reordered = dict(reversed(list(probs.items())))
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        assert [_draw_granularity(probs, a) for _ in range(200)] == [
+            _draw_granularity(reordered, b) for _ in range(200)
+        ]
 
 
 class TestTraining:
