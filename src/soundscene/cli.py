@@ -150,13 +150,11 @@ def _scene_record(clip_id: str, scene: Any) -> dict[str, Any]:
     }
 
 
-def _init_sim_worker(speech_manifest: str, background_manifest: str, priors: Any) -> None:
-    _WORKER_STATE["speech"] = load_speech_pool(speech_manifest)
-    _WORKER_STATE["background"] = load_background_pool(background_manifest)
-    _WORKER_STATE["priors"] = priors
+def _init_sim_worker(speech: Any, background: Any, priors: Any) -> None:
+    _WORKER_STATE.update(speech=speech, background=background, priors=priors)
 
 
-def _sim_task(task: tuple[int, int, Path]) -> tuple[int, dict[str, Any]]:
+def _sim_task(task: tuple[int, int, Path]) -> dict[str, Any]:
     index, seed, out_dir = task
     scene = compose_scene(
         _WORKER_STATE["speech"],
@@ -166,7 +164,7 @@ def _sim_task(task: tuple[int, int, Path]) -> tuple[int, dict[str, Any]]:
     )
     record = _scene_record(f"scene{index:05d}", scene)
     write_wav(out_dir / record["audio"], scene.waveform)
-    return index, record
+    return record
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -177,27 +175,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     if cfg.speech_manifest is None or cfg.background_manifest is None:
         raise ConfigError("simulate needs speech_manifest and background_manifest in the config")
+    # a pool error surfaces here, naming path:line, before anything is written
+    state = (load_speech_pool(cfg.speech_manifest), load_background_pool(cfg.background_manifest),
+             cfg.priors)
     out_dir = Path(cfg.output_dir)
     (out_dir / "audio").mkdir(parents=True, exist_ok=True)
 
     tasks = [(i, derive_scene_seed(cfg.dataset_seed, i), out_dir) for i in range(args.count)]
-    records: dict[int, dict[str, Any]] = {}
     if args.workers == 1 or not tasks:
-        _init_sim_worker(cfg.speech_manifest, cfg.background_manifest, cfg.priors)
-        for task in tasks:
-            i, rec = _sim_task(task)
-            records[i] = rec
+        _init_sim_worker(*state)
+        records = [_sim_task(task) for task in tasks]
+        _WORKER_STATE.clear()  # the pools die with this call, not at the next load
     else:
         with ProcessPoolExecutor(
-            max_workers=args.workers,
-            initializer=_init_sim_worker,
-            initargs=(cfg.speech_manifest, cfg.background_manifest, cfg.priors),
+            max_workers=args.workers, initializer=_init_sim_worker, initargs=state
         ) as pool:
-            for i, rec in pool.map(_sim_task, tasks):
-                records[i] = rec
+            records = list(pool.map(_sim_task, tasks))
 
     manifest_path = out_dir / "scenes.jsonl"
-    write_jsonl_atomic(manifest_path, [records[i] for i in sorted(records)])
+    write_jsonl_atomic(manifest_path, records)
     print(f"wrote {len(records)} scenes to {manifest_path}")
     return 0
 
@@ -334,12 +330,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
     z_T = rng.standard_normal(dim)
 
     log_lines = ["step\tt\tphase\tcondition\tw"]
-    counter = {"step": 0}
 
     def on_step(info: Any, _z: np.ndarray) -> None:
-        counter["step"] += 1
+        # steps run t = T..1, so row T + 1 - t is the step's 1-based number
         log_lines.append(
-            f"{counter['step']}\t{info.t}\t{info.phase}"
+            f"{sc.T + 1 - info.t}\t{info.t}\t{info.phase}"
             f"\t{phase_label[info.phase]}\t{info.w:g}"
         )
 

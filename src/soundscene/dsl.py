@@ -254,11 +254,9 @@ def _format_time(v: float) -> str:
 
 
 def _check_field_text(text: str, what: str):
-    for bad in ("&", "}", '"'):
-        if bad in text:
-            raise ValueError(f"forbidden {bad!r} in {what}: {text!r}")
-    if "@{" in text:
-        raise ValueError(f"forbidden '@{{' in {what}: {text!r}")
+    """Reject text holding a token that ends a description, naming the leftmost."""
+    if m := _DESC_STOP_RE.search(text):
+        raise ValueError(f"forbidden {m.group()!r} in {what}: {text!r}")
 
 
 def check_caption(caption: str, what: str = "caption") -> None:

@@ -183,26 +183,24 @@ class ExtendedVocabulary:
     phoneme_tokens: tuple[str, ...]
     boundary_open: ClassVar[str] = "<SPK>"
     boundary_close: ClassVar[str] = "</SPK>"
+    _tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _ids: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ordered = self.all_tokens()
+        tokens = (*self.base_tokens, *self.phoneme_tokens, self.boundary_open, self.boundary_close)
         ids: dict[str, int] = {}
-        for i, tok in enumerate(ordered):
+        for i, tok in enumerate(tokens):
             if tok in ids:
                 raise ValueError(f"duplicate token across vocabulary segments: {tok!r}")
             ids[tok] = i
+        object.__setattr__(self, "_tokens", tokens)
         object.__setattr__(self, "_ids", ids)
 
     def all_tokens(self) -> tuple[str, ...]:
-        return (
-            tuple(self.base_tokens)
-            + tuple(self.phoneme_tokens)
-            + (self.boundary_open, self.boundary_close)
-        )
+        return self._tokens
 
     def __len__(self) -> int:
-        return len(self.base_tokens) + len(self.phoneme_tokens) + 2
+        return len(self._tokens)
 
     def __contains__(self, token: str) -> bool:
         return token in self._ids
@@ -214,10 +212,9 @@ class ExtendedVocabulary:
             raise ValueError(f"token not in vocabulary: {token!r}") from None
 
     def token_of(self, idx: int) -> str:
-        tokens = self.all_tokens()
-        if not 0 <= idx < len(tokens):
-            raise ValueError(f"token id {idx} out of range 0..{len(tokens) - 1}")
-        return tokens[idx]
+        if not 0 <= idx < len(self._tokens):
+            raise ValueError(f"token id {idx} out of range 0..{len(self._tokens) - 1}")
+        return self._tokens[idx]
 
 
 def build_vocab(

@@ -164,7 +164,8 @@ def _read_pool_wav(path: Path, where: str) -> tuple[int, np.ndarray]:
 def load_speech_pool(manifest_path: str | Path) -> SpeechPool:
     """Load utterances from a JSONL manifest of {path, speaker_id, transcript,
     gender?} rows.  Paths resolve relative to the manifest; audio is downmixed
-    and resampled at load so composition never touches the filesystem."""
+    and resampled at load so composition never touches the filesystem.  A
+    silent utterance is an error naming the manifest line."""
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     by_speaker: dict[str, list[UtteranceClip]] = {}
@@ -180,6 +181,8 @@ def load_speech_pool(manifest_path: str | Path) -> SpeechPool:
             raise ValueError(f"{where}: conflicting gender for speaker {speaker!r}")
         rate, raw = _read_pool_wav(root / rel, where)
         audio = resample_to_clip_rate(to_mono(raw), rate)
+        if rms(audio) == 0.0:
+            raise ValueError(f"{where}: utterance {root / rel} is silent")
         clip = UtteranceClip(audio=audio, speaker_id=speaker, transcript=transcript)
         by_speaker.setdefault(speaker, []).append(clip)
         genders[speaker] = gender
@@ -308,60 +311,54 @@ class ComposedScene:
     mix: MixResult
 
 
-class _Redraw(Exception):
-    """Internal: this draw cannot be arranged, try another."""
+def _draw_speaker(
+    pool: SpeechPool, speakers: Sequence[str], n: int, rng: np.random.Generator
+) -> tuple[str, list[UtteranceClip]]:
+    """A speaker from ``speakers`` holding at least n clips, and n of its
+    clips drawn without replacement.  ValueError, the caller's redraw
+    signal, when no speaker holds n clips."""
+    eligible = [s for s in speakers if len(pool.by_speaker[s]) >= n]
+    if not eligible:
+        raise ValueError(f"no speaker has {n} utterances")
+    speaker = eligible[int(rng.integers(len(eligible)))]
+    clips = pool.by_speaker[speaker]
+    return speaker, [clips[int(i)] for i in rng.choice(len(clips), size=n, replace=False)]
 
 
 def _draw_monologue(pool: SpeechPool, priors: ScenePriors, rng: np.random.Generator) -> list[UtteranceClip]:
     n = sample_utterance_count(priors, rng)
-    speakers = pool.speakers
-    eligible = [s for s in speakers if len(pool.by_speaker[s]) >= n]
-    if not eligible:
-        raise _Redraw(f"no speaker has {n} utterances")
-    speaker = eligible[int(rng.integers(len(eligible)))]
-    clips = pool.by_speaker[speaker]
-    idx = rng.choice(len(clips), size=n, replace=False)
-    return [clips[int(i)] for i in idx]
+    return _draw_speaker(pool, pool.speakers, n, rng)[1]
 
 
 def _dialogue_compositions(n: int, k: int) -> list[tuple[int, ...]]:
     """All ways to split n utterances over k ordered speaker slots with
     1..MAX_UTTERANCES_PER_SPEAKER utterances each."""
-    out = []
-    for comp in itertools.product(range(1, MAX_UTTERANCES_PER_SPEAKER + 1), repeat=k):
-        if sum(comp) == n:
-            out.append(comp)
-    return out
+    slots = itertools.product(range(1, MAX_UTTERANCES_PER_SPEAKER + 1), repeat=k)
+    return [comp for comp in slots if sum(comp) == n]
 
 
 def _draw_dialogue(pool: SpeechPool, priors: ScenePriors, rng: np.random.Generator) -> list[UtteranceClip]:
-    n = sample_utterance_count(priors, rng)
     for _ in range(1000):
+        n = sample_utterance_count(priors, rng)
         if n >= 2:
             break
-        n = sample_utterance_count(priors, rng)
     else:
         raise RuntimeError("utterance-count pmf never yields 2 or more utterances")
     n = min(n, MAX_TOTAL_UTTERANCES)
     k_hi = min(MAX_DIALOGUE_SPEAKERS, n, len(pool.speakers))
     if k_hi < 2:
-        raise _Redraw(f"cannot seat {n} utterances over 2+ speakers")
+        raise ValueError(f"cannot seat {n} utterances over 2+ speakers")
     k = int(rng.integers(2, k_hi + 1))
     comps = _dialogue_compositions(n, k)
     if not comps:
-        raise _Redraw(f"no composition of {n} utterances over {k} speakers")
+        raise ValueError(f"no composition of {n} utterances over {k} speakers")
     comp = comps[int(rng.integers(len(comps)))]
     remaining = pool.speakers
     chosen: list[UtteranceClip] = []
     for c in comp:
-        candidates = [s for s in remaining if len(pool.by_speaker[s]) >= c]
-        if not candidates:
-            raise _Redraw(f"no remaining speaker has {c} utterances")
-        speaker = candidates[int(rng.integers(len(candidates)))]
-        remaining = [s for s in remaining if s != speaker]
-        clips = pool.by_speaker[speaker]
-        idx = rng.choice(len(clips), size=c, replace=False)
-        chosen.extend(clips[int(i)] for i in idx)
+        speaker, clips = _draw_speaker(pool, remaining, c, rng)
+        remaining.remove(speaker)
+        chosen.extend(clips)
     return chosen
 
 
@@ -395,7 +392,7 @@ def compose_scene(
             else:
                 utts = _draw_dialogue(speech_pool, priors, rng)
             placements = arrange_timing(utts, rng)
-        except (_Redraw, ValueError):
+        except ValueError:
             continue
         break
     if placements is None:

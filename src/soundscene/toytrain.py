@@ -97,7 +97,12 @@ class ToyDenoiser:
         self.n_freq = n_freq
         if rng is None:
             rng = np.random.default_rng(0)
-        s1, s2, s3 = self.level_sizes
+        _, s2, s3 = self.level_sizes
+        n = self.n_conditions
+        # the condition hierarchy, once: a granularity's view of a full id is
+        # id // divisor, its table has n // divisor rows, and every in-range
+        # id // n is 0, the null table's one row
+        self._divisors = dict(zip(GRANULARITIES, (s2 * s3, s3, 1, n)))
         in_dim = dim + 2 * n_freq + emb
         self.params: dict[str, np.ndarray] = {
             "W1": rng.standard_normal((in_dim, hidden)) / np.sqrt(in_dim),
@@ -106,12 +111,11 @@ class ToyDenoiser:
             "b2": np.zeros(hidden),
             "W3": rng.standard_normal((hidden, dim)) / np.sqrt(hidden),
             "b3": np.zeros(dim),
-            "E_text": 0.1 * rng.standard_normal((s1, emb)),
-            "E_text_timing": 0.1 * rng.standard_normal((s1 * s2, emb)),
-            "E_full": 0.1 * rng.standard_normal((s1 * s2 * s3, emb)),
-            "E_null": 0.1 * rng.standard_normal((1, emb)),
         }
-        # predict's (x, h1, h2) scratch rows, resized when the row count changes
+        # drawn in GRANULARITIES order, which fixes the init rng stream
+        for g, divisor in self._divisors.items():
+            self.params[self._table(g)] = 0.1 * rng.standard_normal((n // divisor, emb))
+        # _forward's (x, h1, h2) scratch rows, resized when the row count changes
         self._work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ---- condition bookkeeping -------------------------------------------
@@ -131,25 +135,17 @@ class ToyDenoiser:
         bad = (ids < 0) | (ids >= n)
         if bad.any():
             raise ValueError(f"condition id {ids[bad].flat[0]} outside 0..{n - 1}")
-        _, s2, s3 = self.level_sizes
-        # every in-range id // n is 0, the null table's one row
-        divisors = {"full": 1, "text_timing": s3, "text": s2 * s3, "null": n}
-        if granularity not in divisors:
+        if granularity not in self._divisors:
             raise ValueError(f"unknown granularity {granularity!r}")
-        views = ids // divisors[granularity]
+        views = ids // self._divisors[granularity]
         return int(views) if views.ndim == 0 else views
 
     def _table(self, granularity: str) -> str:
         if granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {granularity!r}")
-        return {"text": "E_text", "text_timing": "E_text_timing", "full": "E_full", "null": "E_null"}[granularity]
+        return "E_" + granularity
 
     # ---- forward / backward ----------------------------------------------
-
-    def _buffers(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Uninitialized (x, h1, h2) activation arrays for n rows."""
-        in_dim = self.dim + 2 * self.n_freq + self.emb
-        return np.empty((n, in_dim)), np.empty((n, self.hidden)), np.empty((n, self.hidden))
 
     def _forward(
         self,
@@ -157,17 +153,20 @@ class ToyDenoiser:
         t: np.ndarray | float,
         granularity: str,
         view_ids: np.ndarray | int,
-        work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
         """Output for the rows of z_t; ``t`` and ``view_ids`` are per-row
         arrays, or scalars broadcast over the rows.  The input and hidden
-        activations are written into ``work`` (x, h1, h2) when given, else
-        into fresh arrays; the output is always a fresh array."""
+        activations are written into this instance's scratch rows (x, h1,
+        h2), valid until the next call; the output is always a fresh array."""
         table = self._table(granularity)
         E = self.params[table]
         if np.any(view_ids < 0) or np.any(view_ids >= E.shape[0]):
             raise ValueError(f"view id outside the {granularity} table of {E.shape[0]} rows")
-        x, h1, h2 = self._buffers(z_t.shape[0]) if work is None else work
+        n = z_t.shape[0]
+        if self._work is None or self._work[0].shape[0] != n:
+            in_dim = self.dim + 2 * self.n_freq + self.emb
+            self._work = (np.empty((n, in_dim)), np.empty((n, self.hidden)), np.empty((n, self.hidden)))
+        x, h1, h2 = self._work
         d, f = self.dim, self.dim + 2 * self.n_freq
         x[:, :d] = z_t
         x[:, d:f] = _time_features(t, self.T, self.n_freq)
@@ -233,10 +232,7 @@ class ToyDenoiser:
                 raise ValueError
         except (OverflowError, TypeError, ValueError):
             raise ValueError(f"view id {view!r} is not an integer") from None
-        n = z2.shape[0]
-        if self._work is None or self._work[0].shape[0] != n:
-            self._work = self._buffers(n)
-        out, _ = self._forward(z2, float(t), granularity, vid, self._work)
+        out, _ = self._forward(z2, float(t), granularity, vid)
         return out[0] if single else out
 
 

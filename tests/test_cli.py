@@ -235,8 +235,15 @@ class TestSimulate:
         assert rc == 0
         assert (tmp_path / "relout" / "scenes.jsonl").exists()
 
-    @pytest.mark.parametrize("bad", ["missing", "not_wav"])
-    def test_unreadable_pool_wav_names_manifest_line(self, tmp_path, demo_pool_dir, capsys, bad):
+    # the pools load once, in the parent, before anything is written, so a
+    # bad pool WAV is named at any worker count
+    @pytest.mark.parametrize("bad, workers", [
+        pytest.param("missing", 1, id="missing"),
+        pytest.param("not_wav", 1, id="not_wav"),
+        pytest.param("missing", 2, id="missing-2-workers"),
+    ])
+    def test_unreadable_pool_wav_names_manifest_line(self, tmp_path, demo_pool_dir, capsys, bad,
+                                                     workers):
         pools = tmp_path / "pools"
         pools.mkdir()
         if bad == "not_wav":
@@ -247,24 +254,27 @@ class TestSimulate:
             rec = json.loads(row)
             if rec["path"] != "nope.wav":
                 rows[i] = json.dumps({**rec, "path": str(demo_pool_dir / rec["path"])})
-        (pools / "speech.jsonl").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        manifest = pools / "speech_manifest.jsonl"
+        manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(
-            f"speech_manifest: {pools / 'speech.jsonl'}\n"
+            f"speech_manifest: {manifest}\n"
             f"background_manifest: {demo_pool_dir / 'background_manifest.jsonl'}\n"
             f"output_dir: {tmp_path / 'out'}\n",
             encoding="utf-8",
         )
-        rc = main(["simulate", "--config", str(cfg), "--count", "1"])
+        rc = main(["simulate", "--config", str(cfg), "--count", "4", "--workers", str(workers)])
         _, err = read_out(capsys)
         assert rc == 1
-        assert err.startswith(
-            f"error: {pools / 'speech.jsonl'}:3: cannot read WAV file {pools / 'nope.wav'}: "
+        assert err.splitlines()[-1].startswith(
+            f"error: {manifest}:3: cannot read WAV file {pools / 'nope.wav'}: "
         )
+        assert not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize("pool, fault", [
         ("speech", "nan_sample"), ("background", "silent_bed"), ("background", "block_opener"),
+        ("speech", "silent_utterance"),
     ])
     def test_unmixable_pool_fails_before_any_wav(self, tmp_path, demo_pool_dir, capsys,
                                                  pool, fault):
@@ -274,7 +284,7 @@ class TestSimulate:
             audio = np.full(SAMPLE_RATE, 0.1, dtype=np.float32)
             audio[50] = np.nan
             wavfile.write(pools / "bad.wav", SAMPLE_RATE, audio)
-        elif fault == "silent_bed":
+        elif fault in ("silent_bed", "silent_utterance"):
             write_wav(pools / "bad.wav", np.zeros(SAMPLE_RATE))
         for name in ("speech", "background"):
             rows = [json.loads(r) for r in (demo_pool_dir / f"{name}_manifest.jsonl")
@@ -297,8 +307,7 @@ class TestSimulate:
         _, err = read_out(capsys)
         assert rc == 1
         assert err.startswith(f"error: {pools / (pool + '.jsonl')}:3: ")
-        assert list((tmp_path / "out").rglob("*.wav")) == []
-        assert not (tmp_path / "out" / "scenes.jsonl").exists()
+        assert not (tmp_path / "out").exists()
 
 
 class TestIngest:

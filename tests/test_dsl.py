@@ -166,6 +166,17 @@ class TestSerialize:
         with pytest.raises(ValueError):
             serialize(prompt)
 
+    # the leftmost token that would end the description is the one named
+    @pytest.mark.parametrize("description, token", [
+        ("a&b", "&"), ("a}b", "}"), ('a"b', '"'), ("a@{b", "@{"),
+        ("x}y&z", "}"), ('say "hi" & go', '"'), ("@{ and }", "@{"), ("a@b{c}&", "}"),
+    ])
+    def test_names_leftmost_forbidden_token(self, description, token):
+        prompt = StructuredPrompt("", (EventSpec("ok", (span(1, 2),)), EventSpec(description, (span(1, 2),))))
+        with pytest.raises(ValueError) as exc_info:
+            serialize(prompt)
+        assert str(exc_info.value) == f"forbidden {token!r} in event 1 description: {description!r}"
+
 
 class TestSamplePrompts:
     @pytest.mark.parametrize("raw", PLANNED_PROMPT_SAMPLES)

@@ -132,6 +132,17 @@ class TestBuildVocab:
         for i in range(len(vocab)):
             assert vocab.id_of(vocab.token_of(i)) == i
 
+    def test_token_tuple_built_once(self):
+        vocab = ExtendedVocabulary(base_tokens=["b", "a"], phoneme_tokens=("AH0", "K"))
+        tokens = vocab.all_tokens()
+        assert tokens == ("b", "a", "AH0", "K", "<SPK>", "</SPK>")
+        assert vocab.all_tokens() is tokens
+        assert len(vocab) == len(tokens)
+        assert [vocab.token_of(i) for i in range(len(vocab))] == list(tokens)
+        for bad in (-1, len(tokens)):
+            with pytest.raises(ValueError, match=f"token id {bad} out of range 0..5"):
+                vocab.token_of(bad)
+
     def test_rejects_cross_segment_duplicates(self):
         with pytest.raises(ValueError, match="duplicate token"):
             ExtendedVocabulary(base_tokens=("AH0",), phoneme_tokens=("AH0",))

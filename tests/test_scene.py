@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -307,6 +308,18 @@ class TestPoolLoading:
             f"{manifest}:2: background {tmp_path / 'quiet.wav'} is silent over the clip"
         )
 
+    # a clip silent from end to end, whatever its sample rate
+    @pytest.mark.parametrize("rate", [SAMPLE_RATE, 22050])
+    def test_silent_utterance_names_manifest_line(self, tmp_path, rate):
+        write_wav(tmp_path / "x.wav", np.full(SAMPLE_RATE, 0.1))
+        write_wav(tmp_path / "quiet.wav", np.zeros(rate), rate=rate)
+        manifest = tmp_path / "speech.jsonl"
+        rows = [{"path": p, "speaker_id": "a", "transcript": "hi"} for p in ("x.wav", "quiet.wav")]
+        manifest.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(ValueError) as exc_info:
+            load_speech_pool(manifest)
+        assert str(exc_info.value) == f"{manifest}:2: utterance {tmp_path / 'quiet.wav'} is silent"
+
     def test_caption_with_block_opener_names_manifest_line(self, tmp_path):
         write_wav(tmp_path / "x.wav", np.full(SAMPLE_RATE, 0.1))
         manifest = tmp_path / "bg.jsonl"
@@ -425,6 +438,37 @@ class TestComposeScene:
             residual = scene.waveform - speech
             measured = 20 * np.log10(rms(speech[active]) / rms(residual))
             assert measured == pytest.approx(scene.spec.snr_db, abs=1e-6)
+
+    def test_utterance_draw_stream_pinned(self, speech_pool, background_pool):
+        # the draw stream: each placement (speaker, transcript, length,
+        # start), bed and SNR of the first 50 scenes of dataset seed 0 on the
+        # demo pools (seed 0)
+        h = hashlib.sha256()
+        for i in range(50):
+            spec = compose_scene(speech_pool, background_pool, ScenePriors(),
+                                 derive_scene_seed(0, i)).spec
+            for clip, start in spec.placements:
+                h.update(f"{clip.speaker_id}|{clip.transcript}|{clip.audio.shape[0]}|{start!r};".encode())
+            h.update(f"{spec.background_id}|{spec.snr_db!r}\n".encode())
+        assert h.hexdigest() == "0fef1eb32c15d508b6b1d1a0aac8d21b3aede99aac3df3f9138a9d161468ee9e"
+
+    def test_count_no_speaker_holds_is_redrawn(self):
+        pool = SpeechPool(
+            by_speaker={"a": [_clip(1.0, "a")], "b": [_clip(1.0, "b"), _clip(1.0, "b")]},
+            speaker_gender={"a": None, "b": None},
+        )
+        bg = BackgroundPool(clips=[BackgroundClip("b", 0.05 * np.ones(CLIP_SAMPLES), "A room")])
+        for p_single, pmf in ((1.0, {1: 0.5, 3: 0.5}), (0.0, {2: 0.5, 4: 0.5})):
+            priors = ScenePriors(p_single_speaker=p_single, utterance_count_pmf=pmf)
+            for seed in range(20):
+                spec = compose_scene(pool, bg, priors, seed=seed).spec
+                speakers = [c.speaker_id for c, _ in spec.placements]
+                if p_single:
+                    assert len(speakers) == 1
+                else:
+                    # each dialogue slot draws a speaker the scene has not
+                    # used, so a count of 4 never fits and is redrawn
+                    assert sorted(speakers) == ["a", "b"]
 
     def test_dialogue_needs_two_speakers(self):
         pool = SpeechPool(

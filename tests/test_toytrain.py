@@ -116,6 +116,37 @@ class TestConditionViews:
         with pytest.raises(ValueError, match="outside"):
             dn.view_of(8, "full")
 
+    def test_uneven_levels_project_and_size_tables(self):
+        s1, s2, s3 = 2, 3, 4
+        dn = ToyDenoiser(2, 10, emb=5, level_sizes=(s1, s2, s3), rng=np.random.default_rng(0))
+        ids = np.arange(s1 * s2 * s3)
+        expected = {"text": ids // (s2 * s3), "text_timing": ids // s3, "full": ids, "null": 0 * ids}
+        for g, views in expected.items():
+            assert dn.view_of(ids, g).tolist() == views.tolist()
+            # the table has one row per distinct view
+            assert dn.params[dn._table(g)].shape == (views.max() + 1, 5)
+
+    def test_init_draws_tables_in_granularity_order(self):
+        # reference: every parameter drawn explicitly, the tables coarsest first
+        dim, T, hidden, emb, (s1, s2, s3), n_freq = 3, 20, 6, 4, (2, 3, 4), 2
+        dn = ToyDenoiser(dim, T, hidden=hidden, emb=emb, level_sizes=(s1, s2, s3), n_freq=n_freq,
+                         rng=np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        in_dim = dim + 2 * n_freq + emb
+        reference = {
+            "W1": rng.standard_normal((in_dim, hidden)) / np.sqrt(in_dim),
+            "W2": rng.standard_normal((hidden, hidden)) / np.sqrt(hidden),
+            "W3": rng.standard_normal((hidden, dim)) / np.sqrt(hidden),
+            "E_text": 0.1 * rng.standard_normal((s1, emb)),
+            "E_text_timing": 0.1 * rng.standard_normal((s1 * s2, emb)),
+            "E_full": 0.1 * rng.standard_normal((s1 * s2 * s3, emb)),
+            "E_null": 0.1 * rng.standard_normal((1, emb)),
+        }
+        reference.update(b1=np.zeros(hidden), b2=np.zeros(hidden), b3=np.zeros(dim))
+        assert sorted(dn.params) == sorted(reference)
+        for name, value in reference.items():
+            assert dn.params[name].tobytes() == value.tobytes(), name
+
     def test_unknown_granularity_raises(self):
         dn = _tiny_denoiser()
         with pytest.raises(ValueError, match="granularity"):
@@ -274,6 +305,20 @@ class TestPredictWorkspace:
         assert dn._work is work
         dn.predict(z[:2], 6, ("text", 0))
         assert dn._work is not work and dn._work[0].shape[0] == 2
+
+    def test_training_and_validation_use_the_scratch_rows(self):
+        sched = cosine_schedule(20)
+        data = make_toy_dataset(40, 4, np.random.default_rng(1))
+        dn = ToyDenoiser(4, 20, rng=np.random.default_rng(5))
+        validation_loss(dn, data, sched, "full", np.random.default_rng(2))
+        assert dn._work[0].shape[0] == 40
+        train_toy_denoiser(data, default_curriculum(steps=2, batch_size=9), sched, seed=0, denoiser=dn)
+        assert dn._work[0].shape[0] == 9
+        z = np.random.default_rng(3).standard_normal((9, 4))
+        out, (x, h1, h2, _, _) = dn._forward(z, 5.0, "text", 1)
+        assert all(a is w for a, w in zip((x, h1, h2), dn._work))
+        assert not any(np.shares_memory(out, w) for w in dn._work)
+        assert dn.predict(z, 5, ("text", 1)).tobytes() == _reference_predict(dn, z, 5, ("text", 1)).tobytes()
 
     def test_warm_batch_predict_allocates_little(self):
         dn = _sampling_denoiser()
