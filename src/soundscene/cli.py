@@ -156,13 +156,17 @@ def _init_sim_worker(speech: Any, background: Any, priors: Any) -> None:
 
 def _sim_task(task: tuple[int, int, Path]) -> dict[str, Any]:
     index, seed, out_dir = task
-    scene = compose_scene(
-        _WORKER_STATE["speech"],
-        _WORKER_STATE["background"],
-        _WORKER_STATE["priors"],
-        seed=seed,
-    )
-    record = _scene_record(f"scene{index:05d}", scene)
+    clip_id = f"scene{index:05d}"
+    try:
+        scene = compose_scene(
+            _WORKER_STATE["speech"],
+            _WORKER_STATE["background"],
+            _WORKER_STATE["priors"],
+            seed=seed,
+        )
+    except (ValueError, RuntimeError) as exc:  # e.g. a draw that cannot be arranged
+        raise type(exc)(f"{clip_id} (seed {seed}): {exc}") from exc
+    record = _scene_record(clip_id, scene)
     write_wav(out_dir / record["audio"], scene.waveform)
     return record
 
@@ -303,6 +307,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     sched = SCHEDULES[sc.schedule](sc.T)
 
     if args.denoiser == "gaussian_oracle":
+        if args.checkpoint:
+            raise ValueError("--checkpoint needs --denoiser toy_checkpoint")
         dim = args.dim
         if dim < 1:
             raise ValueError(f"--dim must be >= 1, got {dim}")

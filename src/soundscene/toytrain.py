@@ -3,6 +3,8 @@
 The denoiser is a two-hidden-layer tanh perceptron over
 [z_t, sinusoidal time features, condition embedding], written directly in
 numpy with hand-derived gradients so training is exactly reproducible.
+Its sizes are module constants; only the latent dimension and the schedule
+length T vary, and a checkpoint stores just those two plus the parameters.
 
 Conditions are hierarchical: a full condition id factors into
 (text, timing, phoneme) levels, and coarser views drop the finer levels.
@@ -13,6 +15,8 @@ unconditional branch used for classifier-free guidance.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +45,20 @@ GRANULARITIES = ("text", "text_timing", "full", "null")
 # Sizes of the (text, timing, phoneme) condition levels; a full condition
 # id indexes their product.
 LEVEL_SIZES = (2, 2, 2)
+_N_CONDITIONS = math.prod(LEVEL_SIZES)
+
+# The condition hierarchy, once: a granularity's view of a full id is
+# id // divisor, its table has _N_CONDITIONS // divisor rows, and every
+# in-range id // _N_CONDITIONS is 0, the null table's one row.
+_DIVISORS = dict(
+    zip(GRANULARITIES, (LEVEL_SIZES[1] * LEVEL_SIZES[2], LEVEL_SIZES[2], 1, _N_CONDITIONS))
+)
+
+# The denoiser's hidden width, condition-embedding width and number of
+# sinusoidal time frequencies.
+_HIDDEN = 64
+_EMB = 8
+_N_FREQ = 4
 
 # make_toy_dataset: the text level's mean offset and the within-condition std
 _TOY_SPREAD = 2.0
@@ -50,7 +68,7 @@ _TOY_SIGMA = 0.4
 _VALIDATION_REPEATS = 8
 
 _CKPT_MAGIC = b"TOYDNZR\x00"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 class TrainingDiverged(RuntimeError):
@@ -62,59 +80,49 @@ class TrainingDiverged(RuntimeError):
         self.step = step
 
 
-def _time_features(t: np.ndarray | float, T: int, n_freq: int) -> np.ndarray:
+def _time_features(t: np.ndarray | float, T: int) -> np.ndarray:
     """Sinusoidal features of normalized time, one row per step (a scalar
-    step gives one row), shape (n, 2*n_freq)."""
+    step gives one row), shape (n, 2*_N_FREQ)."""
     tau = np.reshape(np.asarray(t, dtype=np.float64), (-1, 1)) / T
-    freqs = 2.0 ** np.arange(n_freq)
+    freqs = 2.0 ** np.arange(_N_FREQ)
     angles = 2.0 * np.pi * tau * freqs
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
+
+
+def _param_shapes(dim: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape for latent dimension ``dim``, in the order
+    ToyDenoiser draws them: the layers, then one condition-embedding table
+    per granularity, coarsest first."""
+    in_dim = dim + 2 * _N_FREQ + _EMB
+    shapes = {
+        "W1": (in_dim, _HIDDEN), "b1": (_HIDDEN,),
+        "W2": (_HIDDEN, _HIDDEN), "b2": (_HIDDEN,),
+        "W3": (_HIDDEN, dim), "b3": (dim,),
+    }
+    for g, divisor in _DIVISORS.items():
+        shapes["E_" + g] = (_N_CONDITIONS // divisor, _EMB)
+    return shapes
 
 
 class ToyDenoiser:
     """Two-hidden-layer MLP epsilon predictor with per-granularity
     condition-embedding tables and a dedicated null embedding."""
 
-    def __init__(
-        self,
-        dim: int,
-        T: int,
-        hidden: int = 64,
-        emb: int = 8,
-        level_sizes: tuple[int, int, int] = LEVEL_SIZES,
-        n_freq: int = 4,
-        rng: np.random.Generator | None = None,
-    ):
-        if dim < 1 or T < 1 or hidden < 1 or emb < 1 or n_freq < 1:
-            raise ValueError("all sizes must be positive")
-        if len(level_sizes) != 3 or any(s < 1 for s in level_sizes):
-            raise ValueError(f"level_sizes must be three positive ints, got {level_sizes!r}")
+    def __init__(self, dim: int, T: int, rng: np.random.Generator | None = None):
+        if dim < 1 or T < 1:
+            raise ValueError(f"dim and T must be positive, got dim={dim}, T={T}")
         self.dim = dim
         self.T = T
-        self.hidden = hidden
-        self.emb = emb
-        self.level_sizes = tuple(int(s) for s in level_sizes)
-        self.n_freq = n_freq
         if rng is None:
             rng = np.random.default_rng(0)
-        _, s2, s3 = self.level_sizes
-        n = self.n_conditions
-        # the condition hierarchy, once: a granularity's view of a full id is
-        # id // divisor, its table has n // divisor rows, and every in-range
-        # id // n is 0, the null table's one row
-        self._divisors = dict(zip(GRANULARITIES, (s2 * s3, s3, 1, n)))
-        in_dim = dim + 2 * n_freq + emb
-        self.params: dict[str, np.ndarray] = {
-            "W1": rng.standard_normal((in_dim, hidden)) / np.sqrt(in_dim),
-            "b1": np.zeros(hidden),
-            "W2": rng.standard_normal((hidden, hidden)) / np.sqrt(hidden),
-            "b2": np.zeros(hidden),
-            "W3": rng.standard_normal((hidden, dim)) / np.sqrt(hidden),
-            "b3": np.zeros(dim),
-        }
-        # drawn in GRANULARITIES order, which fixes the init rng stream
-        for g, divisor in self._divisors.items():
-            self.params[self._table(g)] = 0.1 * rng.standard_normal((n // divisor, emb))
+        self.params: dict[str, np.ndarray] = {}
+        for name, shape in _param_shapes(dim).items():
+            if name[0] == "b":
+                self.params[name] = np.zeros(shape)
+            elif name[0] == "W":  # scaled by fan-in
+                self.params[name] = rng.standard_normal(shape) / np.sqrt(shape[0])
+            else:
+                self.params[name] = 0.1 * rng.standard_normal(shape)
         # _forward's (x, h1, h2) scratch rows, resized when the row count changes
         self._work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -122,22 +130,21 @@ class ToyDenoiser:
 
     @property
     def n_conditions(self) -> int:
-        s1, s2, s3 = self.level_sizes
-        return s1 * s2 * s3
+        return _N_CONDITIONS
 
     def view_of(self, full_id: int | np.ndarray, granularity: str) -> int | np.ndarray:
         """Project full condition ids (an int, or an integer array projected
         element-wise) onto a coarser granularity; a scalar id gives an int."""
         ids = np.asarray(full_id)
-        n = self.n_conditions
+        n = _N_CONDITIONS
         if ids.dtype.kind not in "iu":
             raise ValueError(f"condition ids must be integers in 0..{n - 1}, got {full_id!r}")
         bad = (ids < 0) | (ids >= n)
         if bad.any():
             raise ValueError(f"condition id {ids[bad].flat[0]} outside 0..{n - 1}")
-        if granularity not in self._divisors:
+        if granularity not in _DIVISORS:
             raise ValueError(f"unknown granularity {granularity!r}")
-        views = ids // self._divisors[granularity]
+        views = ids // _DIVISORS[granularity]
         return int(views) if views.ndim == 0 else views
 
     def _table(self, granularity: str) -> str:
@@ -163,13 +170,12 @@ class ToyDenoiser:
         if np.any(view_ids < 0) or np.any(view_ids >= E.shape[0]):
             raise ValueError(f"view id outside the {granularity} table of {E.shape[0]} rows")
         n = z_t.shape[0]
+        d, f = self.dim, self.dim + 2 * _N_FREQ
         if self._work is None or self._work[0].shape[0] != n:
-            in_dim = self.dim + 2 * self.n_freq + self.emb
-            self._work = (np.empty((n, in_dim)), np.empty((n, self.hidden)), np.empty((n, self.hidden)))
+            self._work = (np.empty((n, f + _EMB)), np.empty((n, _HIDDEN)), np.empty((n, _HIDDEN)))
         x, h1, h2 = self._work
-        d, f = self.dim, self.dim + 2 * self.n_freq
         x[:, :d] = z_t
-        x[:, d:f] = _time_features(t, self.T, self.n_freq)
+        x[:, d:f] = _time_features(t, self.T)
         x[:, f:] = E[view_ids]
         p = self.params
         for h, h_in, W, b in ((h1, x, "W1", "b1"), (h2, h1, "W2", "b2")):
@@ -205,7 +211,7 @@ class ToyDenoiser:
         grads["W1"] = x.T @ g_h1
         grads["b1"] = g_h1.sum(axis=0)
         g_x = g_h1 @ self.params["W1"].T
-        g_emb = g_x[:, self.dim + 2 * self.n_freq :]
+        g_emb = g_x[:, self.dim + 2 * _N_FREQ :]
         np.add.at(grads[table], view_ids, g_emb)
         return loss, grads
 
@@ -322,7 +328,7 @@ def train_toy_denoiser(
     denoiser: ToyDenoiser | None = None,
 ) -> ToyDenoiser:
     """Train (or continue training) the toy denoiser through the curriculum;
-    without ``denoiser`` a new one with ToyDenoiser's default sizes starts.
+    without ``denoiser`` a new one, drawn from the seeded rng, starts.
 
     Each step draws a batch with replacement, one granularity for the whole
     batch, per-item timesteps and noise, and takes one Adam step on the
@@ -401,7 +407,7 @@ def make_toy_dataset(n: int, dim: int, rng: np.random.Generator) -> list[tuple[n
     s1, s2, s3 = LEVEL_SIZES
     items: list[tuple[np.ndarray, int]] = []
     for _ in range(n):
-        cid = int(rng.integers(0, s1 * s2 * s3))
+        cid = int(rng.integers(0, _N_CONDITIONS))
         tt = cid // (s2 * s3)
         gg = (cid // s3) % s2
         pp = cid % s3
@@ -414,31 +420,23 @@ def make_toy_dataset(n: int, dim: int, rng: np.random.Generator) -> list[tuple[n
 
 
 def save_checkpoint(denoiser: ToyDenoiser, path: str | Path) -> None:
-    """Flat binary: magic, version, JSON header (sizes + parameter shapes),
-    then raw little-endian float64 parameter data in header order."""
-    names = sorted(denoiser.params)
-    header = {
-        "dim": denoiser.dim,
-        "T": denoiser.T,
-        "hidden": denoiser.hidden,
-        "emb": denoiser.emb,
-        "level_sizes": list(denoiser.level_sizes),
-        "n_freq": denoiser.n_freq,
-        "params": [[name, list(denoiser.params[name].shape)] for name in names],
-    }
-    blob = json.dumps(header).encode("utf-8")
+    """Flat binary: magic, version, the JSON header {"dim", "T"}, then every
+    parameter as raw little-endian float64 in sorted-name order.  The
+    parameter layout is _param_shapes(dim), so the header needs no table."""
+    blob = json.dumps({"dim": denoiser.dim, "T": denoiser.T}).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<II", _CKPT_VERSION, len(blob)))
         fh.write(blob)
-        for name in names:
+        for name in sorted(_param_shapes(denoiser.dim)):
             fh.write(np.ascontiguousarray(denoiser.params[name], dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> ToyDenoiser:
     """Read a save_checkpoint file.  Raises ValueError naming the path unless
-    the file holds exactly one parameter of the right shape for each
-    parameter of the model its header sizes build."""
+    the header holds just the positive integers dim and T, and the body is
+    exactly the parameter bytes _param_shapes(dim) implies.  The size is
+    checked before anything is built, so a lying header costs no memory."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
@@ -455,40 +453,30 @@ def load_checkpoint(path: str | Path) -> ToyDenoiser:
             raise ValueError(f"{path}: unreadable checkpoint header: {exc}") from None
         if not isinstance(header, dict):
             raise ValueError(f"{path}: checkpoint header is not a JSON object")
-        try:
-            denoiser = ToyDenoiser(
-                dim=header["dim"],
-                T=header["T"],
-                hidden=header["hidden"],
-                emb=header["emb"],
-                level_sizes=tuple(header["level_sizes"]),
-                n_freq=header["n_freq"],
-            )
-            entries = [(str(name), tuple(int(n) for n in shape)) for name, shape in header["params"]]
-        except KeyError as exc:
-            raise ValueError(f"{path}: checkpoint header has no {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed checkpoint header: {exc}") from None
-        loaded: set[str] = set()
-        for name, shape in entries:
-            if name not in denoiser.params:
-                raise ValueError(f"{path}: unknown parameter {name!r}")
-            if name in loaded:
-                raise ValueError(f"{path}: parameter {name!r} appears twice")
-            expected = denoiser.params[name].shape
-            if shape != expected:
+        extra = sorted(set(header) - {"dim", "T"})
+        if extra:
+            raise ValueError(f"{path}: malformed checkpoint header: unexpected keys {extra}")
+        for key in ("dim", "T"):
+            if key not in header:
+                raise ValueError(f"{path}: checkpoint header has no {key!r}")
+            # type(...) is int: a JSON true is a bool, and 2.0 a float
+            if type(header[key]) is not int or header[key] < 1:
                 raise ValueError(
-                    f"{path}: parameter {name!r} has shape {shape}, the header's sizes give {expected}"
+                    f"{path}: malformed checkpoint header: {key} must be a positive integer, "
+                    f"got {header[key]!r}"
                 )
-            count = int(np.prod(expected))
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError(f"{path}: truncated checkpoint at parameter {name!r}")
-            denoiser.params[name] = np.frombuffer(raw, dtype="<f8").reshape(expected).copy()
-            loaded.add(name)
-        missing = sorted(set(denoiser.params) - loaded)
-        if missing:
-            raise ValueError(f"{path}: missing parameters {missing}")
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after parameters")
+        dim, T = header["dim"], header["T"]
+        shapes = _param_shapes(dim)
+        need = 8 * sum(math.prod(shape) for shape in shapes.values())
+        have = os.fstat(fh.fileno()).st_size - fh.tell()
+        if have != need:
+            problem = "truncated checkpoint" if have < need else "trailing bytes after parameters"
+            raise ValueError(f"{path}: {problem}: {have} parameter bytes, dim {dim} needs {need}")
+        flat = np.frombuffer(fh.read(need), dtype="<f8")
+    denoiser = ToyDenoiser(dim, T)
+    offset = 0
+    for name in sorted(shapes):
+        count = math.prod(shapes[name])
+        denoiser.params[name] = flat[offset : offset + count].reshape(shapes[name]).copy()
+        offset += count
     return denoiser

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from soundscene.audio import SAMPLE_RATE, write_wav
 from soundscene.cli import main
 from soundscene.dsl import parse, serialize, validate
 from soundscene.manifest import read_jsonl
+from soundscene.scene import derive_scene_seed
 from soundscene.toytrain import ToyDenoiser, save_checkpoint
 
 from test_planner import GOOD_PROMPT, chat_reply
@@ -310,6 +312,37 @@ class TestSimulate:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unarrangeable_scene_named_with_its_seed(self, tmp_path, capsys, workers):
+        # 3 speakers x 3 five-second utterances: monologues fit the 10 s
+        # clip, but no dialogue of 2+ utterances does; at dataset seed 1
+        # scene 5 is the first dialogue drawn
+        pools = tmp_path / "pools"
+        pools.mkdir()
+        rows = []
+        for s in range(3):
+            for u in range(3):
+                write_wav(pools / f"s{s}u{u}.wav",
+                          0.1 * np.sin(np.arange(5 * SAMPLE_RATE) * (0.05 + 0.01 * s)))
+                rows.append({"path": f"s{s}u{u}.wav", "speaker_id": f"spk{s}", "transcript": "hello"})
+        (pools / "speech.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        write_wav(pools / "bed.wav", 0.05 * np.random.default_rng(0).standard_normal(10 * SAMPLE_RATE))
+        (pools / "bg.jsonl").write_text(json.dumps({"path": "bed.wav", "caption": "rain"}) + "\n")
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            f"dataset_seed: 1\nspeech_manifest: {pools / 'speech.jsonl'}\n"
+            f"background_manifest: {pools / 'bg.jsonl'}\noutput_dir: {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        rc = main(["simulate", "--config", str(cfg), "--count", "20", "--workers", str(workers)])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert err.splitlines()[-1].startswith(
+            f"error: scene00005 (seed {derive_scene_seed(1, 5)}): "
+            "could not arrange a dialogue scene in 20 draws"
+        )
+
+
 class TestIngest:
     def test_join_and_prompt_output(self, tmp_path, capsys):
         (tmp_path / "events.tsv").write_text(
@@ -569,7 +602,7 @@ class TestSample:
         assert np.all(np.isfinite(z))
 
     def test_toy_checkpoint_denoiser(self, run_config, tmp_path):
-        d = ToyDenoiser(dim=3, T=20, hidden=8, emb=4)
+        d = ToyDenoiser(dim=3, T=20)
         ckpt = tmp_path / "toy.ckpt"
         save_checkpoint(d, ckpt)
         rc = main(["sample", "--config", str(run_config),
@@ -587,7 +620,7 @@ class TestSample:
         assert z.shape == (3,)
 
     def test_toy_checkpoint_T_mismatch_rejected(self, run_config, tmp_path, capsys):
-        d = ToyDenoiser(dim=2, T=20, hidden=8, emb=4)
+        d = ToyDenoiser(dim=2, T=20)
         ckpt = tmp_path / "toy.ckpt"
         save_checkpoint(d, ckpt)
         rc = main(["sample", "--config", str(run_config),
@@ -595,6 +628,28 @@ class TestSample:
         _, err = read_out(capsys)
         assert rc == 1
         assert "T=20" in err
+
+    def test_checkpoint_without_toy_denoiser_rejected(self, run_config, tmp_path, capsys):
+        ckpt = tmp_path / "toy.ckpt"
+        save_checkpoint(ToyDenoiser(dim=2, T=100), ckpt)
+        rc = main(["sample", "--config", str(run_config), "--checkpoint", str(ckpt),
+                   "--condition-id", "5", "--output-dir", str(tmp_path / "x")])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert err.startswith("error:") and "--checkpoint needs --denoiser toy_checkpoint" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_lying_checkpoint_header_exits_1(self, run_config, tmp_path, capsys):
+        # ~200 bytes whose header claims a 10^12-dimensional model
+        blob = json.dumps({"dim": 10**12, "T": 100}).encode("utf-8")
+        ckpt = tmp_path / "lying.ckpt"
+        ckpt.write_bytes(b"TOYDNZR\x00" + struct.pack("<II", 2, len(blob)) + blob + bytes(160))
+        rc = main(["sample", "--config", str(run_config), "--denoiser", "toy_checkpoint",
+                   "--checkpoint", str(ckpt), "--output-dir", str(tmp_path / "x")])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert err.startswith(f"error: {ckpt}: truncated checkpoint: 160 parameter bytes")
+        assert not (tmp_path / "x").exists()
 
     def test_toy_checkpoint_requires_checkpoint_path(self, run_config, capsys):
         rc = main(["sample", "--config", str(run_config), "--denoiser", "toy_checkpoint"])

@@ -1,0 +1,39 @@
+"""The scripts under scripts/ run end to end against the library."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from soundscene.toytrain import load_checkpoint
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_script(name, *args):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_run_curriculum_saves_a_loadable_checkpoint(tmp_path):
+    ckpt = tmp_path / "toy.ckpt"
+    out = _run_script("run_curriculum.py", "--steps", "3", "--dataset-size", "32", "--T", "10",
+                      "--checkpoint", str(ckpt))
+    lines = out.splitlines()
+    assert lines[0].split() == ["stage", "text", "text_timing", "full"]
+    assert [line.split()[0] for line in lines[1:5]] == ["zero", "after", "after", "after"]
+    assert lines[-1] == f"checkpoint: {ckpt}"
+    loaded = load_checkpoint(ckpt)
+    assert (loaded.dim, loaded.T) == (4, 10)
+
+
+def test_guidance_sweep_prints_one_row_per_t1():
+    out = _run_script("guidance_sweep.py", "--T", "10", "--n", "50", "--t1", "0", "5", "10")
+    rows = [line.split() for line in out.splitlines()[2:]]
+    assert [row[0] for row in rows] == ["0", "5", "10"]
+    assert all(len(row) == 4 for row in rows)

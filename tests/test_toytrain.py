@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import re
 import struct
@@ -23,33 +24,24 @@ from soundscene.toytrain import (
 )
 
 
-def _tiny_denoiser(dim=2, T=10, hidden=5, emb=3, n_freq=2, seed=0):
-    return ToyDenoiser(
-        dim, T, hidden=hidden, emb=emb, level_sizes=(2, 2, 2), n_freq=n_freq,
-        rng=np.random.default_rng(seed),
-    )
-
-
-def _checkpoint_parts(dn):
-    """The header sizes and (name, array) parameters save_checkpoint writes."""
-    header = {
-        "dim": dn.dim, "T": dn.T, "hidden": dn.hidden, "emb": dn.emb,
-        "level_sizes": list(dn.level_sizes), "n_freq": dn.n_freq,
-    }
-    return header, [(name, dn.params[name]) for name in sorted(dn.params)]
+def _tiny_denoiser(dim=2, T=10, seed=0):
+    return ToyDenoiser(dim, T, rng=np.random.default_rng(seed))
 
 
 def _write_checkpoint(tmp_path, header, params):
-    """A checkpoint file laid out as save_checkpoint lays it out, holding
-    these header sizes and these (name, array) parameters in order."""
-    header = dict(header, params=[[name, list(np.shape(value))] for name, value in params])
+    """A version-2 checkpoint laid out as save_checkpoint lays it out: this
+    JSON header, then these arrays' float64 bytes in the order given."""
     blob = json.dumps(header).encode("utf-8")
     path = tmp_path / "edited.ckpt"
     with open(path, "wb") as fh:
-        fh.write(b"TOYDNZR\x00" + struct.pack("<II", 1, len(blob)) + blob)
-        for _, value in params:
+        fh.write(b"TOYDNZR\x00" + struct.pack("<II", 2, len(blob)) + blob)
+        for value in params:
             fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
     return path
+
+
+def _sorted_params(dn):
+    return [dn.params[name] for name in sorted(dn.params)]
 
 
 def _loss_only(dn, z_t, t, eps, gran, view_ids):
@@ -116,23 +108,23 @@ class TestConditionViews:
         with pytest.raises(ValueError, match="outside"):
             dn.view_of(8, "full")
 
-    def test_uneven_levels_project_and_size_tables(self):
-        s1, s2, s3 = 2, 3, 4
-        dn = ToyDenoiser(2, 10, emb=5, level_sizes=(s1, s2, s3), rng=np.random.default_rng(0))
-        ids = np.arange(s1 * s2 * s3)
-        expected = {"text": ids // (s2 * s3), "text_timing": ids // s3, "full": ids, "null": 0 * ids}
+    def test_views_project_and_size_tables(self):
+        dn = _tiny_denoiser()
+        ids = np.arange(8)
+        expected = {"text": ids // 4, "text_timing": ids // 2, "full": ids, "null": 0 * ids}
         for g, views in expected.items():
             assert dn.view_of(ids, g).tolist() == views.tolist()
             # the table has one row per distinct view
-            assert dn.params[dn._table(g)].shape == (views.max() + 1, 5)
+            assert dn.params[dn._table(g)].shape == (views.max() + 1, 8)
 
     def test_init_draws_tables_in_granularity_order(self):
-        # reference: every parameter drawn explicitly, the tables coarsest first
-        dim, T, hidden, emb, (s1, s2, s3), n_freq = 3, 20, 6, 4, (2, 3, 4), 2
-        dn = ToyDenoiser(dim, T, hidden=hidden, emb=emb, level_sizes=(s1, s2, s3), n_freq=n_freq,
-                         rng=np.random.default_rng(11))
+        # reference: every parameter drawn explicitly at the fixed sizes
+        # (hidden 64, embedding 8, 4 time frequencies, levels 2x2x2), the
+        # tables coarsest first
+        dim, T, hidden, emb, (s1, s2, s3) = 3, 20, 64, 8, (2, 2, 2)
+        dn = ToyDenoiser(dim, T, rng=np.random.default_rng(11))
         rng = np.random.default_rng(11)
-        in_dim = dim + 2 * n_freq + emb
+        in_dim = dim + 2 * 4 + emb
         reference = {
             "W1": rng.standard_normal((in_dim, hidden)) / np.sqrt(in_dim),
             "W2": rng.standard_normal((hidden, hidden)) / np.sqrt(hidden),
@@ -154,14 +146,14 @@ class TestConditionViews:
 
     @pytest.mark.parametrize("granularity", GRANULARITIES)
     def test_array_form_matches_scalar_calls(self, granularity):
-        dn = ToyDenoiser(2, 10, level_sizes=(3, 4, 5), rng=np.random.default_rng(0))
-        ids = np.random.default_rng(1).permutation(dn.n_conditions).reshape(6, 10)
+        dn = _tiny_denoiser()
+        ids = np.random.default_rng(1).permutation(dn.n_conditions).reshape(2, 4)
         scalar = [[dn.view_of(int(c), granularity) for c in row] for row in ids]
         assert all(type(v) is int for row in scalar for v in row)
         views = dn.view_of(ids, granularity)
         assert views.shape == ids.shape and views.dtype == ids.dtype
         assert views.tolist() == scalar
-        assert type(dn.view_of(np.int64(37), granularity)) is int
+        assert type(dn.view_of(np.int64(7), granularity)) is int
 
     @pytest.mark.parametrize("granularity", GRANULARITIES)
     def test_one_bad_id_in_array_raises(self, granularity):
@@ -239,7 +231,7 @@ def _reference_predict(dn, z_t, t, c=None):
     granularity, vid = ("null", 0) if c is None else c
     E = dn.params[dn._table(granularity)]
     tau = np.full(n, t, dtype=np.float64)[:, None] / dn.T
-    angles = 2.0 * np.pi * tau * 2.0 ** np.arange(dn.n_freq)
+    angles = 2.0 * np.pi * tau * 2.0 ** np.arange(4)  # the four time frequencies
     feats = np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
     x = np.concatenate([z2, feats, E[np.full(n, int(vid))]], axis=1)
     p = dn.params
@@ -577,12 +569,28 @@ class TestCheckpoint:
         dn = _tiny_denoiser()
         saved = tmp_path / "saved.ckpt"
         save_checkpoint(dn, saved)
-        path = _write_checkpoint(tmp_path, *_checkpoint_parts(dn))
+        path = _write_checkpoint(tmp_path, {"dim": dn.dim, "T": dn.T}, _sorted_params(dn))
         assert path.read_bytes() == saved.read_bytes()
+
+    def test_version_1_file_rejected(self, tmp_path):
+        # laid out as the version-1 writer laid it out: the sizes and a
+        # name/shape table in the header, then the parameters in that order
+        dn = _tiny_denoiser()
+        names = sorted(dn.params)
+        header = {
+            "dim": dn.dim, "T": dn.T, "hidden": 64, "emb": 8, "level_sizes": [2, 2, 2], "n_freq": 4,
+            "params": [[name, list(dn.params[name].shape)] for name in names],
+        }
+        blob = json.dumps(header).encode("utf-8")
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(b"TOYDNZR\x00" + struct.pack("<II", 1, len(blob)) + blob
+                         + b"".join(dn.params[name].astype("<f8").tobytes() for name in names))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unsupported checkpoint version 1")):
+            load_checkpoint(path)
 
     def test_short_header_raises(self, tmp_path):
         path = tmp_path / "short.ckpt"
-        path.write_bytes(b"TOYDNZR\x00" + struct.pack("<I", 1))
+        path.write_bytes(b"TOYDNZR\x00" + struct.pack("<I", 2))
         with pytest.raises(ValueError, match=re.escape(f"{path}: truncated checkpoint header")):
             load_checkpoint(path)
 
@@ -593,58 +601,102 @@ class TestCheckpoint:
     ])
     def test_malformed_header_raises(self, tmp_path, blob, text):
         path = tmp_path / "header.ckpt"
-        path.write_bytes(b"TOYDNZR\x00" + struct.pack("<II", 1, len(blob)) + blob)
+        path.write_bytes(b"TOYDNZR\x00" + struct.pack("<II", 2, len(blob)) + blob)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {text}")):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("field, value, text", [
         ("dim", "2", "malformed checkpoint header"),
-        ("hidden", 0, "malformed checkpoint header: all sizes must be positive"),
+        ("dim", True, "malformed checkpoint header: dim must be a positive integer, got True"),
+        # a version-1 size field or parameter table has no place in the header
         ("level_sizes", 2, "malformed checkpoint header"),
         ("params", 5, "malformed checkpoint header"),
         ("params", [["W1", 7]], "malformed checkpoint header"),
         ("params", [["W1"]], "malformed checkpoint header"),
-        ("params", [[["W1"], [2]]], "unknown parameter \"['W1']\""),
+        ("T", True, "malformed checkpoint header: T must be a positive integer, got True"),
+        ("dim", 2.0, "malformed checkpoint header: dim must be a positive integer, got 2.0"),
+        ("T", 0, "malformed checkpoint header: T must be a positive integer, got 0"),
+        ("dim", -1, "malformed checkpoint header: dim must be a positive integer, got -1"),
+        ("n_freq", 4, "malformed checkpoint header: unexpected keys ['n_freq']"),
     ])
     def test_malformed_header_field_raises(self, tmp_path, field, value, text):
-        header, _ = _checkpoint_parts(_tiny_denoiser())
-        blob = json.dumps({**header, "params": [], field: value}).encode("utf-8")
-        path = tmp_path / "field.ckpt"
-        path.write_bytes(b"TOYDNZR\x00" + struct.pack("<II", 1, len(blob)) + blob)
+        dn = _tiny_denoiser()
+        path = _write_checkpoint(tmp_path, {"dim": dn.dim, "T": dn.T, field: value}, _sorted_params(dn))
         with pytest.raises(ValueError, match=re.escape(f"{path}: {text}")):
             load_checkpoint(path)
 
     def test_missing_header_key_raises(self, tmp_path):
-        header, params = _checkpoint_parts(_tiny_denoiser())
-        del header["hidden"]
-        path = _write_checkpoint(tmp_path, header, params)
-        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint header has no 'hidden'")):
+        dn = _tiny_denoiser()
+        path = _write_checkpoint(tmp_path, {"dim": dn.dim}, _sorted_params(dn))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint header has no 'T'")):
             load_checkpoint(path)
 
+    # a writer that drops, adds, repeats or reshapes a parameter leaves a
+    # body whose size disagrees with the header's dim
     def test_unknown_parameter_raises(self, tmp_path):
-        header, params = _checkpoint_parts(_tiny_denoiser())
-        path = _write_checkpoint(tmp_path, header, params + [("W9", np.zeros(2))])
-        with pytest.raises(ValueError, match=re.escape(f"{path}: unknown parameter 'W9'")):
+        dn = _tiny_denoiser()
+        path = _write_checkpoint(tmp_path, {"dim": dn.dim, "T": dn.T}, _sorted_params(dn) + [np.zeros(2)])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: trailing bytes after parameters")):
             load_checkpoint(path)
 
     def test_missing_parameter_raises(self, tmp_path):
-        header, params = _checkpoint_parts(_tiny_denoiser())
-        path = _write_checkpoint(tmp_path, header, [(k, v) for k, v in params if k != "W1"])
-        with pytest.raises(ValueError, match=re.escape(f"{path}: missing parameters ['W1']")):
+        dn = _tiny_denoiser()
+        params = [dn.params[name] for name in sorted(dn.params) if name != "W1"]
+        path = _write_checkpoint(tmp_path, {"dim": dn.dim, "T": dn.T}, params)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated checkpoint")):
             load_checkpoint(path)
 
     def test_duplicate_parameter_raises(self, tmp_path):
-        header, params = _checkpoint_parts(_tiny_denoiser())
-        path = _write_checkpoint(tmp_path, header, params + [params[0]])
-        with pytest.raises(ValueError, match=re.escape(f"{path}: parameter '{params[0][0]}' appears twice")):
+        dn = _tiny_denoiser()
+        params = _sorted_params(dn)
+        path = _write_checkpoint(tmp_path, {"dim": dn.dim, "T": dn.T}, params + params[:1])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: trailing bytes after parameters")):
             load_checkpoint(path)
 
     def test_wrong_parameter_shape_raises(self, tmp_path):
-        header, params = _checkpoint_parts(_tiny_denoiser())
-        params = [(k, np.zeros(1) if k == "b1" else v) for k, v in params]
-        path = _write_checkpoint(tmp_path, header, params)
-        with pytest.raises(ValueError, match=re.escape(f"{path}: parameter 'b1' has shape (1,)")):
+        dn = _tiny_denoiser()
+        params = [np.zeros(1) if name == "b1" else dn.params[name] for name in sorted(dn.params)]
+        path = _write_checkpoint(tmp_path, {"dim": dn.dim, "T": dn.T}, params)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated checkpoint")):
             load_checkpoint(path)
+
+    def test_lying_dim_rejected_before_allocation(self, tmp_path):
+        # a ~200-byte file whose header claims a 10^12-dimensional model
+        path = _write_checkpoint(tmp_path, {"dim": 10**12, "T": 10}, [np.zeros(20)])
+        assert path.stat().st_size < 256
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(f"{path}: truncated checkpoint: 160 ")):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+
+
+class TestPinnedOutputs:
+    """sha256 digests recorded before the sizes became module constants and
+    the checkpoint lost its parameter table; any drift in init, training or
+    the forward pass changes them."""
+
+    PARAMS_SHA256 = "abbb0ae9ace4ff8cdee27905e7984a4fc6be4f74e2d270f4a089e0bacb161fe1"
+    SAMPLE_SHA256 = "73573804eff75d234eea09260cd2cefccc133a38da717b6dfd133bb60d606017"
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        data = make_toy_dataset(256, dim=4, rng=np.random.default_rng([0, 4]))
+        return train_toy_denoiser(data, default_curriculum(steps=60), cosine_schedule(100), seed=0)
+
+    def test_trained_parameter_bytes_pinned(self, trained):
+        raw = b"".join(trained.params[name].tobytes() for name in sorted(trained.params))
+        assert hashlib.sha256(raw).hexdigest() == self.PARAMS_SHA256
+
+    def test_sampled_batch_pinned(self, trained):
+        gs = GuidanceSchedule(("text", 1), ("full", 5), 3.0, 9.0, t1=88, T=100)
+        z_T = np.random.default_rng(1).standard_normal((64, 4))
+        z0 = sample_progressive(trained, gs, cosine_schedule(100), z_T, rng=np.random.default_rng(2))
+        assert z0.shape == (64, 4)
+        assert hashlib.sha256(z0.tobytes()).hexdigest() == self.SAMPLE_SHA256
 
 
 class TestGuidedSamplingWithTrainedDenoiser:
