@@ -17,6 +17,8 @@ from importlib import resources
 from pathlib import Path
 from typing import IO, ClassVar, Iterable
 
+from .dsl import _serialize_with_speech_regions
+
 __all__ = [
     "ARPABET_CONSONANTS",
     "ARPABET_VOWELS",
@@ -270,8 +272,6 @@ def tokenize_prompt(
     goes through the base tokenizer; each quoted speech segment becomes
     boundary-open, its g2p phoneme tokens, boundary-close.
     """
-    from soundscene.dsl import _serialize_with_speech_regions
-
     source, regions = _serialize_with_speech_regions(p)
     open_id = vocab.id_of(vocab.boundary_open)
     close_id = vocab.id_of(vocab.boundary_close)

@@ -418,7 +418,7 @@ def compose_scene(
         annotations.append(
             EventAnnotation(
                 label=speaker_label(gender),
-                span=TimeSpan(round(start, 2), round(start + clip.duration, 2)),
+                span=TimeSpan(start, start + clip.duration),
                 transcript=clip.transcript,
             )
         )

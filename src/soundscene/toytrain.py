@@ -3,8 +3,8 @@
 The denoiser is a two-hidden-layer tanh perceptron over
 [z_t, sinusoidal time features, condition embedding], written directly in
 numpy with hand-derived gradients so training is exactly reproducible.
-Its sizes are module constants; only the latent dimension and the schedule
-length T vary, and a checkpoint stores just those two plus the parameters.
+Its sizes are module constants, so only the latent dimension and schedule
+length T vary; a checkpoint stores those two plus the one parameter vector.
 
 Conditions are hierarchical: a full condition id factors into
 (text, timing, phoneme) levels, and coarser views drop the finer levels.
@@ -20,6 +20,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -76,16 +77,14 @@ class TrainingDiverged(RuntimeError):
 
     def __init__(self, stage: str, step: int):
         super().__init__(f"stage {stage!r}: non-finite loss at step {step}")
-        self.stage = stage
-        self.step = step
+        self.stage, self.step = stage, step
 
 
 def _time_features(t: np.ndarray | float, T: int) -> np.ndarray:
     """Sinusoidal features of normalized time, one row per step (a scalar
     step gives one row), shape (n, 2*_N_FREQ)."""
     tau = np.reshape(np.asarray(t, dtype=np.float64), (-1, 1)) / T
-    freqs = 2.0 ** np.arange(_N_FREQ)
-    angles = 2.0 * np.pi * tau * freqs
+    angles = 2.0 * np.pi * tau * 2.0 ** np.arange(_N_FREQ)
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
@@ -104,6 +103,22 @@ def _param_shapes(dim: int) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def _n_params(dim: int) -> int:
+    return sum(math.prod(shape) for shape in _param_shapes(dim).values())
+
+
+def _param_views(flat: np.ndarray, dim: int) -> Mapping[str, np.ndarray]:
+    """Read-only name -> view mapping over _n_params(dim) values, laid out
+    one parameter after another in sorted-name order (the checkpoint's)."""
+    shapes = _param_shapes(dim)
+    views, offset = {}, 0
+    for name in sorted(shapes):
+        count = math.prod(shapes[name])
+        views[name] = flat[offset : offset + count].reshape(shapes[name])
+        offset += count
+    return MappingProxyType(views)
+
+
 class ToyDenoiser:
     """Two-hidden-layer MLP epsilon predictor with per-granularity
     condition-embedding tables and a dedicated null embedding."""
@@ -111,18 +126,18 @@ class ToyDenoiser:
     def __init__(self, dim: int, T: int, rng: np.random.Generator | None = None):
         if dim < 1 or T < 1:
             raise ValueError(f"dim and T must be positive, got dim={dim}, T={T}")
-        self.dim = dim
-        self.T = T
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.params: dict[str, np.ndarray] = {}
-        for name, shape in _param_shapes(dim).items():
-            if name[0] == "b":
-                self.params[name] = np.zeros(shape)
-            elif name[0] == "W":  # scaled by fan-in
-                self.params[name] = rng.standard_normal(shape) / np.sqrt(shape[0])
-            else:
-                self.params[name] = 0.1 * rng.standard_normal(shape)
+        self._adopt(dim, T, np.zeros(_n_params(dim)))
+        rng = np.random.default_rng(0) if rng is None else rng
+        for name, shape in _param_shapes(dim).items():  # biases stay zero
+            if name[0] == "W":  # scaled by fan-in
+                self.params[name][...] = rng.standard_normal(shape) / np.sqrt(shape[0])
+            elif name[0] == "E":
+                self.params[name][...] = 0.1 * rng.standard_normal(shape)
+
+    def _adopt(self, dim: int, T: int, flat: np.ndarray) -> None:
+        """Take ``flat``, not copied, as the parameter vector."""
+        self.dim, self.T, self.flat = dim, T, flat
+        self.params = _param_views(flat, dim)
         # _forward's (x, h1, h2) scratch rows, resized when the row count changes
         self._work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -193,27 +208,27 @@ class ToyDenoiser:
         eps: np.ndarray,
         granularity: str,
         view_ids: np.ndarray,
-    ) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean per-item squared L2 objective and gradients for every
-        parameter (untouched embedding tables get zero gradients)."""
+    ) -> tuple[float, np.ndarray]:
+        """Mean per-item squared L2 objective and its gradient, one vector
+        laid out as ``flat`` (untouched embedding tables get zero rows)."""
         out, (x, h1, h2, table, view_ids) = self._forward(z_t, t, granularity, view_ids)
         n = z_t.shape[0]
         diff = out - eps
         loss = float(np.sum(diff * diff)) / n
         g_out = 2.0 * diff / n
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        grads["W3"] = h2.T @ g_out
-        grads["b3"] = g_out.sum(axis=0)
-        g_h2 = (g_out @ self.params["W3"].T) * (1.0 - h2 * h2)
-        grads["W2"] = h1.T @ g_h2
-        grads["b2"] = g_h2.sum(axis=0)
-        g_h1 = (g_h2 @ self.params["W2"].T) * (1.0 - h1 * h1)
-        grads["W1"] = x.T @ g_h1
-        grads["b1"] = g_h1.sum(axis=0)
-        g_x = g_h1 @ self.params["W1"].T
-        g_emb = g_x[:, self.dim + 2 * _N_FREQ :]
-        np.add.at(grads[table], view_ids, g_emb)
-        return loss, grads
+        grad = np.zeros_like(self.flat)
+        g, p = _param_views(grad, self.dim), self.params
+        np.matmul(h2.T, g_out, out=g["W3"])
+        np.sum(g_out, axis=0, out=g["b3"])
+        g_h2 = (g_out @ p["W3"].T) * (1.0 - h2 * h2)
+        np.matmul(h1.T, g_h2, out=g["W2"])
+        np.sum(g_h2, axis=0, out=g["b2"])
+        g_h1 = (g_h2 @ p["W2"].T) * (1.0 - h1 * h1)
+        np.matmul(x.T, g_h1, out=g["W1"])
+        np.sum(g_h1, axis=0, out=g["b1"])
+        g_x = g_h1 @ p["W1"].T
+        np.add.at(g[table], view_ids, g_x[:, self.dim + 2 * _N_FREQ :])
+        return loss, grad
 
     # ---- Denoiser interface ----------------------------------------------
 
@@ -314,9 +329,7 @@ def _noised_batch(
     t = rng.integers(1, sched.T + 1, size=z0.shape[0])
     eps = rng.standard_normal(z0.shape)
     z_t = forward_noise(z0, t, eps, sched)
-    view_ids = None
-    if denoiser is not None:
-        view_ids = denoiser.view_of(cids, granularity)
+    view_ids = None if denoiser is None else denoiser.view_of(cids, granularity)
     return z_t, t.astype(np.float64), eps, view_ids
 
 
@@ -348,8 +361,8 @@ def train_toy_denoiser(
 
     # fresh Adam state per call; continuing training restarts the optimizer
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
-    m = {k: np.zeros_like(v) for k, v in denoiser.params.items()}
-    v = {k: np.zeros_like(p) for k, p in denoiser.params.items()}
+    m = np.zeros_like(denoiser.flat)
+    v = np.zeros_like(m)
     adam_t = 0
 
     for stage in curriculum:
@@ -359,17 +372,15 @@ def train_toy_denoiser(
             z_t, t, eps, view_ids = _noised_batch(
                 denoiser, z0_all[idx], cid_all[idx], granularity, sched, rng
             )
-            loss, grads = denoiser._loss_and_grads(z_t, t, eps, granularity, view_ids)
+            loss, g = denoiser._loss_and_grads(z_t, t, eps, granularity, view_ids)
             if not np.isfinite(loss):
                 raise TrainingDiverged(stage.name, step)
             adam_t += 1
-            for key in denoiser.params:
-                g = grads[key]
-                m[key] = beta1 * m[key] + (1 - beta1) * g
-                v[key] = beta2 * v[key] + (1 - beta2) * g * g
-                m_hat = m[key] / (1 - beta1**adam_t)
-                v_hat = v[key] / (1 - beta2**adam_t)
-                denoiser.params[key] -= stage.lr * m_hat / (np.sqrt(v_hat) + adam_eps)
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g * g
+            m_hat = m / (1 - beta1**adam_t)
+            v_hat = v / (1 - beta2**adam_t)
+            denoiser.flat -= stage.lr * m_hat / (np.sqrt(v_hat) + adam_eps)
     return denoiser
 
 
@@ -404,42 +415,36 @@ def make_toy_dataset(n: int, dim: int, rng: np.random.Generator) -> list[tuple[n
     levels add progressively smaller offsets, so every granularity carries
     usable signal.
     """
-    s1, s2, s3 = LEVEL_SIZES
     items: list[tuple[np.ndarray, int]] = []
     for _ in range(n):
         cid = int(rng.integers(0, _N_CONDITIONS))
-        tt = cid // (s2 * s3)
-        gg = (cid // s3) % s2
-        pp = cid % s3
-        mean = _TOY_SPREAD * (2.0 * tt / max(1, s1 - 1) - 1.0)
-        mean += 0.25 * _TOY_SPREAD * (2.0 * gg / max(1, s2 - 1) - 1.0)
-        mean += 0.125 * _TOY_SPREAD * (2.0 * pp / max(1, s3 - 1) - 1.0)
+        mean = 0.0
+        for g, size, weight in zip(GRANULARITIES, LEVEL_SIZES, (1.0, 0.25, 0.125)):
+            level = cid // _DIVISORS[g] % size
+            mean += weight * _TOY_SPREAD * (2.0 * level / (size - 1) - 1.0)
         z0 = mean + _TOY_SIGMA * rng.standard_normal(dim)
         items.append((z0, cid))
     return items
 
 
 def save_checkpoint(denoiser: ToyDenoiser, path: str | Path) -> None:
-    """Flat binary: magic, version, the JSON header {"dim", "T"}, then every
-    parameter as raw little-endian float64 in sorted-name order.  The
-    parameter layout is _param_shapes(dim), so the header needs no table."""
+    """Flat binary: magic, version, the JSON header {"dim", "T"}, then the
+    parameter vector as raw little-endian float64.  Its layout (sorted-name
+    order, see _param_views) follows from dim, so the header needs no table."""
     blob = json.dumps({"dim": denoiser.dim, "T": denoiser.T}).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<II", _CKPT_VERSION, len(blob)))
-        fh.write(blob)
-        for name in sorted(_param_shapes(denoiser.dim)):
-            fh.write(np.ascontiguousarray(denoiser.params[name], dtype="<f8").tobytes())
+        fh.write(_CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(blob)) + blob)
+        fh.write(denoiser.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path: str | Path) -> ToyDenoiser:
     """Read a save_checkpoint file.  Raises ValueError naming the path unless
     the header holds just the positive integers dim and T, and the body is
-    exactly the parameter bytes _param_shapes(dim) implies.  The size is
-    checked before anything is built, so a lying header costs no memory."""
+    exactly the _n_params(dim) float64 values dim implies.  The size is
+    checked before anything is built, so a lying header costs no memory, and
+    the model is built on the body as read, with no random init."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
+        if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a toy-denoiser checkpoint")
         prefix = fh.read(8)
         if len(prefix) != 8:
@@ -466,17 +471,12 @@ def load_checkpoint(path: str | Path) -> ToyDenoiser:
                     f"got {header[key]!r}"
                 )
         dim, T = header["dim"], header["T"]
-        shapes = _param_shapes(dim)
-        need = 8 * sum(math.prod(shape) for shape in shapes.values())
+        need = 8 * _n_params(dim)
         have = os.fstat(fh.fileno()).st_size - fh.tell()
         if have != need:
             problem = "truncated checkpoint" if have < need else "trailing bytes after parameters"
             raise ValueError(f"{path}: {problem}: {have} parameter bytes, dim {dim} needs {need}")
-        flat = np.frombuffer(fh.read(need), dtype="<f8")
-    denoiser = ToyDenoiser(dim, T)
-    offset = 0
-    for name in sorted(shapes):
-        count = math.prod(shapes[name])
-        denoiser.params[name] = flat[offset : offset + count].reshape(shapes[name]).copy()
-        offset += count
+        flat = np.fromfile(fh, dtype="<f8", count=need // 8)
+    denoiser = ToyDenoiser.__new__(ToyDenoiser)
+    denoiser._adopt(dim, T, flat)
     return denoiser

@@ -10,14 +10,18 @@ from soundscene.toytrain import load_checkpoint
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_script(name, *args):
+def _run(*argv):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *argv],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _run_script(name, *args):
+    return _run(str(ROOT / "scripts" / name), *args)
 
 
 def test_run_curriculum_saves_a_loadable_checkpoint(tmp_path):
@@ -37,3 +41,11 @@ def test_guidance_sweep_prints_one_row_per_t1():
     rows = [line.split() for line in out.splitlines()[2:]]
     assert [row[0] for row in rows] == ["0", "5", "10"]
     assert all(len(row) == 4 for row in rows)
+
+
+def test_demo_pools_feed_simulate(tmp_path):
+    # the Quickstart's first two commands
+    out = _run_script("make_demo_pools.py", "--root", str(tmp_path / "demo"))
+    assert out.splitlines()[-1] == f"run config:      {tmp_path / 'demo' / 'run.yaml'}"
+    _run("-m", "soundscene.cli", "simulate", "--config", str(tmp_path / "demo" / "run.yaml"), "--count", "3")
+    assert len((tmp_path / "demo" / "out" / "scenes.jsonl").read_text().splitlines()) == 3

@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import json
 import re
@@ -15,6 +14,7 @@ from soundscene.toytrain import (
     ToyDenoiser,
     TrainingDiverged,
     _draw_granularity,
+    _param_views,
     default_curriculum,
     load_checkpoint,
     make_toy_dataset,
@@ -62,7 +62,8 @@ class TestGradients:
             view_ids = np.zeros(n, dtype=np.int64)
         else:
             view_ids = rng.integers(0, dn.params[table].shape[0], size=n)
-        _, grads = dn._loss_and_grads(z_t, t, eps, granularity, view_ids)
+        _, grad = dn._loss_and_grads(z_t, t, eps, granularity, view_ids)
+        grads = _param_views(grad, dn.dim)
         h = 1e-6
         for key in ["W1", "b1", "W2", "b2", "W3", "b3", table]:
             P = dn.params[key]
@@ -85,10 +86,33 @@ class TestGradients:
         z_t = rng.standard_normal((4, dn.dim))
         t = np.full(4, 3.0)
         eps = rng.standard_normal((4, dn.dim))
-        _, grads = dn._loss_and_grads(z_t, t, eps, "text", np.zeros(4, dtype=np.int64))
+        _, grad = dn._loss_and_grads(z_t, t, eps, "text", np.zeros(4, dtype=np.int64))
+        grads = _param_views(grad, dn.dim)
         assert not grads["E_text"].sum() == 0.0  # active table moved
         assert np.all(grads["E_full"] == 0.0)
         assert np.all(grads["E_null"] == 0.0)
+
+
+class TestParameterVector:
+    def test_params_are_views_of_the_vector_in_sorted_name_order(self):
+        dn = _tiny_denoiser()
+        base = dn.flat.__array_interface__["data"][0]
+        offset = 0
+        for name in sorted(dn.params):
+            view = dn.params[name]
+            assert np.shares_memory(view, dn.flat), name
+            assert view.__array_interface__["data"][0] == base + 8 * offset, name
+            offset += view.size
+        assert offset == dn.flat.size and dn.flat.dtype == np.float64
+
+    def test_params_cannot_be_rebound(self):
+        dn = _tiny_denoiser()
+        W1 = dn.params["W1"]
+        with pytest.raises(TypeError):
+            dn.params["W1"] = np.zeros_like(W1)
+        with pytest.raises(TypeError):
+            del dn.params["b1"]
+        assert dn.params["W1"] is W1
 
 
 class TestConditionViews:
@@ -246,7 +270,7 @@ def _sampling_denoiser():
     dn = ToyDenoiser(4, 100, rng=np.random.default_rng(5))
     rng = np.random.default_rng(6)
     for key in ("b1", "b2", "b3"):
-        dn.params[key] = 0.3 * rng.standard_normal(dn.params[key].shape)
+        dn.params[key][...] = 0.3 * rng.standard_normal(dn.params[key].shape)
     return dn
 
 
@@ -412,7 +436,7 @@ class TestTraining:
         data = make_toy_dataset(64, 2, np.random.default_rng(0))
         stage = CurriculumStage("s", 20, 16, 1e-3, {"text": 0.9, "null": 0.1})
         dn = train_toy_denoiser(data, [stage], sched, seed=1)
-        before = copy.deepcopy(dn.params)
+        before = {k: v.copy() for k, v in dn.params.items()}
         out = train_toy_denoiser(data, [stage], sched, seed=2, denoiser=dn)
         assert out is dn
         assert any(not np.array_equal(before[k], dn.params[k]) for k in before)
@@ -530,6 +554,30 @@ class TestCheckpoint:
         z = np.random.default_rng(2).standard_normal((5, 2))
         for c in [None, ("text", 1), ("full", 6)]:
             assert np.array_equal(dn.predict(z, 7, c), loaded.predict(z, 7, c))
+
+    def test_load_makes_no_random_draw(self, tmp_path, monkeypatch):
+        dn = _tiny_denoiser(dim=3, T=20, seed=4)
+        path = tmp_path / "toy.ckpt"
+        save_checkpoint(dn, path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random init")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded = load_checkpoint(path)
+        assert loaded.flat.tobytes() == dn.flat.tobytes()
+        assert all(np.shares_memory(view, loaded.flat) for view in loaded.params.values())
+
+    def test_loaded_model_keeps_training(self, tmp_path):
+        sched = cosine_schedule(20)
+        data = make_toy_dataset(64, 2, np.random.default_rng(0))
+        stage = CurriculumStage("s", 5, 16, 1e-3, {"text": 0.9, "null": 0.1})
+        dn = train_toy_denoiser(data, [stage], sched, seed=1)
+        path = tmp_path / "toy.ckpt"
+        save_checkpoint(dn, path)
+        loaded = train_toy_denoiser(data, [stage], sched, seed=2, denoiser=load_checkpoint(path))
+        in_memory = train_toy_denoiser(data, [stage], sched, seed=2, denoiser=dn)
+        assert loaded.flat.tobytes() == in_memory.flat.tobytes()
 
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "bad.ckpt"
