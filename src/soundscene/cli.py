@@ -208,11 +208,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _read_transcript_table(path: Path) -> dict[tuple[str, int], str]:
     table: dict[tuple[str, int], str] = {}
     for where, row in read_tsv(path, ("clip_id", "event_index", "transcript")):
-        try:
-            index = int(row["event_index"])
-        except ValueError as exc:
-            raise ValueError(f"{where}: non-integer event index: {exc}") from exc
-        key = (row["clip_id"], index)
+        raw = row["event_index"]
+        if not (raw.isascii() and raw.isdigit()):
+            raise ValueError(f"{where}: event index {raw!r} is not a non-negative integer")
+        key = (row["clip_id"], int(raw))
         if key in table:
             raise ValueError(f"{where}: duplicate transcript key {key}")
         table[key] = row["transcript"]
@@ -262,7 +261,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 )
             )
         caption = captions.get(clip.clip_id, "")
-        prompt = from_annotations(caption, joined)
+        try:
+            prompt = from_annotations(caption, joined)
+        except ValueError as exc:
+            raise ValueError(f"clip {clip.clip_id!r}: {exc}") from exc
         records.append(
             {
                 "clip_id": clip.clip_id,

@@ -9,6 +9,10 @@ Canonical renderings use exactly two fraction digits, a single space
 between tokens, spans sorted by start time, and the quoted speech last
 inside its block.  Within quoted speech a backslash escapes ``\\"`` and
 ``\\\\``; everywhere else the surface form is taken literally.
+
+validate() is the one list of prompt rules.  serialize() refuses every
+error it reports except a span ending past the clip, and
+from_annotations() refuses every error it reports.
 """
 
 from __future__ import annotations
@@ -253,12 +257,6 @@ def _format_time(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _check_field_text(text: str, what: str):
-    """Reject text holding a token that ends a description, naming the leftmost."""
-    if m := _DESC_STOP_RE.search(text):
-        raise ValueError(f"forbidden {m.group()!r} in {what}: {text!r}")
-
-
 def check_caption(caption: str, what: str = "caption") -> None:
     """Raise ValueError, naming ``what``, if the grammar cannot carry
     ``caption``: a caption must not contain the event-block opener '@{'."""
@@ -273,9 +271,9 @@ def _escape_speech(speech: str) -> str:
 def serialize(p: StructuredPrompt) -> str:
     """Render the canonical surface form.
 
-    Raises ValueError when the prompt violates an invariant that the
-    grammar cannot express (empty span list, empty description, forbidden
-    characters, spans outside 0 <= start < end).
+    Raises ValueError with validate()'s first error, except that a span
+    ending past the clip is rendered: the grammar can carry it, and
+    ``fmt`` and ``plan`` accept one.
     """
     text, _ = _serialize_with_speech_regions(p)
     return text
@@ -289,7 +287,7 @@ def _serialize_with_speech_regions(
     The region covers the quotes themselves; the tokenizer uses the
     regions to swap quoted speech for phoneme token runs.
     """
-    check_caption(p.caption)
+    _raise_first_error(v for v in validate(p) if v.code != "end-exceeds-clip")
     parts: list[str] = []
     regions: list[tuple[int, int, str]] = []
     length = 0
@@ -299,19 +297,8 @@ def _serialize_with_speech_regions(
         parts.append(caption)
         length += len(caption)
 
-    for i, event in enumerate(p.events):
+    for event in p.events:
         description = event.description.strip()
-        if not description:
-            raise ValueError(f"event {i}: empty description")
-        _check_field_text(description, f"event {i} description")
-        if not event.spans:
-            raise ValueError(f"event {i}: no spans")
-        for s in event.spans:
-            if s.start < 0 or not s.start < s.end:
-                raise ValueError(
-                    f"event {i}: span <{_format_time(s.start)},"
-                    f"{_format_time(s.end)}> violates 0 <= start < end"
-                )
         span_text = " ".join(
             f"<{_format_time(s.start)},{_format_time(s.end)}>"
             for s in sorted(event.spans)
@@ -333,66 +320,58 @@ def _serialize_with_speech_regions(
 
 
 def validate(p: StructuredPrompt) -> list[Violation]:
-    """Report every finding against the fixed clip length; no
-    error-severity findings means valid.
+    """The prompt rules: report every finding against the fixed clip
+    length; no error-severity findings means valid.
 
-    Overlapping spans inside one event are legal data and come back as
-    warnings, not errors.
+    serialize() and from_annotations() refuse a prompt through this list
+    alone.  Overlapping spans inside one event are legal data and come
+    back as warnings, not errors.
     """
     findings: list[Violation] = []
+
+    def add(code: str, message: str, i: int | None = None, j: int | None = None,
+            severity: str = "error"):
+        findings.append(Violation(code, message, severity, i, j))
+
+    try:
+        check_caption(p.caption)
+    except ValueError as exc:
+        add("caption-opener", str(exc))
     for i, event in enumerate(p.events):
-        if not event.description.strip():
-            findings.append(
-                Violation("empty-description", f"event {i}: empty description", event_index=i)
-            )
+        description = event.description.strip()
+        if not description:
+            add("empty-description", f"event {i}: empty description", i)
+        elif m := _DESC_STOP_RE.search(description):
+            add("forbidden-token",
+                f"forbidden {m.group()!r} in event {i} description: {description!r}", i)
         if not event.spans:
-            findings.append(
-                Violation("no-spans", f"event {i}: no spans", event_index=i)
-            )
+            add("no-spans", f"event {i}: no spans", i)
         for j, s in enumerate(event.spans):
             if s.start < 0:
-                findings.append(
-                    Violation(
-                        "negative-start",
-                        f"event {i} span {j}: start {_format_time(s.start)} below 0.00",
-                        event_index=i,
-                        span_index=j,
-                    )
-                )
+                add("negative-start",
+                    f"event {i} span {j}: start {_format_time(s.start)} below 0.00", i, j)
             if not s.start < s.end:
-                findings.append(
-                    Violation(
-                        "degenerate-span",
-                        f"event {i} span {j}: start {_format_time(s.start)} "
-                        f"not strictly below end {_format_time(s.end)}",
-                        event_index=i,
-                        span_index=j,
-                    )
-                )
+                add("degenerate-span", f"event {i} span {j}: start {_format_time(s.start)} "
+                    f"not strictly below end {_format_time(s.end)}", i, j)
             if s.end > DEFAULT_CLIP_SECONDS:
-                findings.append(
-                    Violation(
-                        "end-exceeds-clip",
-                        f"event {i} span {j}: end {_format_time(s.end)} "
-                        f"beyond clip {_format_time(DEFAULT_CLIP_SECONDS)}",
-                        event_index=i,
-                        span_index=j,
-                    )
-                )
-        ordered = sorted(event.spans)
-        for a, b in zip(ordered, ordered[1:]):
-            if b.start < a.end:
-                findings.append(
-                    Violation(
-                        "overlapping-spans",
+                add("end-exceeds-clip", f"event {i} span {j}: end {_format_time(s.end)} "
+                    f"beyond clip {_format_time(DEFAULT_CLIP_SECONDS)}", i, j)
+        if len(event.spans) > 1:
+            ordered = sorted(event.spans)
+            for a, b in zip(ordered, ordered[1:]):
+                if b.start < a.end:
+                    add("overlapping-spans",
                         f"event {i}: spans <{_format_time(a.start)},{_format_time(a.end)}> and "
                         f"<{_format_time(b.start)},{_format_time(b.end)}> overlap",
-                        severity="warning",
-                        event_index=i,
-                    )
-                )
-                break
+                        i, severity="warning")
+                    break
     return findings
+
+
+def _raise_first_error(findings) -> None:
+    for v in findings:
+        if v.severity == "error":
+            raise ValueError(v.message)
 
 
 def from_annotations(caption: str, annotations: list[EventAnnotation]) -> StructuredPrompt:
@@ -401,19 +380,10 @@ def from_annotations(caption: str, annotations: list[EventAnnotation]) -> Struct
     Rows sharing a label merge into one multi-span event when they all
     carry the same transcript (an absent and an empty transcript count
     as the same: none); otherwise the label's rows stay separate events.
-    Events appear in first-occurrence order of their label.
+    Events appear in first-occurrence order of their label.  Raises
+    ValueError with validate()'s first error when the result is not a
+    valid prompt.
     """
-    for k, ann in enumerate(annotations):
-        s = ann.span
-        if not (0.0 <= s.start < s.end <= DEFAULT_CLIP_SECONDS):
-            raise ValueError(
-                f"annotation {k} ({ann.label!r}): span "
-                f"<{_format_time(s.start)},{_format_time(s.end)}> outside "
-                f"0.00..{_format_time(DEFAULT_CLIP_SECONDS)} or degenerate"
-            )
-        if not ann.label.strip():
-            raise ValueError(f"annotation {k}: empty label")
-
     groups: dict[str, list[EventAnnotation]] = {}
     for ann in annotations:
         groups.setdefault(ann.label, []).append(ann)
@@ -434,4 +404,6 @@ def from_annotations(caption: str, annotations: list[EventAnnotation]) -> Struct
                         speech=row.transcript or None,
                     )
                 )
-    return StructuredPrompt(caption=caption, events=tuple(events))
+    p = StructuredPrompt(caption=caption, events=tuple(events))
+    _raise_first_error(validate(p))
+    return p

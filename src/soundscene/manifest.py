@@ -16,6 +16,7 @@ __all__ = [
     "iter_jsonl",
     "read_jsonl",
     "read_tsv",
+    "require_str",
     "encode_events",
     "decode_events",
     "write_jsonl_atomic",
@@ -43,6 +44,17 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict[str, Any]]]:
 def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
     """Read one JSON object per line; blank lines are ignored."""
     return [rec for _, rec in iter_jsonl(path)]
+
+
+def require_str(record: Mapping[str, Any], key: str, where: str) -> str:
+    """``record[key]``, which must be present and a JSON string; errors
+    name ``where``."""
+    if key not in record:
+        raise ValueError(f"{where}: missing required field {key!r}")
+    value = record[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: field {key!r} must be a string, got {json.dumps(value)}")
+    return value
 
 
 def read_tsv(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[str, dict[str, str]]]:

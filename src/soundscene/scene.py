@@ -30,7 +30,7 @@ from .audio import (
 from .dsl import EventAnnotation, StructuredPrompt, TimeSpan, check_caption, from_annotations
 # read_jsonl is unused here but stays bound: the benchmark's simulate
 # workload traces scene.read_jsonl (bench/workloads.py)
-from .manifest import iter_jsonl, read_jsonl  # noqa: F401
+from .manifest import iter_jsonl, read_jsonl, require_str  # noqa: F401
 
 __all__ = [
     "MIN_UTTERANCE_SECONDS",
@@ -148,12 +148,6 @@ class BackgroundPool:
         return len(self.clips)
 
 
-def _require(record: Mapping, key: str, where: str) -> object:
-    if key not in record:
-        raise ValueError(f"{where}: missing required field {key!r}")
-    return record[key]
-
-
 def _read_pool_wav(path: Path, where: str) -> tuple[int, np.ndarray]:
     try:
         return read_wav(path)
@@ -165,17 +159,19 @@ def load_speech_pool(manifest_path: str | Path) -> SpeechPool:
     """Load utterances from a JSONL manifest of {path, speaker_id, transcript,
     gender?} rows.  Paths resolve relative to the manifest; audio is downmixed
     and resampled at load so composition never touches the filesystem.  A
-    silent utterance is an error naming the manifest line."""
+    field that is not a string, or an utterance that is silent, outside
+    0.05-10 s or without a transcript, is an error naming the manifest
+    line."""
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     by_speaker: dict[str, list[UtteranceClip]] = {}
     genders: dict[str, str | None] = {}
     for where, rec in iter_jsonl(manifest_path):
-        rel = str(_require(rec, "path", where))
-        speaker = str(_require(rec, "speaker_id", where))
-        transcript = str(_require(rec, "transcript", where))
+        rel = require_str(rec, "path", where)
+        speaker = require_str(rec, "speaker_id", where)
+        transcript = require_str(rec, "transcript", where)
         gender = rec.get("gender")
-        if gender is not None and gender not in _GENDER_LABELS:
+        if gender is not None and not (isinstance(gender, str) and gender in _GENDER_LABELS):
             raise ValueError(f"{where}: unknown gender {gender!r}")
         if speaker in genders and genders[speaker] != gender:
             raise ValueError(f"{where}: conflicting gender for speaker {speaker!r}")
@@ -183,7 +179,10 @@ def load_speech_pool(manifest_path: str | Path) -> SpeechPool:
         audio = resample_to_clip_rate(to_mono(raw), rate)
         if rms(audio) == 0.0:
             raise ValueError(f"{where}: utterance {root / rel} is silent")
-        clip = UtteranceClip(audio=audio, speaker_id=speaker, transcript=transcript)
+        try:
+            clip = UtteranceClip(audio=audio, speaker_id=speaker, transcript=transcript)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
         by_speaker.setdefault(speaker, []).append(clip)
         genders[speaker] = gender
     if not by_speaker:
@@ -200,8 +199,8 @@ def load_background_pool(manifest_path: str | Path) -> BackgroundPool:
     root = manifest_path.parent
     clips: list[BackgroundClip] = []
     for where, rec in iter_jsonl(manifest_path):
-        rel = str(_require(rec, "path", where))
-        caption = str(_require(rec, "caption", where))
+        rel = require_str(rec, "path", where)
+        caption = require_str(rec, "caption", where)
         if not caption.strip():
             raise ValueError(f"{where}: empty caption")
         check_caption(caption, f"{where}: caption")

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .dsl import EventAnnotation
-from .manifest import decode_events, iter_jsonl, read_tsv
+from .manifest import decode_events, iter_jsonl, read_tsv, require_str
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -239,9 +239,7 @@ def _from_jsonl(path: Path) -> list[ClipAnnotations]:
     clips: list[ClipAnnotations] = []
     seen: set[str] = set()
     for where, rec in iter_jsonl(path):
-        if "clip_id" not in rec:
-            raise ValueError(f"{where}: expected an object with a clip_id")
-        clip_id = str(rec["clip_id"])
+        clip_id = require_str(rec, "clip_id", where)
         if clip_id in seen:
             raise ValueError(f"{where}: duplicate clip_id {clip_id!r}")
         seen.add(clip_id)

@@ -276,7 +276,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("pool, fault", [
         ("speech", "nan_sample"), ("background", "silent_bed"), ("background", "block_opener"),
-        ("speech", "silent_utterance"),
+        ("speech", "silent_utterance"), ("speech", "overlong_utterance"), ("speech", "blank_transcript"),
     ])
     def test_unmixable_pool_fails_before_any_wav(self, tmp_path, demo_pool_dir, capsys,
                                                  pool, fault):
@@ -288,12 +288,16 @@ class TestSimulate:
             wavfile.write(pools / "bad.wav", SAMPLE_RATE, audio)
         elif fault in ("silent_bed", "silent_utterance"):
             write_wav(pools / "bad.wav", np.zeros(SAMPLE_RATE))
+        elif fault == "overlong_utterance":
+            write_wav(pools / "bad.wav", np.full(11 * SAMPLE_RATE, 0.1))
         for name in ("speech", "background"):
             rows = [json.loads(r) for r in (demo_pool_dir / f"{name}_manifest.jsonl")
                     .read_text(encoding="utf-8").splitlines()]
             rows = [{**r, "path": str(demo_pool_dir / r["path"])} for r in rows]
             if name == pool and fault == "block_opener":
                 rows[2] = {**rows[2], "caption": "rain @{ on tin"}
+            elif name == pool and fault == "blank_transcript":
+                rows[2] = {**rows[2], "transcript": "  "}
             elif name == pool:
                 rows[2] = {**rows[2], "path": "bad.wav"}
             (pools / f"{name}.jsonl").write_text(
@@ -450,9 +454,11 @@ class TestIngest:
             ("captions", "c\tfirst\nc\tsecond\n", r"cap\.tsv:2: duplicate caption for clip 'c'"),
             ("captions", "c\tA thud @{x\n",
              r"cap\.tsv:1: caption contains the event-block opener '@\{'"),
+            ("transcripts", "c\t1_0\tok\n",
+             r"tx\.tsv:1: event index '1_0' is not a non-negative integer"),
         ],
         ids=["events-field-count", "transcripts-field-count", "captions-field-count",
-             "captions-duplicate", "captions-block-opener"],
+             "captions-duplicate", "captions-block-opener", "transcripts-digit-separator"],
     )
     def test_table_reader_errors_name_line(self, tmp_path, capsys, table, text, message):
         tables = {
@@ -468,6 +474,21 @@ class TestIngest:
         _, err = read_out(capsys)
         assert rc == 1
         assert re.search(message, err)
+        assert not (tmp_path / "o.jsonl").exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ("c\tcats & dogs\t1\t2\n", "clip 'c': forbidden '&' in event 0 description: 'cats & dogs'"),
+        ("c\tdog\t9\t11\n", "clip 'c': event 0 span 0: end 11.00 beyond clip 10.00"),
+    ], ids=["forbidden-token", "end-past-clip"])
+    def test_prompt_errors_name_the_clip(self, tmp_path, capsys, row, message):
+        (tmp_path / "events.tsv").write_text(row)
+        (tmp_path / "tx.tsv").write_text("c\t0\t\n")
+        rc = main(["ingest", "--events", str(tmp_path / "events.tsv"),
+                   "--transcripts", str(tmp_path / "tx.tsv"),
+                   "--output", str(tmp_path / "o.jsonl")])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert err == f"error: {message}\n"
         assert not (tmp_path / "o.jsonl").exists()
 
 

@@ -238,6 +238,19 @@ class TestValidate:
         codes = sorted(v.code for v in validate(p))
         assert codes == ["degenerate-span", "empty-description", "end-exceeds-clip"]
 
+    def test_caption_opener(self):
+        p = StructuredPrompt("rain @{ on tin", (EventSpec("x", (span(1, 2),)),))
+        findings = validate(p)
+        assert [v.code for v in findings] == ["caption-opener"]
+        assert findings[0].message == "caption contains the event-block opener '@{'"
+        assert findings[0].event_index is None
+
+    def test_forbidden_token(self):
+        p = StructuredPrompt("", (EventSpec("ok", (span(1, 2),)), EventSpec(" a}b&c ", (span(1, 2),))))
+        findings = validate(p)
+        assert [(v.code, v.event_index) for v in findings] == [("forbidden-token", 1)]
+        assert findings[0].message == "forbidden '}' in event 1 description: 'a}b&c'"
+
 
 class TestFromAnnotations:
     def test_merges_same_label_without_transcripts(self):
@@ -347,6 +360,22 @@ _prompts = st.builds(
     st.lists(_events, max_size=4),
 )
 
+# arbitrary text and spans in [-2, 14]: legal and illegal prompts alike
+_any_spans = st.builds(
+    TimeSpan,
+    st.floats(min_value=-2, max_value=14),
+    st.floats(min_value=-2, max_value=14),
+)
+_any_prompts = st.builds(
+    StructuredPrompt,
+    st.text(max_size=20),
+    st.lists(
+        st.builds(EventSpec, st.text(max_size=12), st.lists(_any_spans, max_size=3),
+                  st.one_of(st.none(), st.text(max_size=12))),
+        max_size=3,
+    ),
+)
+
 
 class TestProperties:
     @given(_prompts)
@@ -383,6 +412,36 @@ class TestProperties:
             0 <= s.start < s.end <= 10.0 for e in p.events for s in e.spans
         )
         assert (errors == []) == in_range
+
+    @given(_any_prompts)
+    @settings(max_examples=300)
+    def test_serialize_refuses_exactly_validate_errors(self, p):
+        refused = [v.message for v in validate(p)
+                   if v.severity == "error" and v.code != "end-exceeds-clip"]
+        try:
+            text = serialize(p)
+        except ValueError as exc:
+            assert refused and str(exc) == refused[0]
+        else:
+            assert refused == []
+            assert serialize(parse(text)) == text
+
+    @given(
+        st.text(max_size=20),
+        st.lists(
+            st.builds(EventAnnotation, st.text(max_size=12), _any_spans,
+                      st.one_of(st.none(), st.text(max_size=12))),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=300)
+    def test_from_annotations_returns_only_valid_prompts(self, caption, annotations):
+        try:
+            p = from_annotations(caption, annotations)
+        except ValueError:
+            return
+        assert [v for v in validate(p) if v.severity == "error"] == []
+        serialize(p)  # so every prompt it returns also renders
 
     def test_seeded_generator_round_trips(self):
         rng = np.random.default_rng(7)

@@ -222,10 +222,12 @@ class TestPoolLoading:
     def test_unknown_gender_raises(self, tmp_path):
         write_wav(tmp_path / "x.wav", np.full(SAMPLE_RATE, 0.1))
         manifest = tmp_path / "m.jsonl"
-        row = {"path": "x.wav", "speaker_id": "a", "transcript": "hi", "gender": "robot"}
-        manifest.write_text(json.dumps(row) + "\n")
-        with pytest.raises(ValueError, match="gender"):
-            load_speech_pool(manifest)
+        for gender in ("robot", ["male"]):
+            row = {"path": "x.wav", "speaker_id": "a", "transcript": "hi", "gender": gender}
+            manifest.write_text(json.dumps(row) + "\n")
+            with pytest.raises(ValueError) as exc_info:
+                load_speech_pool(manifest)
+            assert str(exc_info.value) == f"{manifest}:1: unknown gender {gender!r}"
 
     def test_conflicting_gender_raises(self, tmp_path):
         write_wav(tmp_path / "x.wav", np.full(SAMPLE_RATE, 0.1))
@@ -335,9 +337,25 @@ class TestPoolLoading:
         write_wav(tmp_path / "x.wav", np.full(11 * SAMPLE_RATE, 0.1))
         manifest = tmp_path / "m.jsonl"
         row = {"path": "x.wav", "speaker_id": "a", "transcript": "hi"}
-        manifest.write_text(json.dumps(row) + "\n")
-        with pytest.raises(ValueError, match="longer"):
+        manifest.write_text("\n" + json.dumps(row) + "\n")
+        with pytest.raises(ValueError) as exc_info:
             load_speech_pool(manifest)
+        assert str(exc_info.value) == f"{manifest}:2: utterance longer than the 10.0 s clip: 11.00 s"
+
+    @pytest.mark.parametrize("pool, field", [
+        ("speech", "path"), ("speech", "speaker_id"), ("speech", "transcript"),
+        ("background", "path"), ("background", "caption"),
+    ])
+    def test_null_field_raises(self, tmp_path, pool, field):
+        write_wav(tmp_path / "x.wav", np.full(SAMPLE_RATE, 0.1))
+        manifest = tmp_path / "m.jsonl"
+        row = ({"path": "x.wav", "speaker_id": "a", "transcript": "hi"} if pool == "speech"
+               else {"path": "x.wav", "caption": "rain"})
+        manifest.write_text(json.dumps(row) + "\n" + json.dumps({**row, field: None}) + "\n")
+        load = load_speech_pool if pool == "speech" else load_background_pool
+        with pytest.raises(ValueError) as exc_info:
+            load(manifest)
+        assert str(exc_info.value) == f"{manifest}:2: field {field!r} must be a string, got null"
 
 
 class TestComposeScene:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -441,6 +442,19 @@ class TestManifestReader:
         path.write_text('{"clip_id": "a", "events": []}\n{"clip_id": "a", "events": []}\n')
         with pytest.raises(ValueError, match="duplicate"):
             annotations_from_manifest(path)
+
+    @pytest.mark.parametrize("clip_id, message", [
+        (None, "field 'clip_id' must be a string, got null"),
+        (7, "field 'clip_id' must be a string, got 7"),
+        ("absent", "missing required field 'clip_id'"),
+    ], ids=["null", "number", "absent"])
+    def test_jsonl_clip_id_must_be_a_string(self, tmp_path, clip_id, message):
+        path = tmp_path / "scenes.jsonl"
+        bad = {"events": []} if clip_id == "absent" else {"clip_id": clip_id, "events": []}
+        path.write_text('{"clip_id": "a", "events": []}\n' + json.dumps(bad) + "\n")
+        with pytest.raises(ValueError) as exc_info:
+            annotations_from_manifest(path)
+        assert str(exc_info.value) == f"{path}:2: {message}"
 
     def test_jsonl_missing_event_field_raises(self, tmp_path):
         path = tmp_path / "scenes.jsonl"
