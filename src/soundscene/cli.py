@@ -24,7 +24,6 @@ from soundscene.audio import write_wav
 from soundscene.config import (
     ConfigError,
     PipelineConfig,
-    SamplerConfig,
     field_types,
     load_config,
 )
@@ -33,6 +32,7 @@ from soundscene.diffusion import (
     GaussianCondition,
     GaussianOracleDenoiser,
     GuidanceSchedule,
+    SamplerConfig,
     sample_progressive,
 )
 from soundscene.dsl import (

@@ -1,32 +1,31 @@
 """YAML-backed run configuration.
 
-One config file drives the whole pipeline: dataset seeding, pool
-manifests, scene priors, sampler settings, and the planner endpoint.
-Secrets never live in the file; the planner section names an
-environment variable and the token is read from the process
-environment at request time.  Each section's keys, types, defaults
-and checks are those of its frozen dataclass.
+One config file drives the whole pipeline: dataset seeding and pool
+manifests (PipelineConfig, defined here), scene priors (scene.ScenePriors),
+sampler settings (diffusion.SamplerConfig) and the planner endpoint
+(planner.PlannerEndpoint).  Each section's keys, types, defaults and
+checks are those of its frozen dataclass.  No secret lives in the
+file: the planner names the environment variable that holds its token.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 import sys
 import typing
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
-from urllib.parse import urlsplit
 
 import yaml
 
-from soundscene.diffusion import REVERSE_MODES, SCHEDULES
+from soundscene.diffusion import SamplerConfig
+from soundscene.planner import PlannerEndpoint
 from soundscene.scene import ScenePriors
 
-__all__ = ["ConfigError", "SamplerConfig", "PlannerEndpoint", "PipelineConfig", "load_config"]
+__all__ = ["ConfigError", "PipelineConfig", "load_config"]
 
 # libyaml's safe loader when PyYAML was built with it, else the pure-Python one
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -34,61 +33,6 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 class ConfigError(ValueError):
     """Raised when a config file is malformed or inconsistent."""
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Reverse-process settings for the `sample` command."""
-
-    T: int = 100
-    schedule: str = "cosine"
-    t1: int = 88
-    w_low: float = 3.0
-    w_high: float = 9.0
-    mode: str = "ancestral"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.T < 1:
-            raise ConfigError(f"T must be >= 1, got {self.T}")
-        if self.schedule not in SCHEDULES:
-            raise ConfigError(f"schedule must be one of {tuple(SCHEDULES)}, got {self.schedule!r}")
-        if not 0 <= self.t1 <= self.T:
-            raise ConfigError(f"t1 must lie in [0, T={self.T}], got {self.t1}")
-        for name in ("w_low", "w_high"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.mode not in REVERSE_MODES:
-            raise ConfigError(f"mode must be one of {REVERSE_MODES}, got {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class PlannerEndpoint:
-    """Chat-completion endpoint for the prompt planner.
-
-    url is an http or https URL that names a host (any other scheme,
-    file:// included, is refused); api_key_env names the environment
-    variable holding the bearer token; the token itself is never written
-    to disk.
-    """
-
-    url: str = ""
-    model: str = ""
-    api_key_env: str = "PLANNER_API_KEY"
-    timeout: float = 30.0
-
-    def __post_init__(self) -> None:
-        parts = urlsplit(self.url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ConfigError(f"url must be an http or https URL with a host, got {self.url!r}")
-        if not self.model:
-            raise ConfigError("model must be a non-empty model name")
-        if not self.api_key_env.strip():
-            raise ConfigError(f"api_key_env must name a variable, got {self.api_key_env!r}")
-        if self.timeout <= 0:
-            raise ConfigError(f"timeout must be positive, got {self.timeout}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +63,7 @@ _SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a finite number"
 def _value(where: str, tp: Any, value: Any) -> Any:
     """Check ``value`` against the field type ``tp`` and build it: an int fits a
     float field, a bool fits nothing and null fits only ``X | None``; a tuple
-    field takes a YAML list, and a mapping's integer keys may arrive as strings."""
+    field takes a YAML list, and a mapping's int keys may be ASCII-digit strings."""
     if dataclasses.is_dataclass(tp):
         return _section(tp, where, value)
     args = typing.get_args(tp)
@@ -133,11 +77,11 @@ def _value(where: str, tp: Any, value: Any) -> Any:
     if origin is Mapping:
         if not isinstance(value, dict):
             raise ConfigError(f"{where} must be a mapping, got {value!r}")
-        return {
-            _value(f"{where} key", args[0], int(k) if isinstance(k, str) and k.isdecimal() else k):
-            _value(f"{where}[{k!r}]", args[1], v)
-            for k, v in value.items()
-        }
+        keys = [int(k) if isinstance(k, str) and k.isascii() and k.isdigit() else k for k in value]
+        if len(set(keys)) < len(keys):
+            raise ConfigError(f"{where} gives a key twice: {list(value)!r}")
+        return {_value(f"{where} key", args[0], key): _value(f"{where}[{k!r}]", args[1], v)
+                for key, (k, v) in zip(keys, value.items())}
     kinds, kind_name = _SCALARS[tp]
     fits = isinstance(value, kinds) and not isinstance(value, bool)
     # not math.isfinite, which overflows on a huge YAML integer

@@ -1,7 +1,7 @@
 """Discrete-time diffusion over pluggable denoisers: noise schedules, the
 epsilon-prediction objective, classifier-free guidance, and two-phase
 progressive sampling that switches condition and guidance scale at a
-threshold step."""
+threshold step, with the `sample` command's settings (SamplerConfig)."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ __all__ = [
     "cfg_combine",
     "reverse_step",
     "GuidanceSchedule",
+    "SamplerConfig",
     "StepInfo",
     "sample_progressive",
     "GaussianCondition",
@@ -27,6 +28,16 @@ __all__ = [
 ]
 
 REVERSE_MODES = ("ancestral", "deterministic")
+
+
+def _check_T(T: int) -> None:
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+
+
+def _check_choice(name: str, value: str, choices: Any) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {tuple(choices)}, got {value!r}")
 
 
 @runtime_checkable
@@ -71,8 +82,7 @@ class NoiseSchedule:
 def cosine_schedule(T: int, s: float = 0.008) -> NoiseSchedule:
     """Squared-cosine alpha_bar; per-step betas are clipped to 0.999 so the
     tail never collapses to zero signal."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    _check_T(T)
     t = np.arange(T + 1, dtype=np.float64)
     f = np.cos(((t / T + s) / (1.0 + s)) * np.pi / 2.0) ** 2
     ab = f / f[0]
@@ -82,8 +92,7 @@ def cosine_schedule(T: int, s: float = 0.008) -> NoiseSchedule:
 
 
 def linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    _check_T(T)
     betas = np.linspace(beta_start, beta_end, T)
     ab = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
     return NoiseSchedule(alpha_bar=ab)
@@ -163,8 +172,7 @@ def reverse_step(
     Gaussian noise, skipped at t = 1.  Deterministic mode re-noises the
     implied clean latent with the predicted noise itself (no rng needed).
     """
-    if mode not in REVERSE_MODES:
-        raise ValueError(f"unknown mode {mode!r}, want one of {REVERSE_MODES}")
+    _check_choice("mode", mode, REVERSE_MODES)
     alpha, beta = sched.alpha(t), sched.beta(t)
     z_t = np.asarray(z_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
@@ -202,18 +210,39 @@ class GuidanceSchedule:
     T: int
 
     def __post_init__(self) -> None:
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
+        _check_T(self.T)
         if not 0 <= self.t1 <= self.T:
-            raise ValueError(f"t1 must be in 0..{self.T}, got {self.t1}")
-        if self.w_low < 0 or self.w_high < 0:
-            raise ValueError("guidance scales must be >= 0")
+            raise ValueError(f"t1 must lie in [0, T={self.T}], got {self.t1}")
+        for name in ("w_low", "w_high"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     def at(self, t: int) -> tuple[Any, float, int]:
         """(condition, guidance weight, phase) in effect at step t."""
         if t > self.t1:
             return self.c1, self.w_low, 1
         return self.c2, self.w_high, 2
+
+
+@dataclass(frozen=True)
+class SamplerConfig:
+    """Reverse-process settings for the `sample` command."""
+
+    T: int = 100
+    schedule: str = "cosine"
+    t1: int = 88
+    w_low: float = 3.0
+    w_high: float = 9.0
+    mode: str = "ancestral"
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        # the guidance schedule checks T, t1 and the weights
+        GuidanceSchedule(None, None, self.w_low, self.w_high, t1=self.t1, T=self.T)
+        _check_choice("schedule", self.schedule, SCHEDULES)
+        _check_choice("mode", self.mode, REVERSE_MODES)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

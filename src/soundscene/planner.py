@@ -11,14 +11,15 @@ when parsing fails.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import urlsplit
 
-from soundscene.config import PlannerEndpoint
 from soundscene.dsl import DEFAULT_CLIP_SECONDS, PromptSyntaxError, StructuredPrompt, parse
 
-__all__ = ["PlannerError", "PlannerRequest", "PlannerClient"]
+__all__ = ["PlannerEndpoint", "PlannerError", "PlannerRequest", "PlannerClient"]
 
 INSTRUCTION_TEMPLATE = """\
 You are planning the audio content of a clip that is exactly {clip_seconds:g} seconds long.
@@ -48,6 +49,33 @@ Previous reply:
 
 Answer again with only the corrected structured prompt on a single line: the caption text followed by one @{{description & <start,end> ...}} block per event, nothing else.
 """
+
+
+@dataclass(frozen=True)
+class PlannerEndpoint:
+    """Chat-completion endpoint for the prompt planner.
+
+    url is an http or https URL that names a host (any other scheme,
+    file:// included, is refused); api_key_env names the environment
+    variable holding the bearer token; the token itself is never written
+    to disk.
+    """
+
+    url: str = ""
+    model: str = ""
+    api_key_env: str = "PLANNER_API_KEY"
+    timeout: float = 30.0
+
+    def __post_init__(self) -> None:
+        parts = urlsplit(self.url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"url must be an http or https URL with a host, got {self.url!r}")
+        if not self.model:
+            raise ValueError("model must be a non-empty model name")
+        if not self.api_key_env.strip():
+            raise ValueError(f"api_key_env must name a variable, got {self.api_key_env!r}")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be positive and finite, got {self.timeout}")
 
 
 class PlannerError(RuntimeError):

@@ -231,18 +231,16 @@ class ScenePriors:
         if not 0.0 <= self.p_single_speaker <= 1.0:
             raise ValueError(f"p_single_speaker out of [0, 1]: {self.p_single_speaker}")
         pmf = dict(self.utterance_count_pmf)
-        if not pmf:
-            raise ValueError("utterance_count_pmf is empty")
         for k, p in pmf.items():
             if not (isinstance(k, int) and k >= 1):
                 raise ValueError(f"utterance_count_pmf counts must be integers >= 1, got {k!r}")
-            if p < 0.0:
-                raise ValueError(f"utterance_count_pmf has a negative probability for count {k}")
+            if not 0.0 <= p < np.inf:
+                raise ValueError(f"utterance_count_pmf[{k}] must be finite and >= 0, got {p}")
         if abs(sum(pmf.values()) - 1.0) > 1e-9:
             raise ValueError(f"utterance_count_pmf sums to {sum(pmf.values())!r}, not 1")
         lo, hi = self.snr_range_db
-        if lo > hi:
-            raise ValueError(f"snr_range_db lower bound {lo} exceeds upper bound {hi}")
+        if not -np.inf < lo <= hi < np.inf:
+            raise ValueError(f"snr_range_db must be finite with lo <= hi, got {self.snr_range_db}")
         object.__setattr__(self, "utterance_count_pmf", pmf)
 
 

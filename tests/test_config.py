@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 from pathlib import Path
 
@@ -50,6 +51,16 @@ MALFORMED_VALUES = [
     ("sampler: {seed: true}", "sampler.seed"),
     ("sampler: {seed: -1}", "sampler.seed"),
     ("sampler: {w_high: -1}", "sampler.w_high"),
+    ("sampler: {T: 0}", "sampler.T"),
+    ("sampler: {t1: 101}", "sampler.t1"),
+    ("sampler: {T: 10, t1: -1}", "sampler.t1"),
+    ("sampler: {w_low: .nan}", "sampler.w_low"),
+    ("sampler: {w_high: .inf}", "sampler.w_high"),
+    ("sampler: {mode: ddim}", "sampler.mode"),
+    ("sampler: {schedule: quadratic}", "sampler.schedule"),
+    ("planner: {url: 'https://x', model: ''}", "planner.model"),
+    ("planner: {url: 'https://x', model: m, timeout: 0}", "planner.timeout"),
+    ("planner: {url: 'https://x', model: m, timeout: .nan}", "planner.timeout"),
     ("planner: {url: u, model: m, timeout: '30'}", "planner.timeout"),
     ("planner: {model: m}", "planner.url"),
     ("planner: {url: 'file:///etc/passwd', model: m}", "planner.url"),
@@ -72,6 +83,15 @@ MALFORMED_VALUES = [
 ]
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example.yaml"
+
+
+@contextlib.contextmanager
+def plain_value_error(match):
+    """A settings class built directly raises ValueError itself; only the
+    loader turns it into a ConfigError naming ``section.key``."""
+    with pytest.raises(ValueError, match=match) as info:
+        yield
+    assert type(info.value) is ValueError
 
 
 class TestDefaults:
@@ -149,13 +169,13 @@ class TestValidation:
             )
 
     def test_bad_schedule_family(self):
-        with pytest.raises(ConfigError, match="schedule"):
+        with plain_value_error("schedule"):
             SamplerConfig(schedule="quadratic")
 
     def test_t1_out_of_range(self):
-        with pytest.raises(ConfigError, match="t1"):
+        with plain_value_error("t1"):
             SamplerConfig(T=100, t1=101)
-        with pytest.raises(ConfigError, match="t1"):
+        with plain_value_error("t1"):
             SamplerConfig(T=100, t1=-1)
 
     def test_t1_boundaries_allowed(self):
@@ -163,7 +183,7 @@ class TestValidation:
         assert SamplerConfig(t1=100).t1 == 100
 
     def test_bad_mode(self):
-        with pytest.raises(ConfigError, match="mode"):
+        with plain_value_error("mode"):
             SamplerConfig(mode="ddim")
 
     def test_bad_oov_policy(self):
@@ -179,10 +199,19 @@ class TestValidation:
             config_from_dict(yaml.safe_load(text))
 
     def test_planner_needs_url_and_model(self):
-        with pytest.raises(ConfigError, match="url"):
+        with plain_value_error("url"):
             PlannerEndpoint(url="", model="m")
-        with pytest.raises(ConfigError, match="model"):
+        with plain_value_error("model"):
             PlannerEndpoint(url="https://x", model="")
+
+    def test_pmf_key_must_be_ascii_digits(self):
+        # U+0661 ARABIC-INDIC DIGIT ONE is a decimal character, but not a count
+        with pytest.raises(ConfigError, match="priors.utterance_count_pmf key"):
+            config_from_dict({"priors": {"utterance_count_pmf": {"\u0661": 1.0}}})
+
+    def test_pmf_count_given_twice(self):
+        with pytest.raises(ConfigError, match="priors.utterance_count_pmf gives a key twice"):
+            config_from_dict({"priors": {"utterance_count_pmf": {"1": 1.0, 1: 1.0}}})
 
     def test_bad_pmf_probability_wrapped(self):
         with pytest.raises(ConfigError, match="priors"):

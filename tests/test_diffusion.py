@@ -8,6 +8,7 @@ from soundscene.diffusion import (
     GaussianOracleDenoiser,
     GuidanceSchedule,
     NoiseSchedule,
+    SamplerConfig,
     cfg_combine,
     cosine_schedule,
     diffusion_loss,
@@ -334,8 +335,31 @@ class TestGuidanceSchedule:
             GuidanceSchedule("a", "b", 1.0, 1.0, t1=-1, T=10)
         with pytest.raises(ValueError, match="t1"):
             GuidanceSchedule("a", "b", 1.0, 1.0, t1=11, T=10)
-        with pytest.raises(ValueError, match="scales"):
+        with pytest.raises(ValueError, match="w_low"):
             GuidanceSchedule("a", "b", -1.0, 1.0, t1=5, T=10)
+
+    @pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("name", ["w_low", "w_high"])
+    def test_weights_must_be_finite_and_nonnegative(self, name, w):
+        weights = {"w_low": 3.0, "w_high": 9.0, name: w}
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            GuidanceSchedule("a", "b", t1=5, T=10, **weights)
+
+    @pytest.mark.parametrize("kwargs", [{"T": 0, "t1": 0}, {"T": 10, "t1": 11}, {"w_high": np.nan}])
+    def test_sampler_config_checks_through_guidance_schedule(self, kwargs):
+        args = {"w_low": 3.0, "w_high": 9.0, "t1": 5, "T": 10, **kwargs}
+        with pytest.raises(ValueError) as direct:
+            GuidanceSchedule(None, None, **args)
+        with pytest.raises(ValueError) as via_config:
+            SamplerConfig(**kwargs)
+        assert str(via_config.value) == str(direct.value)
+
+    def test_sampler_config_and_reverse_step_share_mode_check(self):
+        with pytest.raises(ValueError) as direct:
+            reverse_step(np.zeros(2), 1, np.zeros(2), cosine_schedule(10), mode="heun")
+        with pytest.raises(ValueError) as via_config:
+            SamplerConfig(mode="heun")
+        assert str(via_config.value) == str(direct.value)
 
 
 class TestGaussianOracle:

@@ -5,10 +5,10 @@ import time
 import pytest
 
 from fixtures import Reply
-from soundscene.config import PlannerEndpoint
 from soundscene.dsl import serialize
 from soundscene.planner import (
     PlannerClient,
+    PlannerEndpoint,
     PlannerError,
     PlannerRequest,
     extract_prompt,
@@ -45,6 +45,13 @@ def endpoint(server):
 @pytest.fixture
 def api_key(monkeypatch):
     monkeypatch.setenv("PLANNER_API_KEY", "tok-123")
+
+
+class TestEndpoint:
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_timeout_must_be_positive_and_finite(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be positive and finite"):
+            PlannerEndpoint(url="https://planner.example/v1", model="m", timeout=timeout)
 
 
 class TestTemplate:

@@ -91,6 +91,8 @@ class TestPriors:
     def test_unnormalized_pmf_raises(self):
         with pytest.raises(ValueError, match="sums"):
             ScenePriors(utterance_count_pmf={1: 0.5, 2: 0.4})
+        with pytest.raises(ValueError, match="sums to 0"):
+            ScenePriors(utterance_count_pmf={})
 
     def test_bad_count_raises(self):
         with pytest.raises(ValueError, match="integers"):
@@ -99,6 +101,16 @@ class TestPriors:
     def test_bad_snr_range_raises(self):
         with pytest.raises(ValueError, match="snr"):
             ScenePriors(snr_range_db=(10.0, 2.0))
+
+    @pytest.mark.parametrize("snr", [(np.nan, 5.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 5.0)])
+    def test_snr_range_must_be_finite(self, snr):
+        with pytest.raises(ValueError, match="snr_range_db must be finite"):
+            ScenePriors(snr_range_db=snr)
+
+    @pytest.mark.parametrize("p", [np.nan, np.inf, -0.5])
+    def test_pmf_probability_must_be_finite_and_nonnegative(self, p):
+        with pytest.raises(ValueError, match=r"utterance_count_pmf\[1\] must be finite and >= 0"):
+            ScenePriors(utterance_count_pmf={1: p})
 
 
 class TestSampling:
