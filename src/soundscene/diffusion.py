@@ -1,7 +1,7 @@
 """Discrete-time diffusion over pluggable denoisers: noise schedules, the
-epsilon-prediction objective, classifier-free guidance, and two-phase
-progressive sampling that switches condition and guidance scale at a
-threshold step, with the `sample` command's settings (SamplerConfig)."""
+forward process, classifier-free guidance, and two-phase progressive
+sampling that switches condition and guidance scale at a threshold step,
+with the `sample` command's settings (SamplerConfig).  Steps are integers."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ __all__ = [
     "cosine_schedule",
     "linear_schedule",
     "forward_noise",
-    "diffusion_loss",
     "cfg_combine",
     "reverse_step",
     "GuidanceSchedule",
@@ -30,9 +29,23 @@ __all__ = [
 REVERSE_MODES = ("ancestral", "deterministic")
 
 
+def _is_int(value: Any) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def _check_T(T: int) -> None:
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    if not _is_int(T) or T < 1:
+        raise ValueError(f"T must be an integer >= 1, got {T!r}")
+
+
+def check_step(t: int, lo: int, hi: int) -> None:
+    """Raise ValueError naming ``t`` unless it is a Python or numpy integer in
+    lo..hi; a float (50.0 included) and a bool are refused."""
+    if not _is_int(t):
+        raise ValueError(f"step {t!r} outside {lo}..{hi}: steps are integers, not {type(t).__name__}")
+    if not lo <= t <= hi:
+        raise ValueError(f"step {t} outside {lo}..{hi}")
 
 
 def _check_choice(name: str, value: str, choices: Any) -> None:
@@ -71,8 +84,7 @@ class NoiseSchedule:
         return self.alpha_bar.shape[0] - 1
 
     def alpha(self, t: int) -> float:
-        if not 1 <= t <= self.T:
-            raise ValueError(f"step {t} outside 1..{self.T}")
+        check_step(t, 1, self.T)
         return float(self.alpha_bar[t] / self.alpha_bar[t - 1])
 
     def beta(self, t: int) -> float:
@@ -125,23 +137,6 @@ def forward_noise(
     if steps.ndim:
         ab = ab.reshape(-1, *(1,) * (z0.ndim - 1))
     return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
-
-
-def diffusion_loss(
-    denoiser: Denoiser,
-    z0: np.ndarray,
-    c: Any | None,
-    t: int,
-    eps: np.ndarray,
-    sched: NoiseSchedule,
-) -> float:
-    """Squared L2 between the injected and the predicted noise at step t."""
-    z_t = forward_noise(z0, t, eps, sched)
-    eps_hat = np.asarray(denoiser.predict(z_t, t, c), dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps_hat.shape != eps.shape:
-        raise ValueError(f"denoiser output shape {eps_hat.shape} != noise shape {eps.shape}")
-    return float(np.sum(np.square(eps - eps_hat)))
 
 
 def cfg_combine(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.ndarray:
@@ -211,8 +206,8 @@ class GuidanceSchedule:
 
     def __post_init__(self) -> None:
         _check_T(self.T)
-        if not 0 <= self.t1 <= self.T:
-            raise ValueError(f"t1 must lie in [0, T={self.T}], got {self.t1}")
+        if not _is_int(self.t1) or not 0 <= self.t1 <= self.T:
+            raise ValueError(f"t1 must be an integer in [0, T={self.T}], got {self.t1!r}")
         for name in ("w_low", "w_high"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
@@ -241,8 +236,8 @@ class SamplerConfig:
         GuidanceSchedule(None, None, self.w_low, self.w_high, t1=self.t1, T=self.T)
         _check_choice("schedule", self.schedule, SCHEDULES)
         _check_choice("mode", self.mode, REVERSE_MODES)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,8 +309,7 @@ class GaussianOracleDenoiser:
         self.sched = sched
 
     def predict(self, z_t: np.ndarray, t: int, c: GaussianCondition | None = None) -> np.ndarray:
-        if not 0 <= t <= self.sched.T:
-            raise ValueError(f"step {t} outside 0..{self.sched.T}")
+        check_step(t, 0, self.sched.T)
         cond = self.prior if c is None else c
         ab = self.sched.alpha_bar[t]
         z_t = np.asarray(z_t, dtype=np.float64)

@@ -74,8 +74,8 @@ class PlannerEndpoint:
             raise ValueError("model must be a non-empty model name")
         if not self.api_key_env.strip():
             raise ValueError(f"api_key_env must name a variable, got {self.api_key_env!r}")
-        if not 0 < self.timeout < math.inf:
-            raise ValueError(f"timeout must be positive and finite, got {self.timeout}")
+        if isinstance(self.timeout, bool) or not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be positive and finite seconds, got {self.timeout!r}")
 
 
 class PlannerError(RuntimeError):

@@ -14,6 +14,7 @@ unconditional branch used for classifier-free guidance.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .diffusion import NoiseSchedule, forward_noise
+from .diffusion import NoiseSchedule, check_step, forward_noise
 
 __all__ = [
     "GRANULARITIES",
@@ -80,14 +81,6 @@ class TrainingDiverged(RuntimeError):
         self.stage, self.step = stage, step
 
 
-def _time_features(t: np.ndarray | float, T: int) -> np.ndarray:
-    """Sinusoidal features of normalized time, one row per step (a scalar
-    step gives one row), shape (n, 2*_N_FREQ)."""
-    tau = np.reshape(np.asarray(t, dtype=np.float64), (-1, 1)) / T
-    angles = 2.0 * np.pi * tau * 2.0 ** np.arange(_N_FREQ)
-    return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
-
-
 def _param_shapes(dim: int) -> dict[str, tuple[int, ...]]:
     """Every parameter's shape for latent dimension ``dim``, in the order
     ToyDenoiser draws them: the layers, then one condition-embedding table
@@ -135,11 +128,22 @@ class ToyDenoiser:
                 self.params[name][...] = 0.1 * rng.standard_normal(shape)
 
     def _adopt(self, dim: int, T: int, flat: np.ndarray) -> None:
-        """Take ``flat``, not copied, as the parameter vector."""
+        """Take ``flat``, not copied, as this new instance's parameter vector."""
         self.dim, self.T, self.flat = dim, T, flat
         self.params = _param_views(flat, dim)
         # _forward's (x, h1, h2) scratch rows, resized when the row count changes
         self._work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @functools.cached_property
+    def _times(self) -> np.ndarray:
+        """Read-only sinusoidal features of normalized time, row t for step t,
+        shape (T+1, 2*_N_FREQ).  Built on first use, so loading a checkpoint
+        allocates nothing for its T."""
+        tau = np.arange(self.T + 1, dtype=np.float64)[:, None] / self.T
+        angles = 2.0 * np.pi * tau * 2.0 ** np.arange(_N_FREQ)
+        times = np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
+        times.flags.writeable = False
+        return times
 
     # ---- condition bookkeeping -------------------------------------------
 
@@ -172,25 +176,25 @@ class ToyDenoiser:
     def _forward(
         self,
         z_t: np.ndarray,
-        t: np.ndarray | float,
+        t: np.ndarray | int,
         granularity: str,
         view_ids: np.ndarray | int,
     ):
-        """Output for the rows of z_t; ``t`` and ``view_ids`` are per-row
-        arrays, or scalars broadcast over the rows.  The input and hidden
-        activations are written into this instance's scratch rows (x, h1,
-        h2), valid until the next call; the output is always a fresh array."""
+        """Output for the rows of z_t; ``t`` (integer steps in 0..T) and
+        ``view_ids`` (in range for the granularity's table) are per-row
+        arrays, or scalars broadcast over the rows, and are not checked here.
+        The input and hidden activations are written into this instance's
+        scratch rows (x, h1, h2), valid until the next call; the output is
+        always a fresh array."""
         table = self._table(granularity)
         E = self.params[table]
-        if np.any(view_ids < 0) or np.any(view_ids >= E.shape[0]):
-            raise ValueError(f"view id outside the {granularity} table of {E.shape[0]} rows")
         n = z_t.shape[0]
         d, f = self.dim, self.dim + 2 * _N_FREQ
         if self._work is None or self._work[0].shape[0] != n:
             self._work = (np.empty((n, f + _EMB)), np.empty((n, _HIDDEN)), np.empty((n, _HIDDEN)))
         x, h1, h2 = self._work
         x[:, :d] = z_t
-        x[:, d:f] = _time_features(t, self.T)
+        x[:, d:f] = self._times[t]
         x[:, f:] = E[view_ids]
         p = self.params
         for h, h_in, W, b in ((h1, x, "W1", "b1"), (h2, h1, "W2", "b2")):
@@ -233,8 +237,9 @@ class ToyDenoiser:
     # ---- Denoiser interface ----------------------------------------------
 
     def predict(self, z_t: np.ndarray, t: int, c: tuple[str, int] | None = None) -> np.ndarray:
-        """Predicted noise for one latent (dim,) or a batch (n, dim) at step t
-        in 0..T; a condition's view id must be an integer.
+        """Predicted noise for one latent (dim,) or a batch (n, dim) at the
+        integer step t in 0..T; a condition's view id must be an integer row
+        of its granularity's table.
 
         The activations go to this instance's scratch rows, so one instance
         must not predict from two threads at once; the result is always a
@@ -244,8 +249,7 @@ class ToyDenoiser:
         z2 = z[None, :] if single else z
         if z2.ndim != 2 or z2.shape[1] != self.dim:
             raise ValueError(f"expected latents of dimension {self.dim}, got shape {z.shape}")
-        if not 0 <= t <= self.T:
-            raise ValueError(f"step {t} outside 0..{self.T}")
+        check_step(t, 0, self.T)
         granularity, view = ("null", 0) if c is None else c
         try:
             vid = int(view)
@@ -253,7 +257,10 @@ class ToyDenoiser:
                 raise ValueError
         except (OverflowError, TypeError, ValueError):
             raise ValueError(f"view id {view!r} is not an integer") from None
-        out, _ = self._forward(z2, float(t), granularity, vid)
+        rows = self.params[self._table(granularity)].shape[0]
+        if not 0 <= vid < rows:
+            raise ValueError(f"view id outside the {granularity} table of {rows} rows")
+        out, _ = self._forward(z2, t, granularity, vid)
         return out[0] if single else out
 
 
@@ -330,7 +337,7 @@ def _noised_batch(
     eps = rng.standard_normal(z0.shape)
     z_t = forward_noise(z0, t, eps, sched)
     view_ids = None if denoiser is None else denoiser.view_of(cids, granularity)
-    return z_t, t.astype(np.float64), eps, view_ids
+    return z_t, t, eps, view_ids
 
 
 def train_toy_denoiser(

@@ -1,5 +1,6 @@
-"""Shared test data, generators for valid prompts, a reference sampler, and a
-loopback HTTP server that stands in for the planner's chat-completion endpoint."""
+"""Shared test data, generators for valid prompts, a reference sampler, the
+per-latent diffusion loss, and a loopback HTTP server that stands in for the
+planner's chat-completion endpoint."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from soundscene.diffusion import cfg_combine, reverse_step
+from soundscene.diffusion import cfg_combine, forward_noise, reverse_step
 from soundscene.dsl import EventSpec, StructuredPrompt, TimeSpan
 
 # Sample planner outputs: caption plus timed event blocks, some with quoted
@@ -92,6 +93,17 @@ def reference_cfg_loop(denoiser, c, w, sched, z_T, rng=None, mode="ancestral"):
         eps_u = np.asarray(denoiser.predict(z, t, None), dtype=np.float64)
         z = reverse_step(z, t, cfg_combine(eps_c, eps_u, w), sched, mode=mode, rng=rng)
     return z
+
+
+def diffusion_loss(denoiser, z0, c, t, eps, sched):
+    """Squared L2 between the injected and the predicted noise at step t (the
+    epsilon-prediction objective for one latent, scored through predict)."""
+    z_t = forward_noise(z0, t, eps, sched)
+    eps_hat = np.asarray(denoiser.predict(z_t, t, c), dtype=np.float64)
+    eps = np.asarray(eps, dtype=np.float64)
+    if eps_hat.shape != eps.shape:
+        raise ValueError(f"denoiser output shape {eps_hat.shape} != noise shape {eps.shape}")
+    return float(np.sum(np.square(eps - eps_hat)))
 
 
 @dataclass(frozen=True)

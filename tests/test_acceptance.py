@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fixtures import PLANNED_PROMPT_SAMPLES, random_prompt, reference_cfg_loop
+from fixtures import PLANNED_PROMPT_SAMPLES, diffusion_loss, random_prompt, reference_cfg_loop
 from soundscene.audio import SAMPLE_RATE
 from soundscene.cli import main as cli_main
 from soundscene.diffusion import (
@@ -23,7 +23,6 @@ from soundscene.diffusion import (
     GuidanceSchedule,
     cfg_combine,
     cosine_schedule,
-    diffusion_loss,
     sample_progressive,
 )
 from soundscene.dsl import EventAnnotation, TimeSpan, parse, serialize, validate

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from fixtures import reference_cfg_loop
+from fixtures import diffusion_loss, reference_cfg_loop
 from soundscene.diffusion import (
     GaussianCondition,
     GaussianOracleDenoiser,
@@ -11,12 +13,15 @@ from soundscene.diffusion import (
     SamplerConfig,
     cfg_combine,
     cosine_schedule,
-    diffusion_loss,
     forward_noise,
     linear_schedule,
     reverse_step,
     sample_progressive,
 )
+
+
+# steps that are not Python or numpy integers: every one is refused by name
+NON_INTEGER_STEPS = [50.5, 5.0, np.float64(5), True, np.True_, "5", None]
 
 
 class _StubDenoiser:
@@ -101,6 +106,28 @@ class TestSchedules:
             sched.beta(0)
         with pytest.raises(ValueError, match="outside"):
             sched.alpha(11)
+
+    @pytest.mark.parametrize("t", NON_INTEGER_STEPS, ids=repr)
+    def test_non_integer_step_refused(self, t):
+        sched = cosine_schedule(10)
+        with pytest.raises(ValueError, match=re.escape(f"step {t!r} outside 1..10: steps are integers")):
+            sched.alpha(t)
+        with pytest.raises(ValueError, match=re.escape(f"step {t!r} outside 1..10")):
+            sched.beta(t)
+
+    def test_numpy_integer_step_is_that_step(self):
+        sched = cosine_schedule(10)
+        for kind in (np.int64, np.int32, np.uint8):
+            assert sched.alpha(kind(5)) == sched.alpha(5)
+
+    @pytest.mark.parametrize("make", [cosine_schedule, linear_schedule])
+    @pytest.mark.parametrize("T", [10.5, 10.0, True, np.float64(4)], ids=repr)
+    def test_non_integer_length_refused(self, make, T):
+        with pytest.raises(ValueError, match=re.escape(f"T must be an integer >= 1, got {T!r}")):
+            make(T)
+
+    def test_numpy_integer_length_accepted(self):
+        assert cosine_schedule(np.int64(10)).alpha_bar.tobytes() == cosine_schedule(10).alpha_bar.tobytes()
 
 
 class TestForwardNoise:
@@ -313,6 +340,14 @@ class TestReverseStep:
         with pytest.raises(ValueError, match="outside"):
             reverse_step(np.zeros(2), 0, np.zeros(2), sched)
 
+    @pytest.mark.parametrize("t", NON_INTEGER_STEPS, ids=repr)
+    @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
+    def test_non_integer_step_refused(self, t, mode):
+        sched = cosine_schedule(10)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=re.escape(f"step {t!r} outside 1..10: steps are integers")):
+            reverse_step(np.zeros(2), t, np.zeros(2), sched, mode=mode, rng=rng)
+
 
 class TestGuidanceSchedule:
     def test_phase_boundaries(self):
@@ -345,6 +380,37 @@ class TestGuidanceSchedule:
         with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
             GuidanceSchedule("a", "b", t1=5, T=10, **weights)
 
+    @pytest.mark.parametrize("t1", [2.5, 2.0, True, np.float64(3)], ids=repr)
+    def test_non_integer_t1_refused(self, t1):
+        with pytest.raises(ValueError, match=re.escape(f"t1 must be an integer in [0, T=10], got {t1!r}")):
+            GuidanceSchedule("a", "b", 1.0, 1.0, t1=t1, T=10)
+
+    @pytest.mark.parametrize("T", [10.5, 10.0, True], ids=repr)
+    def test_non_integer_T_refused(self, T):
+        with pytest.raises(ValueError, match=re.escape(f"T must be an integer >= 1, got {T!r}")):
+            GuidanceSchedule("a", "b", 1.0, 1.0, t1=0, T=T)
+
+    def test_numpy_integer_t1_and_T_accepted(self):
+        gs = GuidanceSchedule("a", "b", 1.0, 2.0, t1=np.int64(5), T=np.int32(10))
+        assert gs.at(6) == ("a", 1.0, 1) and gs.at(5) == ("b", 2.0, 2)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("T", {"T": 10.5, "t1": 2.5, "seed": 1.5}),
+        ("T", {"T": True, "t1": 0}),
+        ("t1", {"T": 10, "t1": 2.5}),
+        ("t1", {"T": 10, "t1": True}),
+        ("seed", {"seed": 1.5}),
+        ("seed", {"seed": 0.0}),
+        ("seed", {"seed": True}),
+    ], ids=repr)
+    def test_sampler_config_integer_fields(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SamplerConfig(**kwargs)
+
+    def test_sampler_config_numpy_integers_accepted(self):
+        sc = SamplerConfig(T=np.int64(10), t1=np.int64(4), seed=np.uint32(3))
+        assert (sc.T, sc.t1, sc.seed) == (10, 4, 3)
+
     @pytest.mark.parametrize("kwargs", [{"T": 0, "t1": 0}, {"T": 10, "t1": 11}, {"w_high": np.nan}])
     def test_sampler_config_checks_through_guidance_schedule(self, kwargs):
         args = {"w_low": 3.0, "w_high": 9.0, "t1": 5, "T": 10, **kwargs}
@@ -376,6 +442,19 @@ class TestGaussianOracle:
     def test_condition_rejects_non_finite_mean(self, mu):
         with pytest.raises(ValueError, match="mu must be finite"):
             GaussianCondition(mu=mu, sigma2=1.0)
+
+    @pytest.mark.parametrize("t", NON_INTEGER_STEPS, ids=repr)
+    def test_non_integer_step_refused(self, t):
+        sched = cosine_schedule(100)
+        oracle = GaussianOracleDenoiser(prior=GaussianCondition(2.0, 1.0), sched=sched)
+        with pytest.raises(ValueError, match=re.escape(f"step {t!r} outside 0..100: steps are integers")):
+            oracle.predict(np.zeros(2), t)
+
+    def test_numpy_integer_step_is_that_step(self):
+        sched = cosine_schedule(100)
+        oracle = GaussianOracleDenoiser(prior=GaussianCondition(2.0, 1.0), sched=sched)
+        z = np.array([0.3, -1.2])
+        assert oracle.predict(z, np.int64(50)).tobytes() == oracle.predict(z, 50).tobytes()
 
     def test_no_noise_no_prediction(self):
         sched = cosine_schedule(10)

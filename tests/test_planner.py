@@ -53,6 +53,10 @@ class TestEndpoint:
         with pytest.raises(ValueError, match="timeout must be positive and finite"):
             PlannerEndpoint(url="https://planner.example/v1", model="m", timeout=timeout)
 
+    def test_timeout_must_not_be_a_bool(self):
+        with pytest.raises(ValueError, match="timeout must be positive and finite seconds, got True"):
+            PlannerEndpoint(url="https://planner.example/v1", model="m", timeout=True)
+
 
 class TestTemplate:
     def test_render_contains_caption_and_steps(self):

@@ -56,7 +56,7 @@ class TestGradients:
         rng = np.random.default_rng(3)
         n = 6
         z_t = rng.standard_normal((n, dn.dim))
-        t = rng.integers(1, dn.T + 1, size=n).astype(np.float64)
+        t = rng.integers(1, dn.T + 1, size=n)
         eps = rng.standard_normal((n, dn.dim))
         if granularity == "null":
             view_ids = np.zeros(n, dtype=np.int64)
@@ -84,7 +84,7 @@ class TestGradients:
         dn = _tiny_denoiser()
         rng = np.random.default_rng(4)
         z_t = rng.standard_normal((4, dn.dim))
-        t = np.full(4, 3.0)
+        t = np.full(4, 3)
         eps = rng.standard_normal((4, dn.dim))
         _, grad = dn._loss_and_grads(z_t, t, eps, "text", np.zeros(4, dtype=np.int64))
         grads = _param_views(grad, dn.dim)
@@ -227,8 +227,15 @@ class TestPredict:
 
     def test_schedule_end_steps_accepted(self):
         dn = _tiny_denoiser()
-        for t in (0, dn.T, np.int64(dn.T)):
+        for t in (0, dn.T, np.int64(dn.T), np.uint8(0)):
             assert dn.predict(np.zeros(2), t, ("text", 1)).shape == (2,)
+
+    @pytest.mark.parametrize("t", [5.5, 5.0, np.float64(5), True, np.True_, "5"], ids=repr)
+    def test_non_integer_step_refused(self, t):
+        # a fractional step would evaluate fractional time features, a bool run as step 1
+        dn = _tiny_denoiser()
+        with pytest.raises(ValueError, match=re.escape(f"step {t!r} outside 0..10: steps are integers")):
+            dn.predict(np.zeros(2), t, ("text", 1))
 
     @pytest.mark.parametrize(
         "vid", [1.7, 0.5, -0.5, np.float64(1.25), float("inf"), float("nan"), None]
@@ -290,6 +297,14 @@ class TestPredictWorkspace:
         z1 = rng.standard_normal(dn.dim)
         assert dn.predict(z1, 3, c).tobytes() == _reference_predict(dn, z1, 3, c).tobytes()
 
+    @pytest.mark.parametrize("n", [1, 1024])
+    def test_every_step_matches_reference(self, n):
+        dn = _sampling_denoiser()
+        z = np.random.default_rng(11).standard_normal((n, dn.dim))
+        for t in range(dn.T + 1):
+            for c in (("text", 1), None):
+                assert dn.predict(z, t, c).tobytes() == _reference_predict(dn, z, t, c).tobytes(), t
+
     def test_every_view_id_matches_reference(self):
         dn = _sampling_denoiser()
         z = np.random.default_rng(8).standard_normal((7, dn.dim))
@@ -331,7 +346,7 @@ class TestPredictWorkspace:
         train_toy_denoiser(data, default_curriculum(steps=2, batch_size=9), sched, seed=0, denoiser=dn)
         assert dn._work[0].shape[0] == 9
         z = np.random.default_rng(3).standard_normal((9, 4))
-        out, (x, h1, h2, _, _) = dn._forward(z, 5.0, "text", 1)
+        out, (x, h1, h2, _, _) = dn._forward(z, 5, "text", 1)
         assert all(a is w for a, w in zip((x, h1, h2), dn._work))
         assert not any(np.shares_memory(out, w) for w in dn._work)
         assert dn.predict(z, 5, ("text", 1)).tobytes() == _reference_predict(dn, z, 5, ("text", 1)).tobytes()
@@ -350,6 +365,25 @@ class TestPredictWorkspace:
             tracemalloc.stop()
         # the (1024, 4) result is 32 KB; fresh activations would be ~1.9 MB
         assert peak < 128 * 1024
+
+    def test_time_features_are_one_read_only_table(self):
+        dn = _sampling_denoiser()
+        times = dn._times
+        assert times.shape == (dn.T + 1, 8) and dn._times is times
+        assert not times.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            times[3] = 0.0
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 7, 59, 100, 1000, 4000])
+    def test_time_table_rows_equal_single_step_features(self, T):
+        # the table is built in one vectorized pass; each row must hold the
+        # bytes a one-step evaluation gives, as predict computed them before
+        times = ToyDenoiser(2, T)._times
+        for t in range(T + 1):
+            tau = np.full(1, t, dtype=np.float64)[:, None] / T
+            angles = 2.0 * np.pi * tau * 2.0 ** np.arange(4)
+            row = np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
+            assert times[t].tobytes() == row[0].tobytes(), t
 
     @pytest.mark.parametrize("c", [("full", 8), ("full", -1), ("text", 2), ("null", 1)])
     def test_view_id_outside_table_raises(self, c):
@@ -515,7 +549,7 @@ class TestValidationLoss:
                 total += float(np.sum(eps * eps))
                 continue
             views = np.array([0 if granularity == "null" else dn.view_of(c, granularity) for c in cids])
-            out, _ = dn._forward(z_t, t.astype(np.float64), granularity, views)
+            out, _ = dn._forward(z_t, t, granularity, views)
             total += float(np.sum((out - eps) ** 2))
         got = validation_loss(dn, data, sched, granularity or "text", np.random.default_rng(4))
         assert got == total / (40 * 8)
@@ -707,6 +741,19 @@ class TestCheckpoint:
         path = _write_checkpoint(tmp_path, {"dim": dn.dim, "T": dn.T}, params)
         with pytest.raises(ValueError, match=re.escape(f"{path}: truncated checkpoint")):
             load_checkpoint(path)
+
+    def test_large_T_costs_no_time_table_until_used(self, tmp_path):
+        # the (T+1)-row time-feature table is built on the first forward pass
+        dn = _tiny_denoiser()
+        path = _write_checkpoint(tmp_path, {"dim": dn.dim, "T": 10**12}, _sorted_params(dn))
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.T == 10**12 and "_times" not in vars(loaded)
+        assert peak < 1024 * 1024
 
     def test_lying_dim_rejected_before_allocation(self, tmp_path):
         # a ~200-byte file whose header claims a 10^12-dimensional model
