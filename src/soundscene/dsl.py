@@ -31,6 +31,7 @@ __all__ = [
     "PromptSyntaxError",
     "parse",
     "serialize",
+    "serialize_with_speech_regions",
     "validate",
     "from_annotations",
     "check_caption",
@@ -47,10 +48,27 @@ class PromptSyntaxError(ValueError):
         self.offset = offset
 
 
+def _centiseconds(name: str, value: float) -> float:
+    """``round(float(value), 2) + 0.0`` for a finite value; see TimeSpan."""
+    v = float(value)
+    if -1e9 < v < 1e9:
+        if round(v * 100) / 100 == v:
+            return v + 0.0
+    elif not math.isfinite(v):
+        raise ValueError(f"TimeSpan.{name} must be finite, got {v!r}")
+    return round(v, 2) + 0.0
+
+
 @dataclass(frozen=True, order=True)
 class TimeSpan:
     """Half-open interval in seconds, quantized to centiseconds; spans
     order by (start, end).
+
+    Each bound is stored as ``round(v, 2) + 0.0``; the + 0.0 turns -0.0
+    into 0.0 so the canonical rendering has no sign.  A ``v`` with
+    ``|v| < 1e9`` and ``round(v * 100) / 100 == v`` skips the decimal
+    rounding: it is then the double nearest some k/100, within one ulp
+    (< 2.4e-7) of it, so ``round(v, 2)`` would return ``v`` itself.
 
     Construction rejects non-finite values but deliberately not ordering
     or range problems; those are data for validate() to report.
@@ -60,12 +78,8 @@ class TimeSpan:
     end: float
 
     def __post_init__(self):
-        for name in ("start", "end"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"TimeSpan.{name} must be finite, got {v!r}")
-            # + 0.0 turns -0.0 into 0.0 so the canonical rendering has no sign
-            object.__setattr__(self, name, round(v, 2) + 0.0)
+        object.__setattr__(self, "start", _centiseconds("start", self.start))
+        object.__setattr__(self, "end", _centiseconds("end", self.end))
 
     @property
     def duration(self) -> float:
@@ -275,14 +289,15 @@ def serialize(p: StructuredPrompt) -> str:
     ending past the clip is rendered: the grammar can carry it, and
     ``fmt`` and ``plan`` accept one.
     """
-    text, _ = _serialize_with_speech_regions(p)
+    text, _ = serialize_with_speech_regions(p)
     return text
 
 
-def _serialize_with_speech_regions(
+def serialize_with_speech_regions(
     p: StructuredPrompt,
 ) -> tuple[str, list[tuple[int, int, str]]]:
-    """Canonical text plus (start, end, speech) for each quoted segment.
+    """serialize()'s text, with its refusals, plus (start, end, speech)
+    for each quoted segment.
 
     The region covers the quotes themselves; the tokenizer uses the
     regions to swap quoted speech for phoneme token runs.

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import IO, ClassVar, Iterable
 
-from .dsl import _serialize_with_speech_regions
+from .dsl import serialize_with_speech_regions
 
 __all__ = [
     "ARPABET_CONSONANTS",
@@ -144,12 +144,13 @@ def g2p(text: str, lex: PhonemeLexicon, oov_policy: str = "error") -> list[str]:
     """
     if oov_policy not in OOV_POLICIES:
         raise ValueError(f"unknown oov_policy {oov_policy!r}, want one of {OOV_POLICIES}")
+    lookup = lex.lookup
     phones: list[str] = []
     for raw_word in text.split():
         word = _WORD_EDGE_RE.sub("", raw_word)
         if not word:
             continue
-        pron = lex.lookup(word)
+        pron = lookup(word)
         if pron is not None:
             phones.extend(pron)
         elif oov_policy == "error":
@@ -169,11 +170,7 @@ _BASE_TOKEN_RE = re.compile(r"[A-Za-z0-9']+|[^\sA-Za-z0-9']")
 
 
 def base_tokenize(text: str) -> list[str]:
-    return [m.group().lower() for m in _BASE_TOKEN_RE.finditer(text)]
-
-
-def _base_tokenize_with_spans(text: str) -> list[tuple[str, int, int]]:
-    return [(m.group().lower(), m.start(), m.end()) for m in _BASE_TOKEN_RE.finditer(text)]
+    return list(map(str.lower, _BASE_TOKEN_RE.findall(text)))
 
 
 @dataclass(frozen=True)
@@ -269,33 +266,51 @@ def tokenize_prompt(
     """Tokenize the canonical form of a prompt.
 
     Base text (caption, descriptions, structural characters, span digits)
-    goes through the base tokenizer; each quoted speech segment becomes
-    boundary-open, its g2p phoneme tokens, boundary-close.
+    goes through the base tokenizer, one regex pass over each stretch of
+    source between quoted segments.  The base tokens tile their stretch:
+    a token's range runs from its match start to the next token's, the
+    first from the stretch start and the last to the stretch end, so
+    whitespace joins the token before it.  Each quoted speech segment
+    becomes boundary-open, its g2p phoneme tokens, boundary-close, all
+    zero-width.  A token missing from ``vocab`` raises
+    ValueError("token not in vocabulary: ...").
     """
-    source, regions = _serialize_with_speech_regions(p)
+    source, regions = serialize_with_speech_regions(p)
     open_id = vocab.id_of(vocab.boundary_open)
     close_id = vocab.id_of(vocab.boundary_close)
+    ids_of = vocab._ids
+    finditer = _BASE_TOKEN_RE.finditer
 
     ids: list[int] = []
     meta: list[tuple[int, int]] = []
     pos = 0
-    for r_start, r_end, speech in regions + [(len(source), len(source), None)]:
-        segment = source[pos:r_start]
-        toks = _base_tokenize_with_spans(segment)
-        for k, (tok, t_start, _) in enumerate(toks):
-            tile_start = pos if k == 0 else pos + t_start
-            tile_end = pos + toks[k + 1][1] if k + 1 < len(toks) else r_start
-            ids.append(vocab.id_of(tok))
-            meta.append((tile_start, tile_end))
-        if speech is not None:
-            ids.append(open_id)
-            meta.append((r_start, r_start))
-            for ph in g2p(speech, lex, oov_policy):
-                ids.append(vocab.id_of(ph))
-                meta.append((r_start, r_start))
-            ids.append(close_id)
-            meta.append((r_end, r_end))
-        pos = r_end
+    end = len(source)
+    try:
+        for r_start, r_end, speech in (*regions, (end, end, None)):
+            # tokens are matched in the source as written and lowercased one
+            # by one: lowercasing first can change lengths ('İ'.lower() is
+            # two code points) and what matches (the Kelvin sign lowers to k)
+            tile_start, tok = pos, None
+            for m in finditer(source, pos, r_start):
+                if tok is not None:
+                    ids.append(ids_of[tok.lower()])
+                    start = m.start()
+                    meta.append((tile_start, start))
+                    tile_start = start
+                tok = m.group()
+            if tok is not None:
+                ids.append(ids_of[tok.lower()])
+                meta.append((tile_start, r_start))
+            if speech is not None:
+                phone_ids = [ids_of[ph] for ph in g2p(speech, lex, oov_policy)]
+                ids.append(open_id)
+                ids.extend(phone_ids)
+                ids.append(close_id)
+                meta.extend([(r_start, r_start)] * (len(phone_ids) + 1))
+                meta.append((r_end, r_end))
+            pos = r_end
+    except KeyError as exc:
+        raise ValueError(f"token not in vocabulary: {exc.args[0]!r}") from None
 
     return TokenizedPrompt(source=source, ids=tuple(ids), spans_meta=tuple(meta))
 

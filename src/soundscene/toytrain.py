@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .diffusion import NoiseSchedule, check_step, forward_noise
+from .diffusion import NoiseSchedule, _check_T, _is_int, check_step, forward_noise
 
 __all__ = [
     "GRANULARITIES",
@@ -117,8 +117,10 @@ class ToyDenoiser:
     condition-embedding tables and a dedicated null embedding."""
 
     def __init__(self, dim: int, T: int, rng: np.random.Generator | None = None):
-        if dim < 1 or T < 1:
-            raise ValueError(f"dim and T must be positive, got dim={dim}, T={T}")
+        if not _is_int(dim) or dim < 1:
+            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+        _check_T(T)
+        dim, T = int(dim), int(T)  # a numpy integer would not go into the JSON header
         self._adopt(dim, T, np.zeros(_n_params(dim)))
         rng = np.random.default_rng(0) if rng is None else rng
         for name, shape in _param_shapes(dim).items():  # biases stay zero

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import struct
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +29,10 @@ def span(a, b):
     return TimeSpan(a, b)
 
 
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
 class TestTimeSpan:
     def test_quantizes_to_centiseconds(self):
         s = TimeSpan(1.234, 2.009)
@@ -43,6 +51,38 @@ class TestTimeSpan:
             TimeSpan(float("nan"), 1.0)
         with pytest.raises(ValueError):
             TimeSpan(0.0, float("inf"))
+
+    @pytest.mark.parametrize("start, end, message", [
+        (float("nan"), 1.0, "TimeSpan.start must be finite, got nan"),
+        (0.0, float("inf"), "TimeSpan.end must be finite, got inf"),
+        (float("-inf"), float("nan"), "TimeSpan.start must be finite, got -inf"),
+        (1.0, "nan", "TimeSpan.end must be finite, got nan"),
+    ])
+    def test_non_finite_message(self, start, end, message):
+        with pytest.raises(ValueError) as exc:
+            TimeSpan(start, end)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("v", [
+        0.0, -0.0, 1.005, 2.675, -2.675, 0.125, -0.005, 0.1 + 0.2, 999999999.99,
+        1e9, -1e9, math.nextafter(1e9, 0.0), math.nextafter(1e9, math.inf),
+        math.nextafter(-1e9, 0.0), math.nextafter(-1e9, -math.inf),
+        5e-324, -5e-324, 1e300, -1e300, sys.float_info.max, 4503599627370495.5,
+    ])
+    def test_stored_bits_are_round_to_centiseconds(self, v):
+        s = TimeSpan(v, v)
+        assert _bits(s.start) == _bits(s.end) == _bits(round(v, 2) + 0.0)
+
+    @settings(max_examples=2000)
+    @given(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-2e9, max_value=2e9),
+        st.integers(-10**11, 10**11).map(lambda k: k / 100),
+        st.integers(-10**11, 10**11).map(lambda k: math.nextafter(k / 100, math.inf)),
+        st.integers(-10**11, 10**11).map(lambda k: (k + 0.5) / 100),
+    ))
+    def test_any_finite_value_stores_round_to_centiseconds(self, v):
+        assert _bits(TimeSpan(v, 0.0).start) == _bits(round(v, 2) + 0.0)
 
 
 class TestParse:

@@ -4,15 +4,25 @@ from __future__ import annotations
 
 import io
 import re
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import PLANNED_PROMPT_SAMPLES
-from soundscene.dsl import EventSpec, StructuredPrompt, TimeSpan, parse, serialize
+from soundscene.dsl import (
+    EventSpec,
+    StructuredPrompt,
+    TimeSpan,
+    parse,
+    serialize,
+    serialize_with_speech_regions,
+)
 from soundscene.phonemes import (
     ARPABET_INVENTORY,
+    LETTER_FALLBACK,
+    OOV_POLICIES,
     ExtendedVocabulary,
     LexiconError,
     OovWordError,
@@ -21,6 +31,7 @@ from soundscene.phonemes import (
     g2p,
     load_default_lexicon,
     load_lexicon,
+    TokenizedPrompt,
     render_tokens,
     tokenize_prompt,
 )
@@ -243,4 +254,178 @@ class TestTokenizePrompt:
         p = _speech_prompt("hello")
         vocab = build_vocab("unrelated words only", LEX)
         with pytest.raises(ValueError, match="not in vocabulary"):
+            tokenize_prompt(p, vocab, LEX)
+
+
+# ---- the one-pass tokenizer against the per-token reference -------------
+#
+# Straightforward versions of g2p, base_tokenize, build_vocab and
+# tokenize_prompt: a regex sub on every word, a list of (token, start, end)
+# per segment, one vocabulary lookup per token.  The package's versions
+# must give the same output, and the same error, on every input.
+
+_REF_WORD_EDGE_RE = re.compile(r"^[^A-Za-z0-9]+|[^A-Za-z0-9]+$")
+_REF_BASE_TOKEN_RE = re.compile(r"[A-Za-z0-9']+|[^\sA-Za-z0-9']")
+
+
+def _ref_g2p(text, lex, oov_policy="error"):
+    if oov_policy not in OOV_POLICIES:
+        raise ValueError(f"unknown oov_policy {oov_policy!r}, want one of {OOV_POLICIES}")
+    phones = []
+    for raw_word in text.split():
+        word = _REF_WORD_EDGE_RE.sub("", raw_word)
+        if not word:
+            continue
+        pron = lex.lookup(word)
+        if pron is not None:
+            phones.extend(pron)
+        elif oov_policy == "error":
+            raise OovWordError(word)
+        elif oov_policy == "skip":
+            continue
+        else:
+            for ch in word.upper():
+                phones.extend(LETTER_FALLBACK.get(ch, ()))
+    return phones
+
+
+def _ref_base_tokenize_with_spans(text):
+    return [(m.group().lower(), m.start(), m.end()) for m in _REF_BASE_TOKEN_RE.finditer(text)]
+
+
+def _ref_base_tokenize(text):
+    return [tok for tok, _, _ in _ref_base_tokenize_with_spans(text)]
+
+
+def _ref_build_vocab(lines):
+    counts = Counter()
+    for line in lines:
+        counts.update(_ref_base_tokenize(line))
+    base = tuple(tok for tok, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+    return ExtendedVocabulary(base_tokens=base, phoneme_tokens=tuple(sorted(ARPABET_INVENTORY)))
+
+
+def _ref_tokenize_prompt(p, vocab, lex, oov_policy="error"):
+    source, regions = serialize_with_speech_regions(p)
+    open_id = vocab.id_of(vocab.boundary_open)
+    close_id = vocab.id_of(vocab.boundary_close)
+    ids, meta = [], []
+    pos = 0
+    for r_start, r_end, speech in regions + [(len(source), len(source), None)]:
+        toks = _ref_base_tokenize_with_spans(source[pos:r_start])
+        for k, (tok, t_start, _) in enumerate(toks):
+            tile_start = pos if k == 0 else pos + t_start
+            tile_end = pos + toks[k + 1][1] if k + 1 < len(toks) else r_start
+            ids.append(vocab.id_of(tok))
+            meta.append((tile_start, tile_end))
+        if speech is not None:
+            ids.append(open_id)
+            meta.append((r_start, r_start))
+            for ph in _ref_g2p(speech, lex, oov_policy):
+                ids.append(vocab.id_of(ph))
+                meta.append((r_start, r_start))
+            ids.append(close_id)
+            meta.append((r_end, r_end))
+        pos = r_end
+    return TokenizedPrompt(source=source, ids=tuple(ids), spans_meta=tuple(meta))
+
+
+def _outcome(fn, *args):
+    """The result, or the exception's type and message."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# case-changing letters ('İ' lowers to two code points, the Kelvin sign
+# to ASCII k, 'ß' uppers to SS), apostrophes, digits and edge punctuation
+_TRICKY = "İKkßﬁaZ09'’-.,!?()<>@{}&\"\\ \t\n"
+_chars = st.one_of(st.sampled_from(_TRICKY), st.characters(codec="utf-8"))
+_free_text = st.text(_chars, max_size=24)
+_lexicon_word = st.sampled_from(sorted(LEX.entries)).map(str.lower)
+_speech_word = st.one_of(
+    _lexicon_word,
+    st.tuples(st.sampled_from("'\"(-"), _lexicon_word, st.sampled_from("'.,!?)-")).map("".join),
+    st.text(_chars, min_size=1, max_size=8),
+)
+_speech = st.lists(_speech_word, max_size=6).map(" ".join)
+_caption = _free_text.filter(lambda c: "@{" not in c)
+_description = (
+    st.text(_chars, min_size=1, max_size=16)
+    .map(lambda d: re.sub(r'[&}"@]', "", d))
+    .filter(lambda d: d.strip())
+)
+
+
+@st.composite
+def _prompts(draw):
+    events = []
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, 990))
+        end = draw(st.integers(start + 1, 1000))
+        events.append(EventSpec(
+            draw(_description),
+            (TimeSpan(start / 100, end / 100),),
+            speech=draw(st.none() | _speech),
+        ))
+    return StructuredPrompt(caption=draw(_caption), events=tuple(events))
+
+
+class TestOnePassTokenizerParity:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_free_text, max_size=5))
+    def test_base_tokenize_and_build_vocab(self, lines):
+        for line in lines:
+            assert base_tokenize(line) == _ref_base_tokenize(line)
+        assert build_vocab(lines, LEX).all_tokens() == _ref_build_vocab(lines).all_tokens()
+        corpus = "\n".join(lines)
+        assert build_vocab(corpus, LEX).all_tokens() == _ref_build_vocab(corpus.splitlines()).all_tokens()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_speech, st.sampled_from(OOV_POLICIES))
+    def test_g2p(self, speech, oov_policy):
+        assert _outcome(g2p, speech, LEX, oov_policy) == _outcome(_ref_g2p, speech, LEX, oov_policy)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _prompts(),
+        st.sampled_from(OOV_POLICIES),
+        st.sampled_from(["own", "other", "few phonemes"]),
+        st.lists(_free_text, max_size=3),
+    )
+    def test_tokenize_prompt(self, p, oov_policy, vocab_kind, other_corpus):
+        text = serialize(p)
+        if vocab_kind == "own":
+            vocab = build_vocab(text, LEX)
+        elif vocab_kind == "other":  # base tokens go missing
+            vocab = build_vocab(other_corpus, LEX)
+        else:  # phoneme tokens go missing
+            vocab = ExtendedVocabulary(
+                base_tokens=build_vocab(text, LEX).base_tokens,
+                phoneme_tokens=("AH0", "K", "S", "T"),
+            )
+        got = _outcome(tokenize_prompt, p, vocab, LEX, oov_policy)
+        assert got == _outcome(_ref_tokenize_prompt, p, vocab, LEX, oov_policy)
+        if vocab_kind == "own" and isinstance(got, TokenizedPrompt):
+            assert got.source == text
+
+    def test_missing_token_message_names_the_lowercased_token(self):
+        p = StructuredPrompt(caption="Kelvin \u212a İ")
+        vocab = build_vocab("kelvin", LEX)
+        with pytest.raises(ValueError, match=r"^token not in vocabulary: 'k'$"):
+            tokenize_prompt(p, vocab, LEX)
+        vocab = build_vocab("kelvin \u212a", LEX)
+        with pytest.raises(ValueError, match=r"^token not in vocabulary: 'i\u0307'$"):
+            tokenize_prompt(p, vocab, LEX)
+        vocab = build_vocab(serialize(p), LEX)
+        tp = tokenize_prompt(p, vocab, LEX)
+        assert [vocab.token_of(i) for i in tp.ids] == ["kelvin", "k", "i\u0307"]
+        assert tp.spans_meta == ((0, 7), (7, 9), (9, 10))
+
+    def test_missing_phoneme_message(self):
+        p = _speech_prompt("hello")
+        vocab = ExtendedVocabulary(base_tokens=build_vocab(serialize(p), LEX).base_tokens,
+                                   phoneme_tokens=("AH0",))
+        with pytest.raises(ValueError, match=r"^token not in vocabulary: 'HH'$"):
             tokenize_prompt(p, vocab, LEX)

@@ -115,6 +115,31 @@ class TestParameterVector:
         assert dn.params["W1"] is W1
 
 
+class TestConstructor:
+    @pytest.mark.parametrize("dim, T, message", [
+        (2, 10.5, "T must be an integer >= 1, got 10.5"),
+        (2, True, "T must be an integer >= 1, got True"),
+        (2, 10.0, "T must be an integer >= 1, got 10.0"),
+        (2, 0, "T must be an integer >= 1, got 0"),
+        (2.5, 10, "dim must be an integer >= 1, got 2.5"),
+        (True, 10, "dim must be an integer >= 1, got True"),
+        (np.float64(2.0), 10, "dim must be an integer >= 1, got np.float64(2.0)"),
+        (0, 10, "dim must be an integer >= 1, got 0"),
+        ("2", 10, "dim must be an integer >= 1, got '2'"),
+    ])
+    def test_non_integer_or_small_sizes_refused(self, dim, T, message):
+        with pytest.raises(ValueError) as exc:
+            ToyDenoiser(dim, T)
+        assert str(exc.value) == message
+
+    def test_numpy_integer_sizes_build_a_saveable_model(self, tmp_path):
+        dn = ToyDenoiser(np.int64(2), np.uint16(10))
+        assert type(dn.dim) is int and type(dn.T) is int
+        assert dn.flat.tobytes() == ToyDenoiser(2, 10).flat.tobytes()
+        save_checkpoint(dn, tmp_path / "toy.ckpt")
+        assert load_checkpoint(tmp_path / "toy.ckpt").flat.tobytes() == dn.flat.tobytes()
+
+
 class TestConditionViews:
     def test_view_projection(self):
         dn = _tiny_denoiser()
