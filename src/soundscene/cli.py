@@ -28,11 +28,11 @@ from soundscene.config import (
     load_config,
 )
 from soundscene.diffusion import (
-    SCHEDULES,
     GaussianCondition,
     GaussianOracleDenoiser,
     GuidanceSchedule,
     SamplerConfig,
+    cosine_schedule,
     sample_progressive,
 )
 from soundscene.dsl import (
@@ -182,6 +182,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # a pool error surfaces here, naming path:line, before anything is written
     state = (load_speech_pool(cfg.speech_manifest), load_background_pool(cfg.background_manifest),
              cfg.priors)
+    if cfg.priors.p_single_speaker < 1.0 and len(state[0].speakers) < 2:
+        raise ValueError(f"{cfg.speech_manifest}: one speaker cannot hold a dialogue, and "
+                         f"priors.p_single_speaker is {cfg.priors.p_single_speaker}")
     out_dir = Path(cfg.output_dir)
     (out_dir / "audio").mkdir(parents=True, exist_ok=True)
 
@@ -306,7 +309,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     cfg = _load_config_resolved(args)
     sc = dataclasses.replace(cfg.sampler, **_given_fields(args, SamplerConfig))
-    sched = SCHEDULES[sc.schedule](sc.T)
+    sched = cosine_schedule(sc.T)
 
     if args.denoiser == "gaussian_oracle":
         if args.checkpoint:

@@ -1,7 +1,8 @@
-"""Discrete-time diffusion over pluggable denoisers: noise schedules, the
-forward process, classifier-free guidance, and two-phase progressive
-sampling that switches condition and guidance scale at a threshold step,
-with the `sample` command's settings (SamplerConfig).  Steps are integers."""
+"""Discrete-time diffusion over pluggable denoisers: the cosine noise
+schedule, the forward process, classifier-free guidance, and two-phase
+progressive sampling that switches condition and guidance scale at a
+threshold step, with the `sample` command's settings (SamplerConfig).
+Steps are integers."""
 
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ __all__ = [
     "Denoiser",
     "NoiseSchedule",
     "cosine_schedule",
-    "linear_schedule",
     "forward_noise",
     "cfg_combine",
     "reverse_step",
@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 REVERSE_MODES = ("ancestral", "deterministic")
+# cosine_schedule's offset s: keeps the first betas from vanishing
+COSINE_OFFSET = 0.008
 
 
 def _is_int(value: Any) -> bool:
@@ -91,26 +93,17 @@ class NoiseSchedule:
         return 1.0 - self.alpha(t)
 
 
-def cosine_schedule(T: int, s: float = 0.008) -> NoiseSchedule:
-    """Squared-cosine alpha_bar; per-step betas are clipped to 0.999 so the
-    tail never collapses to zero signal."""
+def cosine_schedule(T: int) -> NoiseSchedule:
+    """Squared-cosine alpha_bar over T steps (Nichol & Dhariwal 2021, offset
+    COSINE_OFFSET); per-step betas are clipped to 0.999 so the tail never
+    collapses to zero signal.  The one noise schedule the sampler runs."""
     _check_T(T)
     t = np.arange(T + 1, dtype=np.float64)
-    f = np.cos(((t / T + s) / (1.0 + s)) * np.pi / 2.0) ** 2
+    f = np.cos(((t / T + COSINE_OFFSET) / (1.0 + COSINE_OFFSET)) * np.pi / 2.0) ** 2
     ab = f / f[0]
     betas = np.clip(1.0 - ab[1:] / ab[:-1], 0.0, 0.999)
     ab = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
     return NoiseSchedule(alpha_bar=ab)
-
-
-def linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
-    _check_T(T)
-    betas = np.linspace(beta_start, beta_end, T)
-    ab = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-    return NoiseSchedule(alpha_bar=ab)
-
-
-SCHEDULES = {"cosine": cosine_schedule, "linear": linear_schedule}
 
 
 def forward_noise(
@@ -221,10 +214,10 @@ class GuidanceSchedule:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Reverse-process settings for the `sample` command."""
+    """Reverse-process settings for the `sample` command, which always runs
+    on ``cosine_schedule(T)``."""
 
     T: int = 100
-    schedule: str = "cosine"
     t1: int = 88
     w_low: float = 3.0
     w_high: float = 9.0
@@ -234,7 +227,6 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         # the guidance schedule checks T, t1 and the weights
         GuidanceSchedule(None, None, self.w_low, self.w_high, t1=self.t1, T=self.T)
-        _check_choice("schedule", self.schedule, SCHEDULES)
         _check_choice("mode", self.mode, REVERSE_MODES)
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")

@@ -85,11 +85,23 @@ def encode_events(events: Iterable[EventAnnotation]) -> list[dict[str, Any]]:
     ]
 
 
+def _event_time(row: Mapping[str, Any], key: str) -> float:
+    """``row[key]`` as seconds; it must be an int or float, not a bool (a
+    JSON number).  A plain float, the common case, is checked first."""
+    value = row[key]
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ValueError(f"{key} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} is an integer too large for a float") from None
+
+
 def decode_events(rows: Any, where: str) -> tuple[EventAnnotation, ...]:
-    """Parse ``events`` rows (mappings with a string label, start, end and an
-    optional string-or-null transcript).  Spans must be finite and, once
-    rounded to centiseconds, satisfy 0 <= start < end; any malformed row
-    raises ValueError naming ``where``."""
+    """Parse ``events`` rows (mappings with a string label, numeric start and
+    end in seconds, and an optional string-or-null transcript).  Spans must
+    be finite and, once rounded to centiseconds, satisfy 0 <= start < end;
+    any malformed row raises ValueError naming ``where``."""
     if not isinstance(rows, list):
         raise ValueError(f"{where}: malformed event record: events must be a list")
     events = []
@@ -98,11 +110,11 @@ def decode_events(rows: Any, where: str) -> tuple[EventAnnotation, ...]:
             raise ValueError(f"{where}: malformed event record: {row!r} is not an object")
         try:
             label, transcript = row["label"], row.get("transcript")
-            start, end = float(row["start"]), float(row["end"])
+            start, end = _event_time(row, "start"), _event_time(row, "end")
             span = TimeSpan(start, end)  # rejects non-finite times
         except KeyError as exc:
             raise ValueError(f"{where}: malformed event record: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{where}: malformed event record: {exc}") from exc
         if not isinstance(label, str):
             raise ValueError(f"{where}: malformed event record: label {label!r} is not a string")

@@ -73,6 +73,8 @@ MAX_UTTERANCES_PER_SPEAKER = 4
 MAX_TOTAL_UTTERANCES = 8
 
 ARRANGE_RETRIES = 20
+# the share of a clip the utterances of one scene may fill
+FILL_BUDGET = 0.95
 
 _GENDER_LABELS = {"male": "Man speaking", "female": "Woman speaking"}
 
@@ -238,6 +240,11 @@ class ScenePriors:
                 raise ValueError(f"utterance_count_pmf[{k}] must be finite and >= 0, got {p}")
         if abs(sum(pmf.values()) - 1.0) > 1e-9:
             raise ValueError(f"utterance_count_pmf sums to {sum(pmf.values())!r}, not 1")
+        if self.p_single_speaker < 1.0 and not any(p > 0 for k, p in pmf.items() if k >= 2):
+            raise ValueError(
+                f"p_single_speaker {self.p_single_speaker} asks for dialogues, but "
+                "utterance_count_pmf puts no mass on 2 or more utterances"
+            )
         lo, hi = self.snr_range_db
         if not -np.inf < lo <= hi < np.inf:
             raise ValueError(f"snr_range_db must be finite with lo <= hi, got {self.snr_range_db}")
@@ -257,12 +264,11 @@ def sample_utterance_count(priors: ScenePriors, rng: np.random.Generator) -> int
 def arrange_timing(
     utterances: Sequence[UtteranceClip],
     rng: np.random.Generator,
-    max_fill: float = 0.95,
 ) -> list[tuple[UtteranceClip, float]]:
     """Place utterances on the timeline without overlap, in random order,
     spreading the leftover time over the gaps with a flat Dirichlet.
 
-    Raises ValueError when total duration exceeds ``max_fill`` of the clip;
+    Raises ValueError when total duration exceeds FILL_BUDGET of the clip;
     callers treat that as a redraw signal.  Returns placements in
     chronological order.
     """
@@ -270,10 +276,10 @@ def arrange_timing(
     if not utterances:
         return []
     total = sum(u.duration for u in utterances)
-    if total > max_fill * CLIP_SECONDS:
+    if total > FILL_BUDGET * CLIP_SECONDS:
         raise ValueError(
             f"utterances fill {total:.2f} s of a {CLIP_SECONDS:.2f} s clip "
-            f"(budget {max_fill * CLIP_SECONDS:.2f} s)"
+            f"(budget {FILL_BUDGET * CLIP_SECONDS:.2f} s)"
         )
     order = rng.permutation(len(utterances))
     gaps = rng.dirichlet(np.ones(len(utterances) + 1)) * (CLIP_SECONDS - total)

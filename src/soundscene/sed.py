@@ -251,7 +251,11 @@ def _from_jsonl(path: Path) -> list[ClipAnnotations]:
 def _from_tsv(path: Path) -> list[ClipAnnotations]:
     events: dict[str, list[EventAnnotation]] = {}
     for where, row in read_tsv(path, ("clip_id", "label", "start", "end")):
-        events.setdefault(row["clip_id"], []).extend(decode_events([row], where))
+        try:
+            times = {key: float(row[key]) for key in ("start", "end")}
+        except ValueError as exc:
+            raise ValueError(f"{where}: malformed event record: {exc}") from exc
+        events.setdefault(row["clip_id"], []).extend(decode_events([row | times], where))
     return [ClipAnnotations(clip_id=cid, events=tuple(evs)) for cid, evs in events.items()]
 
 

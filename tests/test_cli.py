@@ -316,6 +316,29 @@ class TestSimulate:
         assert not (tmp_path / "out").exists()
 
 
+    def test_one_speaker_pool_refused_before_any_wav(self, tmp_path, demo_pool_dir, capsys):
+        # dataset seed 1 draws five monologues before its first dialogue
+        rows = [json.loads(r) for r in (demo_pool_dir / "speech_manifest.jsonl")
+                .read_text(encoding="utf-8").splitlines()]
+        manifest = tmp_path / "speech.jsonl"
+        manifest.write_text("".join(
+            json.dumps({**r, "path": str(demo_pool_dir / r["path"])}) + "\n"
+            for r in rows if r["speaker_id"] == "spk00"), encoding="utf-8")
+        base = (f"dataset_seed: 1\nspeech_manifest: {manifest}\n"
+                f"background_manifest: {demo_pool_dir / 'background_manifest.jsonl'}\n")
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(base + f"output_dir: {tmp_path / 'out'}\n", encoding="utf-8")
+        rc = main(["simulate", "--config", str(cfg), "--count", "8"])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert err == (f"error: {manifest}: one speaker cannot hold a dialogue, "
+                       "and priors.p_single_speaker is 0.791\n")
+        assert not (tmp_path / "out").exists()
+        # monologues only: the same pool simulates
+        cfg.write_text(base + f"output_dir: {tmp_path / 'mono'}\n"
+                       "priors: {p_single_speaker: 1.0}\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), "--count", "8"]) == 0
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unarrangeable_scene_named_with_its_seed(self, tmp_path, capsys, workers):
         # 3 speakers x 3 five-second utterances: monologues fit the 10 s
@@ -698,7 +721,7 @@ class TestSample:
         assert key in err
 
     @pytest.mark.parametrize("flag, value", [
-        ("--schedule", "quadratic"), ("--mode", "ddim"), ("--w-low", "nan"), ("--w-high", "inf"),
+        ("--mode", "ddim"), ("--w-low", "nan"), ("--w-high", "inf"),
     ])
     def test_bad_sampler_flag_exits_1(self, run_config, tmp_path, capsys, flag, value):
         rc = main(["sample", "--config", str(run_config), flag, value,
@@ -706,6 +729,20 @@ class TestSample:
         _, err = read_out(capsys)
         assert rc == 1
         assert flag[2:].replace("-", "_") in err and value in err
+        assert not (tmp_path / "x").exists()
+
+    def test_schedule_setting_is_gone(self, run_config, tmp_path, capsys):
+        # sample runs on the cosine schedule only: no flag and no config key picks another
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--config", str(run_config), "--schedule", "cosine"])
+        assert exc.value.code == 2
+        assert "--schedule" in read_out(capsys)[1]
+        cfg = tmp_path / "old.yaml"
+        cfg.write_text("sampler:\n  schedule: cosine\n", encoding="utf-8")
+        rc = main(["sample", "--config", str(cfg), "--output-dir", str(tmp_path / "x")])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert "unknown keys ['sampler.schedule']" in err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("flag, value, text", [
@@ -792,6 +829,16 @@ class TestEvaluate:
         assert rc == 0
         assert report.read_text().strip() == out.strip()
 
+    def test_huge_integer_time_names_line(self, tmp_path, capsys):
+        truth = tmp_path / "t.jsonl"
+        truth.write_text('{"clip_id": "c", "events": [{"label": "dog", "start": %s, "end": 2}]}\n'
+                         % ("9" * 400))
+        rc = main(["evaluate", "--truth", str(truth), "--pred", str(truth)])
+        out, err = read_out(capsys)
+        assert rc == 1
+        assert err.startswith(f"error: {truth}:1: malformed event record: start is an integer")
+        assert "F1" not in out
+
     def test_missing_truth_file_names_path(self, tmp_path, capsys):
         pred = tmp_path / "p.tsv"
         pred.write_text("c\tdog\t1.0\t2.0\n")
@@ -833,7 +880,7 @@ class TestParserSurface:
         assert exc.value.code == 0
         out, _ = read_out(capsys)
         for flag in ("--denoiser", "--checkpoint", "--condition-id", "--mu",
-                     "--sigma2", "--dim", "--T", "--schedule", "--t1",
+                     "--sigma2", "--dim", "--T", "--t1",
                      "--w-low", "--w-high", "--mode", "--seed", "--output-dir"):
             assert flag in out
 

@@ -10,6 +10,7 @@ from scipy.io import wavfile
 from soundscene.audio import CLIP_SAMPLES, SAMPLE_RATE, rms, write_wav
 from soundscene.dsl import parse, serialize, validate
 from soundscene.scene import (
+    FILL_BUDGET,
     UTTERANCE_COUNT_TABLE,
     BackgroundClip,
     BackgroundPool,
@@ -107,6 +108,15 @@ class TestPriors:
         with pytest.raises(ValueError, match="snr_range_db must be finite"):
             ScenePriors(snr_range_db=snr)
 
+    @pytest.mark.parametrize("pmf", [{1: 1.0}, {1: 1.0, 2: 0.0, 5: 0.0}], ids=["ones", "zero-mass"])
+    def test_dialogues_need_a_count_of_two_or_more(self, pmf):
+        # found at construction, not at the first dialogue a run draws
+        with pytest.raises(ValueError, match=r"^p_single_speaker 0\.5 asks for dialogues, but "
+                           "utterance_count_pmf puts no mass on 2 or more utterances$"):
+            ScenePriors(p_single_speaker=0.5, utterance_count_pmf=pmf)
+        assert ScenePriors(p_single_speaker=1.0, utterance_count_pmf=pmf).p_single_speaker == 1.0
+        assert ScenePriors(p_single_speaker=0.5, utterance_count_pmf={1: 0.999, 2: 0.001})
+
     @pytest.mark.parametrize("p", [np.nan, np.inf, -0.5])
     def test_pmf_probability_must_be_finite_and_nonnegative(self, p):
         with pytest.raises(ValueError, match=r"utterance_count_pmf\[1\] must be finite and >= 0"):
@@ -182,11 +192,15 @@ class TestArrangeTiming:
             arrange_timing(clips, np.random.default_rng(0))
 
     def test_relaxed_fill_packs_exactly(self):
-        clips = [_clip(6.0), _clip(4.0)]
-        placements = arrange_timing(clips, np.random.default_rng(2), max_fill=1.0)
-        ends = [s + c.duration for c, s in placements]
-        assert placements[0][1] == pytest.approx(0.0, abs=1e-9)
-        assert ends[-1] == pytest.approx(10.0, abs=1e-9)
+        # utterances filling exactly FILL_BUDGET of the clip (9.5 s) are placed
+        clips = [_clip(6.0), _clip(3.5)]
+        assert sum(c.duration for c in clips) == FILL_BUDGET * 10.0 == 9.5
+        (first, s0), (second, s1) = arrange_timing(clips, np.random.default_rng(2))
+        assert 0.0 <= s0 and s0 + first.duration <= s1 + 1e-9
+        assert s1 + second.duration <= 10.0 + 1e-9
+        # one sample more is over budget
+        with pytest.raises(ValueError, match="budget 9.50 s"):
+            arrange_timing([_clip(6.0), _clip(3.5 + 1 / SAMPLE_RATE)], np.random.default_rng(2))
 
     def test_empty_input(self):
         assert arrange_timing([], np.random.default_rng(0)) == []

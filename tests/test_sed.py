@@ -477,6 +477,36 @@ class TestManifestReader:
             with pytest.raises(ValueError, match=r"scenes\.jsonl:2: "):
                 annotations_from_manifest(path)
 
+    @pytest.mark.parametrize("start, end, message", [
+        ('"0.5"', "2.25", "start '0.5' is not a number"),
+        ("false", "true", "start False is not a number"),
+        ("0.5", "true", "end True is not a number"),
+        ("1" * 400, "2.0", "start is an integer too large for a float"),
+    ], ids=["string", "bools", "bool-end", "huge-int"])
+    def test_jsonl_event_times_are_json_numbers(self, tmp_path, start, end, message):
+        path = tmp_path / "scenes.jsonl"
+        path.write_text(
+            '{"clip_id": "ok", "events": [{"label": "Speech", "start": 1, "end": 2.5}]}\n'
+            f'{{"clip_id": "a", "events": [{{"label": "Speech", "start": {start}, "end": {end}}}]}}\n'
+        )
+        with pytest.raises(ValueError) as exc_info:
+            annotations_from_manifest(path)
+        assert str(exc_info.value) == f"{path}:2: malformed event record: {message}"
+
+    def test_tsv_times_keep_their_messages(self, tmp_path):
+        path = tmp_path / "events.tsv"
+        for span, message in (
+            ("x\t2.00", "malformed event record: could not convert string to float: 'x'"),
+            ("nan\t2.00", "malformed event record: TimeSpan.start must be finite, got nan"),
+            ("5.00\t3.00", "invalid span [5.0, 3.0]"),
+        ):
+            path.write_text(f"c1\tSpeech\t{span}\n")
+            with pytest.raises(ValueError) as exc_info:
+                annotations_from_manifest(path)
+            assert str(exc_info.value) == f"{path}:1: {message}"
+        path.write_text("c1\tSpeech\t 0.5 \t2.25\n")
+        assert annotations_from_manifest(path)[0].events[0].span == TimeSpan(0.5, 2.25)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "events.tsv"
         path.write_text("\nc1\tSpeech\t1.00\t2.00\n\n")
