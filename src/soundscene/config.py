@@ -21,7 +21,7 @@ from typing import Any
 
 import yaml
 
-from soundscene.diffusion import SamplerConfig
+from soundscene.diffusion import SamplerConfig, _is_int
 from soundscene.planner import PlannerEndpoint
 from soundscene.scene import ScenePriors
 
@@ -46,8 +46,8 @@ class PipelineConfig:
     planner: PlannerEndpoint | None = None
 
     def __post_init__(self) -> None:
-        if self.dataset_seed < 0:
-            raise ConfigError(f"dataset_seed must be >= 0, got {self.dataset_seed}")
+        if not _is_int(self.dataset_seed) or self.dataset_seed < 0:
+            raise ConfigError(f"dataset_seed must be an integer >= 0, got {self.dataset_seed!r}")
 
 
 @functools.cache

@@ -161,7 +161,8 @@ def reverse_step(
     implied clean latent with the predicted noise itself (no rng needed).
     """
     _check_choice("mode", mode, REVERSE_MODES)
-    alpha, beta = sched.alpha(t), sched.beta(t)
+    alpha = sched.alpha(t)
+    beta = 1.0 - alpha  # NoiseSchedule.beta, without a second step check
     z_t = np.asarray(z_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
     if z_t.shape != eps_hat.shape:

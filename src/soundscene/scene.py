@@ -223,7 +223,8 @@ def default_utterance_pmf() -> dict[int, float]:
 
 @dataclass(frozen=True)
 class ScenePriors:
-    """Sampling distributions for scene composition."""
+    """Sampling distributions for scene composition.  Utterance counts are
+    integers in 1..MAX_TOTAL_UTTERANCES; a dialogue redraws counts below 2."""
 
     p_single_speaker: float = 0.791
     utterance_count_pmf: Mapping[int, float] = field(default_factory=default_utterance_pmf)
@@ -234,8 +235,8 @@ class ScenePriors:
             raise ValueError(f"p_single_speaker out of [0, 1]: {self.p_single_speaker}")
         pmf = dict(self.utterance_count_pmf)
         for k, p in pmf.items():
-            if not (isinstance(k, int) and k >= 1):
-                raise ValueError(f"utterance_count_pmf counts must be integers >= 1, got {k!r}")
+            if not (type(k) is int and 1 <= k <= MAX_TOTAL_UTTERANCES):
+                raise ValueError(f"utterance counts are integers in 1..{MAX_TOTAL_UTTERANCES}, not {k!r}")
             if not 0.0 <= p < np.inf:
                 raise ValueError(f"utterance_count_pmf[{k}] must be finite and >= 0, got {p}")
         if abs(sum(pmf.values()) - 1.0) > 1e-9:
@@ -347,14 +348,9 @@ def _draw_dialogue(pool: SpeechPool, priors: ScenePriors, rng: np.random.Generat
             break
     else:
         raise RuntimeError("utterance-count pmf never yields 2 or more utterances")
-    n = min(n, MAX_TOTAL_UTTERANCES)
-    k_hi = min(MAX_DIALOGUE_SPEAKERS, n, len(pool.speakers))
-    if k_hi < 2:
-        raise ValueError(f"cannot seat {n} utterances over 2+ speakers")
-    k = int(rng.integers(2, k_hi + 1))
+    # compose_scene seats 2+ speakers, and 2 <= k <= n <= 8 <= 4k has a composition
+    k = int(rng.integers(2, min(MAX_DIALOGUE_SPEAKERS, n, len(pool.speakers)) + 1))
     comps = _dialogue_compositions(n, k)
-    if not comps:
-        raise ValueError(f"no composition of {n} utterances over {k} speakers")
     comp = comps[int(rng.integers(len(comps)))]
     remaining = pool.speakers
     chosen: list[UtteranceClip] = []

@@ -56,6 +56,14 @@ _DIVISORS = dict(
     zip(GRANULARITIES, (LEVEL_SIZES[1] * LEVEL_SIZES[2], LEVEL_SIZES[2], 1, _N_CONDITIONS))
 )
 
+
+def _divisor(granularity: str) -> int:
+    """The granularity's view divisor; the one check of a granularity name."""
+    if granularity not in GRANULARITIES:
+        raise ValueError(f"unknown granularity {granularity!r}")
+    return _DIVISORS[granularity]
+
+
 # The denoiser's hidden width, condition-embedding width and number of
 # sinusoidal time frequencies.
 _HIDDEN = 64
@@ -153,9 +161,11 @@ class ToyDenoiser:
     def n_conditions(self) -> int:
         return _N_CONDITIONS
 
-    def view_of(self, full_id: int | np.ndarray, granularity: str) -> int | np.ndarray:
+    @staticmethod
+    def view_of(full_id: int | np.ndarray, granularity: str) -> int | np.ndarray:
         """Project full condition ids (an int, or an integer array projected
-        element-wise) onto a coarser granularity; a scalar id gives an int."""
+        element-wise) onto a coarser granularity; a scalar id gives an int.
+        The one check that condition ids are integers in 0..n_conditions-1."""
         ids = np.asarray(full_id)
         n = _N_CONDITIONS
         if ids.dtype.kind not in "iu":
@@ -163,15 +173,8 @@ class ToyDenoiser:
         bad = (ids < 0) | (ids >= n)
         if bad.any():
             raise ValueError(f"condition id {ids[bad].flat[0]} outside 0..{n - 1}")
-        if granularity not in _DIVISORS:
-            raise ValueError(f"unknown granularity {granularity!r}")
-        views = ids // _DIVISORS[granularity]
+        views = ids // _divisor(granularity)
         return int(views) if views.ndim == 0 else views
-
-    def _table(self, granularity: str) -> str:
-        if granularity not in GRANULARITIES:
-            raise ValueError(f"unknown granularity {granularity!r}")
-        return "E_" + granularity
 
     # ---- forward / backward ----------------------------------------------
 
@@ -183,12 +186,13 @@ class ToyDenoiser:
         view_ids: np.ndarray | int,
     ):
         """Output for the rows of z_t; ``t`` (integer steps in 0..T) and
-        ``view_ids`` (in range for the granularity's table) are per-row
-        arrays, or scalars broadcast over the rows, and are not checked here.
+        ``view_ids`` (in range for the granularity's table) are per-row arrays,
+        or scalars broadcast over the rows; none of them, nor the granularity,
+        is checked here.
         The input and hidden activations are written into this instance's
         scratch rows (x, h1, h2), valid until the next call; the output is
         always a fresh array."""
-        table = self._table(granularity)
+        table = "E_" + granularity
         E = self.params[table]
         n = z_t.shape[0]
         d, f = self.dim, self.dim + 2 * _N_FREQ
@@ -259,7 +263,7 @@ class ToyDenoiser:
                 raise ValueError
         except (OverflowError, TypeError, ValueError):
             raise ValueError(f"view id {view!r} is not an integer") from None
-        rows = self.params[self._table(granularity)].shape[0]
+        rows = _N_CONDITIONS // _divisor(granularity)
         if not 0 <= vid < rows:
             raise ValueError(f"view id outside the {granularity} table of {rows} rows")
         out, _ = self._forward(z2, t, granularity, vid)
@@ -278,14 +282,18 @@ class CurriculumStage:
     granularity_probs: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        if self.steps < 1 or self.batch_size < 1 or self.lr <= 0:
-            raise ValueError(f"stage {self.name!r}: steps, batch_size, lr must be positive")
+        sizes = (self.steps, self.batch_size)
+        if not (all(_is_int(v) and v >= 1 for v in sizes) and 0 < self.lr < math.inf):
+            raise ValueError(f"stage {self.name!r}: steps, batch_size must be positive integers "
+                             f"and lr positive and finite, got {(*sizes, self.lr)!r}")
         probs = dict(self.granularity_probs)
         if not probs:
             raise ValueError(f"stage {self.name!r}: empty granularity_probs")
         for g, p in probs.items():
-            if g not in GRANULARITIES:
-                raise ValueError(f"stage {self.name!r}: unknown granularity {g!r}")
+            try:
+                _divisor(g)
+            except ValueError as exc:
+                raise ValueError(f"stage {self.name!r}: {exc}") from None
             if p < 0:
                 raise ValueError(f"stage {self.name!r}: negative probability for {g!r}")
         if abs(sum(probs.values()) - 1.0) > 1e-9:
@@ -325,21 +333,19 @@ def _stack_dataset(dataset: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarra
 
 
 def _noised_batch(
-    denoiser: ToyDenoiser | None,
     z0: np.ndarray,
     cids: np.ndarray,
     granularity: str,
     sched: NoiseSchedule,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """(z_t, t, eps, view_ids) for the rows of z0: per-row steps in 1..T are
-    drawn before the noise, and each condition id is range-checked and
-    projected onto the granularity's view (no view ids without a denoiser)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(z_t, t, eps, view_ids) for the rows of z0: each condition id is
+    range-checked and projected onto the granularity's view, then per-row
+    steps in 1..T are drawn before the noise."""
+    view_ids = ToyDenoiser.view_of(cids, granularity)
     t = rng.integers(1, sched.T + 1, size=z0.shape[0])
     eps = rng.standard_normal(z0.shape)
-    z_t = forward_noise(z0, t, eps, sched)
-    view_ids = None if denoiser is None else denoiser.view_of(cids, granularity)
-    return z_t, t, eps, view_ids
+    return forward_noise(z0, t, eps, sched), t, eps, view_ids
 
 
 def train_toy_denoiser(
@@ -365,8 +371,7 @@ def train_toy_denoiser(
         raise ValueError(f"denoiser dimension {denoiser.dim} != dataset dimension {dim}")
     if denoiser.T != sched.T:
         raise ValueError(f"denoiser was built for T={denoiser.T}, schedule has T={sched.T}")
-    if np.any(cid_all < 0) or np.any(cid_all >= denoiser.n_conditions):
-        raise ValueError(f"condition ids must lie in 0..{denoiser.n_conditions - 1}")
+    ToyDenoiser.view_of(cid_all, "full")  # every id checked before the first step
 
     # fresh Adam state per call; continuing training restarts the optimizer
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
@@ -378,10 +383,8 @@ def train_toy_denoiser(
         for step in range(stage.steps):
             idx = rng.integers(0, n, size=stage.batch_size)
             granularity = _draw_granularity(stage.granularity_probs, rng)
-            z_t, t, eps, view_ids = _noised_batch(
-                denoiser, z0_all[idx], cid_all[idx], granularity, sched, rng
-            )
-            loss, g = denoiser._loss_and_grads(z_t, t, eps, granularity, view_ids)
+            z_t, t, eps, views = _noised_batch(z0_all[idx], cid_all[idx], granularity, sched, rng)
+            loss, g = denoiser._loss_and_grads(z_t, t, eps, granularity, views)
             if not np.isfinite(loss):
                 raise TrainingDiverged(stage.name, step)
             adam_t += 1
@@ -403,15 +406,14 @@ def validation_loss(
     """Mean squared-noise-error over the dataset with fresh (t, eps) draws.
 
     ``denoiser=None`` scores the zero predictor, the natural baseline whose
-    expected loss is the latent dimension.  Use the same rng seed to compare
+    expected loss is the latent dimension; it checks the granularity and the
+    condition ids as a denoiser does.  Use the same rng seed to compare
     models on identical draws.
     """
-    if granularity not in GRANULARITIES:
-        raise ValueError(f"unknown granularity {granularity!r}")
     z0_all, cid_all = _stack_dataset(dataset)
     total = 0.0
     for _ in range(_VALIDATION_REPEATS):
-        z_t, t, eps, view_ids = _noised_batch(denoiser, z0_all, cid_all, granularity, sched, rng)
+        z_t, t, eps, view_ids = _noised_batch(z0_all, cid_all, granularity, sched, rng)
         out = 0.0 if denoiser is None else denoiser._forward(z_t, t, granularity, view_ids)[0]
         total += float(np.sum((out - eps) ** 2))
     return total / (z0_all.shape[0] * _VALIDATION_REPEATS)

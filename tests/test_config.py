@@ -204,6 +204,12 @@ class TestValidation:
         with plain_value_error("model"):
             PlannerEndpoint(url="https://x", model="")
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", -1])
+    def test_dataset_seed_built_directly_is_an_integer(self, seed):
+        # refused at construction, not by SeedSequence at the first scene
+        with pytest.raises(ConfigError, match="dataset_seed must be an integer >= 0"):
+            PipelineConfig(dataset_seed=seed)
+
     def test_pmf_key_must_be_ascii_digits(self):
         # U+0661 ARABIC-INDIC DIGIT ONE is a decimal character, but not a count
         with pytest.raises(ConfigError, match="priors.utterance_count_pmf key"):

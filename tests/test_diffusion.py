@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from fixtures import diffusion_loss, reference_cfg_loop
+from soundscene import diffusion as diffusion_mod
 from soundscene.diffusion import (
     GaussianCondition,
     GaussianOracleDenoiser,
@@ -297,6 +298,14 @@ class TestReverseStep:
         var = beta * (1 - ab_prev) / (1 - ab)
         noise = np.random.default_rng(3).standard_normal(2)
         assert np.allclose(out, mean + np.sqrt(var) * noise)
+
+    @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
+    def test_one_step_check_per_call(self, monkeypatch, mode):
+        calls = []
+        real = diffusion_mod.check_step
+        monkeypatch.setattr(diffusion_mod, "check_step", lambda *a: calls.append(a) or real(*a))
+        reverse_step(np.zeros(2), 7, np.zeros(2), cosine_schedule(10), mode, np.random.default_rng(0))
+        assert calls == [(7, 1, 10)]
 
     def test_final_step_is_noise_free(self):
         sched = cosine_schedule(50)

@@ -96,8 +96,10 @@ class TestPriors:
             ScenePriors(utterance_count_pmf={})
 
     def test_bad_count_raises(self):
-        with pytest.raises(ValueError, match="integers"):
-            ScenePriors(utterance_count_pmf={0: 1.0})
+        # counts are integers in 1..8, and a bool is not a count
+        for count in (0, 9, True):
+            with pytest.raises(ValueError, match="integers"):
+                ScenePriors(utterance_count_pmf={count: 1.0})
 
     def test_bad_snr_range_raises(self):
         with pytest.raises(ValueError, match="snr"):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from soundscene import cli
 from soundscene.toytrain import load_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,3 +50,14 @@ def test_demo_pools_feed_simulate(tmp_path):
     assert out.splitlines()[-1] == f"run config:      {tmp_path / 'demo' / 'run.yaml'}"
     _run("-m", "soundscene.cli", "simulate", "--config", str(tmp_path / "demo" / "run.yaml"), "--count", "3")
     assert len((tmp_path / "demo" / "out" / "scenes.jsonl").read_text().splitlines()) == 3
+
+
+def test_small_demo_pools_feed_simulate(tmp_path):
+    # every size flag, then simulate in-process on the pools they sized
+    out = _run_script("make_demo_pools.py", "--root", str(tmp_path), "--speakers", "2",
+                      "--utterances-per-speaker", "4", "--backgrounds", "1")
+    speech, background, config = (line.split(":", 1)[1].strip() for line in out.splitlines())
+    assert len(Path(speech).read_text().splitlines()) == 2 * 4
+    assert len(Path(background).read_text().splitlines()) == 1
+    assert cli.main(["simulate", "--config", config, "--count", "5"]) == 0
+    assert len((tmp_path / "out" / "scenes.jsonl").read_text().splitlines()) == 5

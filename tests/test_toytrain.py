@@ -164,7 +164,7 @@ class TestConditionViews:
         for g, views in expected.items():
             assert dn.view_of(ids, g).tolist() == views.tolist()
             # the table has one row per distinct view
-            assert dn.params[dn._table(g)].shape == (views.max() + 1, 8)
+            assert dn.params["E_" + g].shape == (views.max() + 1, 8)
 
     def test_init_draws_tables_in_granularity_order(self):
         # reference: every parameter drawn explicitly at the fixed sizes
@@ -285,7 +285,7 @@ def _reference_predict(dn, z_t, t, c=None):
     z2 = z[None, :] if z.ndim == 1 else z
     n = z2.shape[0]
     granularity, vid = ("null", 0) if c is None else c
-    E = dn.params[dn._table(granularity)]
+    E = dn.params["E_" + granularity]
     tau = np.full(n, t, dtype=np.float64)[:, None] / dn.T
     angles = 2.0 * np.pi * tau * 2.0 ** np.arange(4)  # the four time frequencies
     feats = np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
@@ -334,7 +334,7 @@ class TestPredictWorkspace:
         dn = _sampling_denoiser()
         z = np.random.default_rng(8).standard_normal((7, dn.dim))
         for g in GRANULARITIES:
-            for vid in range(dn.params[dn._table(g)].shape[0]):
+            for vid in range(dn.params["E_" + g].shape[0]):
                 got = dn.predict(z, 40, (g, vid))
                 assert got.tobytes() == _reference_predict(dn, z, 40, (g, vid)).tobytes()
 
@@ -439,6 +439,19 @@ class TestStageValidation:
         with pytest.raises(ValueError, match="positive"):
             CurriculumStage("s", 0, 8, 1e-3, {"text": 1.0})
 
+    @pytest.mark.parametrize(
+        "steps, batch_size, lr",
+        [(2.5, 8, 1e-3), (10, True, 1e-3), (10, 8.0, 1e-3), (10, 8, np.nan), (10, 8, np.inf)],
+    )
+    def test_settings_that_would_fail_in_training_refused(self, steps, batch_size, lr):
+        with pytest.raises(ValueError, match="^stage 'bad': steps, batch_size must be positive"):
+            CurriculumStage("bad", steps, batch_size, lr, {"text": 1.0})
+
+    def test_numpy_integer_sizes_accepted(self):
+        stage = CurriculumStage("s", np.int64(3), np.int32(4), 1e-3, {"text": 1.0})
+        data = make_toy_dataset(16, 2, np.random.default_rng(0))
+        assert train_toy_denoiser(data, [stage], cosine_schedule(10), seed=0).dim == 2
+
     def test_default_curriculum_shape(self):
         stages = default_curriculum()
         assert [s.name for s in stages] == ["stage1", "stage2", "stage3"]
@@ -525,7 +538,7 @@ class TestTraining:
     def test_bad_condition_ids_raise(self):
         sched = cosine_schedule(10)
         data = [(np.zeros(2), 12)]
-        with pytest.raises(ValueError, match="condition ids"):
+        with pytest.raises(ValueError, match="condition id 12 outside 0..7"):
             train_toy_denoiser(data, default_curriculum(steps=5), sched, seed=0)
 
     def test_empty_dataset_raises(self):
@@ -582,10 +595,12 @@ class TestValidationLoss:
     @pytest.mark.parametrize("granularity", GRANULARITIES)
     @pytest.mark.parametrize("bad_id", [8, 99, -1])
     def test_condition_ids_checked_for_every_granularity(self, granularity, bad_id):
+        # the zero predictor (denoiser None) checks ids like a denoiser does
         sched = cosine_schedule(10)
         data = make_toy_dataset(8, 2, np.random.default_rng(0)) + [(np.zeros(2), bad_id)]
-        with pytest.raises(ValueError, match=f"condition id {bad_id} outside 0..7"):
-            validation_loss(_tiny_denoiser(), data, sched, granularity, np.random.default_rng(0))
+        for dn in (_tiny_denoiser(), None):
+            with pytest.raises(ValueError, match=f"condition id {bad_id} outside 0..7"):
+                validation_loss(dn, data, sched, granularity, np.random.default_rng(0))
 
 
 class TestToyDataset:
