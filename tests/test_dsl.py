@@ -25,6 +25,9 @@ from soundscene.dsl import (
 )
 
 
+_DECIMAL = "expected a decimal with at most two fraction digits"
+
+
 def span(a, b):
     return TimeSpan(a, b)
 
@@ -122,6 +125,9 @@ class TestParse:
     def test_escaped_quotes_and_backslashes(self):
         p = parse('@{a & <1,2> "say \\"hi\\" with a \\\\ slash"}')
         assert p.events[0].speech == 'say "hi" with a \\ slash'
+        # adjacent escapes: \\ then \"
+        p = parse('@{a & <1,2> "\\\\\\""}')
+        assert p.events[0].speech == '\\"'
 
     def test_spans_come_back_sorted(self):
         p = parse("@{a & <5.00,6.00> <1.00,2.00>}")
@@ -131,29 +137,70 @@ class TestParse:
         p = parse("@{a & <1,2.5> <3.25,4>}")
         assert p.events[0].spans == (span(1.0, 2.5), span(3.25, 4.0))
 
+    # (text, message, byte offset): every error kind parse() can raise,
+    # with the offset it reports; the id is the text
     @pytest.mark.parametrize(
-        "text",
-        [
-            "@{a <1,2>}",  # missing '&'
-            "@{ & <1,2>}",  # empty description
-            "@{a & }",  # no spans
-            "@{a & <1,2>",  # unterminated block
-            "@{a & <4.00,4.00>}",  # start == end
-            "@{a & <5,2>}",  # start > end
-            "@{a & <1.234,2>}",  # too many fraction digits
-            "@{a & <.5,2>}",  # no integer part
-            "@{a & <-1,2>}",  # sign not in grammar
-            '@{a & <1,2> "unterminated}',
-            '@{a & <1,2> "bad \\x escape"}',
-            "@{a & <1,2>} trailing",
-            '@{a"b & <1,2>}',  # quote in description
-            "@{a@{b & <1,2>}",  # opener in description
-            "@{a & <1,2>} @",  # garbage after block
-        ],
+        "text, message, offset",
+        [pytest.param(*case, id=case[0]) for case in [
+            # missing '&'
+            ("@{a <1,2>}", "forbidden '}' in event description", 9),
+            ("@{a", "expected '&' after event description", 3),
+            ("@{", "expected '&' after event description", 2),
+            # description
+            ("@{ & <1,2>}", "empty event description", 2),
+            ("@{   & <1,2>}", "empty event description", 2),
+            ('@{a"b & <1,2>}', "forbidden '\"' in event description", 3),
+            ("@{a@{b & <1,2>}", "forbidden '@{' in event description", 3),
+            ("@{a}b & <1,2>}", "forbidden '}' in event description", 3),
+            # '<'
+            ("@{a & }", "expected '<'", 6),  # no spans
+            ("@{a &", "expected '<'", 5),
+            ("@{a & 1,2>}", "expected '<'", 6),
+            # decimal
+            ("@{a & <.5,2>}", _DECIMAL, 7),  # no integer part
+            ("@{a & <-1,2>}", _DECIMAL, 7),  # sign not in grammar
+            ("@{a & <", _DECIMAL, 7),
+            ("@{a & <1,>}", _DECIMAL, 9),
+            ("@{a & <1,", _DECIMAL, 9),
+            # ','
+            ("@{a & <1.234,2>}", "expected ','", 11),  # too many fraction digits
+            ("@{a & <1 2>}", "expected ','", 9),
+            ("@{a & <1", "expected ','", 8),
+            # '>'
+            ("@{a & <1,2}", "expected '>'", 10),
+            ("@{a & <1, 2 ,3>}", "expected '>'", 12),
+            ("@{a & < 1 , 2.345>}", "expected '>'", 16),
+            ("@{a & <1,2", "expected '>'", 10),
+            # '}'
+            ("@{a & <1,2>", "expected '}'", 11),  # unterminated block
+            ("@{a & <1,2> x}", "expected '}'", 12),
+            ('@{a & <1,2> "s" <3,4>}', "expected '}'", 16),
+            # '@{' or end
+            ("@{a & <1,2>} trailing", "expected '@{' or end of input", 13),
+            ("@{a & <1,2>} @", "expected '@{' or end of input", 13),  # garbage after block
+            ("@{a & <1,2>} x @{b & <3,4>}", "expected '@{' or end of input", 13),
+            # start not below end
+            ("@{a & <4.00,4.00>}", "span start 4.00 must be strictly below end 4.00", 6),
+            ("@{a & <5,2>}", "span start 5.00 must be strictly below end 2.00", 6),
+            ("@{a & <1,2.5> <3.00,1.00>}",
+             "span start 3.00 must be strictly below end 1.00", 14),
+            # quoted speech
+            ('@{a & <1,2> "unterminated}', "unterminated quoted speech", 26),
+            ('@{a & <1,2> "', "unterminated quoted speech", 13),
+            ('@{a & <1,2> "x\\"', "unterminated quoted speech", 16),
+            ('@{a & <1,2> "x\\', "unterminated escape in quoted speech", 14),
+            ('@{a & <1,2> "bad \\x escape"}', "invalid escape sequence '\\x'", 17),
+            # multi-byte text before the error: offsets count UTF-8 bytes
+            ("caf\u00e9 @{\u00fc & <2,1>}",
+             "span start 2.00 must be strictly below end 1.00", 13),
+            ('\u65e5\u672c @{a & <1,2> "\u00e9\\q"}', "invalid escape sequence '\\q'", 22),
+        ]],
     )
-    def test_syntax_errors(self, text):
-        with pytest.raises(PromptSyntaxError):
+    def test_syntax_errors(self, text, message, offset):
+        with pytest.raises(PromptSyntaxError) as exc:
             parse(text)
+        assert str(exc.value) == f"{message} at byte {offset}"
+        assert exc.value.offset == offset
 
     def test_error_carries_byte_offset(self):
         with pytest.raises(PromptSyntaxError) as exc:
