@@ -10,6 +10,11 @@ between tokens, spans sorted by start time, and the quoted speech last
 inside its block.  Within quoted speech a backslash escapes ``\\"`` and
 ``\\\\``; everywhere else the surface form is taken literally.
 
+parse() reads the caption up to the first '@{'.  A description runs to
+its '&' and may not contain '}', '"' or '@{'; a block needs one or more
+spans; a time is an unsigned decimal with at most two fraction digits;
+whitespace may separate any two tokens.
+
 validate() is the one list of prompt rules.  serialize() refuses every
 error it reports except a span ending past the clip, and
 from_annotations() refuses every error it reports.
@@ -20,6 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 __all__ = [
     "DEFAULT_CLIP_SECONDS",
@@ -127,40 +133,29 @@ class Violation:
     span_index: int | None = None
 
 
-_DECIMAL_RE = re.compile(r"\d+(?:\.\d{1,2})?")
+_DECIMAL = r"(\d+(?:\.\d{1,2})?)"
+# one span; each token is optional, so a match that stops early ends at the
+# first missing token, and its lastindex (groups matched) names that token
+_SPAN_RE = re.compile(
+    rf"(?:(<)\s*(?:{_DECIMAL}\s*(?:(,)\s*(?:{_DECIMAL}\s*(>)?)?)?)?)?"
+)
+_SPAN_ERRORS = (
+    "expected '<'",
+    "expected a decimal with at most two fraction digits",
+    "expected ','",
+    "expected a decimal with at most two fraction digits",
+    "expected '>'",
+)
+# quoted speech up to the first character that is neither text nor a
+# defined escape: the closing quote, a bad escape, or the end of input
+_QUOTED_RE = re.compile(r'"([^"\\]*(?:\\["\\][^"\\]*)*)')
+_ESCAPE_RE = re.compile(r'\\(["\\])')
 _DESC_STOP_RE = re.compile(r'[&}"]|@\{')
-_SPEECH_STOP_RE = re.compile(r'[\\"]')
 _WS_RE = re.compile(r"\s*")
 
 
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8"))
-
-
-class _Cursor:
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text: str, pos: int = 0):
-        self.text = text
-        self.pos = pos
-
-    def fail(self, message: str, pos: int | None = None):
-        where = self.pos if pos is None else pos
-        raise PromptSyntaxError(message, _byte_offset(self.text, where))
-
-    def skip_ws(self):
-        self.pos = _WS_RE.match(self.text, self.pos).end()
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def looking_at(self, token: str) -> bool:
-        return self.text.startswith(token, self.pos)
-
-    def expect(self, token: str):
-        if not self.text.startswith(token, self.pos):
-            self.fail(f"expected {token!r}")
-        self.pos += len(token)
+def _fail(text: str, pos: int, message: str) -> NoReturn:
+    raise PromptSyntaxError(message, len(text[:pos].encode("utf-8")))
 
 
 def parse(text: str) -> StructuredPrompt:
@@ -172,99 +167,60 @@ def parse(text: str) -> StructuredPrompt:
     first_block = text.find("@{")
     if first_block < 0:
         return StructuredPrompt(caption=text.strip(), events=())
-    caption = text[:first_block].strip()
-    cur = _Cursor(text, first_block)
     events: list[EventSpec] = []
-    while True:
-        cur.expect("@{")
-        events.append(_parse_block(cur))
-        cur.skip_ws()
-        if cur.at_end():
-            break
-        if not cur.looking_at("@{"):
-            cur.fail("expected '@{' or end of input")
-    return StructuredPrompt(caption=caption, events=tuple(events))
+    pos = first_block
+    while pos < len(text):
+        if not text.startswith("@{", pos):
+            _fail(text, pos, "expected '@{' or end of input")
+        event, pos = _parse_block(text, pos + 2)
+        events.append(event)
+        pos = _WS_RE.match(text, pos).end()
+    return StructuredPrompt(caption=text[:first_block].strip(), events=tuple(events))
 
 
-def _parse_block(cur: _Cursor) -> EventSpec:
-    desc_start = cur.pos
-    m = _DESC_STOP_RE.search(cur.text, cur.pos)
+def _parse_block(text: str, pos: int) -> tuple[EventSpec, int]:
+    """The event block whose description starts at ``pos``, and the
+    position after its closing '}'."""
+    m = _DESC_STOP_RE.search(text, pos)
     if m is None:
-        cur.fail("expected '&' after event description", len(cur.text))
+        _fail(text, len(text), "expected '&' after event description")
     if m.group() != "&":
-        cur.fail(f"forbidden {m.group()!r} in event description", m.start())
-    description = cur.text[desc_start:m.start()].strip()
+        _fail(text, m.start(), f"forbidden {m.group()!r} in event description")
+    description = text[pos:m.start()].strip()
     if not description:
-        cur.fail("empty event description", desc_start)
-    cur.pos = m.end()
+        _fail(text, pos, "empty event description")
+    pos = _WS_RE.match(text, m.end()).end()
 
     spans: list[TimeSpan] = []
-    cur.skip_ws()
-    if not cur.looking_at("<"):
-        cur.fail("expected '<'")
-    while cur.looking_at("<"):
-        spans.append(_parse_span(cur))
-        cur.skip_ws()
+    # the first span is required: a missing '<' there is lastindex None
+    while not spans or text.startswith("<", pos):
+        m = _SPAN_RE.match(text, pos)
+        if m.lastindex != 5:
+            _fail(text, m.end(), _SPAN_ERRORS[m.lastindex or 0])
+        start, end = float(m[2]), float(m[4])
+        if not start < end:
+            _fail(text, pos, f"span start {start:.2f} must be strictly below end {end:.2f}")
+        spans.append(TimeSpan(start, end))
+        pos = _WS_RE.match(text, m.end()).end()
 
     speech: str | None = None
-    if cur.looking_at('"'):
-        speech = _parse_quoted(cur)
-        cur.skip_ws()
-    cur.expect("}")
+    m = _QUOTED_RE.match(text, pos)
+    if m is not None:
+        stop = m.end()
+        if stop == len(text):
+            _fail(text, stop, "unterminated quoted speech")
+        if text[stop] == "\\":
+            if stop + 1 == len(text):
+                _fail(text, stop, "unterminated escape in quoted speech")
+            _fail(text, stop, f"invalid escape sequence '\\{text[stop + 1]}'")
+        speech = _ESCAPE_RE.sub(r"\1", m[1])
+        pos = _WS_RE.match(text, stop + 1).end()
+    if not text.startswith("}", pos):
+        _fail(text, pos, "expected '}'")
     # canonical span order so parse(serialize(p)) == p regardless of the
     # order spans were written in the source
     spans.sort()
-    return EventSpec(description=description, spans=tuple(spans), speech=speech)
-
-
-def _parse_span(cur: _Cursor) -> TimeSpan:
-    span_start_pos = cur.pos
-    cur.expect("<")
-    start = _parse_decimal(cur)
-    cur.skip_ws()
-    cur.expect(",")
-    end = _parse_decimal(cur)
-    cur.skip_ws()
-    cur.expect(">")
-    if not start < end:
-        cur.fail(
-            f"span start {start:.2f} must be strictly below end {end:.2f}",
-            span_start_pos,
-        )
-    return TimeSpan(start, end)
-
-
-def _parse_decimal(cur: _Cursor) -> float:
-    cur.skip_ws()
-    m = _DECIMAL_RE.match(cur.text, cur.pos)
-    if m is None:
-        cur.fail("expected a decimal with at most two fraction digits")
-    cur.pos = m.end()
-    return float(m.group())
-
-
-def _parse_quoted(cur: _Cursor) -> str:
-    cur.expect('"')
-    parts: list[str] = []
-    chunk_start = cur.pos
-    while True:
-        m = _SPEECH_STOP_RE.search(cur.text, cur.pos)
-        if m is None:
-            cur.fail("unterminated quoted speech", len(cur.text))
-        parts.append(cur.text[chunk_start : m.start()])
-        if m.group() == '"':
-            cur.pos = m.end()
-            return "".join(parts)
-        # backslash: only \" and \\ are defined
-        esc_pos = m.start() + 1
-        if esc_pos >= len(cur.text):
-            cur.fail("unterminated escape in quoted speech", m.start())
-        esc = cur.text[esc_pos]
-        if esc not in ('"', "\\"):
-            cur.fail(f"invalid escape sequence '\\{esc}'", m.start())
-        parts.append(esc)
-        cur.pos = esc_pos + 1
-        chunk_start = cur.pos
+    return EventSpec(description=description, spans=tuple(spans), speech=speech), pos + 1
 
 
 def _format_time(v: float) -> str:

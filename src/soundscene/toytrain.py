@@ -244,8 +244,8 @@ class ToyDenoiser:
 
     def predict(self, z_t: np.ndarray, t: int, c: tuple[str, int] | None = None) -> np.ndarray:
         """Predicted noise for one latent (dim,) or a batch (n, dim) at the
-        integer step t in 0..T; a condition's view id must be an integer row
-        of its granularity's table.
+        integer step t in 0..T; a condition's view id must be a Python or
+        numpy integer (not a bool) naming a row of its granularity's table.
 
         The activations go to this instance's scratch rows, so one instance
         must not predict from two threads at once; the result is always a
@@ -257,16 +257,12 @@ class ToyDenoiser:
             raise ValueError(f"expected latents of dimension {self.dim}, got shape {z.shape}")
         check_step(t, 0, self.T)
         granularity, view = ("null", 0) if c is None else c
-        try:
-            vid = int(view)
-            if vid != view:
-                raise ValueError
-        except (OverflowError, TypeError, ValueError):
-            raise ValueError(f"view id {view!r} is not an integer") from None
+        if not _is_int(view):
+            raise ValueError(f"view id {view!r} is not an integer")
         rows = _N_CONDITIONS // _divisor(granularity)
-        if not 0 <= vid < rows:
+        if not 0 <= view < rows:
             raise ValueError(f"view id outside the {granularity} table of {rows} rows")
-        out, _ = self._forward(z2, t, granularity, vid)
+        out, _ = self._forward(z2, t, granularity, view)
         return out[0] if single else out
 
 
@@ -326,6 +322,9 @@ def _stack_dataset(dataset: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarra
     if not dataset:
         raise ValueError("empty dataset")
     z0 = np.stack([np.asarray(z, dtype=np.float64) for z, _ in dataset])
+    for i, (_, c) in enumerate(dataset):
+        if not _is_int(c):
+            raise ValueError(f"dataset item {i}: condition id {c!r} is not an integer")
     cids = np.array([int(c) for _, c in dataset])
     if z0.ndim != 2:
         raise ValueError("dataset latents must be 1-D vectors of a common dimension")

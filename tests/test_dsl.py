@@ -483,6 +483,28 @@ class TestProperties:
             pass  # the only error parse may raise
 
     @given(
+        _prompts,
+        st.data(),
+        st.sampled_from(["insert", "delete", "truncate"]),
+        st.sampled_from(list('<>,.&{}@"\\ 5\u00e9')),
+    )
+    @settings(max_examples=500)
+    def test_parse_total_over_near_valid_prompts(self, p, data, edit, char):
+        # one edit to a canonical prompt reaches the span, quote and escape
+        # errors that arbitrary text rarely gets to
+        text = serialize(p)
+        i = data.draw(st.integers(min_value=0, max_value=len(text)))
+        text = {
+            "insert": text[:i] + char + text[i:],
+            "delete": text[:i] + text[i + 1:],
+            "truncate": text[:i],
+        }[edit]
+        try:
+            parse(text)
+        except PromptSyntaxError as exc:
+            assert 0 <= exc.offset <= len(text.encode("utf-8"))
+
+    @given(
         st.lists(
             st.builds(
                 EventSpec,

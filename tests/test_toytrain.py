@@ -270,11 +270,18 @@ class TestPredict:
         with pytest.raises(ValueError, match="not an integer"):
             dn.predict(np.zeros(2), 3, ("text", vid))
 
+    @pytest.mark.parametrize("vid", [1.0, np.float64(1.0), True, np.True_], ids=repr)
+    def test_whole_float_or_bool_view_id_raises(self, vid):
+        # the rule check_step applies to steps: no float, even a whole one, no bool
+        dn = _tiny_denoiser()
+        with pytest.raises(ValueError, match=re.escape(f"view id {vid!r} is not an integer")):
+            dn.predict(np.zeros(2), 3, ("text", vid))
+
     def test_integral_view_id_of_any_type_is_that_view(self):
         dn = _tiny_denoiser()
         z = np.random.default_rng(2).standard_normal((3, 2))
         want = dn.predict(z, 3, ("text", 1)).tobytes()
-        for vid in (1.0, np.int64(1), np.float64(1.0)):
+        for vid in (np.int64(1), np.uint8(1)):
             assert dn.predict(z, 3, ("text", vid)).tobytes() == want
 
 
@@ -591,6 +598,19 @@ class TestValidationLoss:
             total += float(np.sum((out - eps) ** 2))
         got = validation_loss(dn, data, sched, granularity or "text", np.random.default_rng(4))
         assert got == total / (40 * 8)
+
+    @pytest.mark.parametrize("bad_id", [1.5, True, np.float64(2.0), "3"], ids=repr)
+    def test_non_integer_condition_ids_name_their_item(self, bad_id):
+        # an id is never truncated to an integer: training, a denoiser's
+        # validation and the zero predictor all refuse it by dataset index
+        sched = cosine_schedule(10)
+        data = make_toy_dataset(3, 2, np.random.default_rng(0)) + [(np.zeros(2), bad_id)]
+        message = re.escape(f"dataset item 3: condition id {bad_id!r} is not an integer")
+        for dn in (_tiny_denoiser(), None):
+            with pytest.raises(ValueError, match=message):
+                validation_loss(dn, data, sched, "text", np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            train_toy_denoiser(data, default_curriculum(steps=2), sched, seed=0)
 
     @pytest.mark.parametrize("granularity", GRANULARITIES)
     @pytest.mark.parametrize("bad_id", [8, 99, -1])
