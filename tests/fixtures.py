@@ -1,6 +1,7 @@
 """Shared test data, generators for valid prompts, a reference sampler, the
-per-latent diffusion loss, and a loopback HTTP server that stands in for the
-planner's chat-completion endpoint."""
+per-latent diffusion loss, a reference collar-feasibility graph, and a
+loopback HTTP server that stands in for the planner's chat-completion
+endpoint."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import numpy as np
 
 from soundscene.diffusion import cfg_combine, forward_noise, reverse_step
 from soundscene.dsl import EventSpec, StructuredPrompt, TimeSpan
+from soundscene.sed import _TOL, _WINDOW_SLACK
 
 # Sample planner outputs: caption plus timed event blocks, some with quoted
 # speech. Used for parser fixtures and as recorded planner responses.
@@ -104,6 +106,37 @@ def diffusion_loss(denoiser, z0, c, t, eps, sched):
     if eps_hat.shape != eps.shape:
         raise ValueError(f"denoiser output shape {eps_hat.shape} != noise shape {eps.shape}")
     return float(np.sum(np.square(eps - eps_hat)))
+
+
+def reference_feasibility_graph(t_group, t_start, t_end, p_group, p_start, p_end, cfg):
+    """The rank-table window search: predictions sorted by lexsort on
+    (group, onset), every onset and window bound replaced by its rank in
+    np.unique of all of them, and (group, rank) folded into one integer key.
+    The reference that sed's feasibility graph must match edge for edge and
+    in column order."""
+    from scipy.sparse import csr_matrix
+
+    order = np.lexsort((p_start, p_group))
+    reach = cfg.onset_collar + _TOL
+    slack = _WINDOW_SLACK * (1.0 + np.abs(t_start) + reach)
+    bounds = np.concatenate([p_start[order], t_start - reach - slack, t_start + reach + slack])
+    values, rank = np.unique(bounds, return_inverse=True)
+    key = np.concatenate([p_group[order], t_group, t_group]) * len(values) + rank
+    p_key, lo_key, hi_key = np.split(key, [len(order), len(order) + len(t_group)])
+    first = np.searchsorted(p_key, lo_key, side="left")
+    count = np.searchsorted(p_key, hi_key, side="right") - first
+    rows = np.repeat(np.arange(len(t_group)), count)
+    offsets = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+    cols = order[np.repeat(first, count) + offsets]
+    allowance = np.maximum(cfg.offset_collar_abs, cfg.offset_collar_rel * (t_end - t_start))
+    ok = (np.abs(p_start[cols] - t_start[rows]) <= reach) & (
+        np.abs(p_end[cols] - t_end[rows]) <= allowance[rows] + _TOL
+    )
+    rows, cols = rows[ok], cols[ok]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(t_group)))])
+    return csr_matrix(
+        (np.ones(len(cols), dtype=np.int8), cols, indptr), shape=(len(t_group), len(p_group))
+    )
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import reference_feasibility_graph
+from soundscene import sed
 from soundscene.dsl import EventAnnotation, TimeSpan
 from soundscene.sed import (
     ClipAnnotations,
@@ -107,6 +109,38 @@ _configs = st.builds(
     st.sampled_from([0.0, 0.2, 0.5]),
 )
 
+
+
+@st.composite
+def _dense_sides(draw):
+    """Three clips x three labels with onsets on a centisecond grid shifted
+    by up to 1e6 s, and collars that are whole centiseconds (zero among
+    them); some predictions are truth events moved by exactly the onset
+    and offset collars, so their pairs sit on a collar edge."""
+    collars = st.sampled_from([0, 5, 10, 20])
+    onset_cs, offset_cs = draw(collars), draw(collars)
+    cfg = EbConfig(onset_cs / 100, offset_cs / 100, draw(st.sampled_from([0.0, 0.2])))
+    base = 100 + draw(st.integers(0, 10**8))
+
+    def event(label, start, end):
+        return ev(label, (base + start) / 100, (base + max(end, start + 1)) / 100)
+
+    cell = st.tuples(st.integers(0, 80), st.integers(1, 40))
+    sign = st.sampled_from([-1, 0, 1])
+    truth, pred = [], []
+    for cid in ("c1", "c2", "c3"):
+        t_events, p_events = [], []
+        for label in ("a", "b", "c"):
+            for start, length in draw(st.lists(cell, max_size=5)):
+                t_events.append(event(label, start, start + length))
+                for on, off in draw(st.lists(st.tuples(sign, sign), max_size=2)):
+                    shifted = start + on * onset_cs
+                    p_events.append(event(label, shifted, start + length + off * offset_cs))
+            for start, length in draw(st.lists(cell, max_size=3)):
+                p_events.append(event(label, start, start + length))
+        truth.append(clip(cid, *draw(st.permutations(t_events))))
+        pred.append(clip(cid, *draw(st.permutations(p_events))))
+    return truth, pred, cfg
 
 class TestEbConfig:
     def test_defaults(self):
@@ -249,6 +283,33 @@ class TestEventBasedF1:
         got = {label: [prf.tp, prf.fp, prf.fn] for label, prf in res.per_class.items()}
         assert got == brute_force_counts(truth, pred, cfg)
         assert list(res.per_class) == sorted(res.per_class)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_dense_sides())
+    def test_window_search_matches_rank_table(self, case):
+        truth, pred, cfg = case
+        group_of, label_of = {}, {}
+        t_group, _, t_start, t_end = sed._columns(sed._by_clip(truth, "truth"), group_of, label_of)
+        p_group, _, p_start, p_end = sed._columns(
+            sed._by_clip(pred, "predictions"), group_of, label_of
+        )
+        columns = (t_group, t_start, t_end, p_group, p_start, p_end, cfg)
+        got, want = sed._feasibility_graph(*columns), reference_feasibility_graph(*columns)
+        # same rows, and in each row the same predictions in the same order
+        assert got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sides, _sides, _configs, st.randoms(use_true_random=False))
+    def test_scores_do_not_depend_on_order(self, truth, pred, cfg, rnd):
+        def shuffled(side):
+            clips = [clip(c.clip_id, *rnd.sample(c.events, len(c.events))) for c in side]
+            return rnd.sample(clips, len(clips))
+
+        t_shuffled, p_shuffled = shuffled(truth), shuffled(pred)
+        assert event_based_f1(t_shuffled, p_shuffled, cfg) == event_based_f1(truth, pred, cfg)
+        assert clip_level_macro_f1(t_shuffled, p_shuffled) == clip_level_macro_f1(truth, pred)
 
     def test_long_displacement_chain_is_matched_in_full(self):
         # truth i is feasible with predictions i-1 and i only; a recursive
