@@ -12,8 +12,8 @@ inside its block.  Within quoted speech a backslash escapes ``\\"`` and
 
 parse() reads the caption up to the first '@{'.  A description runs to
 its '&' and may not contain '}', '"' or '@{'; a block needs one or more
-spans; a time is an unsigned decimal with at most two fraction digits;
-whitespace may separate any two tokens.
+spans; a time is an unsigned decimal of ASCII digits with at most two
+fraction digits; whitespace may separate any two tokens.
 
 validate() is the one list of prompt rules.  serialize() refuses every
 error it reports except a span ending past the clip, and
@@ -133,7 +133,7 @@ class Violation:
     span_index: int | None = None
 
 
-_DECIMAL = r"(\d+(?:\.\d{1,2})?)"
+_DECIMAL = r"([0-9]+(?:\.[0-9]{1,2})?)"
 # one span; each token is optional, so a match that stops early ends at the
 # first missing token, and its lastindex (groups matched) names that token
 _SPAN_RE = re.compile(

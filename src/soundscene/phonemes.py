@@ -92,7 +92,7 @@ class PhonemeLexicon:
         return len(self.entries)
 
 
-_VARIANT_RE = re.compile(r"^(.+)\((\d+)\)$")
+_VARIANT_RE = re.compile(r"^(.+)\(([0-9]+)\)$")
 
 
 def load_lexicon(source: str | Path | IO[str] | Iterable[str]) -> PhonemeLexicon:

@@ -4,8 +4,11 @@ label presence.
 
 Matching within each (clip, class) pair is exact maximum-cardinality
 bipartite matching on the collar-feasibility graph, so scores do not depend
-on event order.  The graph of every pair is built at once with a sorted
-onset search and scored by one Hopcroft-Karp run
+on event order.  The graph of every pair is built at once: predictions are
+sorted by one complex key, (clip, class) group id as the real part and
+onset as the imaginary part, which numpy orders lexicographically, so one
+binary search per collar bound finds each truth event's candidate window.
+The graph is scored by one Hopcroft-Karp run
 (``scipy.sparse.csgraph.maximum_bipartite_matching``); no edge crosses
 pairs, so that is the per-pair matching.
 """
@@ -118,17 +121,29 @@ def _columns(
     starts: list[float] = []
     ends: list[float] = []
     for clip_id, clip in clips.items():
-        for e in clip.events:
-            groups.append(group_of.setdefault((clip_id, e.label), len(group_of)))
-            labels.append(label_of.setdefault(e.label, len(label_of)))
-            starts.append(e.span.start)
-            ends.append(e.span.end)
+        names = [e.label for e in clip.events]
+        spans = [e.span for e in clip.events]
+        group = dict.fromkeys(names)
+        for name in group:
+            group[name] = group_of.setdefault((clip_id, name), len(group_of))
+            label_of.setdefault(name, len(label_of))
+        groups += map(group.__getitem__, names)
+        labels += map(label_of.__getitem__, names)
+        starts += [s.start for s in spans]
+        ends += [s.end for s in spans]
     return (
         np.array(groups, dtype=np.int64),
         np.array(labels, dtype=np.int64),
         np.array(starts, dtype=np.float64),
         np.array(ends, dtype=np.float64),
     )
+
+
+def _key(group: np.ndarray, onset: np.ndarray) -> np.ndarray:
+    """(group, onset) as one complex128: group id real, onset imaginary."""
+    key = group.astype(np.complex128)
+    key.imag = onset
+    return key
 
 
 def _feasibility_graph(
@@ -146,18 +161,16 @@ def _feasibility_graph(
     # only scoring needs it
     from scipy.sparse import csr_matrix
 
-    order = np.lexsort((p_start, p_group))
+    # numpy orders complex values by real part, then imaginary part, so
+    # predictions sorted by (group, onset) key hold each truth event's
+    # window as a contiguous run; group ids are exact doubles, so it is exact
+    p_key = _key(p_group, p_start)
+    order = np.argsort(p_key, kind="stable")
+    p_key = p_key[order]
     reach = cfg.onset_collar + _TOL
     slack = _WINDOW_SLACK * (1.0 + np.abs(t_start) + reach)
-    bounds = np.concatenate([p_start[order], t_start - reach - slack, t_start + reach + slack])
-    # (group, onset rank) as one exact integer key; predictions sorted by
-    # (group, onset) have ascending keys, so each truth event's window is a
-    # contiguous run of them
-    values, rank = np.unique(bounds, return_inverse=True)
-    key = np.concatenate([p_group[order], t_group, t_group]) * len(values) + rank
-    p_key, lo_key, hi_key = np.split(key, [len(order), len(order) + len(t_group)])
-    first = np.searchsorted(p_key, lo_key, side="left")
-    count = np.searchsorted(p_key, hi_key, side="right") - first
+    first = np.searchsorted(p_key, _key(t_group, t_start - reach - slack), side="left")
+    count = np.searchsorted(p_key, _key(t_group, t_start + reach + slack), side="right") - first
     # expand each truth event's window into (row, position-in-order) pairs
     rows = np.repeat(np.arange(len(t_group)), count)
     offsets = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)

@@ -162,6 +162,7 @@ class TestParse:
             ("@{a & <", _DECIMAL, 7),
             ("@{a & <1,>}", _DECIMAL, 9),
             ("@{a & <1,", _DECIMAL, 9),
+            ("a @{b & <\u0663,\u0664.\u0665>}", _DECIMAL, 9),  # non-ASCII digits
             # ','
             ("@{a & <1.234,2>}", "expected ','", 11),  # too many fraction digits
             ("@{a & <1 2>}", "expected ','", 9),

@@ -64,6 +64,11 @@ class TestLoadLexicon:
         assert len(lex) == 1
         assert lex.lookup("read") == ("R", "IY1", "D")
 
+    def test_variant_suffix_is_ascii_digits(self):
+        lex = load_lexicon(io.StringIO("READ  R IY1 D\nREAD(\u0661)  R EH1 D\n"))
+        assert lex.lookup("read") == ("R", "IY1", "D")
+        assert lex.lookup("read(\u0661)") == ("R", "EH1", "D")
+
     def test_missing_pronunciation_reports_line(self):
         with pytest.raises(LexiconError, match="line 2"):
             load_lexicon(io.StringIO("RED  R EH1 D\nBAD\n"))

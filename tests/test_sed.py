@@ -110,7 +110,6 @@ _configs = st.builds(
 )
 
 
-
 @st.composite
 def _dense_sides(draw):
     """Three clips x three labels with onsets on a centisecond grid shifted
@@ -141,6 +140,7 @@ def _dense_sides(draw):
         truth.append(clip(cid, *draw(st.permutations(t_events))))
         pred.append(clip(cid, *draw(st.permutations(p_events))))
     return truth, pred, cfg
+
 
 class TestEbConfig:
     def test_defaults(self):
