@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from .dsl import EventAnnotation, TimeSpan
+from .dsl import EventAnnotation, _centiseconds
 
 __all__ = [
     "iter_jsonl",
@@ -18,7 +18,7 @@ __all__ = [
     "read_tsv",
     "require_str",
     "encode_events",
-    "decode_events",
+    "decode_event_rows",
     "write_jsonl_atomic",
 ]
 
@@ -26,12 +26,13 @@ __all__ = [
 def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict[str, Any]]]:
     """Yield (``path:line``, record) for each JSON object line; blank lines
     are ignored."""
+    name = str(path)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            where = f"{path}:{lineno}"
+            where = f"{name}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -61,12 +62,13 @@ def read_tsv(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[str, di
     """Yield (``path:line``, {column: field}) for each row of a header-less
     tab-separated table; blank lines are ignored and every other row must
     have exactly one field per column."""
+    name = str(path)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
-            where = f"{path}:{lineno}"
+            where = f"{name}:{lineno}"
             fields = line.split("\t")
             if len(fields) != len(columns):
                 raise ValueError(
@@ -97,11 +99,13 @@ def _event_time(row: Mapping[str, Any], key: str) -> float:
         raise ValueError(f"{key} is an integer too large for a float") from None
 
 
-def decode_events(rows: Any, where: str) -> tuple[EventAnnotation, ...]:
-    """Parse ``events`` rows (mappings with a string label, numeric start and
-    end in seconds, and an optional string-or-null transcript).  Spans must
-    be finite and, once rounded to centiseconds, satisfy 0 <= start < end;
-    any malformed row raises ValueError naming ``where``."""
+def decode_event_rows(rows: Any, where: str) -> list[tuple[str, float, float, str | None]]:
+    """Check ``events`` rows (mappings with a string label, numeric start and
+    end in seconds, and an optional string-or-null transcript) and return
+    them as (label, start, end, transcript) tuples, the times rounded to
+    centiseconds by TimeSpan's rule.  Spans must be finite and, once
+    rounded, satisfy 0 <= start < end; any malformed row raises ValueError
+    naming ``where``."""
     if not isinstance(rows, list):
         raise ValueError(f"{where}: malformed event record: events must be a list")
     events = []
@@ -111,7 +115,8 @@ def decode_events(rows: Any, where: str) -> tuple[EventAnnotation, ...]:
         try:
             label, transcript = row["label"], row.get("transcript")
             start, end = _event_time(row, "start"), _event_time(row, "end")
-            span = TimeSpan(start, end)  # rejects non-finite times
+            # rejects non-finite times
+            start_cs, end_cs = _centiseconds("start", start), _centiseconds("end", end)
         except KeyError as exc:
             raise ValueError(f"{where}: malformed event record: missing field {exc}") from exc
         except ValueError as exc:
@@ -124,10 +129,10 @@ def decode_events(rows: Any, where: str) -> tuple[EventAnnotation, ...]:
             )
         if not label.strip():
             raise ValueError(f"{where}: empty label")
-        if not 0 <= span.start < span.end:
+        if not 0 <= start_cs < end_cs:
             raise ValueError(f"{where}: invalid span [{start}, {end}]")
-        events.append(EventAnnotation(label, span, transcript))
-    return tuple(events)
+        events.append((label, start_cs, end_cs, transcript))
+    return events
 
 
 def write_jsonl_atomic(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:

@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence, overload
 
 import numpy as np
 
-from .dsl import EventAnnotation
-from .manifest import decode_events, iter_jsonl, read_tsv, require_str
+from .dsl import EventAnnotation, TimeSpan
+from .manifest import decode_event_rows, iter_jsonl, read_tsv, require_str
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -100,6 +100,64 @@ def _prf(tp: int, fp: int, fn: int) -> PRF:
     return PRF(precision=precision, recall=recall, f1=f1, tp=tp, fp=fp, fn=fn)
 
 
+class _Columns(NamedTuple):
+    """One side's events as score columns.  Clip ids and labels are listed
+    once each, in order of first appearance; per event, ``clip`` and
+    ``label`` index those lists, and ``start`` and ``end`` hold its onset
+    and offset."""
+
+    clip_ids: list[str]
+    clip: np.ndarray
+    labels: list[str]
+    label: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+
+# a decoded events row: label, onset, offset, transcript
+_Row = tuple[str, float, float, str | None]
+
+
+def _index(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct values in order of first appearance, and each value's
+    position among them."""
+    position = {value: i for i, value in enumerate(dict.fromkeys(values))}
+    return list(position), np.fromiter(map(position.__getitem__, values), np.int64, len(values))
+
+
+class _ClipTable(Sequence[ClipAnnotations]):
+    """Read-only clips over a reader's score columns and its decoded
+    (label, start, end, transcript) rows, in the columns' order; a clip's
+    objects are built only when it is indexed."""
+
+    def __init__(self, columns: _Columns, rows: Sequence[_Row]):
+        self.columns = columns
+        self._rows = rows
+        self._clip_rows: list[list[_Row]] | None = None
+
+    def __len__(self) -> int:
+        return len(self.columns.clip_ids)
+
+    @overload
+    def __getitem__(self, index: int) -> ClipAnnotations: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[ClipAnnotations]: ...
+
+    def __getitem__(self, index: int | slice) -> ClipAnnotations | list[ClipAnnotations]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        clip_id = self.columns.clip_ids[index]
+        if self._clip_rows is None:
+            self._clip_rows = [[] for _ in self.columns.clip_ids]
+            for row, clip in zip(self._rows, self.columns.clip.tolist()):
+                self._clip_rows[clip].append(row)
+        return ClipAnnotations(clip_id, tuple(
+            EventAnnotation(label, TimeSpan(start, end), transcript)
+            for label, start, end, transcript in self._clip_rows[index]
+        ))
+
+
 def _by_clip(side: Sequence[ClipAnnotations], name: str) -> dict[str, ClipAnnotations]:
     out: dict[str, ClipAnnotations] = {}
     for clip in side:
@@ -109,33 +167,39 @@ def _by_clip(side: Sequence[ClipAnnotations], name: str) -> dict[str, ClipAnnota
     return out
 
 
-def _columns(
-    clips: dict[str, ClipAnnotations],
-    group_of: dict[tuple[str, str], int],
-    label_of: dict[str, int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(clip, label) group id, label id, onset and offset of every event on
-    one side; new groups and labels are numbered in order of appearance."""
-    groups: list[int] = []
-    labels: list[int] = []
-    starts: list[float] = []
-    ends: list[float] = []
-    for clip_id, clip in clips.items():
-        names = [e.label for e in clip.events]
-        spans = [e.span for e in clip.events]
-        group = dict.fromkeys(names)
-        for name in group:
-            group[name] = group_of.setdefault((clip_id, name), len(group_of))
-            label_of.setdefault(name, len(label_of))
-        groups += map(group.__getitem__, names)
-        labels += map(label_of.__getitem__, names)
-        starts += [s.start for s in spans]
-        ends += [s.end for s in spans]
+def _columns(side: Sequence[ClipAnnotations], name: str) -> _Columns:
+    """The score columns of one side: a reader's own, or built from its
+    clips."""
+    if isinstance(side, _ClipTable):
+        return side.columns
+    clips = _by_clip(side, name)
+    events = [e for clip in clips.values() for e in clip.events]
+    spans = [e.span for e in events]
+    return _Columns(
+        list(clips),
+        np.repeat(np.arange(len(clips)), [len(clip.events) for clip in clips.values()]),
+        *_index([e.label for e in events]),
+        np.array([s.start for s in spans], dtype=np.float64),
+        np.array([s.end for s in spans], dtype=np.float64),
+    )
+
+
+def _groups(
+    t: _Columns, p: _Columns
+) -> tuple[list[str], tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The labels of both sides, in order of first appearance, truth first,
+    and each side's label id (position in that list) and (clip, label)
+    group id per event.  Clips are numbered across both sides the same way,
+    and a group id is clip * n_labels + label id."""
+    labels, label_of = _index(t.labels + p.labels)
+    _, clip_of = _index(t.clip_ids + p.clip_ids)
+    n_labels, n_clips = len(labels), len(t.clip_ids)
+    t_label = label_of[: len(t.labels)][t.label]
+    p_label = label_of[len(t.labels) :][p.label]
     return (
-        np.array(groups, dtype=np.int64),
-        np.array(labels, dtype=np.int64),
-        np.array(starts, dtype=np.float64),
-        np.array(ends, dtype=np.float64),
+        labels,
+        (t_label, clip_of[:n_clips][t.clip] * n_labels + t_label),
+        (p_label, clip_of[n_clips:][p.clip] * n_labels + p_label),
     )
 
 
@@ -196,20 +260,17 @@ def event_based_f1(
     false positives but stay out of the macro average."""
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    group_of: dict[tuple[str, str], int] = {}
-    label_of: dict[str, int] = {}
-    t_group, t_label, t_start, t_end = _columns(_by_clip(truth, "truth"), group_of, label_of)
-    p_group, p_label, p_start, p_end = _columns(_by_clip(pred, "predictions"), group_of, label_of)
-    graph = _feasibility_graph(t_group, t_start, t_end, p_group, p_start, p_end, cfg)
+    t, p = _columns(truth, "truth"), _columns(pred, "predictions")
+    labels, (t_label, t_group), (p_label, p_group) = _groups(t, p)
+    graph = _feasibility_graph(t_group, t.start, t.end, p_group, p.start, p.end, cfg)
     # one Hopcroft-Karp run over the block-diagonal graph of all groups
     matched = maximum_bipartite_matching(graph, perm_type="column") >= 0
-    n_labels = len(label_of)
-    tp = np.bincount(t_label[matched], minlength=n_labels)
-    n_truth = np.bincount(t_label, minlength=n_labels)
-    n_pred = np.bincount(p_label, minlength=n_labels)
+    tp = np.bincount(t_label[matched], minlength=len(labels))
+    n_truth = np.bincount(t_label, minlength=len(labels))
+    n_pred = np.bincount(p_label, minlength=len(labels))
     per_class = {
         label: _prf(int(tp[i]), int(n_pred[i] - tp[i]), int(n_truth[i] - tp[i]))
-        for label, i in sorted(label_of.items())
+        for label, i in sorted(zip(labels, range(len(labels))))
     }
     micro = _prf(int(tp.sum()), int(n_pred.sum() - tp.sum()), int(n_truth.sum() - tp.sum()))
     truth_labels = [label for label, prf in per_class.items() if prf.tp + prf.fn > 0]
@@ -221,68 +282,88 @@ def event_based_f1(
     return EbResult(micro=micro, per_class=per_class, macro_f1=macro_f1)
 
 
-def _presence(side: Sequence[ClipAnnotations], name: str) -> dict[str, set[str]]:
-    """The clips in which each label is present."""
-    out: dict[str, set[str]] = {}
-    for clip_id, clip in _by_clip(side, name).items():
-        for e in clip.events:
-            out.setdefault(e.label, set()).add(clip_id)
-    return out
-
-
 def clip_level_macro_f1(
     truth: Sequence[ClipAnnotations],
     pred: Sequence[ClipAnnotations],
 ) -> float:
     """Each clip is a binary presence trial per class; per-class F1 over
     clips, macro-averaged over classes present in the truth."""
-    truth_clips = _presence(truth, "truth")
-    pred_clips = _presence(pred, "predictions")
-    if not truth_clips:
+    labels, (_, t_group), (_, p_group) = _groups(
+        _columns(truth, "truth"), _columns(pred, "predictions")
+    )
+    if not len(t_group):
         return 0.0
-    total = 0.0
-    for label in sorted(truth_clips):
-        in_truth, in_pred = truth_clips[label], pred_clips.get(label, set())
-        tp = len(in_truth & in_pred)
-        total += _prf(tp, len(in_pred) - tp, len(in_truth) - tp).f1
-    return total / len(truth_clips)
+    # a label is present in a clip when its (clip, label) group has an event
+    t_present, p_present = np.unique(t_group), np.unique(p_group)
+    hits = np.intersect1d(t_present, p_present, assume_unique=True)
+    in_truth, in_pred, tp = (
+        np.bincount(groups % len(labels), minlength=len(labels))
+        for groups in (t_present, p_present, hits)
+    )
+    f1 = [
+        _prf(int(tp[i]), int(in_pred[i] - tp[i]), int(in_truth[i] - tp[i])).f1
+        for _, i in sorted(zip(labels, range(len(labels))))
+        if in_truth[i]
+    ]
+    return sum(f1) / len(f1)
 
 
-def _from_jsonl(path: Path) -> list[ClipAnnotations]:
-    clips: list[ClipAnnotations] = []
-    seen: set[str] = set()
+def _read_jsonl(path: Path) -> _ClipTable:
+    counts: dict[str, int] = {}
+    rows: list[_Row] = []
     for where, rec in iter_jsonl(path):
         clip_id = require_str(rec, "clip_id", where)
-        if clip_id in seen:
+        if clip_id in counts:
             raise ValueError(f"{where}: duplicate clip_id {clip_id!r}")
-        seen.add(clip_id)
-        events = decode_events(rec.get("events", []), where)
-        clips.append(ClipAnnotations(clip_id=clip_id, events=events))
-    return clips
+        decoded = decode_event_rows(rec.get("events", []), where)
+        counts[clip_id] = len(decoded)
+        rows += decoded
+    return _table(list(counts), np.repeat(np.arange(len(counts)), list(counts.values())), rows)
 
 
-def _from_tsv(path: Path) -> list[ClipAnnotations]:
-    events: dict[str, list[EventAnnotation]] = {}
+def _tsv_time(row: dict[str, Any], key: str) -> float:
+    """``row[key]`` as seconds: text that ``float()`` reads, all ASCII and
+    with no ``_`` digit separator."""
+    text = row[key]
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{key} {text!r} is not an ASCII decimal")
+    return float(text)
+
+
+def _read_tsv(path: Path) -> _ClipTable:
+    row_clip_ids: list[str] = []
+    rows: list[_Row] = []
     for where, row in read_tsv(path, ("clip_id", "label", "start", "end")):
         try:
-            times = {key: float(row[key]) for key in ("start", "end")}
+            row["start"], row["end"] = _tsv_time(row, "start"), _tsv_time(row, "end")
         except ValueError as exc:
             raise ValueError(f"{where}: malformed event record: {exc}") from exc
-        events.setdefault(row["clip_id"], []).extend(decode_events([row | times], where))
-    return [ClipAnnotations(clip_id=cid, events=tuple(evs)) for cid, evs in events.items()]
+        rows += decode_event_rows([row], where)
+        row_clip_ids.append(row["clip_id"])
+    return _table(*_index(row_clip_ids), rows)
 
 
-def annotations_from_manifest(path: str | Path) -> list[ClipAnnotations]:
+def _table(clip_ids: list[str], clip: np.ndarray, rows: list[_Row]) -> _ClipTable:
+    label, start, end, _ = zip(*rows) if rows else ((), (), (), ())
+    columns = _Columns(
+        clip_ids,
+        clip,
+        *_index(label),
+        np.array(start, dtype=np.float64),
+        np.array(end, dtype=np.float64),
+    )
+    return _ClipTable(columns, rows)
+
+
+def annotations_from_manifest(path: str | Path) -> Sequence[ClipAnnotations]:
     """Read clip annotations from either the scene-manifest JSONL schema or
     a minimal TSV (clip_id, label, start, end).  The format is sniffed from
-    the first non-blank character."""
+    the first non-blank line: JSONL when it starts with ``{``.  The clips
+    come in order of first appearance, as a read-only sequence."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        head = fh.read(4096)
-    stripped = head.lstrip()
-    if stripped.startswith("{"):
-        return _from_jsonl(path)
-    return _from_tsv(path)
+        first = next((line for line in fh if line.strip()), "")
+    return (_read_jsonl if first.lstrip().startswith("{") else _read_tsv)(path)
 
 
 def format_score(value: float) -> str:

@@ -1,5 +1,6 @@
 """Shared test data, generators for valid prompts, a reference sampler, the
-per-latent diffusion loss, a reference collar-feasibility graph, and a
+per-latent diffusion loss, a reference collar-feasibility graph, a
+reference annotation reader that builds one object per event, and a
 loopback HTTP server that stands in for the planner's chat-completion
 endpoint."""
 
@@ -13,8 +14,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from soundscene.diffusion import cfg_combine, forward_noise, reverse_step
-from soundscene.dsl import EventSpec, StructuredPrompt, TimeSpan
-from soundscene.sed import _TOL, _WINDOW_SLACK
+from soundscene.dsl import EventAnnotation, EventSpec, StructuredPrompt, TimeSpan
+from soundscene.manifest import iter_jsonl, read_tsv, require_str
+from soundscene.sed import _TOL, _WINDOW_SLACK, ClipAnnotations
 
 # Sample planner outputs: caption plus timed event blocks, some with quoted
 # speech. Used for parser fixtures and as recorded planner responses.
@@ -137,6 +139,85 @@ def reference_feasibility_graph(t_group, t_start, t_end, p_group, p_start, p_end
     return csr_matrix(
         (np.ones(len(cols), dtype=np.int8), cols, indptr), shape=(len(t_group), len(p_group))
     )
+
+
+def _reference_event_time(row, key):
+    value = row[key]
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ValueError(f"{key} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} is an integer too large for a float") from None
+
+
+def _reference_decode_events(rows, where):
+    if not isinstance(rows, list):
+        raise ValueError(f"{where}: malformed event record: events must be a list")
+    events = []
+    for row in rows:
+        if not isinstance(row, dict):
+            raise ValueError(f"{where}: malformed event record: {row!r} is not an object")
+        try:
+            label, transcript = row["label"], row.get("transcript")
+            start, end = _reference_event_time(row, "start"), _reference_event_time(row, "end")
+            span = TimeSpan(start, end)
+        except KeyError as exc:
+            raise ValueError(f"{where}: malformed event record: missing field {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{where}: malformed event record: {exc}") from exc
+        if not isinstance(label, str):
+            raise ValueError(f"{where}: malformed event record: label {label!r} is not a string")
+        if not (transcript is None or isinstance(transcript, str)):
+            raise ValueError(
+                f"{where}: malformed event record: transcript {transcript!r} is not a string or null"
+            )
+        if not label.strip():
+            raise ValueError(f"{where}: empty label")
+        if not 0 <= span.start < span.end:
+            raise ValueError(f"{where}: invalid span [{start}, {end}]")
+        events.append(EventAnnotation(label, span, transcript))
+    return tuple(events)
+
+
+def reference_annotations(path):
+    """The object-per-event annotation reader: one EventAnnotation and one
+    TimeSpan per row, JSONL sniffed from the first 4,096 characters, TSV
+    times read by ``float()``.  The reference that sed's column readers
+    must match clip for clip and message for message."""
+    with open(path, "r", encoding="utf-8") as fh:
+        head = fh.read(4096)
+    if head.lstrip().startswith("{"):
+        clips, seen = [], set()
+        for where, rec in iter_jsonl(path):
+            clip_id = require_str(rec, "clip_id", where)
+            if clip_id in seen:
+                raise ValueError(f"{where}: duplicate clip_id {clip_id!r}")
+            seen.add(clip_id)
+            clips.append(ClipAnnotations(clip_id, _reference_decode_events(rec.get("events", []), where)))
+        return clips
+    events = {}
+    for where, row in read_tsv(path, ("clip_id", "label", "start", "end")):
+        try:
+            times = {key: float(row[key]) for key in ("start", "end")}
+        except ValueError as exc:
+            raise ValueError(f"{where}: malformed event record: {exc}") from exc
+        events.setdefault(row["clip_id"], []).extend(_reference_decode_events([row | times], where))
+    return [ClipAnnotations(cid, tuple(evs)) for cid, evs in events.items()]
+
+
+def reference_columns(clips, group_of, label_of):
+    """(clip, label) group id, label id, onset and offset of every event of
+    one side, built from its objects; new groups and labels are numbered in
+    order of appearance."""
+    groups, labels, starts, ends = [], [], [], []
+    for clip in clips:
+        for e in clip.events:
+            groups.append(group_of.setdefault((clip.clip_id, e.label), len(group_of)))
+            labels.append(label_of.setdefault(e.label, len(label_of)))
+            starts.append(e.span.start)
+            ends.append(e.span.end)
+    return np.array(groups), np.array(labels), np.array(starts), np.array(ends)
 
 
 @dataclass(frozen=True)

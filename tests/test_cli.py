@@ -13,7 +13,7 @@ from scipy.io import wavfile
 from soundscene import cli
 from soundscene.audio import SAMPLE_RATE, write_wav
 from soundscene.cli import main
-from soundscene.dsl import parse, serialize, validate
+from soundscene.dsl import EventAnnotation, TimeSpan, parse, serialize, validate
 from soundscene.manifest import read_jsonl
 from soundscene.scene import derive_scene_seed
 from soundscene.toytrain import ToyDenoiser, save_checkpoint
@@ -771,6 +771,47 @@ class TestSample:
         assert err.startswith("error:") and f"{ckpt}: truncated checkpoint header" in err
 
 
+def _write_scored_pair(tmp_path):
+    """A JSONL truth and a TSV prediction whose clip rows interleave, with a
+    truth-only clip, a prediction-only clip, a prediction-only label and a
+    label swap (car predicted as dog)."""
+    truth = tmp_path / "truth.jsonl"
+    pred = tmp_path / "pred.tsv"
+    truth.write_text(
+        '{"clip_id": "a", "events": [{"label": "dog", "start": 0.5, "end": 2.0, "transcript": null},'
+        ' {"label": "Speech", "start": 3.0, "end": 5.5, "transcript": "hello there"},'
+        ' {"label": "dog", "start": 6.0, "end": 7.25, "transcript": null}]}\n'
+        '{"clip_id": "b", "events": [{"label": "Speech", "start": 1.0, "end": 4.0,'
+        ' "transcript": "good night"}, {"label": "car", "start": 4.5, "end": 9.0}]}\n'
+        '{"clip_id": "t-only", "events": [{"label": "car", "start": 2.0, "end": 3.0}]}\n'
+    )
+    pred.write_text(
+        "a\tdog\t0.6\t2.1\n"
+        "b\tSpeech\t1.15\t3.9\n"
+        "a\tSpeech\t3.2\t5.5\n"
+        "b\tdog\t4.5\t9.0\n"
+        "a\tdog\t6.3\t7.25\n"
+        "p-only\tcar\t1.0\t2.0\n"
+        "a\tbird\t8.0\t9.0\n"
+    )
+    return truth, pred
+
+
+# recorded with the object-per-event reader; the report stays byte-identical
+SCORED_PAIR_REPORT = """\
+Event-based scores (Eb)
+  onset collar 0.20 s; offset collar max(0.20 s, 0.20 x truth length)
+  micro: P 42.9  R 50.0  F1 46.2  (tp=3 fp=4 fn=3)
+  macro F1: 46.7
+  per class:
+    Speech: P 100.0  R 100.0  F1 100.0  (tp=2 fp=0 fn=0)
+    bird: P 0.0  R 0.0  F1 0.0  (tp=0 fp=1 fn=0)
+    car: P 0.0  R 0.0  F1 0.0  (tp=0 fp=1 fn=2)
+    dog: P 33.3  R 50.0  F1 40.0  (tp=1 fp=2 fn=1)
+Clip-level macro F1 (At): 55.6
+"""
+
+
 class TestEvaluate:
     def test_truth_vs_truth_is_perfect(self, run_config, tmp_path, capsys):
         rc = main(["simulate", "--config", str(run_config), "--count", "3"])
@@ -838,6 +879,27 @@ class TestEvaluate:
         assert rc == 1
         assert err.startswith(f"error: {truth}:1: malformed event record: start is an integer")
         assert "F1" not in out
+
+    def test_report_is_pinned_byte_for_byte(self, tmp_path, capsys):
+        truth, pred = _write_scored_pair(tmp_path)
+        report = tmp_path / "report.txt"
+        rc = main(["evaluate", "--truth", str(truth), "--pred", str(pred), "--report", str(report)])
+        out, _ = read_out(capsys)
+        assert rc == 0
+        assert out == SCORED_PAIR_REPORT + "\n"
+        assert report.read_bytes() == (SCORED_PAIR_REPORT + "\n").encode()
+
+    def test_reads_and_scores_without_event_objects(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an event object was built")
+
+        monkeypatch.setattr(EventAnnotation, "__init__", refuse)
+        monkeypatch.setattr(TimeSpan, "__init__", refuse)
+        truth, pred = _write_scored_pair(tmp_path)
+        rc = main(["evaluate", "--truth", str(truth), "--pred", str(pred)])
+        out, err = read_out(capsys)
+        assert (rc, err) == (0, "")
+        assert out == SCORED_PAIR_REPORT + "\n"
 
     def test_missing_truth_file_names_path(self, tmp_path, capsys):
         pred = tmp_path / "p.tsv"

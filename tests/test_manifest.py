@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
-from soundscene.manifest import read_jsonl, write_jsonl_atomic
+from soundscene.dsl import TimeSpan
+from soundscene.manifest import decode_event_rows, read_jsonl, write_jsonl_atomic
 
 
 class TestReadJsonl:
@@ -70,3 +72,18 @@ class TestWriteJsonlAtomic:
         with pytest.raises(TypeError):
             write_jsonl_atomic(p, [{"bad": object()}])
         assert list(tmp_path.iterdir()) == []
+
+
+class TestDecodeEventRows:
+    def test_rows_become_tuples_with_timespan_rounding(self):
+        rows = [
+            {"label": "dog", "start": -0.001, "end": 2},
+            {"label": "Speech", "start": 6.985, "end": 7.5, "transcript": "hi"},
+        ]
+        decoded = decode_event_rows(rows, "m.jsonl:1")
+        assert decoded == [("dog", 0.0, 2.0, None), ("Speech", 6.99, 7.5, "hi")]
+        for (_, start, end, _), row in zip(decoded, rows):
+            span = TimeSpan(row["start"], row["end"])
+            assert (start, end) == (span.start, span.end)
+        assert math.copysign(1.0, decoded[0][1]) == 1.0
+        assert all(type(t) is float for _, start, end, _ in decoded for t in (start, end))

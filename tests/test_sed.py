@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import reference_feasibility_graph
+from fixtures import reference_annotations, reference_columns, reference_feasibility_graph
 from soundscene import sed
 from soundscene.dsl import EventAnnotation, TimeSpan
 from soundscene.sed import (
@@ -288,12 +288,9 @@ class TestEventBasedF1:
     @given(_dense_sides())
     def test_window_search_matches_rank_table(self, case):
         truth, pred, cfg = case
-        group_of, label_of = {}, {}
-        t_group, _, t_start, t_end = sed._columns(sed._by_clip(truth, "truth"), group_of, label_of)
-        p_group, _, p_start, p_end = sed._columns(
-            sed._by_clip(pred, "predictions"), group_of, label_of
-        )
-        columns = (t_group, t_start, t_end, p_group, p_start, p_end, cfg)
+        t, p = sed._columns(truth, "truth"), sed._columns(pred, "predictions")
+        _, (_, t_group), (_, p_group) = sed._groups(t, p)
+        columns = (t_group, t.start, t.end, p_group, p.start, p.end, cfg)
         got, want = sed._feasibility_graph(*columns), reference_feasibility_graph(*columns)
         # same rows, and in each row the same predictions in the same order
         assert got.shape == want.shape
@@ -437,6 +434,103 @@ class TestClipLevelMacroF1:
             clip_level_macro_f1([clip("c1"), clip("c1")], [])
 
 
+_LABELS = ["dog", "Speech", "car"]
+_BAD_VALUES = {
+    "label": [None, 5, "", "  "],
+    "start": [math.nan, math.inf, -math.inf, "0.5", True, None, 10**400, -0.5, 9.999],
+    "end": [math.nan, math.inf, 0.0, "2", False, 10**400, 1.004],
+    "transcript": [5, ["hi"]],
+}
+
+
+@st.composite
+def _jsonl_manifests(draw):
+    """Lines of a scene-manifest JSONL file: up to five clips of valid
+    events, blank and malformed lines among them, and at most one
+    corruption of a field, a span, a row, a clip id or the events list."""
+    clip_ids = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=5, unique=True))
+    row = st.builds(
+        lambda label, start, length, transcript: {
+            "label": label, "start": start / 100, "end": (start + length) / 100,
+            "transcript": transcript,
+        },
+        st.sampled_from(_LABELS), st.integers(0, 900), st.integers(1, 300),
+        st.sampled_from([None, "hello there"]),
+    )
+    records = [{"clip_id": cid, "events": draw(st.lists(row, max_size=4))} for cid in clip_ids]
+    if records and draw(st.booleans()):
+        rec = draw(st.sampled_from(records))
+        kind = draw(st.sampled_from(["value", "drop", "empty", "row", "events", "clip_id", "duplicate"]))
+        if kind in ("value", "drop", "empty") and rec["events"]:
+            target = draw(st.sampled_from(rec["events"]))
+            key = draw(st.sampled_from(sorted(_BAD_VALUES)))
+            if kind == "empty":
+                # a span that is empty once rounded to centiseconds
+                target["end"] = target["start"] + 0.004
+            elif kind == "drop":
+                target.pop(key)
+            else:
+                target[key] = draw(st.sampled_from(_BAD_VALUES[key]))
+        elif kind == "row":
+            rec["events"].append(draw(st.sampled_from([5, "x", [1]])))
+        elif kind == "events":
+            rec["events"] = draw(st.sampled_from([5, "x", {}, None]))
+        elif kind == "clip_id":
+            rec["clip_id"] = draw(st.sampled_from([None, 7, ["a"]]))
+        else:
+            records.append({"clip_id": rec["clip_id"], "events": []})
+    lines = [json.dumps(rec) for rec in records]
+    if draw(st.booleans()):
+        # a clip with no events field has no events
+        lines.append(json.dumps({"clip_id": "z"}))
+    for _ in range(draw(st.integers(0, 2))):
+        extra = draw(st.sampled_from(["", "   ", "", "not json", "[1, 2]"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return "\n".join(lines)
+
+
+_TIME_TEXT = st.sampled_from(["{:.2f}", "{:.1f}", " {:.2f} ", "{:e}", "+{:.3f}"])
+
+
+@st.composite
+def _annotation_tables(draw):
+    """Lines of an annotation TSV with interleaved clips, blank lines among
+    them, and at most one corruption: a wrong field count, a time that is
+    not a finite decimal, an empty label or a span that is empty once
+    rounded."""
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        start, length = draw(st.integers(0, 900)), draw(st.integers(1, 300))
+        fmt = draw(_TIME_TEXT)
+        lines.append([
+            draw(st.sampled_from(["a", "b", "c"])), draw(st.sampled_from(_LABELS)),
+            fmt.format(start / 100), fmt.format((start + length) / 100),
+        ])
+    if draw(st.booleans()):
+        fields = draw(st.sampled_from(lines))
+        kind = draw(st.sampled_from(["count", "start", "end", "label", "empty"]))
+        if kind == "count":
+            fields[:] = fields[:3] if draw(st.booleans()) else fields + ["x"]
+        elif kind == "label":
+            fields[1] = draw(st.sampled_from(["", "  "]))
+        elif kind == "empty":
+            fields[2:] = ["1.001", "1.004"]
+        else:
+            bad = ["x", "", "nan", "inf", "-inf", "1e400", "-0.5", "1.2.3"]
+            fields[2 if kind == "start" else 3] = draw(st.sampled_from(bad))
+    text = ["\t".join(fields) for fields in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        text.insert(draw(st.integers(0, len(text))), draw(st.sampled_from(["", "  ", "\t "])))
+    return "\n".join(text) + "\n"
+
+
+def _read_or_message(read, path):
+    try:
+        return read(path), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
 class TestManifestReader:
     def test_tsv_row(self, tmp_path):
         path = tmp_path / "events.tsv"
@@ -567,6 +661,74 @@ class TestManifestReader:
             assert str(exc_info.value) == f"{path}:1: {message}"
         path.write_text("c1\tSpeech\t 0.5 \t2.25\n")
         assert annotations_from_manifest(path)[0].events[0].span == TimeSpan(0.5, 2.25)
+
+    @staticmethod
+    def _assert_same_as_reference(path, text):
+        path.write_text(text, encoding="utf-8")
+        got, got_error = _read_or_message(annotations_from_manifest, path)
+        want, want_error = _read_or_message(reference_annotations, path)
+        assert got_error == want_error
+        if want is None:
+            return
+        assert list(got) == want
+        # the score columns, taken clip by clip, are the reference's
+        cols = sed._columns(got, "truth")
+        order = np.argsort(cols.clip, kind="stable")
+        group_of, label_of = {}, {}
+        r_group, r_label, r_start, r_end = reference_columns(want, group_of, label_of)
+        pairs, labels = list(group_of), list(label_of)
+        got_pairs = [(cols.clip_ids[c], cols.labels[k]) for c, k in zip(cols.clip[order], cols.label[order])]
+        assert got_pairs == [pairs[g] for g in r_group]
+        assert [cols.labels[k] for k in cols.label[order]] == [labels[k] for k in r_label]
+        assert np.array_equal(cols.start[order], r_start)
+        assert np.array_equal(cols.end[order], r_end)
+        assert cols.clip_ids == [c.clip_id for c in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_jsonl_manifests())
+    def test_jsonl_reader_matches_object_reader(self, tmp_path_factory, text):
+        self._assert_same_as_reference(tmp_path_factory.mktemp("ann") / "scenes.jsonl", text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_annotation_tables())
+    def test_tsv_reader_matches_object_reader(self, tmp_path_factory, text):
+        self._assert_same_as_reference(tmp_path_factory.mktemp("ann") / "events.tsv", text)
+
+    def test_reader_returns_a_read_only_sequence(self, tmp_path):
+        path = tmp_path / "events.tsv"
+        path.write_text("c1\tdog\t1.00\t2.00\nc2\tcar\t0.50\t1.00\nc1\tdog\t3.00\t4.00\n")
+        clips = annotations_from_manifest(path)
+        assert len(clips) == 2
+        assert clips[-1] == clip("c2", ev("car", 0.5, 1.0))
+        assert clips[:1] == [clip("c1", ev("dog", 1.0, 2.0), ev("dog", 3.0, 4.0))]
+        assert [c.clip_id for c in clips] == ["c1", "c2"]
+        with pytest.raises(IndexError):
+            clips[2]
+        with pytest.raises(TypeError):
+            clips[0] = clip("c3")
+
+    @pytest.mark.parametrize("start, end, message", [
+        ("1_5", "2.0", "start '1_5' is not an ASCII decimal"),
+        ("1.5", "2_0", "end '2_0' is not an ASCII decimal"),
+        ("\u0661.\u0665", "2.0", "start '\u0661.\u0665' is not an ASCII decimal"),
+        ("1.5", "\uff12", "end '\uff12' is not an ASCII decimal"),
+        ("\u00a01.5", "2.0", "start '\\xa01.5' is not an ASCII decimal"),
+    ], ids=["underscore-start", "underscore-end", "arabic-indic", "fullwidth", "nbsp"])
+    def test_tsv_times_are_ascii_decimals(self, tmp_path, start, end, message):
+        path = tmp_path / "events.tsv"
+        path.write_text(f"c1\tSpeech\t1.00\t2.00\nc1\tSpeech\t{start}\t{end}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc_info:
+            annotations_from_manifest(path)
+        assert str(exc_info.value) == f"{path}:2: malformed event record: {message}"
+
+    def test_format_sniffed_from_first_non_blank_line(self, tmp_path):
+        path = tmp_path / "scenes.jsonl"
+        record = '{"clip_id": "a", "events": [{"label": "dog", "start": 1.0, "end": 2.0}]}\n'
+        path.write_text("\n" * 5000 + "  \n" + record)
+        assert list(annotations_from_manifest(path)) == [clip("a", ev("dog", 1.0, 2.0))]
+        tsv = tmp_path / "events.tsv"
+        tsv.write_text(" \n" * 3000 + "a\tdog\t1.00\t2.00\n")
+        assert list(annotations_from_manifest(tsv)) == [clip("a", ev("dog", 1.0, 2.0))]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "events.tsv"
