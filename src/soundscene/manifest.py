@@ -27,7 +27,7 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict[str, Any]]]:
     """Yield (``path:line``, record) for each JSON object line; blank lines
     are ignored."""
     name = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -63,9 +63,9 @@ def read_tsv(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[str, di
     tab-separated table; blank lines are ignored and every other row must
     have exactly one field per column."""
     name = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+            line = line.removesuffix("\n").removesuffix("\r")
             if not line.strip():
                 continue
             where = f"{name}:{lineno}"
@@ -99,7 +99,11 @@ def _event_time(row: Mapping[str, Any], key: str) -> float:
         raise ValueError(f"{key} is an integer too large for a float") from None
 
 
-def decode_event_rows(rows: Any, where: str) -> list[tuple[str, float, float, str | None]]:
+# a decoded events row: label, onset, offset, transcript
+_Row = tuple[str, float, float, str | None]
+
+
+def decode_event_rows(rows: Any, where: str) -> list[_Row]:
     """Check ``events`` rows (mappings with a string label, numeric start and
     end in seconds, and an optional string-or-null transcript) and return
     them as (label, start, end, transcript) tuples, the times rounded to

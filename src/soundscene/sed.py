@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple, Sequence, overload
 import numpy as np
 
 from .dsl import EventAnnotation, TimeSpan
-from .manifest import decode_event_rows, iter_jsonl, read_tsv, require_str
+from .manifest import _Row, decode_event_rows, iter_jsonl, read_tsv, require_str
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -114,10 +114,6 @@ class _Columns(NamedTuple):
     end: np.ndarray
 
 
-# a decoded events row: label, onset, offset, transcript
-_Row = tuple[str, float, float, str | None]
-
-
 def _index(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
     """The distinct values in order of first appearance, and each value's
     position among them."""
@@ -125,18 +121,30 @@ def _index(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
     return list(position), np.fromiter(map(position.__getitem__, values), np.int64, len(values))
 
 
-class _ClipTable(Sequence[ClipAnnotations]):
-    """Read-only clips over a reader's score columns and its decoded
-    (label, start, end, transcript) rows, in the columns' order; a clip's
-    objects are built only when it is indexed."""
+def _assemble(
+    clip_ids: list[str], counts: Sequence[int], labels: Sequence[str],
+    starts: Sequence[float], ends: Sequence[float],
+) -> _Columns:
+    """Score columns from the clip ids, each clip's event count, and the
+    events' labels, onsets and offsets, clip by clip."""
+    clip = np.repeat(np.arange(len(clip_ids)), counts)
+    start, end = np.array(starts, dtype=np.float64), np.array(ends, dtype=np.float64)
+    return _Columns(clip_ids, clip, *_index(labels), start, end)
 
-    def __init__(self, columns: _Columns, rows: Sequence[_Row]):
-        self.columns = columns
-        self._rows = rows
-        self._clip_rows: list[list[_Row]] | None = None
+
+class _ClipTable(Sequence[ClipAnnotations]):
+    """Read-only clips over a reader's decoded (label, start, end, transcript)
+    rows, grouped by clip in order of first appearance; the score columns are
+    built at construction, a clip's objects only when it is indexed."""
+
+    def __init__(self, clips: dict[str, list[_Row]]):
+        self._rows = list(clips.values())
+        rows = [row for clip_rows in self._rows for row in clip_rows]
+        label, start, end, _ = zip(*rows) if rows else ((),) * 4
+        self.columns = _assemble(list(clips), list(map(len, self._rows)), label, start, end)
 
     def __len__(self) -> int:
-        return len(self.columns.clip_ids)
+        return len(self._rows)
 
     @overload
     def __getitem__(self, index: int) -> ClipAnnotations: ...
@@ -147,24 +155,10 @@ class _ClipTable(Sequence[ClipAnnotations]):
     def __getitem__(self, index: int | slice) -> ClipAnnotations | list[ClipAnnotations]:
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        clip_id = self.columns.clip_ids[index]
-        if self._clip_rows is None:
-            self._clip_rows = [[] for _ in self.columns.clip_ids]
-            for row, clip in zip(self._rows, self.columns.clip.tolist()):
-                self._clip_rows[clip].append(row)
-        return ClipAnnotations(clip_id, tuple(
+        return ClipAnnotations(self.columns.clip_ids[index], tuple(
             EventAnnotation(label, TimeSpan(start, end), transcript)
-            for label, start, end, transcript in self._clip_rows[index]
+            for label, start, end, transcript in self._rows[index]
         ))
-
-
-def _by_clip(side: Sequence[ClipAnnotations], name: str) -> dict[str, ClipAnnotations]:
-    out: dict[str, ClipAnnotations] = {}
-    for clip in side:
-        if clip.clip_id in out:
-            raise ValueError(f"duplicate clip_id {clip.clip_id!r} in {name}")
-        out[clip.clip_id] = clip
-    return out
 
 
 def _columns(side: Sequence[ClipAnnotations], name: str) -> _Columns:
@@ -172,15 +166,16 @@ def _columns(side: Sequence[ClipAnnotations], name: str) -> _Columns:
     clips."""
     if isinstance(side, _ClipTable):
         return side.columns
-    clips = _by_clip(side, name)
+    clips: dict[str, ClipAnnotations] = {}
+    for clip in side:
+        if clip.clip_id in clips:
+            raise ValueError(f"duplicate clip_id {clip.clip_id!r} in {name}")
+        clips[clip.clip_id] = clip
     events = [e for clip in clips.values() for e in clip.events]
     spans = [e.span for e in events]
-    return _Columns(
-        list(clips),
-        np.repeat(np.arange(len(clips)), [len(clip.events) for clip in clips.values()]),
-        *_index([e.label for e in events]),
-        np.array([s.start for s in spans], dtype=np.float64),
-        np.array([s.end for s in spans], dtype=np.float64),
+    return _assemble(
+        list(clips), [len(clip.events) for clip in clips.values()],
+        [e.label for e in events], [s.start for s in spans], [s.end for s in spans],
     )
 
 
@@ -309,16 +304,13 @@ def clip_level_macro_f1(
 
 
 def _read_jsonl(path: Path) -> _ClipTable:
-    counts: dict[str, int] = {}
-    rows: list[_Row] = []
+    clips: dict[str, list[_Row]] = {}
     for where, rec in iter_jsonl(path):
         clip_id = require_str(rec, "clip_id", where)
-        if clip_id in counts:
+        if clip_id in clips:
             raise ValueError(f"{where}: duplicate clip_id {clip_id!r}")
-        decoded = decode_event_rows(rec.get("events", []), where)
-        counts[clip_id] = len(decoded)
-        rows += decoded
-    return _table(list(counts), np.repeat(np.arange(len(counts)), list(counts.values())), rows)
+        clips[clip_id] = decode_event_rows(rec.get("events", []), where)
+    return _ClipTable(clips)
 
 
 def _tsv_time(row: dict[str, Any], key: str) -> float:
@@ -331,28 +323,14 @@ def _tsv_time(row: dict[str, Any], key: str) -> float:
 
 
 def _read_tsv(path: Path) -> _ClipTable:
-    row_clip_ids: list[str] = []
-    rows: list[_Row] = []
+    clips: dict[str, list[_Row]] = {}
     for where, row in read_tsv(path, ("clip_id", "label", "start", "end")):
         try:
             row["start"], row["end"] = _tsv_time(row, "start"), _tsv_time(row, "end")
         except ValueError as exc:
             raise ValueError(f"{where}: malformed event record: {exc}") from exc
-        rows += decode_event_rows([row], where)
-        row_clip_ids.append(row["clip_id"])
-    return _table(*_index(row_clip_ids), rows)
-
-
-def _table(clip_ids: list[str], clip: np.ndarray, rows: list[_Row]) -> _ClipTable:
-    label, start, end, _ = zip(*rows) if rows else ((), (), (), ())
-    columns = _Columns(
-        clip_ids,
-        clip,
-        *_index(label),
-        np.array(start, dtype=np.float64),
-        np.array(end, dtype=np.float64),
-    )
-    return _ClipTable(columns, rows)
+        clips.setdefault(row["clip_id"], []).extend(decode_event_rows([row], where))
+    return _ClipTable(clips)
 
 
 def annotations_from_manifest(path: str | Path) -> Sequence[ClipAnnotations]:
@@ -361,7 +339,7 @@ def annotations_from_manifest(path: str | Path) -> Sequence[ClipAnnotations]:
     the first non-blank line: JSONL when it starts with ``{``.  The clips
     come in order of first appearance, as a read-only sequence."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
         first = next((line for line in fh if line.strip()), "")
     return (_read_jsonl if first.lstrip().startswith("{") else _read_tsv)(path)
 

@@ -423,6 +423,16 @@ class TestIngest:
             ' "end": 4.5, "transcript": null}]}\n'
         )
 
+    def test_byte_order_mark_is_not_part_of_a_clip_id(self, tmp_path, capsys):
+        (tmp_path / "events.tsv").write_text("c\tthud\t0.5\t1.0\n", encoding="utf-8")
+        (tmp_path / "tx.tsv").write_text("\ufeffc\t0\t\n", encoding="utf-8")
+        out_path = tmp_path / "o.jsonl"
+        rc = main(["ingest", "--events", str(tmp_path / "events.tsv"),
+                   "--transcripts", str(tmp_path / "tx.tsv"), "--output", str(out_path)])
+        _, err = read_out(capsys)
+        assert (rc, err) == (0, "")
+        assert [len(r["events"]) for r in read_jsonl(out_path)] == [1]
+
     def test_event_without_transcript_row_skipped_with_warning(self, tmp_path, capsys):
         (tmp_path / "events.tsv").write_text(
             "c\tthud\t0.5\t1.0\nc\tthud\t2.0\t3.0\n"
@@ -900,6 +910,15 @@ class TestEvaluate:
         out, err = read_out(capsys)
         assert (rc, err) == (0, "")
         assert out == SCORED_PAIR_REPORT + "\n"
+
+    def test_byte_order_mark_is_not_part_of_the_first_clip_id(self, tmp_path, capsys):
+        truth, pred = tmp_path / "t.tsv", tmp_path / "p.tsv"
+        truth.write_text("\ufeffc1\tdog\t1.0\t2.0\n", encoding="utf-8")
+        pred.write_text("c1\tdog\t1.0\t2.0\n", encoding="utf-8")
+        rc = main(["evaluate", "--truth", str(truth), "--pred", str(pred)])
+        out, err = read_out(capsys)
+        assert (rc, err) == (0, "")
+        assert "F1 100.0  (tp=1 fp=0 fn=0)" in out
 
     def test_missing_truth_file_names_path(self, tmp_path, capsys):
         pred = tmp_path / "p.tsv"

@@ -524,6 +524,11 @@ def _annotation_tables(draw):
     return "\n".join(text) + "\n"
 
 
+def _assert_same_columns(got, want):
+    for field, a, b in zip(got._fields, got, want):
+        assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b), field
+
+
 def _read_or_message(read, path):
     try:
         return read(path), None
@@ -683,6 +688,8 @@ class TestManifestReader:
         assert np.array_equal(cols.start[order], r_start)
         assert np.array_equal(cols.end[order], r_end)
         assert cols.clip_ids == [c.clip_id for c in want]
+        # the reader's columns are the ones built from its clips' objects
+        _assert_same_columns(cols, sed._columns(list(got), "truth"))
 
     @settings(max_examples=200, deadline=None)
     @given(_jsonl_manifests())
@@ -693,6 +700,42 @@ class TestManifestReader:
     @given(_annotation_tables())
     def test_tsv_reader_matches_object_reader(self, tmp_path_factory, text):
         self._assert_same_as_reference(tmp_path_factory.mktemp("ann") / "events.tsv", text)
+
+    def test_tsv_columns_run_clip_by_clip(self, tmp_path):
+        text = "c1\tdog\t1.00\t2.00\nc2\tcar\t0.50\t1.00\nc1\tbird\t3.00\t4.00\n"
+        self._assert_same_as_reference(tmp_path / "events.tsv", text)
+        cols = sed._columns(annotations_from_manifest(tmp_path / "events.tsv"), "truth")
+        assert cols.clip.tolist() == [0, 0, 1]
+        assert [cols.labels[k] for k in cols.label] == ["dog", "bird", "car"]
+        assert cols.start.tolist() == [1.0, 3.0, 0.5]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "scenes.jsonl"
+        path.write_text(
+            '\ufeff{"clip_id": "a", "events": [{"label": "dog", "start": 1.0, "end": 2.0}]}\n',
+            encoding="utf-8",
+        )
+        assert list(annotations_from_manifest(path)) == [clip("a", ev("dog", 1.0, 2.0))]
+        tsv = tmp_path / "events.tsv"
+        tsv.write_text("\ufeffc1\tdog\t1.00\t2.00\n", encoding="utf-8")
+        assert list(annotations_from_manifest(tsv)) == [clip("c1", ev("dog", 1.0, 2.0))]
+
+    def test_lines_end_at_newline_only(self, tmp_path):
+        path = tmp_path / "cr.tsv"
+        # a lone carriage return is field data, not a line break
+        path.write_bytes(b"c1\tdo\rg\t1.0\t2.0\n")
+        assert list(annotations_from_manifest(path)) == [clip("c1", ev("do\rg", 1.0, 2.0))]
+        # one carriage return before the newline is dropped; lines count newlines
+        path.write_bytes(b"c1\tdog\t1.0\t2.0\r\n\r\nc1\tcar\t3.0\t4.0\r\n")
+        assert list(annotations_from_manifest(path)) == [
+            clip("c1", ev("dog", 1.0, 2.0), ev("car", 3.0, 4.0))
+        ]
+        path.write_bytes(b"c1\tdog\t1.0\t2.0\r\r\nc1\tdog\tx\t2.0\n")
+        with pytest.raises(ValueError) as exc_info:
+            annotations_from_manifest(path)
+        assert str(exc_info.value) == (
+            f"{path}:2: malformed event record: could not convert string to float: 'x'"
+        )
 
     def test_reader_returns_a_read_only_sequence(self, tmp_path):
         path = tmp_path / "events.tsv"
