@@ -85,7 +85,7 @@ def _read_prompt_arg(args: argparse.Namespace) -> str:
     if args.file is not None:
         if args.prompt is not None:
             raise ValueError("give the prompt inline or via --file, not both")
-        return Path(args.file).read_text(encoding="utf-8").strip()
+        return Path(args.file).read_text(encoding="utf-8-sig").strip()
     if args.prompt is None:
         raise ValueError("no prompt given; pass it inline or via --file")
     return args.prompt
@@ -121,7 +121,7 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
     corpus_lines = [canonical]
     if args.vocab_corpus:
         corpus_lines = Path(args.vocab_corpus).read_text(
-            encoding="utf-8"
+            encoding="utf-8-sig"
         ).splitlines() + corpus_lines
     vocab = build_vocab(corpus_lines, lex)
     tp = tokenize_prompt(p, vocab, lex, oov_policy=args.oov_policy)
@@ -340,16 +340,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(sc.seed)
     z_T = rng.standard_normal(dim)
 
+    z0 = sample_progressive(denoiser, gs, sched, z_T, rng=rng, mode=sc.mode)
+    # the log follows the schedule the sampler ran: steps t = T..1, so row
+    # T + 1 - t is the step's 1-based number
     log_lines = ["step\tt\tphase\tcondition\tw"]
-
-    def on_step(info: Any, _z: np.ndarray) -> None:
-        # steps run t = T..1, so row T + 1 - t is the step's 1-based number
-        log_lines.append(
-            f"{sc.T + 1 - info.t}\t{info.t}\t{info.phase}"
-            f"\t{phase_label[info.phase]}\t{info.w:g}"
-        )
-
-    z0 = sample_progressive(denoiser, gs, sched, z_T, rng=rng, mode=sc.mode, on_step=on_step)
+    for t in range(sc.T, 0, -1):
+        _, w, phase = gs.at(t)
+        log_lines.append(f"{sc.T + 1 - t}\t{t}\t{phase}\t{phase_label[phase]}\t{w:g}")
 
     sample_dir = Path(cfg.output_dir) / "sample"
     sample_dir.mkdir(parents=True, exist_ok=True)

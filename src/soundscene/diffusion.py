@@ -58,9 +58,12 @@ def _check_choice(name: str, value: str, choices: Any) -> None:
 @runtime_checkable
 class Denoiser(Protocol):
     """Anything that predicts the noise in z_t given the step and an optional
-    condition (None means unconditional)."""
+    condition (None means unconditional), and both guidance branches at once:
+    predict_pair(z_t, t, c) is (predict(z_t, t, c), predict(z_t, t, None))."""
 
     def predict(self, z_t: np.ndarray, t: int, c: Any | None) -> np.ndarray: ...
+
+    def predict_pair(self, z_t: np.ndarray, t: int, c: Any) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +148,53 @@ def cfg_combine(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.nd
     return eps_uncond + w * (eps_cond - eps_uncond)
 
 
+def _step_coefficients(sched: NoiseSchedule, t: Any, mode: str) -> tuple[Any, ...]:
+    """The scalars of reverse_step's update at step t, or one array of them
+    per scalar over an integer array of steps (elementwise, so each entry
+    holds the bytes the one-step call gives).
+
+    Deterministic: (sqrt(1-ab), sqrt(ab), sqrt(ab_prev), sqrt(1-ab_prev)).
+    Ancestral: (beta / sqrt(1-ab), sqrt(alpha), sqrt(posterior variance)),
+    with alpha = ab / ab_prev, beta = 1 - alpha and the variance
+    beta (1 - ab_prev) / (1 - ab)."""
+    ab, ab_prev = sched.alpha_bar[t], sched.alpha_bar[t - 1]
+    if mode == "deterministic":
+        return np.sqrt(1.0 - ab), np.sqrt(ab), np.sqrt(ab_prev), np.sqrt(1.0 - ab_prev)
+    alpha = ab / ab_prev
+    beta = 1.0 - alpha
+    return beta / np.sqrt(1.0 - ab), np.sqrt(alpha), np.sqrt(beta * (1.0 - ab_prev) / (1.0 - ab))
+
+
+def _apply_step(
+    z_t: np.ndarray,
+    eps_hat: np.ndarray,
+    coefficients: tuple[Any, ...],
+    mode: str,
+    rng: np.random.Generator | None,
+) -> np.ndarray:
+    """z_{t-1} from _step_coefficients' scalars for step t; ``rng`` draws the
+    ancestral noise and is None at t = 1, which adds none."""
+    if z_t.shape != eps_hat.shape:
+        raise ValueError(f"shape mismatch: z_t {z_t.shape}, eps_hat {eps_hat.shape}")
+    if mode == "deterministic":
+        noise_scale, signal_scale, signal_scale_prev, noise_scale_prev = coefficients
+        z0_hat = (z_t - noise_scale * eps_hat) / signal_scale
+        return signal_scale_prev * z0_hat + noise_scale_prev * eps_hat
+    eps_scale, sqrt_alpha, sigma = coefficients
+    mean = (z_t - eps_scale * eps_hat) / sqrt_alpha
+    if rng is None:
+        return mean
+    return mean + sigma * rng.standard_normal(z_t.shape)
+
+
+def _check_mode(mode: str, t_max: int, rng: np.random.Generator | None) -> None:
+    """The mode of a run whose highest step is t_max, and its rng: ancestral
+    steps with t > 1 draw noise, so they need one."""
+    _check_choice("mode", mode, REVERSE_MODES)
+    if mode == "ancestral" and t_max > 1 and rng is None:
+        raise ValueError("ancestral steps with t > 1 need an rng")
+
+
 def reverse_step(
     z_t: np.ndarray,
     t: int,
@@ -160,25 +210,11 @@ def reverse_step(
     Gaussian noise, skipped at t = 1.  Deterministic mode re-noises the
     implied clean latent with the predicted noise itself (no rng needed).
     """
-    _check_choice("mode", mode, REVERSE_MODES)
-    alpha = sched.alpha(t)
-    beta = 1.0 - alpha  # NoiseSchedule.beta, without a second step check
+    check_step(t, 1, sched.T)
+    _check_mode(mode, t, rng)
     z_t = np.asarray(z_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    if z_t.shape != eps_hat.shape:
-        raise ValueError(f"shape mismatch: z_t {z_t.shape}, eps_hat {eps_hat.shape}")
-    ab = sched.alpha_bar[t]
-    ab_prev = sched.alpha_bar[t - 1]
-    if mode == "deterministic":
-        z0_hat = (z_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
-        return np.sqrt(ab_prev) * z0_hat + np.sqrt(1.0 - ab_prev) * eps_hat
-    mean = (z_t - beta / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(alpha)
-    if t == 1:
-        return mean
-    if rng is None:
-        raise ValueError("ancestral steps with t > 1 need an rng")
-    var = beta * (1.0 - ab_prev) / (1.0 - ab)
-    return mean + np.sqrt(var) * rng.standard_normal(z_t.shape)
+    return _apply_step(z_t, eps_hat, _step_coefficients(sched, t, mode), mode, rng if t > 1 else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,12 +277,6 @@ class StepInfo:
     w: float
 
 
-def _guided_eps(denoiser: Denoiser, z: np.ndarray, t: int, c: Any, w: float) -> np.ndarray:
-    eps_c = np.asarray(denoiser.predict(z, t, c), dtype=np.float64)
-    eps_u = np.asarray(denoiser.predict(z, t, None), dtype=np.float64)
-    return cfg_combine(eps_c, eps_u, w)
-
-
 def sample_progressive(
     denoiser: Denoiser,
     gs: GuidanceSchedule,
@@ -258,16 +288,20 @@ def sample_progressive(
 ) -> np.ndarray:
     """Run the full reverse chain from z_T under the two-phase policy.
 
-    Every step combines conditional and unconditional predictions with the
-    phase's guidance weight.  ``on_step`` sees each post-update latent.
+    Every step combines the conditional and unconditional predictions of
+    one ``denoiser.predict_pair`` call with the phase's guidance weight.
+    ``on_step`` sees each post-update latent.
     """
     if gs.T != sched.T:
         raise ValueError(f"guidance schedule T={gs.T} does not match noise schedule T={sched.T}")
+    _check_mode(mode, sched.T, rng)
+    steps = np.arange(sched.T, 0, -1)
+    coefficients = zip(*_step_coefficients(sched, steps, mode))
     z = np.asarray(z_T, dtype=np.float64)
-    for t in range(sched.T, 0, -1):
+    for t, coefs in zip(steps.tolist(), coefficients):
         c, w, phase = gs.at(t)
-        eps = _guided_eps(denoiser, z, t, c, w)
-        z = reverse_step(z, t, eps, sched, mode=mode, rng=rng)
+        eps_c, eps_u = denoiser.predict_pair(z, t, c)
+        z = _apply_step(z, cfg_combine(eps_c, eps_u, w), coefs, mode, rng if t > 1 else None)
         if on_step is not None:
             on_step(StepInfo(t=t, phase=phase, condition=c, w=w), z)
     return z
@@ -308,3 +342,8 @@ class GaussianOracleDenoiser:
         z_t = np.asarray(z_t, dtype=np.float64)
         return np.sqrt(1.0 - ab) * (z_t - np.sqrt(ab) * cond.mu) / (ab * cond.sigma2 + 1.0 - ab)
 
+    def predict_pair(
+        self, z_t: np.ndarray, t: int, c: GaussianCondition | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(predict(z_t, t, c), predict(z_t, t, None))."""
+        return self.predict(z_t, t, c), self.predict(z_t, t, None)

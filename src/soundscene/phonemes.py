@@ -96,9 +96,10 @@ _VARIANT_RE = re.compile(r"^(.+)\(([0-9]+)\)$")
 
 
 def load_lexicon(source: str | Path | IO[str] | Iterable[str]) -> PhonemeLexicon:
-    """Read a lexicon from a path, open file, or iterable of lines."""
+    """Read a lexicon from a path (UTF-8, a leading byte-order mark
+    skipped), open file, or iterable of lines."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             return _parse_lexicon(fh)
     return _parse_lexicon(source)
 

@@ -141,7 +141,7 @@ class ToyDenoiser:
         """Take ``flat``, not copied, as this new instance's parameter vector."""
         self.dim, self.T, self.flat = dim, T, flat
         self.params = _param_views(flat, dim)
-        # _forward's (x, h1, h2) scratch rows, resized when the row count changes
+        # _forward's (x, h1, h2) scratch stacks, resized when their (k, n) changes
         self._work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @functools.cached_property
@@ -182,34 +182,35 @@ class ToyDenoiser:
         self,
         z_t: np.ndarray,
         t: np.ndarray | int,
-        granularity: str,
-        view_ids: np.ndarray | int,
-    ):
-        """Output for the rows of z_t; ``t`` (integer steps in 0..T) and
-        ``view_ids`` (in range for the granularity's table) are per-row arrays,
-        or scalars broadcast over the rows; none of them, nor the granularity,
-        is checked here.
+        views: Sequence[tuple[str, np.ndarray | int]],
+    ) -> np.ndarray:
+        """Output, shape (k, n, dim), for the n rows of z_t under each of the
+        k condition views in ``views``, (granularity, view_ids) pairs.  ``t``
+        (integer steps in 0..T) and each ``view_ids`` (in range for its
+        granularity's table) are per-row arrays, or scalars broadcast over
+        the rows; none of them, nor a granularity, is checked here.
         The input and hidden activations are written into this instance's
-        scratch rows (x, h1, h2), valid until the next call; the output is
-        always a fresh array."""
-        table = "E_" + granularity
-        E = self.params[table]
-        n = z_t.shape[0]
+        (k, n, .) scratch stacks (x, h1, h2), valid until the next call; the
+        output is always a fresh array.  np.matmul runs the same 2-D kernel
+        on each (n, .) slice, so slice i holds the bytes a one-view call
+        under views[i] gives."""
+        k, n = len(views), z_t.shape[0]
         d, f = self.dim, self.dim + 2 * _N_FREQ
-        if self._work is None or self._work[0].shape[0] != n:
-            self._work = (np.empty((n, f + _EMB)), np.empty((n, _HIDDEN)), np.empty((n, _HIDDEN)))
+        if self._work is None or self._work[0].shape[:2] != (k, n):
+            self._work = tuple(np.empty((k, n, width)) for width in (f + _EMB, _HIDDEN, _HIDDEN))
         x, h1, h2 = self._work
-        x[:, :d] = z_t
-        x[:, d:f] = self._times[t]
-        x[:, f:] = E[view_ids]
+        x[:, :, :d] = z_t
+        x[:, :, d:f] = self._times[t]
         p = self.params
+        for x_view, (granularity, view_ids) in zip(x, views):
+            x_view[:, f:] = p["E_" + granularity][view_ids]
         for h, h_in, W, b in ((h1, x, "W1", "b1"), (h2, h1, "W2", "b2")):
             np.matmul(h_in, p[W], out=h)
             h += p[b]
             np.tanh(h, out=h)
         out = h2 @ p["W3"]
         out += p["b3"]
-        return out, (x, h1, h2, table, view_ids)
+        return out
 
     def _loss_and_grads(
         self,
@@ -221,7 +222,8 @@ class ToyDenoiser:
     ) -> tuple[float, np.ndarray]:
         """Mean per-item squared L2 objective and its gradient, one vector
         laid out as ``flat`` (untouched embedding tables get zero rows)."""
-        out, (x, h1, h2, table, view_ids) = self._forward(z_t, t, granularity, view_ids)
+        out = self._forward(z_t, t, ((granularity, view_ids),))[0]
+        x, h1, h2 = (w[0] for w in self._work)
         n = z_t.shape[0]
         diff = out - eps
         loss = float(np.sum(diff * diff)) / n
@@ -237,7 +239,7 @@ class ToyDenoiser:
         np.matmul(x.T, g_h1, out=g["W1"])
         np.sum(g_h1, axis=0, out=g["b1"])
         g_x = g_h1 @ p["W1"].T
-        np.add.at(g[table], view_ids, g_x[:, self.dim + 2 * _N_FREQ :])
+        np.add.at(g["E_" + granularity], view_ids, g_x[:, self.dim + 2 * _N_FREQ :])
         return loss, grad
 
     # ---- Denoiser interface ----------------------------------------------
@@ -247,23 +249,43 @@ class ToyDenoiser:
         integer step t in 0..T; a condition's view id must be a Python or
         numpy integer (not a bool) naming a row of its granularity's table.
 
-        The activations go to this instance's scratch rows, so one instance
-        must not predict from two threads at once; the result is always a
-        fresh array."""
+        The activations go to this instance's scratch stacks, so one
+        instance must not predict from two threads at once; the result is
+        always a fresh array."""
+        return self._predict(z_t, t, (c,))[0]
+
+    def predict_pair(
+        self, z_t: np.ndarray, t: int, c: tuple[str, int] | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(predict(z_t, t, c), predict(z_t, t, None)), byte for byte, from
+        one forward over the two-view stack: the classifier-free guidance
+        branches of one sampling step.  Checks as predict does; the two
+        results share no memory with each other or the scratch stacks."""
+        eps_c, eps_uncond = self._predict(z_t, t, (c, None))
+        return eps_c, eps_uncond
+
+    def _predict(
+        self, z_t: np.ndarray, t: int, conditions: Sequence[tuple[str, int] | None]
+    ) -> np.ndarray:
+        """predict's checks, then one _forward over the conditions' views:
+        shape (k, dim) for one latent, (k, n, dim) for a batch."""
         z = np.asarray(z_t, dtype=np.float64)
         single = z.ndim == 1
         z2 = z[None, :] if single else z
         if z2.ndim != 2 or z2.shape[1] != self.dim:
             raise ValueError(f"expected latents of dimension {self.dim}, got shape {z.shape}")
         check_step(t, 0, self.T)
-        granularity, view = ("null", 0) if c is None else c
-        if not _is_int(view):
-            raise ValueError(f"view id {view!r} is not an integer")
-        rows = _N_CONDITIONS // _divisor(granularity)
-        if not 0 <= view < rows:
-            raise ValueError(f"view id outside the {granularity} table of {rows} rows")
-        out, _ = self._forward(z2, t, granularity, view)
-        return out[0] if single else out
+        views = []
+        for c in conditions:
+            granularity, view = ("null", 0) if c is None else c
+            if not _is_int(view):
+                raise ValueError(f"view id {view!r} is not an integer")
+            rows = _N_CONDITIONS // _divisor(granularity)
+            if not 0 <= view < rows:
+                raise ValueError(f"view id outside the {granularity} table of {rows} rows")
+            views.append((granularity, view))
+        out = self._forward(z2, t, views)
+        return out[:, 0] if single else out
 
 
 @dataclass(frozen=True)
@@ -413,7 +435,7 @@ def validation_loss(
     total = 0.0
     for _ in range(_VALIDATION_REPEATS):
         z_t, t, eps, view_ids = _noised_batch(z0_all, cid_all, granularity, sched, rng)
-        out = 0.0 if denoiser is None else denoiser._forward(z_t, t, granularity, view_ids)[0]
+        out = 0.0 if denoiser is None else denoiser._forward(z_t, t, ((granularity, view_ids),))[0]
         total += float(np.sum((out - eps) ** 2))
     return total / (z0_all.shape[0] * _VALIDATION_REPEATS)
 

@@ -82,6 +82,18 @@ class TestParseFmt:
         assert rc == 0
         assert out.strip() == "Rain @{thunder & <0.00,1.00>}"
 
+    @pytest.mark.parametrize("command", ["parse", "fmt", "tokenize"])
+    def test_byte_order_mark_is_not_part_of_the_prompt(self, tmp_path, capsys, command):
+        text = "Rain falls @{dog barking & <1.0,2.0>}\n"
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert main([command, "--file", str(plain)]) == 0
+        expected, _ = read_out(capsys)
+        assert main([command, "--file", str(bom)]) == 0
+        out, _ = read_out(capsys)
+        assert out == expected and "\ufeff" not in out
+
     def test_inline_and_file_together_rejected(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
         f.write_text("x @{a & <0,1>}")
@@ -122,6 +134,27 @@ class TestTokenize:
         assert rc == 0
         ids = out.split()
         assert ids and all(tok.lstrip("-").isdigit() for tok in ids)
+
+    def test_byte_order_mark_is_not_part_of_the_vocab_corpus(self, tmp_path, capsys):
+        corpus = "Thunder rolls @{dog barking & <0,1>}\nwind in the trees\n"
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text(corpus, encoding="utf-8")
+        bom.write_text(corpus, encoding="utf-8-sig")
+        prompt = 'Thunder @{a man speaking & <0.5,2> "hello"}'
+        assert main(["tokenize", "--ids", "--vocab-corpus", str(plain), prompt]) == 0
+        expected, _ = read_out(capsys)
+        assert main(["tokenize", "--ids", "--vocab-corpus", str(bom), prompt]) == 0
+        out, _ = read_out(capsys)
+        assert out == expected
+
+    def test_byte_order_mark_is_not_part_of_the_first_headword(self, tmp_path, capsys):
+        lexicon = tmp_path / "lex.dict"
+        lexicon.write_text("HELLO  HH AH0 L OW1\n", encoding="utf-8-sig")
+        prompt = 'x @{a man & <0,1> "hello"}'
+        rc = main(["tokenize", "--oov-policy", "error", "--lexicon", str(lexicon), prompt])
+        out, _ = read_out(capsys)
+        assert rc == 0
+        assert "<SPK> HH AH0 L OW1 </SPK>" in out
 
     def test_malformed_lexicon_exits_1_with_line(self, tmp_path, capsys):
         lexicon = tmp_path / "lex.dict"

@@ -34,6 +34,9 @@ class _StubDenoiser:
     def predict(self, z_t, t, c=None):
         return self.fn(z_t, t, c)
 
+    def predict_pair(self, z_t, t, c):
+        return self.fn(z_t, t, c), self.fn(z_t, t, None)
+
 
 def chain_moments(sched, mu, sigma2):
     """Exact (mean, variance) of the scalar ancestral chain output when the
@@ -339,6 +342,27 @@ class TestReverseStep:
         eps = rng.standard_normal(4)
         z_1 = forward_noise(z0, 1, eps, sched)
         assert np.max(np.abs(reverse_step(z_1, 1, eps, sched, mode="deterministic") - z0)) < 1e-6
+
+    @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
+    def test_every_step_matches_the_written_formula_byte_for_byte(self, mode):
+        # the sampler runs the same update, so this pins its arithmetic too
+        sched = cosine_schedule(100)
+        rng = np.random.default_rng(5)
+        z_t, eps_hat = rng.standard_normal((2, 3))
+        for t in range(1, sched.T + 1):
+            got = reverse_step(z_t, t, eps_hat, sched, mode, np.random.default_rng(t))
+            ab, ab_prev = sched.alpha_bar[t], sched.alpha_bar[t - 1]
+            if mode == "deterministic":
+                z0_hat = (z_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
+                want = np.sqrt(ab_prev) * z0_hat + np.sqrt(1.0 - ab_prev) * eps_hat
+            else:
+                alpha = float(ab / ab_prev)
+                beta = 1.0 - alpha
+                want = (z_t - beta / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(alpha)
+                if t > 1:
+                    var = beta * (1.0 - ab_prev) / (1.0 - ab)
+                    want = want + np.sqrt(var) * np.random.default_rng(t).standard_normal(3)
+            assert got.tobytes() == want.tobytes(), t
 
     def test_seeded_rng_reproducible(self):
         sched = cosine_schedule(50)

@@ -69,6 +69,13 @@ class TestLoadLexicon:
         assert lex.lookup("read") == ("R", "IY1", "D")
         assert lex.lookup("read(\u0661)") == ("R", "EH1", "D")
 
+    def test_byte_order_mark_is_skipped_in_a_file(self, tmp_path):
+        path = tmp_path / "lex.dict"
+        path.write_text("RED  R EH1 D\nBLUE  B L UW1\n", encoding="utf-8-sig")
+        lex = load_lexicon(path)
+        assert sorted(lex.entries) == ["BLUE", "RED"]
+        assert lex.lookup("red") == ("R", "EH1", "D")
+
     def test_missing_pronunciation_reports_line(self):
         with pytest.raises(LexiconError, match="line 2"):
             load_lexicon(io.StringIO("RED  R EH1 D\nBAD\n"))

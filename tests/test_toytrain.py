@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fixtures import reference_cfg_loop
 from soundscene.diffusion import GuidanceSchedule, cosine_schedule, sample_progressive
 from soundscene.toytrain import (
     GRANULARITIES,
@@ -45,7 +46,7 @@ def _sorted_params(dn):
 
 
 def _loss_only(dn, z_t, t, eps, gran, view_ids):
-    out, _ = dn._forward(z_t, t, gran, view_ids)
+    out = dn._forward(z_t, t, ((gran, view_ids),))[0]
     return float(np.sum((out - eps) ** 2)) / z_t.shape[0]
 
 
@@ -367,19 +368,23 @@ class TestPredictWorkspace:
         dn.predict(z, 6, ("text", 0))
         assert dn._work is work
         dn.predict(z[:2], 6, ("text", 0))
-        assert dn._work is not work and dn._work[0].shape[0] == 2
+        assert dn._work is not work and dn._work[0].shape[:2] == (1, 2)
+        work = dn._work
+        dn.predict_pair(z[:2], 6, ("text", 0))
+        assert dn._work is not work and dn._work[0].shape[:2] == (2, 2)
 
     def test_training_and_validation_use_the_scratch_rows(self):
         sched = cosine_schedule(20)
         data = make_toy_dataset(40, 4, np.random.default_rng(1))
         dn = ToyDenoiser(4, 20, rng=np.random.default_rng(5))
         validation_loss(dn, data, sched, "full", np.random.default_rng(2))
-        assert dn._work[0].shape[0] == 40
+        assert dn._work[0].shape[:2] == (1, 40)
         train_toy_denoiser(data, default_curriculum(steps=2, batch_size=9), sched, seed=0, denoiser=dn)
-        assert dn._work[0].shape[0] == 9
+        work = dn._work
+        assert [w.shape for w in work] == [(1, 9, 4 + 8 + 8), (1, 9, 64), (1, 9, 64)]
         z = np.random.default_rng(3).standard_normal((9, 4))
-        out, (x, h1, h2, _, _) = dn._forward(z, 5, "text", 1)
-        assert all(a is w for a, w in zip((x, h1, h2), dn._work))
+        out = dn._forward(z, 5, (("text", 1),))
+        assert out.shape == (1, 9, 4) and dn._work is work
         assert not any(np.shares_memory(out, w) for w in dn._work)
         assert dn.predict(z, 5, ("text", 1)).tobytes() == _reference_predict(dn, z, 5, ("text", 1)).tobytes()
 
@@ -427,6 +432,73 @@ class TestPredictWorkspace:
         dn = _sampling_denoiser()
         with pytest.raises(ValueError, match="granularity"):
             dn.predict(np.zeros(dn.dim), 5, ("prosody", 0))
+
+
+class TestPredictPair:
+    def test_bytes_match_two_predict_calls(self):
+        dn = _sampling_denoiser()
+        rng = np.random.default_rng(12)
+        conditions = [None] + [(g, v) for g in GRANULARITIES for v in range(dn.params["E_" + g].shape[0])]
+        # a 1-D latent, then interleaved row counts that resize the scratch stacks
+        for n in (None, 1, 2, 7, 1024, 1, 7, 1024):
+            z = rng.standard_normal(dn.dim if n is None else (n, dn.dim))
+            for t in (0, 1, dn.T // 2, dn.T):
+                for c in conditions:
+                    eps_c, eps_uncond = dn.predict_pair(z, t, c)
+                    assert eps_c.shape == eps_uncond.shape == z.shape
+                    assert eps_c.tobytes() == dn.predict(z, t, c).tobytes(), (n, t, c)
+                    assert eps_uncond.tobytes() == dn.predict(z, t, None).tobytes(), (n, t, c)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (64, 4)], ids=str)
+    def test_outputs_are_fresh_arrays(self, shape):
+        dn = _sampling_denoiser()
+        z = np.random.default_rng(13).standard_normal(shape)
+        eps_c, eps_uncond = dn.predict_pair(z, 50, ("full", 3))
+        kept = eps_c.tobytes(), eps_uncond.tobytes()
+        assert not np.shares_memory(eps_c, eps_uncond)
+        for out in (eps_c, eps_uncond):
+            assert not np.shares_memory(out, z)
+            assert not any(np.shares_memory(out, w) for w in dn._work)
+        dn.predict_pair(z + 1.0, 60, ("text", 0))
+        assert (eps_c.tobytes(), eps_uncond.tobytes()) == kept
+
+    @pytest.mark.parametrize(
+        "z_shape,t,c",
+        [
+            ((4,), -1, ("text", 1)), ((4,), 101, ("text", 1)), ((4,), 50.0, None), ((4,), True, None),
+            ((3, 4), 5, ("full", 8)), ((3, 4), 5, ("full", -1)), ((3, 4), 5, ("text", 2)),
+            ((3, 4), 5, ("null", 1)), ((3, 4), 5, ("full", 1.0)), ((3, 4), 5, ("full", True)),
+            ((3, 4), 5, ("prosody", 0)),
+            ((3,), 5, None), ((2, 5), 5, ("text", 1)), ((2, 2, 4), 5, None), ((), 5, None),
+        ],
+        ids=repr,
+    )
+    def test_bad_input_raises_as_predict_does(self, z_shape, t, c):
+        dn = _sampling_denoiser()
+        z = np.zeros(z_shape)
+        with pytest.raises(ValueError) as want:
+            dn.predict(z, t, c)
+        with pytest.raises(ValueError) as got:
+            dn.predict_pair(z, t, c)
+        assert str(got.value) == str(want.value)
+
+
+class TestSamplerMatchesReferenceLoop:
+    @pytest.mark.parametrize("shape", [(4,), (1024, 4)], ids=str)
+    @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
+    @pytest.mark.parametrize("w", [0.0, 1.0, 2.5])
+    def test_bytes(self, w, mode, shape):
+        # the reference runs two predict calls and the public reverse_step
+        # per step; the sampler one predict_pair and per-run coefficients
+        dn = _sampling_denoiser()
+        sched = cosine_schedule(dn.T)
+        c = ("full", 5)
+        gs = GuidanceSchedule(c, c, w, w, t1=0, T=dn.T)
+        z_T = np.random.default_rng(14).standard_normal(shape)
+        got = sample_progressive(dn, gs, sched, z_T, rng=np.random.default_rng(15), mode=mode)
+        want = reference_cfg_loop(dn, c, w, sched, z_T, rng=np.random.default_rng(15), mode=mode)
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestStageValidation:
@@ -594,7 +666,7 @@ class TestValidationLoss:
                 total += float(np.sum(eps * eps))
                 continue
             views = np.array([0 if granularity == "null" else dn.view_of(c, granularity) for c in cids])
-            out, _ = dn._forward(z_t, t, granularity, views)
+            out = dn._forward(z_t, t, ((granularity, views),))[0]
             total += float(np.sum((out - eps) ** 2))
         got = validation_loss(dn, data, sched, granularity or "text", np.random.default_rng(4))
         assert got == total / (40 * 8)
