@@ -341,12 +341,17 @@ def cmd_sample(args: argparse.Namespace) -> int:
     z_T = rng.standard_normal(dim)
 
     z0 = sample_progressive(denoiser, gs, sched, z_T, rng=rng, mode=sc.mode)
-    # the log follows the schedule the sampler ran: steps t = T..1, so row
+    if not np.all(np.isfinite(z0)):
+        bad = np.count_nonzero(~np.isfinite(z0))
+        raise ValueError(
+            f"sampling produced non-finite latents ({bad} of {z0.size} values); nothing written"
+        )
+    # the log walks the phases the sampler ran: steps t = T..1, so row
     # T + 1 - t is the step's 1-based number
     log_lines = ["step\tt\tphase\tcondition\tw"]
-    for t in range(sc.T, 0, -1):
-        _, w, phase = gs.at(t)
-        log_lines.append(f"{sc.T + 1 - t}\t{t}\t{phase}\t{phase_label[phase]}\t{w:g}")
+    for phase, _, w, steps in gs.phases():
+        suffix = f"\t{phase}\t{phase_label[phase]}\t{w:g}"
+        log_lines += [f"{sc.T + 1 - t}\t{t}{suffix}" for t in steps]
 
     sample_dir = Path(cfg.output_dir) / "sample"
     sample_dir.mkdir(parents=True, exist_ok=True)

@@ -55,15 +55,25 @@ def _check_choice(name: str, value: str, choices: Any) -> None:
         raise ValueError(f"{name} must be one of {tuple(choices)}, got {value!r}")
 
 
+# a bound guidance pair: (z_t, t) -> (eps_cond, eps_uncond)
+PairFn = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]
+
+
 @runtime_checkable
 class Denoiser(Protocol):
     """Anything that predicts the noise in z_t given the step and an optional
-    condition (None means unconditional), and both guidance branches at once:
-    predict_pair(z_t, t, c) is (predict(z_t, t, c), predict(z_t, t, None))."""
+    condition (None means unconditional), and binds both guidance branches
+    of one sampling phase at once.
+
+    bind_pair(c, shape, t_max) makes every check predict would make of the
+    condition, of latents of that shape and of steps up to t_max, then
+    returns fn(z_t, t) = (predict(z_t, t, c), predict(z_t, t, None)) for
+    z_t of that shape and integer steps t in 0..t_max, which checks
+    neither again."""
 
     def predict(self, z_t: np.ndarray, t: int, c: Any | None) -> np.ndarray: ...
 
-    def predict_pair(self, z_t: np.ndarray, t: int, c: Any) -> tuple[np.ndarray, np.ndarray]: ...
+    def bind_pair(self, c: Any, shape: tuple[int, ...], t_max: int) -> PairFn: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,13 +97,6 @@ class NoiseSchedule:
     @property
     def T(self) -> int:
         return self.alpha_bar.shape[0] - 1
-
-    def alpha(self, t: int) -> float:
-        check_step(t, 1, self.T)
-        return float(self.alpha_bar[t] / self.alpha_bar[t - 1])
-
-    def beta(self, t: int) -> float:
-        return 1.0 - self.alpha(t)
 
 
 def cosine_schedule(T: int) -> NoiseSchedule:
@@ -135,17 +138,25 @@ def forward_noise(
     return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
 
 
+def _guide(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.ndarray:
+    """cfg_combine's arithmetic, unchecked; at w in {0, 1} it returns that
+    branch itself, not a copy."""
+    if w == 0.0:
+        return eps_uncond
+    if w == 1.0:
+        return eps_cond
+    return eps_uncond + w * (eps_cond - eps_uncond)
+
+
 def cfg_combine(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.ndarray:
-    """eps_uncond + w * (eps_cond - eps_uncond); exact branches at w in {0, 1}."""
+    """eps_uncond + w * (eps_cond - eps_uncond); exact branches at w in {0, 1}.
+    The result is always a fresh array."""
     eps_cond = np.asarray(eps_cond, dtype=np.float64)
     eps_uncond = np.asarray(eps_uncond, dtype=np.float64)
     if eps_cond.shape != eps_uncond.shape:
         raise ValueError(f"shape mismatch: {eps_cond.shape} vs {eps_uncond.shape}")
-    if w == 0.0:
-        return eps_uncond.copy()
-    if w == 1.0:
-        return eps_cond.copy()
-    return eps_uncond + w * (eps_cond - eps_uncond)
+    eps_hat = _guide(eps_cond, eps_uncond, w)
+    return eps_hat.copy() if eps_hat is eps_cond or eps_hat is eps_uncond else eps_hat
 
 
 def _step_coefficients(sched: NoiseSchedule, t: Any, mode: str) -> tuple[Any, ...]:
@@ -171,11 +182,13 @@ def _apply_step(
     coefficients: tuple[Any, ...],
     mode: str,
     rng: np.random.Generator | None,
+    noise: np.ndarray | None = None,
 ) -> np.ndarray:
-    """z_{t-1} from _step_coefficients' scalars for step t; ``rng`` draws the
-    ancestral noise and is None at t = 1, which adds none."""
-    if z_t.shape != eps_hat.shape:
-        raise ValueError(f"shape mismatch: z_t {z_t.shape}, eps_hat {eps_hat.shape}")
+    """z_{t-1} from _step_coefficients' scalars for step t, unchecked (z_t
+    and eps_hat are float64 arrays of one shape); ``rng`` draws the
+    ancestral noise and is None at t = 1, which adds none.  The draw goes
+    into ``noise`` when given, a float64 buffer of z_t's shape: the same
+    values a fresh draw gives."""
     if mode == "deterministic":
         noise_scale, signal_scale, signal_scale_prev, noise_scale_prev = coefficients
         z0_hat = (z_t - noise_scale * eps_hat) / signal_scale
@@ -184,7 +197,7 @@ def _apply_step(
     mean = (z_t - eps_scale * eps_hat) / sqrt_alpha
     if rng is None:
         return mean
-    return mean + sigma * rng.standard_normal(z_t.shape)
+    return mean + sigma * rng.standard_normal(z_t.shape, out=noise)
 
 
 def _check_mode(mode: str, t_max: int, rng: np.random.Generator | None) -> None:
@@ -214,6 +227,8 @@ def reverse_step(
     _check_mode(mode, t, rng)
     z_t = np.asarray(z_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
+    if z_t.shape != eps_hat.shape:
+        raise ValueError(f"shape mismatch: z_t {z_t.shape}, eps_hat {eps_hat.shape}")
     return _apply_step(z_t, eps_hat, _step_coefficients(sched, t, mode), mode, rng if t > 1 else None)
 
 
@@ -247,6 +262,16 @@ class GuidanceSchedule:
         if t > self.t1:
             return self.c1, self.w_low, 1
         return self.c2, self.w_high, 2
+
+    def phases(self) -> tuple[tuple[int, Any, float, range], ...]:
+        """(phase, condition, guidance weight, steps) for each phase a run
+        walks, in order, empty ones left out: steps T..t1+1 under
+        (c1, w_low), then t1..1 under (c2, w_high)."""
+        walk = (
+            (1, self.c1, self.w_low, range(self.T, self.t1, -1)),
+            (2, self.c2, self.w_high, range(self.t1, 0, -1)),
+        )
+        return tuple(p for p in walk if p[3])
 
 
 @dataclass(frozen=True)
@@ -288,22 +313,25 @@ def sample_progressive(
 ) -> np.ndarray:
     """Run the full reverse chain from z_T under the two-phase policy.
 
-    Every step combines the conditional and unconditional predictions of
-    one ``denoiser.predict_pair`` call with the phase's guidance weight.
-    ``on_step`` sees each post-update latent.
+    Each phase binds the denoiser once (``bind_pair``, which makes the
+    checks); every step of it combines the bound pair's conditional and
+    unconditional predictions with the phase's guidance weight.  Ancestral
+    noise is drawn into one buffer reused across steps.  ``on_step`` sees
+    each post-update latent.
     """
     if gs.T != sched.T:
         raise ValueError(f"guidance schedule T={gs.T} does not match noise schedule T={sched.T}")
     _check_mode(mode, sched.T, rng)
-    steps = np.arange(sched.T, 0, -1)
-    coefficients = zip(*_step_coefficients(sched, steps, mode))
     z = np.asarray(z_T, dtype=np.float64)
-    for t, coefs in zip(steps.tolist(), coefficients):
-        c, w, phase = gs.at(t)
-        eps_c, eps_u = denoiser.predict_pair(z, t, c)
-        z = _apply_step(z, cfg_combine(eps_c, eps_u, w), coefs, mode, rng if t > 1 else None)
-        if on_step is not None:
-            on_step(StepInfo(t=t, phase=phase, condition=c, w=w), z)
+    noise = np.empty(z.shape)
+    for phase, c, w, steps in gs.phases():
+        pair = denoiser.bind_pair(c, z.shape, steps[0])
+        coefficients = zip(*_step_coefficients(sched, np.array(steps), mode))
+        for t, coefs in zip(steps, coefficients):
+            eps_c, eps_u = pair(z, t)
+            z = _apply_step(z, _guide(eps_c, eps_u, w), coefs, mode, rng if t > 1 else None, noise)
+            if on_step is not None:
+                on_step(StepInfo(t=t, phase=phase, condition=c, w=w), z)
     return z
 
 
@@ -337,13 +365,15 @@ class GaussianOracleDenoiser:
 
     def predict(self, z_t: np.ndarray, t: int, c: GaussianCondition | None = None) -> np.ndarray:
         check_step(t, 0, self.sched.T)
-        cond = self.prior if c is None else c
-        ab = self.sched.alpha_bar[t]
-        z_t = np.asarray(z_t, dtype=np.float64)
-        return np.sqrt(1.0 - ab) * (z_t - np.sqrt(ab) * cond.mu) / (ab * cond.sigma2 + 1.0 - ab)
+        return self._eps(np.asarray(z_t, dtype=np.float64), t, self.prior if c is None else c)
 
-    def predict_pair(
-        self, z_t: np.ndarray, t: int, c: GaussianCondition | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(predict(z_t, t, c), predict(z_t, t, None))."""
-        return self.predict(z_t, t, c), self.predict(z_t, t, None)
+    def bind_pair(self, c: GaussianCondition | None, shape: tuple[int, ...], t_max: int) -> PairFn:
+        """fn(z_t, t) = (predict(z_t, t, c), predict(z_t, t, None)) for
+        float64 z_t and steps 0..t_max, checked once here."""
+        check_step(t_max, 0, self.sched.T)
+        cond, prior = self.prior if c is None else c, self.prior
+        return lambda z_t, t: (self._eps(z_t, t, cond), self._eps(z_t, t, prior))
+
+    def _eps(self, z_t: np.ndarray, t: int, cond: GaussianCondition) -> np.ndarray:
+        ab = self.sched.alpha_bar[t]
+        return np.sqrt(1.0 - ab) * (z_t - np.sqrt(ab) * cond.mu) / (ab * cond.sigma2 + 1.0 - ab)

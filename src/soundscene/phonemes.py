@@ -65,7 +65,8 @@ OOV_POLICIES = ("error", "skip", "letter_fallback")
 
 
 class LexiconError(ValueError):
-    """Malformed lexicon line; the message carries the line number."""
+    """Malformed lexicon line; the message carries the line number, after
+    the path when the lexicon was read from one."""
 
 
 class OovWordError(ValueError):
@@ -96,15 +97,20 @@ _VARIANT_RE = re.compile(r"^(.+)\(([0-9]+)\)$")
 
 
 def load_lexicon(source: str | Path | IO[str] | Iterable[str]) -> PhonemeLexicon:
-    """Read a lexicon from a path (UTF-8, a leading byte-order mark
-    skipped), open file, or iterable of lines."""
+    """Read a lexicon from a path (UTF-8, a leading byte-order mark skipped,
+    lines ended by "\\n" alone, errors naming ``path:line``), open file, or
+    iterable of lines."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig") as fh:
-            return _parse_lexicon(fh)
+        with open(source, "r", encoding="utf-8-sig", newline="\n") as fh:
+            return _parse_lexicon(fh, source)
     return _parse_lexicon(source)
 
 
-def _parse_lexicon(lines: Iterable[str]) -> PhonemeLexicon:
+def _where(path: str | Path | None, lineno: int) -> str:
+    return f"line {lineno}" if path is None else f"{path}:{lineno}"
+
+
+def _parse_lexicon(lines: Iterable[str], path: str | Path | None = None) -> PhonemeLexicon:
     entries: dict[str, tuple[str, ...]] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -113,14 +119,14 @@ def _parse_lexicon(lines: Iterable[str]) -> PhonemeLexicon:
         fields = line.split()
         word, phones = fields[0], fields[1:]
         if not phones:
-            raise LexiconError(f"line {lineno}: entry {word!r} has no pronunciation")
+            raise LexiconError(f"{_where(path, lineno)}: entry {word!r} has no pronunciation")
         m = _VARIANT_RE.match(word)
         if m:
             word = m.group(1)
         word = word.upper()
         for p in phones:
             if p not in ARPABET_INVENTORY:
-                raise LexiconError(f"line {lineno}: unknown phoneme {p!r} in {word!r}")
+                raise LexiconError(f"{_where(path, lineno)}: unknown phoneme {p!r} in {word!r}")
         if word not in entries:  # duplicates keep the first pronunciation
             entries[word] = tuple(phones)
     return PhonemeLexicon(entries=entries)
@@ -129,7 +135,7 @@ def _parse_lexicon(lines: Iterable[str]) -> PhonemeLexicon:
 def load_default_lexicon() -> PhonemeLexicon:
     """The lexicon shipped with the package."""
     path = resources.files("soundscene").joinpath("data/lexicon.dict")
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8", newline="\n") as fh:
         return _parse_lexicon(fh)
 
 

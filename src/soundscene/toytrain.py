@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .diffusion import NoiseSchedule, _check_T, _is_int, check_step, forward_noise
+from .diffusion import NoiseSchedule, PairFn, _check_T, _is_int, check_step, forward_noise
 
 __all__ = [
     "GRANULARITIES",
@@ -141,8 +141,10 @@ class ToyDenoiser:
         """Take ``flat``, not copied, as this new instance's parameter vector."""
         self.dim, self.T, self.flat = dim, T, flat
         self.params = _param_views(flat, dim)
-        # _forward's (x, h1, h2) scratch stacks, resized when their (k, n) changes
+        # the (x, h1, h2) scratch stacks of _load_views, resized when their
+        # (k, n) changes, and the binding whose views they hold, if any
         self._work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._views_owner: object = None
 
     @functools.cached_property
     def _times(self) -> np.ndarray:
@@ -178,6 +180,42 @@ class ToyDenoiser:
 
     # ---- forward / backward ----------------------------------------------
 
+    def _load_views(
+        self, views: Sequence[tuple[str, np.ndarray | int]], n: int, binding: object = None
+    ) -> None:
+        """Size this instance's scratch stacks (x, h1, h2) to (k, n, .) for
+        the k condition views in ``views``, (granularity, view_ids) pairs,
+        reallocating them only when (k, n) changes, and write views[i]'s
+        embedding rows into the condition columns of x's slice i.
+        ``binding`` is recorded as the owner of those columns (None: a
+        one-off call), so a binding knows to load its views again after any
+        other call.  Nothing here is checked."""
+        if self._work is None or self._work[0].shape[:2] != (len(views), n):
+            f = self.dim + 2 * _N_FREQ
+            self._work = tuple(np.empty((len(views), n, w)) for w in (f + _EMB, _HIDDEN, _HIDDEN))
+        for x_view, (granularity, view_ids) in zip(self._work[0], views):
+            x_view[:, self.dim + 2 * _N_FREQ :] = self.params["E_" + granularity][view_ids]
+        self._views_owner = binding
+
+    def _layers(self, t: np.ndarray | int, z_t: np.ndarray) -> np.ndarray:
+        """Write z_t and the time features of ``t`` into the x stack, whose
+        condition columns are already loaded, and run the three layers over
+        the stacks: output shape (k, n, dim), always a fresh array.
+        np.matmul runs the same 2-D kernel on each (n, .) slice, so slice i
+        holds the bytes a one-view call under views[i] gives."""
+        x, h1, h2 = self._work
+        d = self.dim
+        x[:, :, :d] = z_t
+        x[:, :, d : d + 2 * _N_FREQ] = self._times[t]
+        p = self.params
+        for h, h_in, W, b in ((h1, x, "W1", "b1"), (h2, h1, "W2", "b2")):
+            np.matmul(h_in, p[W], out=h)
+            h += p[b]
+            np.tanh(h, out=h)
+        out = h2 @ p["W3"]
+        out += p["b3"]
+        return out
+
     def _forward(
         self,
         z_t: np.ndarray,
@@ -189,28 +227,9 @@ class ToyDenoiser:
         (integer steps in 0..T) and each ``view_ids`` (in range for its
         granularity's table) are per-row arrays, or scalars broadcast over
         the rows; none of them, nor a granularity, is checked here.
-        The input and hidden activations are written into this instance's
-        (k, n, .) scratch stacks (x, h1, h2), valid until the next call; the
-        output is always a fresh array.  np.matmul runs the same 2-D kernel
-        on each (n, .) slice, so slice i holds the bytes a one-view call
-        under views[i] gives."""
-        k, n = len(views), z_t.shape[0]
-        d, f = self.dim, self.dim + 2 * _N_FREQ
-        if self._work is None or self._work[0].shape[:2] != (k, n):
-            self._work = tuple(np.empty((k, n, width)) for width in (f + _EMB, _HIDDEN, _HIDDEN))
-        x, h1, h2 = self._work
-        x[:, :, :d] = z_t
-        x[:, :, d:f] = self._times[t]
-        p = self.params
-        for x_view, (granularity, view_ids) in zip(x, views):
-            x_view[:, f:] = p["E_" + granularity][view_ids]
-        for h, h_in, W, b in ((h1, x, "W1", "b1"), (h2, h1, "W2", "b2")):
-            np.matmul(h_in, p[W], out=h)
-            h += p[b]
-            np.tanh(h, out=h)
-        out = h2 @ p["W3"]
-        out += p["b3"]
-        return out
+        The activations stay in the scratch stacks until the next call."""
+        self._load_views(views, z_t.shape[0])
+        return self._layers(t, z_t)
 
     def _loss_and_grads(
         self,
@@ -252,40 +271,57 @@ class ToyDenoiser:
         The activations go to this instance's scratch stacks, so one
         instance must not predict from two threads at once; the result is
         always a fresh array."""
-        return self._predict(z_t, t, (c,))[0]
-
-    def predict_pair(
-        self, z_t: np.ndarray, t: int, c: tuple[str, int] | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(predict(z_t, t, c), predict(z_t, t, None)), byte for byte, from
-        one forward over the two-view stack: the classifier-free guidance
-        branches of one sampling step.  Checks as predict does; the two
-        results share no memory with each other or the scratch stacks."""
-        eps_c, eps_uncond = self._predict(z_t, t, (c, None))
-        return eps_c, eps_uncond
-
-    def _predict(
-        self, z_t: np.ndarray, t: int, conditions: Sequence[tuple[str, int] | None]
-    ) -> np.ndarray:
-        """predict's checks, then one _forward over the conditions' views:
-        shape (k, dim) for one latent, (k, n, dim) for a batch."""
         z = np.asarray(z_t, dtype=np.float64)
-        single = z.ndim == 1
-        z2 = z[None, :] if single else z
-        if z2.ndim != 2 or z2.shape[1] != self.dim:
-            raise ValueError(f"expected latents of dimension {self.dim}, got shape {z.shape}")
+        n = self._rows(z.shape)
         check_step(t, 0, self.T)
-        views = []
-        for c in conditions:
-            granularity, view = ("null", 0) if c is None else c
-            if not _is_int(view):
-                raise ValueError(f"view id {view!r} is not an integer")
-            rows = _N_CONDITIONS // _divisor(granularity)
-            if not 0 <= view < rows:
-                raise ValueError(f"view id outside the {granularity} table of {rows} rows")
-            views.append((granularity, view))
-        out = self._forward(z2, t, views)
-        return out[:, 0] if single else out
+        self._load_views((self._view(c),), n)
+        out = self._layers(t, z)
+        return out[0, 0] if z.ndim == 1 else out[0]
+
+    def bind_pair(
+        self, c: tuple[str, int] | None, shape: tuple[int, ...], t_max: int
+    ) -> PairFn:
+        """fn(z_t, t) = (predict(z_t, t, c), predict(z_t, t, None)), byte for
+        byte, for float64 z_t of ``shape`` and integer steps t in 0..t_max:
+        the classifier-free guidance branches of one sampling phase.
+
+        predict's checks run here, once.  The condition and null embedding
+        rows go into the condition columns of this instance's two-view
+        scratch stacks now, so each call writes only the latent and time
+        columns and runs one forward over both views; after any other
+        forward on this instance the next call loads them again.  The two
+        results share no memory with each other or the scratch stacks."""
+        n = self._rows(tuple(shape))
+        check_step(t_max, 0, self.T)
+        views = (self._view(c), ("null", 0))
+        self._load_views(views, n, binding=views)
+        single = len(shape) == 1
+
+        def pair(z_t: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+            if self._views_owner is not views:
+                self._load_views(views, n, binding=views)
+            out = self._layers(t, z_t)
+            return (out[0, 0], out[1, 0]) if single else (out[0], out[1])
+
+        return pair
+
+    def _rows(self, shape: tuple[int, ...]) -> int:
+        """The row count of latents of this shape, (dim,) counting as one."""
+        if len(shape) not in (1, 2) or shape[-1] != self.dim:
+            raise ValueError(f"expected latents of dimension {self.dim}, got shape {shape}")
+        return 1 if len(shape) == 1 else shape[0]
+
+    @staticmethod
+    def _view(c: tuple[str, int] | None) -> tuple[str, int]:
+        """The (granularity, view id) a condition names, None being the null
+        view; refused unless the id is an integer row of that table."""
+        granularity, view = ("null", 0) if c is None else c
+        if not _is_int(view):
+            raise ValueError(f"view id {view!r} is not an integer")
+        rows = _N_CONDITIONS // _divisor(granularity)
+        if not 0 <= view < rows:
+            raise ValueError(f"view id outside the {granularity} table of {rows} rows")
+        return granularity, view
 
 
 @dataclass(frozen=True)
@@ -472,9 +508,9 @@ def save_checkpoint(denoiser: ToyDenoiser, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> ToyDenoiser:
     """Read a save_checkpoint file.  Raises ValueError naming the path unless
     the header holds just the positive integers dim and T, and the body is
-    exactly the _n_params(dim) float64 values dim implies.  The size is
-    checked before anything is built, so a lying header costs no memory, and
-    the model is built on the body as read, with no random init."""
+    exactly the _n_params(dim) float64 values dim implies, all finite.  The
+    size is checked before anything is built, so a lying header costs no
+    memory, and the model is built on the body as read, with no random init."""
     with open(path, "rb") as fh:
         if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a toy-denoiser checkpoint")
@@ -509,6 +545,9 @@ def load_checkpoint(path: str | Path) -> ToyDenoiser:
             problem = "truncated checkpoint" if have < need else "trailing bytes after parameters"
             raise ValueError(f"{path}: {problem}: {have} parameter bytes, dim {dim} needs {need}")
         flat = np.fromfile(fh, dtype="<f8", count=need // 8)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite parameter {flat[bad[0]]} at index {bad[0]} of {flat.size}")
     denoiser = ToyDenoiser.__new__(ToyDenoiser)
     denoiser._adopt(dim, T, flat)
     return denoiser

@@ -13,7 +13,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from soundscene.diffusion import cfg_combine, forward_noise, reverse_step
+from soundscene.diffusion import StepInfo, cfg_combine, forward_noise, reverse_step
 from soundscene.dsl import EventAnnotation, EventSpec, StructuredPrompt, TimeSpan
 from soundscene.manifest import iter_jsonl, read_tsv, require_str
 from soundscene.sed import _TOL, _WINDOW_SLACK, ClipAnnotations
@@ -87,15 +87,20 @@ def random_prompt(rng: np.random.Generator, max_events: int = 4) -> StructuredPr
     return StructuredPrompt(caption=caption, events=tuple(events))
 
 
-def reference_cfg_loop(denoiser, c, w, sched, z_T, rng=None, mode="ancestral"):
-    """Single-phase classifier-free guidance as its own reverse loop: the
-    reference that sample_progressive must match bit for bit whenever its
-    schedule keeps one condition and weight throughout."""
+def reference_cfg_loop(denoiser, gs, sched, z_T, rng=None, mode="ancestral", on_step=None):
+    """Two-phase classifier-free guidance as its own reverse loop, checked
+    at every step: gs.at(t) picks the condition and weight, two predict
+    calls give the branches, and the public cfg_combine and reverse_step
+    run the update.  The reference that sample_progressive must match bit
+    for bit, ``on_step`` calls included."""
     z = np.asarray(z_T, dtype=np.float64)
     for t in range(sched.T, 0, -1):
+        c, w, phase = gs.at(t)
         eps_c = np.asarray(denoiser.predict(z, t, c), dtype=np.float64)
         eps_u = np.asarray(denoiser.predict(z, t, None), dtype=np.float64)
         z = reverse_step(z, t, cfg_combine(eps_c, eps_u, w), sched, mode=mode, rng=rng)
+        if on_step is not None:
+            on_step(StepInfo(t=t, phase=phase, condition=c, w=w), z)
     return z
 
 

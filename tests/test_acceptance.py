@@ -165,13 +165,14 @@ def test_c06_two_phase_step_accounting(capsys):
         assert all(s.condition is b for s in steps[12:])
 
         collapse = GuidanceSchedule(c1=b, c2=b, w_low=2.5, w_high=2.5, t1=88, T=100)
+        one_phase = GuidanceSchedule(c1=b, c2=b, w_low=2.5, w_high=2.5, t1=0, T=100)
         for seed in range(100):
             z_T = np.random.default_rng(seed).standard_normal(2)
             two = sample_progressive(
                 den, collapse, sched, z_T, rng=np.random.default_rng(1000 + seed)
             )
             one = reference_cfg_loop(
-                den, b, 2.5, sched, z_T, rng=np.random.default_rng(1000 + seed)
+                den, one_phase, sched, z_T, rng=np.random.default_rng(1000 + seed)
             )
             assert np.array_equal(two, one)
 

@@ -13,6 +13,7 @@ from scipy.io import wavfile
 from soundscene import cli
 from soundscene.audio import SAMPLE_RATE, write_wav
 from soundscene.cli import main
+from soundscene.diffusion import GuidanceSchedule
 from soundscene.dsl import EventAnnotation, TimeSpan, parse, serialize, validate
 from soundscene.manifest import read_jsonl
 from soundscene.scene import derive_scene_seed
@@ -163,7 +164,7 @@ class TestTokenize:
         out, err = read_out(capsys)
         assert rc == 1
         assert out == ""
-        assert err == "error: line 2: entry 'BAD' has no pronunciation\n"
+        assert err == f"error: {lexicon}:2: entry 'BAD' has no pronunciation\n"
 
 
 class TestSimulate:
@@ -656,6 +657,21 @@ class TestSample:
         assert (a / "latents.npy").read_bytes() == (b / "latents.npy").read_bytes()
         assert (a / "steps.log").read_bytes() == (b / "steps.log").read_bytes()
 
+    @pytest.mark.parametrize("t1", [0, 88, 100])
+    def test_step_log_bytes_match_per_step_formula(self, run_config, tmp_path, t1):
+        rc = main(["sample", "--config", str(run_config), "--t1", str(t1), "--w-low", "2.5",
+                   "--output-dir", str(tmp_path / "s")])
+        assert rc == 0
+        # the log as first written: one gs.at(t) lookup and one format per step
+        gs = GuidanceSchedule(None, None, 2.5, 9.0, t1=t1, T=100)
+        label = {1: "gauss:mu=0,sigma2=1", 2: "gauss:mu=2,sigma2=0.25"}
+        lines = ["step\tt\tphase\tcondition\tw"]
+        for t in range(100, 0, -1):
+            _, w, phase = gs.at(t)
+            lines.append(f"{100 + 1 - t}\t{t}\t{phase}\t{label[phase]}\t{w:g}")
+        want = ("\n".join(lines) + "\n").encode("utf-8")
+        assert (tmp_path / "s" / "sample" / "steps.log").read_bytes() == want
+
     def test_t1_equal_T_runs_single_phase(self, run_config, tmp_path):
         rc = main(["sample", "--config", str(run_config), "--t1", "100",
                    "--output-dir", str(tmp_path / "sp")])
@@ -725,6 +741,36 @@ class TestSample:
         assert rc == 1
         assert err.startswith("error:") and "--checkpoint needs --denoiser toy_checkpoint" in err
         assert not (tmp_path / "x").exists()
+
+    def test_non_finite_checkpoint_exits_1(self, run_config, tmp_path, capsys):
+        ckpt = tmp_path / "toy.ckpt"
+        save_checkpoint(ToyDenoiser(dim=2, T=100), ckpt)
+        raw = bytearray(ckpt.read_bytes())
+        raw[-8:] = struct.pack("<d", float("nan"))
+        ckpt.write_bytes(bytes(raw))
+        rc = main(["sample", "--config", str(run_config), "--denoiser", "toy_checkpoint",
+                   "--checkpoint", str(ckpt), "--output-dir", str(tmp_path / "x")])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert err.startswith(f"error: {ckpt}: non-finite parameter nan")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_latents_exit_1_before_writing(self, run_config, tmp_path, capsys,
+                                                      monkeypatch, value):
+        sampler = cli.sample_progressive
+
+        def spoiled(*args, **kwargs):
+            z = sampler(*args, **kwargs)
+            z[-1] = value
+            return z
+
+        monkeypatch.setattr(cli, "sample_progressive", spoiled)
+        rc = main(["sample", "--config", str(run_config), "--output-dir", str(tmp_path / "x")])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert "non-finite latents (1 of 2 values); nothing written" in err
+        assert not (tmp_path / "x" / "sample").exists()
 
     def test_lying_checkpoint_header_exits_1(self, run_config, tmp_path, capsys):
         # ~200 bytes whose header claims a 10^12-dimensional model

@@ -34,9 +34,6 @@ class _StubDenoiser:
     def predict(self, z_t, t, c=None):
         return self.fn(z_t, t, c)
 
-    def predict_pair(self, z_t, t, c):
-        return self.fn(z_t, t, c), self.fn(z_t, t, None)
-
 
 def chain_moments(sched, mu, sigma2):
     """Exact (mean, variance) of the scalar ancestral chain output when the
@@ -75,10 +72,10 @@ class TestSchedules:
         assert sched.alpha_bar[-1] > 0
 
     def test_cosine_betas_clipped(self):
-        sched = cosine_schedule(1000)
-        betas = [sched.beta(t) for t in range(1, 1001)]
-        assert max(betas) <= 0.999 + 1e-12
-        assert min(betas) > 0
+        ab = cosine_schedule(1000).alpha_bar
+        betas = 1.0 - ab[1:] / ab[:-1]
+        assert betas.max() <= 0.999 + 1e-12
+        assert betas.min() > 0
 
     # sha256 of cosine_schedule(T).alpha_bar.tobytes(), recorded when the
     # offset s was still a parameter: the sampler's bytes rest on these
@@ -95,10 +92,13 @@ class TestSchedules:
         assert digest == self.COSINE_SHA256[T]
 
     def test_alpha_consistency(self):
+        # a deterministic step with zero predicted noise scales z by
+        # sqrt(alpha_bar[t-1] / alpha_bar[t]) = 1 / sqrt(alpha_t)
         sched = cosine_schedule(20)
         for t in range(1, 21):
+            inv_sqrt_alpha = reverse_step(np.ones(1), t, np.zeros(1), sched, mode="deterministic")[0]
             assert sched.alpha_bar[t] == pytest.approx(
-                sched.alpha_bar[t - 1] * sched.alpha(t), rel=1e-12
+                sched.alpha_bar[t - 1] / inv_sqrt_alpha**2, rel=1e-12
             )
 
     def test_invalid_schedules_raise(self):
@@ -113,25 +113,31 @@ class TestSchedules:
         with pytest.raises(ValueError):
             cosine_schedule(0)
 
+    # a schedule's steps are 1..T: reverse_step, the one public per-step
+    # reader of alpha_bar, holds every step to that
     def test_step_range_checks(self):
         sched = cosine_schedule(10)
-        with pytest.raises(ValueError, match="outside"):
-            sched.beta(0)
-        with pytest.raises(ValueError, match="outside"):
-            sched.alpha(11)
+        for t in (0, 11):
+            for mode in ("ancestral", "deterministic"):
+                with pytest.raises(ValueError, match=f"step {t} outside 1..10"):
+                    reverse_step(np.zeros(2), t, np.zeros(2), sched, mode=mode, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("t", NON_INTEGER_STEPS, ids=repr)
     def test_non_integer_step_refused(self, t):
+        # refused by name before the rng rule, in both modes
         sched = cosine_schedule(10)
-        with pytest.raises(ValueError, match=re.escape(f"step {t!r} outside 1..10: steps are integers")):
-            sched.alpha(t)
-        with pytest.raises(ValueError, match=re.escape(f"step {t!r} outside 1..10")):
-            sched.beta(t)
+        for mode in ("ancestral", "deterministic"):
+            with pytest.raises(ValueError, match=re.escape(f"step {t!r} outside 1..10: steps are integers")):
+                reverse_step(np.zeros(2), t, np.zeros(2), sched, mode=mode)
 
     def test_numpy_integer_step_is_that_step(self):
         sched = cosine_schedule(10)
-        for kind in (np.int64, np.int32, np.uint8):
-            assert sched.alpha(kind(5)) == sched.alpha(5)
+        z, eps = np.array([0.5, -1.0]), np.array([0.2, 0.3])
+        for mode in ("ancestral", "deterministic"):
+            want = reverse_step(z, 5, eps, sched, mode, np.random.default_rng(1))
+            for kind in (np.int64, np.int32, np.uint8):
+                got = reverse_step(z, kind(5), eps, sched, mode, np.random.default_rng(1))
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("make", [cosine_schedule])
     @pytest.mark.parametrize("T", [10.5, 10.0, True, np.float64(4)], ids=repr)
@@ -262,12 +268,14 @@ class TestCfgCombine:
     def test_weight_zero_is_unconditional(self):
         cond = np.array([1.0, 2.0])
         uncond = np.array([3.0, 4.0])
-        assert np.array_equal(cfg_combine(cond, uncond, 0.0), uncond)
+        out = cfg_combine(cond, uncond, 0.0)
+        assert np.array_equal(out, uncond) and not np.shares_memory(out, uncond)
 
     def test_weight_one_is_conditional(self):
         cond = np.array([0.1, 0.2])
         uncond = np.array([5.0, 6.0])
-        assert np.array_equal(cfg_combine(cond, uncond, 1.0), cond)
+        out = cfg_combine(cond, uncond, 1.0)
+        assert np.array_equal(out, cond) and not np.shares_memory(out, cond)
 
     def test_arithmetic_case(self):
         out = cfg_combine(np.array([2.0]), np.array([1.0]), 3.0)
@@ -398,6 +406,13 @@ class TestGuidanceSchedule:
         assert gs.at(89) == ("a", 3.0, 1)
         assert gs.at(88) == ("b", 9.0, 2)
         assert gs.at(1) == ("b", 9.0, 2)
+
+    @pytest.mark.parametrize("t1", [0, 1, 5, 9, 10])
+    def test_phase_walk_agrees_with_at(self, t1):
+        gs = GuidanceSchedule(c1="a", c2="b", w_low=3.0, w_high=9.0, t1=t1, T=10)
+        walk = [(t, (c, w, phase)) for phase, c, w, steps in gs.phases() for t in steps]
+        assert walk == [(t, gs.at(t)) for t in range(10, 0, -1)]
+        assert all(steps for *_, steps in gs.phases())
 
     def test_t1_zero_is_all_first_phase(self):
         gs = GuidanceSchedule("a", "b", 1.0, 2.0, t1=0, T=10)
@@ -564,10 +579,11 @@ class TestSampling:
         cond = GaussianCondition(1.0, 0.5)
         oracle = GaussianOracleDenoiser(prior=cond, sched=sched)
         gs = GuidanceSchedule(c1=cond, c2=cond, w_low=2.5, w_high=2.5, t1=20, T=60)
+        one_phase = GuidanceSchedule(c1=cond, c2=cond, w_low=2.5, w_high=2.5, t1=0, T=60)
         for seed in range(10):
             z_T = np.random.default_rng(seed).standard_normal(3)
             a = sample_progressive(oracle, gs, sched, z_T, rng=np.random.default_rng(1000 + seed))
-            b = reference_cfg_loop(oracle, cond, 2.5, sched, z_T, rng=np.random.default_rng(1000 + seed))
+            b = reference_cfg_loop(oracle, one_phase, sched, z_T, rng=np.random.default_rng(1000 + seed))
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
@@ -582,7 +598,7 @@ class TestSampling:
             oracle, gs, sched, z_T, rng=np.random.default_rng(4), mode=mode,
             on_step=lambda info, z: seen.append(info),
         )
-        b = reference_cfg_loop(oracle, cond, 2.5, sched, z_T, rng=np.random.default_rng(4), mode=mode)
+        b = reference_cfg_loop(oracle, gs, sched, z_T, rng=np.random.default_rng(4), mode=mode)
         assert a.tobytes() == b.tobytes()
         assert [info.t for info in seen] == list(range(40, 0, -1))
         assert all(info.phase == 1 and info.w == 2.5 and info.condition is cond for info in seen)

@@ -84,6 +84,18 @@ class TestLoadLexicon:
         with pytest.raises(LexiconError, match="line 1.*'QQ'"):
             load_lexicon(io.StringIO("FOO  QQ\n"))
 
+    def test_file_lines_end_at_newline_only_and_errors_name_path_line(self, tmp_path):
+        # a lone CR does not end a line: "CAT" is read as a phoneme of line 1
+        path = tmp_path / "lex.dict"
+        path.write_bytes(b"DOG  D AO1 G\rCAT  K AE1 T\nBAD  XX\n")
+        with pytest.raises(LexiconError) as err:
+            load_lexicon(path)
+        assert str(err.value) == f"{path}:1: unknown phoneme 'CAT' in 'DOG'"
+        path.write_bytes(b"DOG  D AO1 G\r\nBAD\r\n")
+        with pytest.raises(LexiconError) as err:
+            load_lexicon(str(path))
+        assert str(err.value) == f"{path}:2: entry 'BAD' has no pronunciation"
+
     def test_default_lexicon_is_well_formed(self):
         assert len(LEX) > 100
         for pron in LEX.entries.values():

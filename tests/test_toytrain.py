@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from fixtures import reference_cfg_loop
-from soundscene.diffusion import GuidanceSchedule, cosine_schedule, sample_progressive
+from soundscene.diffusion import (
+    GaussianCondition,
+    GaussianOracleDenoiser,
+    GuidanceSchedule,
+    cosine_schedule,
+    sample_progressive,
+)
 from soundscene.toytrain import (
     GRANULARITIES,
     CurriculumStage,
@@ -370,8 +376,12 @@ class TestPredictWorkspace:
         dn.predict(z[:2], 6, ("text", 0))
         assert dn._work is not work and dn._work[0].shape[:2] == (1, 2)
         work = dn._work
-        dn.predict_pair(z[:2], 6, ("text", 0))
+        pair = dn.bind_pair(("text", 0), (2, dn.dim), 6)
         assert dn._work is not work and dn._work[0].shape[:2] == (2, 2)
+        work = dn._work
+        for t in (6, 5, 1):
+            pair(z[:2], t)
+            assert dn._work is work
 
     def test_training_and_validation_use_the_scratch_rows(self):
         sched = cosine_schedule(20)
@@ -435,16 +445,22 @@ class TestPredictWorkspace:
 
 
 class TestPredictPair:
+    """The guidance pair of bind_pair(c, shape, t_max): (predict(z, t, c),
+    predict(z, t, None)) from one forward over a two-view stack whose
+    condition columns were filled at bind time."""
+
     def test_bytes_match_two_predict_calls(self):
         dn = _sampling_denoiser()
         rng = np.random.default_rng(12)
         conditions = [None] + [(g, v) for g in GRANULARITIES for v in range(dn.params["E_" + g].shape[0])]
-        # a 1-D latent, then interleaved row counts that resize the scratch stacks
+        # a 1-D latent, then interleaved row counts that resize the scratch
+        # stacks; the predict calls between pair calls displace them too
         for n in (None, 1, 2, 7, 1024, 1, 7, 1024):
             z = rng.standard_normal(dn.dim if n is None else (n, dn.dim))
-            for t in (0, 1, dn.T // 2, dn.T):
-                for c in conditions:
-                    eps_c, eps_uncond = dn.predict_pair(z, t, c)
+            for c in conditions:
+                pair = dn.bind_pair(c, z.shape, dn.T)
+                for t in (dn.T, dn.T // 2, 1, 0):
+                    eps_c, eps_uncond = pair(z, t)
                     assert eps_c.shape == eps_uncond.shape == z.shape
                     assert eps_c.tobytes() == dn.predict(z, t, c).tobytes(), (n, t, c)
                     assert eps_uncond.tobytes() == dn.predict(z, t, None).tobytes(), (n, t, c)
@@ -453,13 +469,15 @@ class TestPredictPair:
     def test_outputs_are_fresh_arrays(self, shape):
         dn = _sampling_denoiser()
         z = np.random.default_rng(13).standard_normal(shape)
-        eps_c, eps_uncond = dn.predict_pair(z, 50, ("full", 3))
+        pair = dn.bind_pair(("full", 3), shape, dn.T)
+        eps_c, eps_uncond = pair(z, 50)
         kept = eps_c.tobytes(), eps_uncond.tobytes()
         assert not np.shares_memory(eps_c, eps_uncond)
         for out in (eps_c, eps_uncond):
             assert not np.shares_memory(out, z)
             assert not any(np.shares_memory(out, w) for w in dn._work)
-        dn.predict_pair(z + 1.0, 60, ("text", 0))
+        pair(z + 1.0, 60)
+        dn.bind_pair(("text", 0), shape, dn.T)(z + 1.0, 60)
         assert (eps_c.tobytes(), eps_uncond.tobytes()) == kept
 
     @pytest.mark.parametrize(
@@ -474,13 +492,53 @@ class TestPredictPair:
         ids=repr,
     )
     def test_bad_input_raises_as_predict_does(self, z_shape, t, c):
+        # a bad condition, shape or highest step is refused at bind time
         dn = _sampling_denoiser()
         z = np.zeros(z_shape)
         with pytest.raises(ValueError) as want:
             dn.predict(z, t, c)
         with pytest.raises(ValueError) as got:
-            dn.predict_pair(z, t, c)
+            dn.bind_pair(c, z_shape, t)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("shape", [(4,), (7, 4)], ids=str)
+    def test_other_forwards_between_calls_change_nothing(self, shape):
+        # predict (one view), a second binding (same two-view stacks, other
+        # rows), another row count and a training step all rewrite the
+        # scratch stacks between two calls of a live binding
+        dn = _sampling_denoiser()
+        rng = np.random.default_rng(16)
+        z = rng.standard_normal(shape)
+        pair = dn.bind_pair(("full", 6), shape, dn.T)
+        want = [b.tobytes() for b in pair(z, 40)]
+        interlopers = [
+            lambda: dn.predict(z, 40, ("text", 0)),
+            lambda: dn.predict(rng.standard_normal((3, 4)), 7, None),
+            lambda: dn.bind_pair(("text", 1), shape, dn.T)(z, 40),
+            lambda: dn.bind_pair(None, (5, 4), dn.T)(rng.standard_normal((5, 4)), 9),
+            lambda: dn._loss_and_grads(
+                rng.standard_normal((7, 4)), np.full(7, 3), rng.standard_normal((7, 4)), "full", np.arange(7)
+            ),
+        ]
+        for interloper in interlopers:
+            interloper()
+            assert [b.tobytes() for b in pair(z, 40)] == want
+
+    def test_binding_allocates_no_second_stack_set(self):
+        dn = _sampling_denoiser()
+        z = np.random.default_rng(17).standard_normal((1024, dn.dim))
+        pair = dn.bind_pair(("text", 1), z.shape, dn.T)
+        pair(z, 50)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            pair(z, 50)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the (2, 1024, 4) output is 64 KB; fresh activations would be ~3.8 MB
+        assert peak < 192 * 1024
 
 
 class TestSamplerMatchesReferenceLoop:
@@ -489,16 +547,43 @@ class TestSamplerMatchesReferenceLoop:
     @pytest.mark.parametrize("w", [0.0, 1.0, 2.5])
     def test_bytes(self, w, mode, shape):
         # the reference runs two predict calls and the public reverse_step
-        # per step; the sampler one predict_pair and per-run coefficients
+        # per step; the sampler one bound pair per phase and per-run coefficients
         dn = _sampling_denoiser()
         sched = cosine_schedule(dn.T)
         c = ("full", 5)
         gs = GuidanceSchedule(c, c, w, w, t1=0, T=dn.T)
         z_T = np.random.default_rng(14).standard_normal(shape)
         got = sample_progressive(dn, gs, sched, z_T, rng=np.random.default_rng(15), mode=mode)
-        want = reference_cfg_loop(dn, c, w, sched, z_T, rng=np.random.default_rng(15), mode=mode)
+        want = reference_cfg_loop(dn, gs, sched, z_T, rng=np.random.default_rng(15), mode=mode)
         assert got.shape == shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["toy", "oracle"])
+    @pytest.mark.parametrize("shape", [(4,), (64, 4)], ids=str)
+    @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
+    @pytest.mark.parametrize("t1", [0, 1, 50, 99, 100])
+    def test_two_phase_bytes_and_steps(self, t1, mode, shape, kind):
+        sched = cosine_schedule(100)
+        if kind == "toy":
+            dn = _sampling_denoiser()
+            c1, c2 = ("text", 1), ("full", 5)
+        else:
+            dn = GaussianOracleDenoiser(GaussianCondition(np.zeros(4), 1.0), sched)
+            c1 = GaussianCondition(np.full(4, 0.5), 2.0)
+            c2 = GaussianCondition(np.array([2.0, -1.0, 0.5, 0.0]), 0.25)
+        gs = GuidanceSchedule(c1, c2, 3.0, 9.0, t1=t1, T=100)
+        z_T = np.random.default_rng(18).standard_normal(shape)
+        seen = {"got": [], "want": []}
+
+        def recorder(key):
+            return lambda info, z: seen[key].append((info.t, info.phase, info.condition, info.w, z.tobytes()))
+
+        got = sample_progressive(dn, gs, sched, z_T, np.random.default_rng(19), mode, recorder("got"))
+        want = reference_cfg_loop(dn, gs, sched, z_T, np.random.default_rng(19), mode, recorder("want"))
+        assert got.tobytes() == want.tobytes()
+        assert len(seen["got"]) == 100
+        for g, w in zip(seen["got"], seen["want"]):
+            assert g[:2] == w[:2] and g[2] is w[2] and g[3:] == w[3:]
 
 
 class TestStageValidation:
@@ -777,6 +862,20 @@ class TestCheckpoint:
         with open(path, "ab") as fh:
             fh.write(b"\x00")
         with pytest.raises(ValueError, match="trailing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=repr)
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_non_finite_parameter_raises_naming_path(self, tmp_path, value, where):
+        dn = _tiny_denoiser()
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(dn, path)
+        raw = bytearray(path.read_bytes())
+        at = len(raw) - 8 * dn.flat.size if where == 0 else len(raw) - 8
+        raw[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        index = 0 if where == 0 else dn.flat.size - 1
+        with pytest.raises(ValueError, match=re.escape(f"{path}: non-finite parameter {value} at index {index}")):
             load_checkpoint(path)
 
     def test_rewritten_file_matches_saved_bytes(self, tmp_path):
