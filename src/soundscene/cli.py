@@ -43,7 +43,7 @@ from soundscene.dsl import (
     serialize,
     validate,
 )
-from soundscene.manifest import encode_events, read_tsv, write_jsonl_atomic
+from soundscene.manifest import encode_events, iter_lines, read_tsv, write_jsonl_atomic
 from soundscene.phonemes import (
     OOV_POLICIES,
     build_vocab,
@@ -120,9 +120,7 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
     # token that tokenization will look up has an id
     corpus_lines = [canonical]
     if args.vocab_corpus:
-        corpus_lines = Path(args.vocab_corpus).read_text(
-            encoding="utf-8-sig"
-        ).splitlines() + corpus_lines
+        corpus_lines = [line for _, line in iter_lines(args.vocab_corpus)] + corpus_lines
     vocab = build_vocab(corpus_lines, lex)
     tp = tokenize_prompt(p, vocab, lex, oov_policy=args.oov_policy)
     if args.ids:

@@ -20,7 +20,6 @@ __all__ = [
     "reverse_step",
     "GuidanceSchedule",
     "SamplerConfig",
-    "StepInfo",
     "sample_progressive",
     "GaussianCondition",
     "GaussianOracleDenoiser",
@@ -257,12 +256,6 @@ class GuidanceSchedule:
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
-    def at(self, t: int) -> tuple[Any, float, int]:
-        """(condition, guidance weight, phase) in effect at step t."""
-        if t > self.t1:
-            return self.c1, self.w_low, 1
-        return self.c2, self.w_high, 2
-
     def phases(self) -> tuple[tuple[int, Any, float, range], ...]:
         """(phase, condition, guidance weight, steps) for each phase a run
         walks, in order, empty ones left out: steps T..t1+1 under
@@ -294,14 +287,6 @@ class SamplerConfig:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class StepInfo:
-    t: int
-    phase: int
-    condition: Any
-    w: float
-
-
 def sample_progressive(
     denoiser: Denoiser,
     gs: GuidanceSchedule,
@@ -309,29 +294,27 @@ def sample_progressive(
     z_T: np.ndarray,
     rng: np.random.Generator | None = None,
     mode: str = "ancestral",
-    on_step: Callable[[StepInfo, np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """Run the full reverse chain from z_T under the two-phase policy.
 
     Each phase binds the denoiser once (``bind_pair``, which makes the
-    checks); every step of it combines the bound pair's conditional and
-    unconditional predictions with the phase's guidance weight.  Ancestral
-    noise is drawn into one buffer reused across steps.  ``on_step`` sees
-    each post-update latent.
+    checks), and drops that binding before the next phase binds; every
+    step combines the bound pair's conditional and unconditional
+    predictions with the phase's guidance weight.  Ancestral noise is
+    drawn into one buffer reused across steps.
     """
     if gs.T != sched.T:
         raise ValueError(f"guidance schedule T={gs.T} does not match noise schedule T={sched.T}")
     _check_mode(mode, sched.T, rng)
     z = np.asarray(z_T, dtype=np.float64)
     noise = np.empty(z.shape)
-    for phase, c, w, steps in gs.phases():
+    for _, c, w, steps in gs.phases():
         pair = denoiser.bind_pair(c, z.shape, steps[0])
         coefficients = zip(*_step_coefficients(sched, np.array(steps), mode))
         for t, coefs in zip(steps, coefficients):
             eps_c, eps_u = pair(z, t)
             z = _apply_step(z, _guide(eps_c, eps_u, w), coefs, mode, rng if t > 1 else None, noise)
-            if on_step is not None:
-                on_step(StepInfo(t=t, phase=phase, condition=c, w=w), z)
+        del pair  # with any stacks it owns, before the next phase binds
     return z
 
 
@@ -365,14 +348,27 @@ class GaussianOracleDenoiser:
 
     def predict(self, z_t: np.ndarray, t: int, c: GaussianCondition | None = None) -> np.ndarray:
         check_step(t, 0, self.sched.T)
-        return self._eps(np.asarray(z_t, dtype=np.float64), t, self.prior if c is None else c)
+        z = np.asarray(z_t, dtype=np.float64)
+        return self._eps(z, t, self._condition(c, z.shape))
 
     def bind_pair(self, c: GaussianCondition | None, shape: tuple[int, ...], t_max: int) -> PairFn:
         """fn(z_t, t) = (predict(z_t, t, c), predict(z_t, t, None)) for
-        float64 z_t and steps 0..t_max, checked once here."""
+        float64 z_t of ``shape`` and steps 0..t_max, checked once here."""
         check_step(t_max, 0, self.sched.T)
-        cond, prior = self.prior if c is None else c, self.prior
+        cond, prior = self._condition(c, tuple(shape)), self._condition(None, tuple(shape))
         return lambda z_t, t: (self._eps(z_t, t, cond), self._eps(z_t, t, prior))
+
+    def _condition(self, c: GaussianCondition | None, shape: tuple[int, ...]) -> GaussianCondition:
+        """c, or the prior for None; refused if broadcasting latents of
+        ``shape`` against its mu would change that shape."""
+        cond = self.prior if c is None else c
+        try:
+            fits = np.broadcast_shapes(shape, cond.mu.shape) == shape
+        except ValueError:  # no common shape at all
+            fits = False
+        if not fits:
+            raise ValueError(f"latent shape {shape} does not fit mu of shape {cond.mu.shape}")
+        return cond
 
     def _eps(self, z_t: np.ndarray, t: int, cond: GaussianCondition) -> np.ndarray:
         ab = self.sched.alpha_bar[t]

@@ -13,6 +13,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 from .dsl import EventAnnotation, _centiseconds
 
 __all__ = [
+    "iter_lines",
     "iter_jsonl",
     "read_jsonl",
     "read_tsv",
@@ -23,23 +24,30 @@ __all__ = [
 ]
 
 
-def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict[str, Any]]]:
-    """Yield (``path:line``, record) for each JSON object line; blank lines
-    are ignored."""
+def iter_lines(path: str | Path) -> Iterator[tuple[str, str]]:
+    """Yield (``path:line``, line) for each line of a UTF-8 text file: a
+    leading byte-order mark is skipped, lines end at "\\n" alone, and one
+    "\\r" before it is dropped.  The line rule of every line format."""
     name = str(path)
     with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{name}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
-            yield where, obj
+            yield f"{name}:{lineno}", line.removesuffix("\n").removesuffix("\r")
+
+
+def iter_jsonl(path: str | Path) -> Iterator[tuple[str, dict[str, Any]]]:
+    """Yield (``path:line``, record) for each JSON object line; blank lines
+    are ignored."""
+    for where, line in iter_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+        yield where, obj
 
 
 def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
@@ -62,20 +70,16 @@ def read_tsv(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[str, di
     """Yield (``path:line``, {column: field}) for each row of a header-less
     tab-separated table; blank lines are ignored and every other row must
     have exactly one field per column."""
-    name = str(path)
-    with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.removesuffix("\n").removesuffix("\r")
-            if not line.strip():
-                continue
-            where = f"{name}:{lineno}"
-            fields = line.split("\t")
-            if len(fields) != len(columns):
-                raise ValueError(
-                    f"{where}: expected {len(columns)} tab-separated fields"
-                    f" ({', '.join(columns)}), got {len(fields)}"
-                )
-            yield where, dict(zip(columns, fields))
+    for where, line in iter_lines(path):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != len(columns):
+            raise ValueError(
+                f"{where}: expected {len(columns)} tab-separated fields"
+                f" ({', '.join(columns)}), got {len(fields)}"
+            )
+        yield where, dict(zip(columns, fields))
 
 
 def encode_events(events: Iterable[EventAnnotation]) -> list[dict[str, Any]]:

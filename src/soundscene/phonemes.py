@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import IO, ClassVar, Iterable
 
 from .dsl import serialize_with_speech_regions
+from .manifest import iter_lines
 
 __all__ = [
     "ARPABET_CONSONANTS",
@@ -97,36 +98,31 @@ _VARIANT_RE = re.compile(r"^(.+)\(([0-9]+)\)$")
 
 
 def load_lexicon(source: str | Path | IO[str] | Iterable[str]) -> PhonemeLexicon:
-    """Read a lexicon from a path (UTF-8, a leading byte-order mark skipped,
-    lines ended by "\\n" alone, errors naming ``path:line``), open file, or
-    iterable of lines."""
+    """Read a lexicon from a path (through manifest.iter_lines, so errors
+    name ``path:line``), open file, or iterable of lines."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="\n") as fh:
-            return _parse_lexicon(fh, source)
-    return _parse_lexicon(source)
+        return _parse_lexicon(iter_lines(source))
+    return _parse_lexicon((f"line {i}", line) for i, line in enumerate(source, start=1))
 
 
-def _where(path: str | Path | None, lineno: int) -> str:
-    return f"line {lineno}" if path is None else f"{path}:{lineno}"
-
-
-def _parse_lexicon(lines: Iterable[str], path: str | Path | None = None) -> PhonemeLexicon:
+def _parse_lexicon(lines: Iterable[tuple[str, str]]) -> PhonemeLexicon:
+    """Entries from (where, line) pairs; errors name ``where``."""
     entries: dict[str, tuple[str, ...]] = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for where, raw in lines:
         line = raw.rstrip("\n")
         if not line.strip() or line.startswith(";;;"):
             continue
         fields = line.split()
         word, phones = fields[0], fields[1:]
         if not phones:
-            raise LexiconError(f"{_where(path, lineno)}: entry {word!r} has no pronunciation")
+            raise LexiconError(f"{where}: entry {word!r} has no pronunciation")
         m = _VARIANT_RE.match(word)
         if m:
             word = m.group(1)
         word = word.upper()
         for p in phones:
             if p not in ARPABET_INVENTORY:
-                raise LexiconError(f"{_where(path, lineno)}: unknown phoneme {p!r} in {word!r}")
+                raise LexiconError(f"{where}: unknown phoneme {p!r} in {word!r}")
         if word not in entries:  # duplicates keep the first pronunciation
             entries[word] = tuple(phones)
     return PhonemeLexicon(entries=entries)
@@ -136,7 +132,7 @@ def load_default_lexicon() -> PhonemeLexicon:
     """The lexicon shipped with the package."""
     path = resources.files("soundscene").joinpath("data/lexicon.dict")
     with path.open("r", encoding="utf-8", newline="\n") as fh:
-        return _parse_lexicon(fh)
+        return load_lexicon(fh)
 
 
 _WORD_EDGE_RE = re.compile(r"^[^A-Za-z0-9]+|[^A-Za-z0-9]+$")

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple, Sequence, overload
 import numpy as np
 
 from .dsl import EventAnnotation, TimeSpan
-from .manifest import _Row, decode_event_rows, iter_jsonl, read_tsv, require_str
+from .manifest import _Row, decode_event_rows, iter_jsonl, iter_lines, read_tsv, require_str
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -339,8 +339,7 @@ def annotations_from_manifest(path: str | Path) -> Sequence[ClipAnnotations]:
     the first non-blank line: JSONL when it starts with ``{``.  The clips
     come in order of first appearance, as a read-only sequence."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
-        first = next((line for line in fh if line.strip()), "")
+    first = next((line for _, line in iter_lines(path) if line.strip()), "")
     return (_read_jsonl if first.lstrip().startswith("{") else _read_tsv)(path)
 
 

@@ -141,10 +141,6 @@ class ToyDenoiser:
         """Take ``flat``, not copied, as this new instance's parameter vector."""
         self.dim, self.T, self.flat = dim, T, flat
         self.params = _param_views(flat, dim)
-        # the (x, h1, h2) scratch stacks of _load_views, resized when their
-        # (k, n) changes, and the binding whose views they hold, if any
-        self._work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._views_owner: object = None
 
     @functools.cached_property
     def _times(self) -> np.ndarray:
@@ -180,30 +176,24 @@ class ToyDenoiser:
 
     # ---- forward / backward ----------------------------------------------
 
-    def _load_views(
-        self, views: Sequence[tuple[str, np.ndarray | int]], n: int, binding: object = None
-    ) -> None:
-        """Size this instance's scratch stacks (x, h1, h2) to (k, n, .) for
-        the k condition views in ``views``, (granularity, view_ids) pairs,
-        reallocating them only when (k, n) changes, and write views[i]'s
-        embedding rows into the condition columns of x's slice i.
-        ``binding`` is recorded as the owner of those columns (None: a
-        one-off call), so a binding knows to load its views again after any
-        other call.  Nothing here is checked."""
-        if self._work is None or self._work[0].shape[:2] != (len(views), n):
-            f = self.dim + 2 * _N_FREQ
-            self._work = tuple(np.empty((len(views), n, w)) for w in (f + _EMB, _HIDDEN, _HIDDEN))
-        for x_view, (granularity, view_ids) in zip(self._work[0], views):
-            x_view[:, self.dim + 2 * _N_FREQ :] = self.params["E_" + granularity][view_ids]
-        self._views_owner = binding
+    def _stacks(self, views: Sequence[tuple[str, np.ndarray | int]], n: int) -> tuple[np.ndarray, ...]:
+        """New (x, h1, h2) stacks of shape (k, n, .) for the k condition
+        views in ``views``, (granularity, view_ids) pairs, views[i]'s
+        embedding rows written into the condition columns of x's slice i.
+        A view_ids is per row or one for all rows; nothing is checked."""
+        f = self.dim + 2 * _N_FREQ
+        stacks = tuple(np.empty((len(views), n, w)) for w in (f + _EMB, _HIDDEN, _HIDDEN))
+        for x_view, (granularity, view_ids) in zip(stacks[0], views):
+            x_view[:, f:] = self.params["E_" + granularity][view_ids]
+        return stacks
 
-    def _layers(self, t: np.ndarray | int, z_t: np.ndarray) -> np.ndarray:
-        """Write z_t and the time features of ``t`` into the x stack, whose
-        condition columns are already loaded, and run the three layers over
-        the stacks: output shape (k, n, dim), always a fresh array.
-        np.matmul runs the same 2-D kernel on each (n, .) slice, so slice i
-        holds the bytes a one-view call under views[i] gives."""
-        x, h1, h2 = self._work
+    def _layers(self, stacks: tuple[np.ndarray, ...], t: np.ndarray | int, z_t: np.ndarray) -> np.ndarray:
+        """Write z_t and the time features of ``t`` (steps in 0..T, per row or
+        one for all rows) into _stacks' x and run the three layers over the
+        stacks: a fresh (k, n, dim) output; the activations stay in the
+        stacks.  np.matmul runs the same 2-D kernel on each (n, .) slice, so
+        slice i holds the bytes a one-view stack of views[i] gives."""
+        x, h1, h2 = stacks
         d = self.dim
         x[:, :, :d] = z_t
         x[:, :, d : d + 2 * _N_FREQ] = self._times[t]
@@ -216,34 +206,15 @@ class ToyDenoiser:
         out += p["b3"]
         return out
 
-    def _forward(
-        self,
-        z_t: np.ndarray,
-        t: np.ndarray | int,
-        views: Sequence[tuple[str, np.ndarray | int]],
-    ) -> np.ndarray:
-        """Output, shape (k, n, dim), for the n rows of z_t under each of the
-        k condition views in ``views``, (granularity, view_ids) pairs.  ``t``
-        (integer steps in 0..T) and each ``view_ids`` (in range for its
-        granularity's table) are per-row arrays, or scalars broadcast over
-        the rows; none of them, nor a granularity, is checked here.
-        The activations stay in the scratch stacks until the next call."""
-        self._load_views(views, z_t.shape[0])
-        return self._layers(t, z_t)
-
     def _loss_and_grads(
-        self,
-        z_t: np.ndarray,
-        t: np.ndarray,
-        eps: np.ndarray,
-        granularity: str,
-        view_ids: np.ndarray,
+        self, z_t: np.ndarray, t: np.ndarray, eps: np.ndarray, granularity: str, view_ids: np.ndarray
     ) -> tuple[float, np.ndarray]:
         """Mean per-item squared L2 objective and its gradient, one vector
         laid out as ``flat`` (untouched embedding tables get zero rows)."""
-        out = self._forward(z_t, t, ((granularity, view_ids),))[0]
-        x, h1, h2 = (w[0] for w in self._work)
         n = z_t.shape[0]
+        stacks = self._stacks(((granularity, view_ids),), n)
+        out = self._layers(stacks, t, z_t)[0]
+        x, h1, h2 = (s[0] for s in stacks)
         diff = out - eps
         loss = float(np.sum(diff * diff)) / n
         g_out = 2.0 * diff / n
@@ -267,40 +238,32 @@ class ToyDenoiser:
         """Predicted noise for one latent (dim,) or a batch (n, dim) at the
         integer step t in 0..T; a condition's view id must be a Python or
         numpy integer (not a bool) naming a row of its granularity's table.
-
-        The activations go to this instance's scratch stacks, so one
-        instance must not predict from two threads at once; the result is
-        always a fresh array."""
+        Each call runs on stacks of its own, so threads may share an
+        instance; the result is always a fresh array."""
         z = np.asarray(z_t, dtype=np.float64)
         n = self._rows(z.shape)
         check_step(t, 0, self.T)
-        self._load_views((self._view(c),), n)
-        out = self._layers(t, z)
+        out = self._layers(self._stacks((self._view(c),), n), t, z)
         return out[0, 0] if z.ndim == 1 else out[0]
 
-    def bind_pair(
-        self, c: tuple[str, int] | None, shape: tuple[int, ...], t_max: int
-    ) -> PairFn:
+    def bind_pair(self, c: tuple[str, int] | None, shape: tuple[int, ...], t_max: int) -> PairFn:
         """fn(z_t, t) = (predict(z_t, t, c), predict(z_t, t, None)), byte for
         byte, for float64 z_t of ``shape`` and integer steps t in 0..t_max:
         the classifier-free guidance branches of one sampling phase.
 
-        predict's checks run here, once.  The condition and null embedding
-        rows go into the condition columns of this instance's two-view
-        scratch stacks now, so each call writes only the latent and time
-        columns and runs one forward over both views; after any other
-        forward on this instance the next call loads them again.  The two
-        results share no memory with each other or the scratch stacks."""
+        predict's checks run here, once, and so does the copy of the
+        condition and null embedding rows into the binding's own two-view
+        stacks; each call writes only the latent and time columns and runs
+        one forward over both views.  Every call rewrites those stacks, so
+        bind once per thread (and again after changing the parameters).
+        The two results share no memory with each other or the stacks."""
         n = self._rows(tuple(shape))
         check_step(t_max, 0, self.T)
-        views = (self._view(c), ("null", 0))
-        self._load_views(views, n, binding=views)
+        stacks = self._stacks((self._view(c), ("null", 0)), n)
         single = len(shape) == 1
 
         def pair(z_t: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-            if self._views_owner is not views:
-                self._load_views(views, n, binding=views)
-            out = self._layers(t, z_t)
+            out = self._layers(stacks, t, z_t)
             return (out[0, 0], out[1, 0]) if single else (out[0], out[1])
 
         return pair
@@ -471,7 +434,9 @@ def validation_loss(
     total = 0.0
     for _ in range(_VALIDATION_REPEATS):
         z_t, t, eps, view_ids = _noised_batch(z0_all, cid_all, granularity, sched, rng)
-        out = 0.0 if denoiser is None else denoiser._forward(z_t, t, ((granularity, view_ids),))[0]
+        out = 0.0
+        if denoiser is not None:
+            out = denoiser._layers(denoiser._stacks(((granularity, view_ids),), len(t)), t, z_t)[0]
         total += float(np.sum((out - eps) ** 2))
     return total / (z0_all.shape[0] * _VALIDATION_REPEATS)
 

@@ -1,5 +1,6 @@
-"""Shared test data, generators for valid prompts, a reference sampler, the
-per-latent diffusion loss, a reference collar-feasibility graph, a
+"""Shared test data, generators for valid prompts, a reference sampler and
+a denoiser wrapper that records how a sampler binds it, the per-latent
+diffusion loss, a reference collar-feasibility graph, a
 reference annotation reader that builds one object per event, and a
 loopback HTTP server that stands in for the planner's chat-completion
 endpoint."""
@@ -13,7 +14,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from soundscene.diffusion import StepInfo, cfg_combine, forward_noise, reverse_step
+from soundscene.diffusion import cfg_combine, forward_noise, reverse_step
 from soundscene.dsl import EventAnnotation, EventSpec, StructuredPrompt, TimeSpan
 from soundscene.manifest import iter_jsonl, read_tsv, require_str
 from soundscene.sed import _TOL, _WINDOW_SLACK, ClipAnnotations
@@ -87,21 +88,53 @@ def random_prompt(rng: np.random.Generator, max_events: int = 4) -> StructuredPr
     return StructuredPrompt(caption=caption, events=tuple(events))
 
 
-def reference_cfg_loop(denoiser, gs, sched, z_T, rng=None, mode="ancestral", on_step=None):
+def reference_cfg_loop(denoiser, gs, sched, z_T, rng=None, mode="ancestral"):
     """Two-phase classifier-free guidance as its own reverse loop, checked
-    at every step: gs.at(t) picks the condition and weight, two predict
-    calls give the branches, and the public cfg_combine and reverse_step
-    run the update.  The reference that sample_progressive must match bit
-    for bit, ``on_step`` calls included."""
+    at every step: steps t > gs.t1 run under (c1, w_low) and the rest under
+    (c2, w_high), two predict calls give the branches, and the public
+    cfg_combine and reverse_step run the update.  The reference that
+    sample_progressive must match bit for bit."""
     z = np.asarray(z_T, dtype=np.float64)
     for t in range(sched.T, 0, -1):
-        c, w, phase = gs.at(t)
+        c, w = (gs.c1, gs.w_low) if t > gs.t1 else (gs.c2, gs.w_high)
         eps_c = np.asarray(denoiser.predict(z, t, c), dtype=np.float64)
         eps_u = np.asarray(denoiser.predict(z, t, None), dtype=np.float64)
         z = reverse_step(z, t, cfg_combine(eps_c, eps_u, w), sched, mode=mode, rng=rng)
-        if on_step is not None:
-            on_step(StepInfo(t=t, phase=phase, condition=c, w=w), z)
     return z
+
+
+class RecordingDenoiser:
+    """Wraps a denoiser and logs, in ``log``, each bind_pair(c, shape, t_max)
+    as ("bind", c, shape, t_max) and each step its bound function sees as
+    ("step", t); predict passes through unlogged."""
+
+    def __init__(self, inner):
+        self.inner, self.log = inner, []
+
+    def predict(self, z_t, t, c=None):
+        return self.inner.predict(z_t, t, c)
+
+    def bind_pair(self, c, shape, t_max):
+        self.log.append(("bind", c, tuple(shape), t_max))
+        pair = self.inner.bind_pair(c, shape, t_max)
+
+        def recorded(z_t, t):
+            self.log.append(("step", t))
+            return pair(z_t, t)
+
+        return recorded
+
+
+def expected_bind_log(gs, shape):
+    """The log RecordingDenoiser holds after one sampler run under ``gs``
+    from latents of ``shape``: one binding per non-empty phase, steps
+    T..t1+1 under c1, then t1..1 under c2."""
+    log = []
+    for c, steps in ((gs.c1, range(gs.T, gs.t1, -1)), (gs.c2, range(gs.t1, 0, -1))):
+        if steps:
+            log.append(("bind", c, tuple(shape), steps[0]))
+            log.extend(("step", t) for t in steps)
+    return log
 
 
 def diffusion_loss(denoiser, z0, c, t, eps, sched):

@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fixtures import PLANNED_PROMPT_SAMPLES, diffusion_loss, random_prompt, reference_cfg_loop
+from fixtures import (
+    PLANNED_PROMPT_SAMPLES,
+    RecordingDenoiser,
+    diffusion_loss,
+    expected_bind_log,
+    random_prompt,
+    reference_cfg_loop,
+)
 from soundscene.audio import SAMPLE_RATE
 from soundscene.cli import main as cli_main
 from soundscene.diffusion import (
@@ -151,18 +158,19 @@ def test_c06_two_phase_step_accounting(capsys):
         den = GaussianOracleDenoiser(prior=a, sched=sched)
 
         gs = GuidanceSchedule(c1=a, c2=b, w_low=3.0, w_high=9.0, t1=88, T=100)
-        steps = []
-        rng = np.random.default_rng(60)
-        sample_progressive(
-            den, gs, sched, rng.standard_normal(2), rng=rng,
-            on_step=lambda info, z: steps.append(info),
-        )
-        phases = [s.phase for s in steps]
-        assert phases == [1] * 12 + [2] * 88
-        assert all(s.w == 3.0 for s in steps[:12])
-        assert all(s.w == 9.0 for s in steps[12:])
-        assert all(s.condition is a for s in steps[:12])
-        assert all(s.condition is b for s in steps[12:])
+        # a prior unlike a and b, so each phase's weight moves the bytes
+        unlike = GaussianOracleDenoiser(prior=GaussianCondition(np.full(2, -1.0), 1.0), sched=sched)
+        recording = RecordingDenoiser(unlike)
+        z_T = np.random.default_rng(60).standard_normal(2)
+        got = sample_progressive(recording, gs, sched, z_T, rng=np.random.default_rng(61))
+        # 12 steps bound under a, then 88 under b
+        log = recording.log
+        assert log == expected_bind_log(gs, (2,))
+        assert log[0] == ("bind", a, (2,), 100) and log[13] == ("bind", b, (2,), 88)
+        assert len(log) == 2 + 100
+        # and w 3 then 9: the reference loop states the phase rule itself
+        want = reference_cfg_loop(unlike, gs, sched, z_T, rng=np.random.default_rng(61))
+        assert got.tobytes() == want.tobytes()
 
         collapse = GuidanceSchedule(c1=b, c2=b, w_low=2.5, w_high=2.5, t1=88, T=100)
         one_phase = GuidanceSchedule(c1=b, c2=b, w_low=2.5, w_high=2.5, t1=0, T=100)

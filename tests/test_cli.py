@@ -13,7 +13,6 @@ from scipy.io import wavfile
 from soundscene import cli
 from soundscene.audio import SAMPLE_RATE, write_wav
 from soundscene.cli import main
-from soundscene.diffusion import GuidanceSchedule
 from soundscene.dsl import EventAnnotation, TimeSpan, parse, serialize, validate
 from soundscene.manifest import read_jsonl
 from soundscene.scene import derive_scene_seed
@@ -145,6 +144,21 @@ class TestTokenize:
         assert main(["tokenize", "--ids", "--vocab-corpus", str(plain), prompt]) == 0
         expected, _ = read_out(capsys)
         assert main(["tokenize", "--ids", "--vocab-corpus", str(bom), prompt]) == 0
+        out, _ = read_out(capsys)
+        assert out == expected
+
+    def test_other_line_breaks_in_the_vocab_corpus_change_no_id(self, tmp_path, capsys):
+        # each str.splitlines boundary besides "\n" and "\r": the corpus
+        # once split at them, and the base tokenizer reads them as spaces
+        breaks = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+        text = "".join(f"thunder rolls{b}wind in{b}{b}the trees {i}\n" for i, b in enumerate(breaks))
+        mixed, split = tmp_path / "mixed.txt", tmp_path / "split.txt"
+        mixed.write_text(text, encoding="utf-8")
+        split.write_text("\n".join(text.splitlines()) + "\n", encoding="utf-8")
+        prompt = 'Thunder in the trees @{wind & <0.5,2>}'
+        assert main(["tokenize", "--ids", "--vocab-corpus", str(split), prompt]) == 0
+        expected, _ = read_out(capsys)
+        assert main(["tokenize", "--ids", "--vocab-corpus", str(mixed), prompt]) == 0
         out, _ = read_out(capsys)
         assert out == expected
 
@@ -662,12 +676,11 @@ class TestSample:
         rc = main(["sample", "--config", str(run_config), "--t1", str(t1), "--w-low", "2.5",
                    "--output-dir", str(tmp_path / "s")])
         assert rc == 0
-        # the log as first written: one gs.at(t) lookup and one format per step
-        gs = GuidanceSchedule(None, None, 2.5, 9.0, t1=t1, T=100)
+        # the log as first written: one phase lookup and one format per step
         label = {1: "gauss:mu=0,sigma2=1", 2: "gauss:mu=2,sigma2=0.25"}
         lines = ["step\tt\tphase\tcondition\tw"]
         for t in range(100, 0, -1):
-            _, w, phase = gs.at(t)
+            phase, w = (1, 2.5) if t > t1 else (2, 9.0)
             lines.append(f"{100 + 1 - t}\t{t}\t{phase}\t{label[phase]}\t{w:g}")
         want = ("\n".join(lines) + "\n").encode("utf-8")
         assert (tmp_path / "s" / "sample" / "steps.log").read_bytes() == want

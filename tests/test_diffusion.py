@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fixtures import diffusion_loss, reference_cfg_loop
+from fixtures import RecordingDenoiser, diffusion_loss, expected_bind_log, reference_cfg_loop
 from soundscene import diffusion as diffusion_mod
 from soundscene.diffusion import (
     GaussianCondition,
@@ -402,25 +402,22 @@ class TestReverseStep:
 class TestGuidanceSchedule:
     def test_phase_boundaries(self):
         gs = GuidanceSchedule(c1="a", c2="b", w_low=3.0, w_high=9.0, t1=88, T=100)
-        assert gs.at(100) == ("a", 3.0, 1)
-        assert gs.at(89) == ("a", 3.0, 1)
-        assert gs.at(88) == ("b", 9.0, 2)
-        assert gs.at(1) == ("b", 9.0, 2)
+        assert gs.phases() == ((1, "a", 3.0, range(100, 88, -1)), (2, "b", 9.0, range(88, 0, -1)))
 
     @pytest.mark.parametrize("t1", [0, 1, 5, 9, 10])
-    def test_phase_walk_agrees_with_at(self, t1):
+    def test_phase_walk_follows_the_threshold(self, t1):
         gs = GuidanceSchedule(c1="a", c2="b", w_low=3.0, w_high=9.0, t1=t1, T=10)
         walk = [(t, (c, w, phase)) for phase, c, w, steps in gs.phases() for t in steps]
-        assert walk == [(t, gs.at(t)) for t in range(10, 0, -1)]
+        assert walk == [(t, ("a", 3.0, 1) if t > t1 else ("b", 9.0, 2)) for t in range(10, 0, -1)]
         assert all(steps for *_, steps in gs.phases())
 
     def test_t1_zero_is_all_first_phase(self):
         gs = GuidanceSchedule("a", "b", 1.0, 2.0, t1=0, T=10)
-        assert all(gs.at(t)[2] == 1 for t in range(1, 11))
+        assert gs.phases() == ((1, "a", 1.0, range(10, 0, -1)),)
 
     def test_t1_equals_T_is_all_second_phase(self):
         gs = GuidanceSchedule("a", "b", 1.0, 2.0, t1=10, T=10)
-        assert all(gs.at(t)[2] == 2 for t in range(1, 11))
+        assert gs.phases() == ((2, "b", 2.0, range(10, 0, -1)),)
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError, match="t1"):
@@ -449,7 +446,7 @@ class TestGuidanceSchedule:
 
     def test_numpy_integer_t1_and_T_accepted(self):
         gs = GuidanceSchedule("a", "b", 1.0, 2.0, t1=np.int64(5), T=np.int32(10))
-        assert gs.at(6) == ("a", 1.0, 1) and gs.at(5) == ("b", 2.0, 2)
+        assert gs.phases() == GuidanceSchedule("a", "b", 1.0, 2.0, t1=5, T=10).phases()
 
     @pytest.mark.parametrize("field, kwargs", [
         ("T", {"T": 10.5, "t1": 2.5, "seed": 1.5}),
@@ -539,6 +536,50 @@ class TestGaussianOracle:
         z = np.array([0.3])
         assert not np.array_equal(oracle.predict(z, 5, other), oracle.predict(z, 5, None))
 
+    # (latent shape, condition mu, prior mu, the refused mu's owner):
+    # broadcasting the latent against that mu would change its shape, or
+    # fails outright
+    BAD_SHAPES = [
+        ((2, 1), np.zeros(2), np.zeros(2), "cond"),
+        ((2, 1), 0.0, np.zeros(2), "prior"),
+        ((2, 1), np.zeros(2), 0.0, "cond"),
+        ((2,), np.zeros(3), 0.0, "cond"),
+        ((), np.zeros(2), np.zeros(2), "cond"),
+        ((5, 1), np.zeros((5, 2)), 0.0, "cond"),
+    ]
+
+    @pytest.mark.parametrize("shape, mu, prior_mu, owner", BAD_SHAPES, ids=[str(i) for i in range(6)])
+    def test_latent_shape_that_broadcasting_would_change_is_refused(self, shape, mu, prior_mu, owner):
+        sched = cosine_schedule(10)
+        cond = GaussianCondition(mu, 1.0)
+        oracle = GaussianOracleDenoiser(GaussianCondition(prior_mu, 1.0), sched)
+        bad = cond if owner == "cond" else oracle.prior
+        message = re.escape(f"latent shape {shape} does not fit mu of shape {bad.mu.shape}")
+        with pytest.raises(ValueError, match=message):
+            oracle.bind_pair(cond, shape, 10)
+        with pytest.raises(ValueError, match=message):
+            oracle.predict(np.zeros(shape), 5, cond if owner == "cond" else None)
+
+    @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
+    def test_sampler_refuses_a_latent_the_condition_would_reshape(self, mode):
+        # a (2, 1) z_T against mu of shape (2,) once came back as a (2, 2)
+        # latent (deterministic) or failed inside numpy (ancestral)
+        sched = cosine_schedule(10)
+        cond = GaussianCondition(np.zeros(2), 1.0)
+        oracle = GaussianOracleDenoiser(cond, sched)
+        gs = GuidanceSchedule(cond, cond, 2.0, 2.0, t1=0, T=10)
+        with pytest.raises(ValueError, match=re.escape("latent shape (2, 1) does not fit mu of shape (2,)")):
+            sample_progressive(oracle, gs, sched, np.zeros((2, 1)), rng=np.random.default_rng(0), mode=mode)
+
+    @pytest.mark.parametrize("shape, mu", [((2,), 0.0), ((2,), np.zeros(2)), ((7, 2), np.zeros(2)),
+                                           ((7, 1), 0.0), ((7, 2), np.zeros((7, 2)))], ids=str)
+    def test_latent_shape_broadcasting_keeps_is_accepted(self, shape, mu):
+        sched = cosine_schedule(10)
+        oracle = GaussianOracleDenoiser(GaussianCondition(mu, 1.0), sched)
+        z = np.ones(shape)
+        eps_c, eps_u = oracle.bind_pair(None, shape, 10)(z, 5)
+        assert eps_c.shape == eps_u.shape == oracle.predict(z, 5).shape == shape
+
     @pytest.mark.parametrize("t", [10, 50, 90])
     def test_beats_scaled_perturbations(self, t):
         sched = cosine_schedule(100)
@@ -560,19 +601,20 @@ class TestGaussianOracle:
 class TestSampling:
     def test_step_accounting_at_operating_point(self):
         sched = cosine_schedule(100)
-        cond = GaussianCondition(0.0, 1.0)
-        oracle = GaussianOracleDenoiser(prior=cond, sched=sched)
+        cond = GaussianCondition(1.0, 0.5)
+        # a condition unlike the prior, so each phase's weight moves the bytes
+        oracle = GaussianOracleDenoiser(prior=GaussianCondition(0.0, 1.0), sched=sched)
         gs = GuidanceSchedule(c1=cond, c2=cond, w_low=3.0, w_high=9.0, t1=88, T=100)
-        seen = []
-        rng = np.random.default_rng(0)
-        sample_progressive(oracle, gs, sched, rng.standard_normal(2), rng=rng, on_step=lambda info, z: seen.append(info))
-        assert [info.t for info in seen] == list(range(100, 0, -1))
-        phases = [info.phase for info in seen]
-        assert phases.count(1) == 12
-        assert phases.count(2) == 88
-        assert phases == [1] * 12 + [2] * 88
-        assert all(info.w == 3.0 for info in seen[:12])
-        assert all(info.w == 9.0 for info in seen[12:])
+        recording = RecordingDenoiser(oracle)
+        z_T = np.random.default_rng(0).standard_normal(2)
+        got = sample_progressive(recording, gs, sched, z_T, rng=np.random.default_rng(1))
+        # one binding per phase: steps 100..89, then 88..1
+        assert recording.log == expected_bind_log(gs, (2,))
+        assert [entry[3] for entry in recording.log if entry[0] == "bind"] == [100, 88]
+        assert sum(entry[0] == "step" for entry in recording.log) == 100
+        # the reference loop states each step's weight (3, then 9) itself
+        want = reference_cfg_loop(oracle, gs, sched, z_T, rng=np.random.default_rng(1))
+        assert got.tobytes() == want.tobytes()
 
     def test_phase_collapse_bit_identity(self):
         sched = cosine_schedule(60)
@@ -593,15 +635,11 @@ class TestSampling:
         oracle = GaussianOracleDenoiser(prior=GaussianCondition(np.zeros(2), 1.0), sched=sched)
         gs = GuidanceSchedule(cond, cond, 2.5, 2.5, t1=0, T=40)
         z_T = np.random.default_rng(3).standard_normal((16, 2))
-        seen = []
-        a = sample_progressive(
-            oracle, gs, sched, z_T, rng=np.random.default_rng(4), mode=mode,
-            on_step=lambda info, z: seen.append(info),
-        )
+        recording = RecordingDenoiser(oracle)
+        a = sample_progressive(recording, gs, sched, z_T, rng=np.random.default_rng(4), mode=mode)
         b = reference_cfg_loop(oracle, gs, sched, z_T, rng=np.random.default_rng(4), mode=mode)
         assert a.tobytes() == b.tobytes()
-        assert [info.t for info in seen] == list(range(40, 0, -1))
-        assert all(info.phase == 1 and info.w == 2.5 and info.condition is cond for info in seen)
+        assert recording.log == [("bind", cond, (16, 2), 40)] + [("step", t) for t in range(40, 0, -1)]
 
     def test_schedule_length_mismatch_raises(self):
         sched = cosine_schedule(50)

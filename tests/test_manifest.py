@@ -4,7 +4,37 @@ import math
 import pytest
 
 from soundscene.dsl import TimeSpan
-from soundscene.manifest import decode_event_rows, read_jsonl, write_jsonl_atomic
+from soundscene.manifest import decode_event_rows, iter_lines, read_jsonl, write_jsonl_atomic
+from soundscene.phonemes import build_vocab, load_default_lexicon
+
+
+# the line boundaries of str.splitlines besides "\n", "\r" and "\r\n"
+OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+class TestIterLines:
+    def test_lines_end_at_newline_alone(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_bytes("\ufeffa\r\nb\rc\r\r\n\nd".encode("utf-8") + OTHER_LINE_BREAKS.encode("utf-8") + b"\n")
+        assert list(iter_lines(p)) == [
+            (f"{p}:1", "a"), (f"{p}:2", "b\rc\r"), (f"{p}:3", ""), (f"{p}:4", "d" + OTHER_LINE_BREAKS),
+        ]
+
+    def test_empty_file_gives_no_lines(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_text("")
+        assert list(iter_lines(str(p))) == []
+
+    def test_other_line_breaks_leave_the_vocabulary_as_splitlines_did(self, tmp_path):
+        # the corpus once went through str.splitlines; the base tokenizer
+        # reads each of its other breaks as whitespace
+        text = "".join(f"dog{i} barks{brk}the dog{brk}{brk}wind\n" for i, brk in enumerate(OTHER_LINE_BREAKS))
+        p = tmp_path / "corpus.txt"
+        p.write_text(text, encoding="utf-8")
+        lines = [line for _, line in iter_lines(p)]
+        assert len(lines) == len(OTHER_LINE_BREAKS) < len(text.splitlines())
+        lex = load_default_lexicon()
+        assert build_vocab(lines, lex) == build_vocab(text.splitlines(), lex)
 
 
 class TestReadJsonl:

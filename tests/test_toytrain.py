@@ -2,12 +2,14 @@ import hashlib
 import json
 import re
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fixtures import reference_cfg_loop
+from fixtures import RecordingDenoiser, expected_bind_log, reference_cfg_loop
 from soundscene.diffusion import (
     GaussianCondition,
     GaussianOracleDenoiser,
@@ -52,7 +54,7 @@ def _sorted_params(dn):
 
 
 def _loss_only(dn, z_t, t, eps, gran, view_ids):
-    out = dn._forward(z_t, t, ((gran, view_ids),))[0]
+    out = dn._layers(dn._stacks(((gran, view_ids),), z_t.shape[0]), t, z_t)[0]
     return float(np.sum((out - eps) ** 2)) / z_t.shape[0]
 
 
@@ -327,7 +329,6 @@ class TestPredictWorkspace:
     def test_bytes_match_reference_forward(self, c):
         dn = _sampling_denoiser()
         rng = np.random.default_rng(7)
-        # interleaved row counts resize the scratch rows between calls
         for n in (1, 1024, 2, 7, 1024, 1, 7):
             z = rng.standard_normal((n, dn.dim))
             for t in (1, dn.T // 2, dn.T):
@@ -361,57 +362,43 @@ class TestPredictWorkspace:
         b = dn.predict(z, 50, None)
         assert a.tobytes() == kept
         assert not np.shares_memory(a, b)
-        assert not any(np.shares_memory(a, w) for w in dn._work)
         single = dn.predict(z[0], 50, ("full", 3))
+        kept = single.tobytes()
         dn.predict(z[1], 50, ("full", 3))
-        assert not any(np.shares_memory(single, w) for w in dn._work)
+        assert single.tobytes() == kept
 
-    def test_scratch_rows_kept_until_row_count_changes(self):
+    def test_predict_from_threads_gives_the_serial_bytes(self):
+        # no instance scratch: concurrent calls on one denoiser, under
+        # different conditions, cannot see each other's activations
         dn = _sampling_denoiser()
-        z = np.zeros((7, dn.dim))
-        dn.predict(z, 5, None)
-        work = dn._work
-        dn.predict(z, 6, ("text", 0))
-        assert dn._work is work
-        dn.predict(z[:2], 6, ("text", 0))
-        assert dn._work is not work and dn._work[0].shape[:2] == (1, 2)
-        work = dn._work
-        pair = dn.bind_pair(("text", 0), (2, dn.dim), 6)
-        assert dn._work is not work and dn._work[0].shape[:2] == (2, 2)
-        work = dn._work
-        for t in (6, 5, 1):
-            pair(z[:2], t)
-            assert dn._work is work
+        rng = np.random.default_rng(10)
+        conditions = [("text", 1), ("full", 6), None, ("text_timing", 2)] * 10
+        jobs = [(rng.standard_normal((1024, dn.dim)), int(t), c)
+                for t, c in zip(rng.integers(0, dn.T + 1, size=len(conditions)), conditions)]
+        want = [dn.predict(z, t, c).tobytes() for z, t, c in jobs]
+        got = [None] * len(jobs)
+        n_threads = 4  # more than the cores of a small runner
+        start = threading.Barrier(n_threads)
 
-    def test_training_and_validation_use_the_scratch_rows(self):
-        sched = cosine_schedule(20)
-        data = make_toy_dataset(40, 4, np.random.default_rng(1))
-        dn = ToyDenoiser(4, 20, rng=np.random.default_rng(5))
-        validation_loss(dn, data, sched, "full", np.random.default_rng(2))
-        assert dn._work[0].shape[:2] == (1, 40)
-        train_toy_denoiser(data, default_curriculum(steps=2, batch_size=9), sched, seed=0, denoiser=dn)
-        work = dn._work
-        assert [w.shape for w in work] == [(1, 9, 4 + 8 + 8), (1, 9, 64), (1, 9, 64)]
-        z = np.random.default_rng(3).standard_normal((9, 4))
-        out = dn._forward(z, 5, (("text", 1),))
-        assert out.shape == (1, 9, 4) and dn._work is work
-        assert not any(np.shares_memory(out, w) for w in dn._work)
-        assert dn.predict(z, 5, ("text", 1)).tobytes() == _reference_predict(dn, z, 5, ("text", 1)).tobytes()
+        def run(first):
+            start.wait()
+            for i in range(first, len(jobs), n_threads):
+                z, t, c = jobs[i]
+                for _ in range(3):
+                    got[i] = dn.predict(z, t, c).tobytes()
 
-    def test_warm_batch_predict_allocates_little(self):
-        dn = _sampling_denoiser()
-        z = np.random.default_rng(10).standard_normal((1024, dn.dim))
-        dn.predict(z, 50, ("text", 1))
-        tracemalloc.start()
+        threads = [threading.Thread(target=run, args=(first,)) for first in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            dn.predict(z, 50, ("text", 1))
-            peak = tracemalloc.get_traced_memory()[1] - base
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
         finally:
-            tracemalloc.stop()
-        # the (1024, 4) result is 32 KB; fresh activations would be ~1.9 MB
-        assert peak < 128 * 1024
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
 
     def test_time_features_are_one_read_only_table(self):
         dn = _sampling_denoiser()
@@ -475,7 +462,7 @@ class TestPredictPair:
         assert not np.shares_memory(eps_c, eps_uncond)
         for out in (eps_c, eps_uncond):
             assert not np.shares_memory(out, z)
-            assert not any(np.shares_memory(out, w) for w in dn._work)
+        # a second call rewrites the binding's stacks
         pair(z + 1.0, 60)
         dn.bind_pair(("text", 0), shape, dn.T)(z + 1.0, 60)
         assert (eps_c.tobytes(), eps_uncond.tobytes()) == kept
@@ -503,9 +490,9 @@ class TestPredictPair:
 
     @pytest.mark.parametrize("shape", [(4,), (7, 4)], ids=str)
     def test_other_forwards_between_calls_change_nothing(self, shape):
-        # predict (one view), a second binding (same two-view stacks, other
-        # rows), another row count and a training step all rewrite the
-        # scratch stacks between two calls of a live binding
+        # predict (one view), a second binding, another row count and a
+        # training step run between two calls of a live binding, which
+        # owns its stacks
         dn = _sampling_denoiser()
         rng = np.random.default_rng(16)
         z = rng.standard_normal(shape)
@@ -573,17 +560,30 @@ class TestSamplerMatchesReferenceLoop:
             c2 = GaussianCondition(np.array([2.0, -1.0, 0.5, 0.0]), 0.25)
         gs = GuidanceSchedule(c1, c2, 3.0, 9.0, t1=t1, T=100)
         z_T = np.random.default_rng(18).standard_normal(shape)
-        seen = {"got": [], "want": []}
-
-        def recorder(key):
-            return lambda info, z: seen[key].append((info.t, info.phase, info.condition, info.w, z.tobytes()))
-
-        got = sample_progressive(dn, gs, sched, z_T, np.random.default_rng(19), mode, recorder("got"))
-        want = reference_cfg_loop(dn, gs, sched, z_T, np.random.default_rng(19), mode, recorder("want"))
+        recording = RecordingDenoiser(dn)
+        got = sample_progressive(recording, gs, sched, z_T, np.random.default_rng(19), mode)
+        want = reference_cfg_loop(dn, gs, sched, z_T, np.random.default_rng(19), mode)
         assert got.tobytes() == want.tobytes()
-        assert len(seen["got"]) == 100
-        for g, w in zip(seen["got"], seen["want"]):
-            assert g[:2] == w[:2] and g[2] is w[2] and g[3:] == w[3:]
+        assert recording.log == expected_bind_log(gs, shape)
+
+    def test_warm_batch_holds_one_binding_at_a_time(self):
+        # each phase's binding owns (2, n, .) stacks; the sampler drops one
+        # before the next phase binds, so two sets never coexist
+        dn = _sampling_denoiser()
+        sched = cosine_schedule(dn.T)
+        gs = GuidanceSchedule(("text", 1), ("full", 5), 3.0, 9.0, t1=88, T=dn.T)
+        z_T = np.random.default_rng(20).standard_normal((1024, dn.dim))
+        sample_progressive(dn, gs, sched, z_T, rng=np.random.default_rng(21))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sample_progressive(dn, gs, sched, z_T, rng=np.random.default_rng(21))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        one_set = 8 * 2 * 1024 * (dn.dim + 8 + 8 + 64 + 64)  # x, h1, h2: 2.4 MB
+        assert one_set < peak < one_set + 512 * 1024
 
 
 class TestStageValidation:
@@ -751,7 +751,7 @@ class TestValidationLoss:
                 total += float(np.sum(eps * eps))
                 continue
             views = np.array([0 if granularity == "null" else dn.view_of(c, granularity) for c in cids])
-            out = dn._forward(z_t, t, ((granularity, views),))[0]
+            out = dn._layers(dn._stacks(((granularity, views),), 40), t, z_t)[0]
             total += float(np.sum((out - eps) ** 2))
         got = validation_loss(dn, data, sched, granularity or "text", np.random.default_rng(4))
         assert got == total / (40 * 8)
