@@ -82,10 +82,12 @@ def _load_config_resolved(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _read_prompt_arg(args: argparse.Namespace) -> str:
+    """The inline prompt, or the whole text of ``--file`` (quoted speech may
+    span lines): its lines by iter_lines' rule, joined by "\\n", stripped."""
     if args.file is not None:
         if args.prompt is not None:
             raise ValueError("give the prompt inline or via --file, not both")
-        return Path(args.file).read_text(encoding="utf-8-sig").strip()
+        return "\n".join(line for _, line in iter_lines(args.file)).strip()
     if args.prompt is None:
         raise ValueError("no prompt given; pass it inline or via --file")
     return args.prompt
@@ -185,6 +187,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                          f"priors.p_single_speaker is {cfg.priors.p_single_speaker}")
     out_dir = Path(cfg.output_dir)
     (out_dir / "audio").mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / "scenes.jsonl"
+    manifest_path.unlink(missing_ok=True)  # a failed run leaves no stale manifest
 
     tasks = [(i, derive_scene_seed(cfg.dataset_seed, i), out_dir) for i in range(args.count)]
     if args.workers == 1 or not tasks:
@@ -197,7 +201,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ) as pool:
             records = list(pool.map(_sim_task, tasks))
 
-    manifest_path = out_dir / "scenes.jsonl"
     write_jsonl_atomic(manifest_path, records)
     print(f"wrote {len(records)} scenes to {manifest_path}")
     return 0

@@ -119,7 +119,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     try:
         raw = yaml.load(text, Loader=_YAML_LOADER)

@@ -27,10 +27,18 @@ __all__ = [
 def iter_lines(path: str | Path) -> Iterator[tuple[str, str]]:
     """Yield (``path:line``, line) for each line of a UTF-8 text file: a
     leading byte-order mark is skipped, lines end at "\\n" alone, and one
-    "\\r" before it is dropped.  The line rule of every line format."""
+    "\\r" before it is dropped.  The line rule of every text input.  A line
+    that is not UTF-8 raises ValueError naming ``path:line`` and the 0-based
+    byte offset in that line."""
     name = str(path)
-    with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
+            except UnicodeDecodeError as exc:
+                # utf-8-sig counts from after the byte-order mark
+                col = exc.start + len(raw) - len(exc.object)
+                raise ValueError(f"{name}:{lineno}: not UTF-8: {exc.reason} at byte {col}") from exc
             yield f"{name}:{lineno}", line.removesuffix("\n").removesuffix("\r")
 
 

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import IO, ClassVar, Iterable
+from typing import ClassVar, Iterable
 
 from .dsl import serialize_with_speech_regions
 from .manifest import iter_lines
@@ -66,8 +66,7 @@ OOV_POLICIES = ("error", "skip", "letter_fallback")
 
 
 class LexiconError(ValueError):
-    """Malformed lexicon line; the message carries the line number, after
-    the path when the lexicon was read from one."""
+    """Malformed lexicon line; the message starts with ``path:line``."""
 
 
 class OovWordError(ValueError):
@@ -97,19 +96,11 @@ class PhonemeLexicon:
 _VARIANT_RE = re.compile(r"^(.+)\(([0-9]+)\)$")
 
 
-def load_lexicon(source: str | Path | IO[str] | Iterable[str]) -> PhonemeLexicon:
-    """Read a lexicon from a path (through manifest.iter_lines, so errors
-    name ``path:line``), open file, or iterable of lines."""
-    if isinstance(source, (str, Path)):
-        return _parse_lexicon(iter_lines(source))
-    return _parse_lexicon((f"line {i}", line) for i, line in enumerate(source, start=1))
-
-
-def _parse_lexicon(lines: Iterable[tuple[str, str]]) -> PhonemeLexicon:
-    """Entries from (where, line) pairs; errors name ``where``."""
+def load_lexicon(path: str | Path) -> PhonemeLexicon:
+    """Read a lexicon file through manifest.iter_lines; errors name
+    ``path:line``."""
     entries: dict[str, tuple[str, ...]] = {}
-    for where, raw in lines:
-        line = raw.rstrip("\n")
+    for where, line in iter_lines(path):
         if not line.strip() or line.startswith(";;;"):
             continue
         fields = line.split()
@@ -130,9 +121,8 @@ def _parse_lexicon(lines: Iterable[tuple[str, str]]) -> PhonemeLexicon:
 
 def load_default_lexicon() -> PhonemeLexicon:
     """The lexicon shipped with the package."""
-    path = resources.files("soundscene").joinpath("data/lexicon.dict")
-    with path.open("r", encoding="utf-8", newline="\n") as fh:
-        return load_lexicon(fh)
+    with resources.as_file(resources.files("soundscene") / "data/lexicon.dict") as path:
+        return load_lexicon(path)
 
 
 _WORD_EDGE_RE = re.compile(r"^[^A-Za-z0-9]+|[^A-Za-z0-9]+$")
@@ -178,11 +168,12 @@ def base_tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class ExtendedVocabulary:
-    """Base word tokens, then every inventory phoneme, then the two
-    speech-boundary markers.  Ids are dense and assigned in that order."""
+    """Base word tokens, then every inventory phoneme (sorted; the same for
+    every vocabulary), then the two speech-boundary markers.  Ids are dense
+    and assigned in that order."""
 
     base_tokens: tuple[str, ...]
-    phoneme_tokens: tuple[str, ...]
+    phoneme_tokens: ClassVar[tuple[str, ...]] = tuple(sorted(ARPABET_INVENTORY))
     boundary_open: ClassVar[str] = "<SPK>"
     boundary_close: ClassVar[str] = "</SPK>"
     _tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
@@ -219,9 +210,7 @@ class ExtendedVocabulary:
         return self._tokens[idx]
 
 
-def build_vocab(
-    corpus: str | IO[str] | Iterable[str], lex: PhonemeLexicon
-) -> ExtendedVocabulary:
+def build_vocab(corpus: str | Iterable[str], lex: PhonemeLexicon) -> ExtendedVocabulary:
     """Base tokens ordered by corpus frequency (ties lexicographic), then
     every ARPAbet phoneme, then the boundary pair.  The phoneme segment does
     not depend on ``lex``: a lexicon holds only ARPABET_INVENTORY phonemes."""
@@ -233,10 +222,7 @@ def build_vocab(
     for line in lines:
         counts.update(base_tokenize(line))
     base = tuple(tok for tok, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
-    return ExtendedVocabulary(
-        base_tokens=base,
-        phoneme_tokens=tuple(sorted(ARPABET_INVENTORY)),
-    )
+    return ExtendedVocabulary(base_tokens=base)
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,25 @@ class TestParseFmt:
         out, _ = read_out(capsys)
         assert out == expected and "\ufeff" not in out
 
+    def test_prompt_file_is_its_whole_text_by_the_line_rule(self, tmp_path, capsys):
+        # lines end at "\n" alone with one "\r" before it dropped, so a lone
+        # "\r" is data; quoted speech may span lines
+        f = tmp_path / "p.txt"
+        f.write_bytes(b'\xef\xbb\xbfRain\r falls @{a man & <0,1> "hello\r\nthere"}\r\n\n')
+        assert main(["fmt", "--file", str(f)]) == 0
+        out, _ = read_out(capsys)
+        assert out == 'Rain\r falls @{a man & <0.00,1.00> "hello\nthere"}\n'
+
+    @pytest.mark.parametrize("command", ["parse", "fmt", "tokenize"])
+    def test_prompt_file_byte_that_is_not_utf8_names_path_and_line(self, tmp_path, capsys,
+                                                                     command):
+        f = tmp_path / "p.txt"
+        f.write_bytes(b"Rain falls\n@{caf\xe9 & <0,1>}\n")
+        rc = main([command, "--file", str(f)])
+        out, err = read_out(capsys)
+        assert rc == 1 and out == ""
+        assert err == f"error: {f}:2: not UTF-8: invalid continuation byte at byte 5\n"
+
     def test_inline_and_file_together_rejected(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
         f.write_text("x @{a & <0,1>}")
@@ -181,6 +200,50 @@ class TestTokenize:
         assert err == f"error: {lexicon}:2: entry 'BAD' has no pronunciation\n"
 
 
+    def test_vocab_corpus_byte_that_is_not_utf8_names_path_and_line(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        lines = [f"wind in the trees {i}" for i in range(1000)]
+        lines[600] = "rain on a caf\xe9 roof"
+        corpus.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+        rc = main(["tokenize", "--vocab-corpus", str(corpus), "Rain @{wind & <0,1>}"])
+        out, err = read_out(capsys)
+        assert rc == 1 and out == ""
+        assert err == f"error: {corpus}:601: not UTF-8: invalid continuation byte at byte 13\n"
+
+    def test_lexicon_byte_that_is_not_utf8_names_path_and_line(self, tmp_path, capsys):
+        lexicon = tmp_path / "lex.dict"
+        lexicon.write_bytes(b"HELLO  HH AH0 L OW1\nCAF\xc9  K AE0 F EY1\n")
+        rc = main(["tokenize", "--lexicon", str(lexicon), 'x @{a man & <0,1> "hello"}'])
+        out, err = read_out(capsys)
+        assert rc == 1 and out == ""
+        assert err == f"error: {lexicon}:2: not UTF-8: invalid continuation byte at byte 3\n"
+
+
+def _unarrangeable_config(tmp_path, out_dir):
+    """A dataset-seed-1 config writing to ``out_dir`` over a pool of 3
+    speakers x 3 five-second utterances: monologues fit the 10 s clip, but
+    no dialogue of 2+ utterances does, and scene 5 is the first dialogue
+    drawn."""
+    pools = tmp_path / "pools"
+    pools.mkdir()
+    rows = []
+    for s in range(3):
+        for u in range(3):
+            write_wav(pools / f"s{s}u{u}.wav",
+                      0.1 * np.sin(np.arange(5 * SAMPLE_RATE) * (0.05 + 0.01 * s)))
+            rows.append({"path": f"s{s}u{u}.wav", "speaker_id": f"spk{s}", "transcript": "hello"})
+    (pools / "speech.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    write_wav(pools / "bed.wav", 0.05 * np.random.default_rng(0).standard_normal(10 * SAMPLE_RATE))
+    (pools / "bg.jsonl").write_text(json.dumps({"path": "bed.wav", "caption": "rain"}) + "\n")
+    cfg = tmp_path / "unarrangeable.yaml"
+    cfg.write_text(
+        f"dataset_seed: 1\nspeech_manifest: {pools / 'speech.jsonl'}\n"
+        f"background_manifest: {pools / 'bg.jsonl'}\noutput_dir: {out_dir}\n",
+        encoding="utf-8",
+    )
+    return cfg
+
+
 class TestSimulate:
     def test_writes_manifest_and_audio(self, run_config, tmp_path, capsys):
         rc = main(["simulate", "--config", str(run_config), "--count", "3"])
@@ -262,6 +325,25 @@ class TestSimulate:
         assert rc == 1
         assert f"error: --workers must be >= 1, got {workers}" in err
         assert not (tmp_path / "out" / "scenes.jsonl").exists()
+
+    def test_failed_rerun_leaves_no_stale_manifest(self, run_config, tmp_path, capsys):
+        # the rerun overwrites scene00000-4 before it fails at scene00005
+        assert main(["simulate", "--config", str(run_config), "--count", "8"]) == 0
+        assert (tmp_path / "out" / "scenes.jsonl").exists()
+        cfg = _unarrangeable_config(tmp_path, tmp_path / "out")
+        rc = main(["simulate", "--config", str(cfg), "--count", "8"])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert "scene00005" in err.splitlines()[-1]
+        assert not (tmp_path / "out" / "scenes.jsonl").exists()
+
+    def test_config_byte_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_bytes(b"dataset_seed: 1\n# caf\xe9\n")
+        rc = main(["simulate", "--config", str(cfg), "--count", "1"])
+        out, err = read_out(capsys)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xe9")
 
     def test_pools_required_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "bare.yaml"
@@ -389,26 +471,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unarrangeable_scene_named_with_its_seed(self, tmp_path, capsys, workers):
-        # 3 speakers x 3 five-second utterances: monologues fit the 10 s
-        # clip, but no dialogue of 2+ utterances does; at dataset seed 1
-        # scene 5 is the first dialogue drawn
-        pools = tmp_path / "pools"
-        pools.mkdir()
-        rows = []
-        for s in range(3):
-            for u in range(3):
-                write_wav(pools / f"s{s}u{u}.wav",
-                          0.1 * np.sin(np.arange(5 * SAMPLE_RATE) * (0.05 + 0.01 * s)))
-                rows.append({"path": f"s{s}u{u}.wav", "speaker_id": f"spk{s}", "transcript": "hello"})
-        (pools / "speech.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
-        write_wav(pools / "bed.wav", 0.05 * np.random.default_rng(0).standard_normal(10 * SAMPLE_RATE))
-        (pools / "bg.jsonl").write_text(json.dumps({"path": "bed.wav", "caption": "rain"}) + "\n")
-        cfg = tmp_path / "run.yaml"
-        cfg.write_text(
-            f"dataset_seed: 1\nspeech_manifest: {pools / 'speech.jsonl'}\n"
-            f"background_manifest: {pools / 'bg.jsonl'}\noutput_dir: {tmp_path / 'out'}\n",
-            encoding="utf-8",
-        )
+        cfg = _unarrangeable_config(tmp_path, tmp_path / "out")
         rc = main(["simulate", "--config", str(cfg), "--count", "20", "--workers", str(workers)])
         _, err = read_out(capsys)
         assert rc == 1
@@ -924,6 +987,20 @@ class TestEvaluate:
         assert rc == 0
         assert "F1 100.0" in out
         assert "Clip-level macro F1 (At): 100.0" in out
+
+    @pytest.mark.parametrize("side", ["truth", "pred"])
+    def test_manifest_byte_that_is_not_utf8_names_path_and_line(self, tmp_path, capsys, side):
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        rows = [json.dumps({"clip_id": f"c{i}", "events": [{"label": "dog", "start": 1.0, "end": 2.0}]})
+                for i in range(1000)]
+        good.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rows[600] = rows[600].replace('"dog"', '"caf\xe9"')
+        bad.write_bytes("\n".join(rows).encode("latin-1") + b"\n")
+        truth, pred = (bad, good) if side == "truth" else (good, bad)
+        rc = main(["evaluate", "--truth", str(truth), "--pred", str(pred)])
+        out, err = read_out(capsys)
+        assert rc == 1 and out == ""
+        assert err == f"error: {bad}:601: not UTF-8: invalid continuation byte at byte 45\n"
 
     def test_partial_match_scores_66_7(self, tmp_path, capsys):
         truth = tmp_path / "truth.tsv"

@@ -231,6 +231,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.yaml")
 
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        p = tmp_path / "run.yaml"
+        p.write_bytes(b"dataset_seed: 1\n# caf\xe9\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(p)
+        assert str(err.value) == (f"cannot read config {p}: 'utf-8' codec can't decode byte 0xe9"
+                                  " in position 21: invalid continuation byte")
+
     def test_invalid_yaml(self, tmp_path):
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(write_yaml(tmp_path, "a: [unclosed"))

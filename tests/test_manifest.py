@@ -1,11 +1,15 @@
 import json
 import math
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from soundscene.dsl import TimeSpan
 from soundscene.manifest import decode_event_rows, iter_lines, read_jsonl, write_jsonl_atomic
-from soundscene.phonemes import build_vocab, load_default_lexicon
+from soundscene.phonemes import build_vocab, load_default_lexicon, load_lexicon
+from soundscene.sed import annotations_from_manifest
 
 
 # the line boundaries of str.splitlines besides "\n", "\r" and "\r\n"
@@ -35,6 +39,43 @@ class TestIterLines:
         assert len(lines) == len(OTHER_LINE_BREAKS) < len(text.splitlines())
         lex = load_default_lexicon()
         assert build_vocab(lines, lex) == build_vocab(text.splitlines(), lex)
+
+
+    # text-mode decoding reads ahead in blocks, so it raised such a byte
+    # at an earlier line, and named no path
+    def test_byte_that_is_not_utf8_is_named_at_its_line(self, tmp_path):
+        p = tmp_path / "m.jsonl"
+        rows = [json.dumps({"clip_id": f"c{i}", "events": []}) for i in range(1000)]
+        rows[600] = '{"clip_id": "caf\xe9", "events": []}'
+        p.write_bytes("\n".join(rows).encode("latin-1") + b"\n")
+        with pytest.raises(ValueError) as err:
+            read_jsonl(p)
+        assert str(err.value) == f"{p}:601: not UTF-8: invalid continuation byte at byte 16"
+
+    def test_byte_that_is_not_utf8_in_an_events_table(self, tmp_path):
+        p = tmp_path / "events.tsv"
+        rows = [f"c{i}\tdog\t0.5\t1.25" for i in range(1000)]
+        rows[600] = "c600\tcaf\xe9\t0.5\t1.25"
+        p.write_bytes("\n".join(rows).encode("latin-1") + b"\n")
+        with pytest.raises(ValueError) as err:
+            annotations_from_manifest(p)
+        assert str(err.value) == f"{p}:601: not UTF-8: invalid continuation byte at byte 8"
+
+    @pytest.mark.parametrize("data, where", [
+        # the offset counts the byte-order mark
+        pytest.param(b"\xef\xbb\xbfab\xff\n", "1: not UTF-8: invalid start byte at byte 5",
+                     id="after-bom"),
+        pytest.param(b"ok\r\nab\xe2\x82", "2: not UTF-8: unexpected end of data at byte 2",
+                     id="truncated-at-eof"),
+        pytest.param(b"ok\n\xed\xa0\x80\n", "2: not UTF-8: invalid continuation byte at byte 0",
+                     id="surrogate"),
+    ])
+    def test_error_names_line_and_byte_offset(self, tmp_path, data, where):
+        p = tmp_path / "t.txt"
+        p.write_bytes(data)
+        with pytest.raises(ValueError) as err:
+            list(iter_lines(p))
+        assert str(err.value) == f"{p}:{where}"
 
 
 class TestReadJsonl:
@@ -117,3 +158,59 @@ class TestDecodeEventRows:
             assert (start, end) == (span.start, span.end)
         assert math.copysign(1.0, decoded[0][1]) == 1.0
         assert all(type(t) is float for _, start, end, _ in decoded for t in (start, end))
+
+
+_SCENES = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in [
+    {"clip_id": "scene00000", "audio": "audio/scene00000.wav", "caption": "Rain on a café roof.",
+     "prompt": 'Rain on a café roof. @{rain & <0.00,10.00>} @{Man speaking & <1.25,3.50> "hello"}',
+     "events": [{"label": "rain", "start": 0.0, "end": 10.0, "transcript": None},
+                {"label": "Man speaking", "start": 1.25, "end": 3.5, "transcript": "hello"}],
+     "scenario": "monologue", "snr_db": 12.5, "seed": 42},
+    {"clip_id": "scene00001", "audio": "audio/scene00001.wav", "caption": "A dog.",
+     "prompt": "A dog. @{dog barking & <2.00,2.75>}",
+     "events": [{"label": "dog barking", "start": 2.0, "end": 2.75, "transcript": None}],
+     "scenario": "monologue", "snr_db": 3.0, "seed": 7},
+]).encode("utf-8")
+_EVENTS = "c0\tdog barking\t0.5\t1.25\nc0\tMan speaking\t2\t3.5\nc1\train\t0\t10\n".encode("utf-8")
+_LEXICON = ";;; a comment\nRED  R EH1 D\nCAFÉ  K AE0 F EY1\nREAD(1)  R EH1 D\n".encode("utf-8")
+
+
+@st.composite
+def _one_byte_edit(draw, data: bytes) -> bytes:
+    """``data`` with one byte flipped, inserted or deleted."""
+    i = draw(st.integers(0, len(data) - 1))
+    edit = draw(st.sampled_from(("flip", "insert", "delete")))
+    if edit == "delete":
+        return data[:i] + data[i + 1:]
+    if edit == "insert":
+        return data[:i] + bytes([draw(st.integers(0, 255))]) + data[i:]
+    return data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1:]
+
+
+class TestOneByteEdits:
+    """Each line-format reader returns a result or raises ValueError naming
+    ``path:line`` for any one-byte edit of a valid file."""
+
+    READERS = [
+        pytest.param("scenes.jsonl", _SCENES, annotations_from_manifest, id="scene-manifest"),
+        pytest.param("events.tsv", _EVENTS, annotations_from_manifest, id="events-tsv"),
+        pytest.param("lex.dict", _LEXICON, load_lexicon, id="lexicon"),
+    ]
+
+    @pytest.mark.parametrize("name, valid, read", READERS)
+    def test_valid_file_reads(self, tmp_path, name, valid, read):
+        path = tmp_path / name
+        path.write_bytes(valid)
+        assert len(read(path)) in (2, 3)
+
+    @pytest.mark.parametrize("name, valid, read", READERS)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_reader_returns_or_names_path_and_line(self, tmp_path, name, valid, read, data):
+        path = tmp_path / name
+        path.write_bytes(data.draw(_one_byte_edit(valid)))
+        try:
+            read(path)
+        except ValueError as exc:
+            assert re.match(rf"{re.escape(str(path))}:[0-9]+: ", str(exc)), str(exc)

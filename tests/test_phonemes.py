@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-import io
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import PLANNED_PROMPT_SAMPLES
+from soundscene import phonemes
 from soundscene.dsl import (
     EventSpec,
     StructuredPrompt,
@@ -48,24 +49,30 @@ class TestInventory:
         assert "AH" not in ARPABET_INVENTORY  # vowels carry stress digits
 
 
+def _lexicon_file(tmp_path, text: str):
+    path = tmp_path / "lex.dict"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 class TestLoadLexicon:
-    def test_basic_parsing(self):
-        lex = load_lexicon(io.StringIO(";;; comment\n\nRED  R EH1 D\nBLUE  B L UW1\n"))
+    def test_basic_parsing(self, tmp_path):
+        lex = load_lexicon(_lexicon_file(tmp_path, ";;; comment\n\nRED  R EH1 D\nBLUE  B L UW1\n"))
         assert lex.lookup("red") == ("R", "EH1", "D")
         assert lex.lookup("BLUE") == ("B", "L", "UW1")
         assert len(lex) == 2
 
-    def test_duplicates_keep_first(self):
-        lex = load_lexicon(io.StringIO("RED  R EH1 D\nRED  R IY1 D\n"))
+    def test_duplicates_keep_first(self, tmp_path):
+        lex = load_lexicon(_lexicon_file(tmp_path, "RED  R EH1 D\nRED  R IY1 D\n"))
         assert lex.lookup("red") == ("R", "EH1", "D")
 
-    def test_variant_suffix_collapses(self):
-        lex = load_lexicon(io.StringIO("READ  R IY1 D\nREAD(1)  R EH1 D\n"))
+    def test_variant_suffix_collapses(self, tmp_path):
+        lex = load_lexicon(_lexicon_file(tmp_path, "READ  R IY1 D\nREAD(1)  R EH1 D\n"))
         assert len(lex) == 1
         assert lex.lookup("read") == ("R", "IY1", "D")
 
-    def test_variant_suffix_is_ascii_digits(self):
-        lex = load_lexicon(io.StringIO("READ  R IY1 D\nREAD(\u0661)  R EH1 D\n"))
+    def test_variant_suffix_is_ascii_digits(self, tmp_path):
+        lex = load_lexicon(_lexicon_file(tmp_path, "READ  R IY1 D\nREAD(\u0661)  R EH1 D\n"))
         assert lex.lookup("read") == ("R", "IY1", "D")
         assert lex.lookup("read(\u0661)") == ("R", "EH1", "D")
 
@@ -76,13 +83,15 @@ class TestLoadLexicon:
         assert sorted(lex.entries) == ["BLUE", "RED"]
         assert lex.lookup("red") == ("R", "EH1", "D")
 
-    def test_missing_pronunciation_reports_line(self):
-        with pytest.raises(LexiconError, match="line 2"):
-            load_lexicon(io.StringIO("RED  R EH1 D\nBAD\n"))
+    def test_missing_pronunciation_reports_line(self, tmp_path):
+        path = _lexicon_file(tmp_path, "RED  R EH1 D\nBAD\n")
+        with pytest.raises(LexiconError, match=f"^{re.escape(str(path))}:2: "):
+            load_lexicon(path)
 
-    def test_unknown_phoneme_reports_line(self):
-        with pytest.raises(LexiconError, match="line 1.*'QQ'"):
-            load_lexicon(io.StringIO("FOO  QQ\n"))
+    def test_unknown_phoneme_reports_line(self, tmp_path):
+        path = _lexicon_file(tmp_path, "FOO  QQ\n")
+        with pytest.raises(LexiconError, match=f"^{re.escape(str(path))}:1: .*'QQ'"):
+            load_lexicon(path)
 
     def test_file_lines_end_at_newline_only_and_errors_name_path_line(self, tmp_path):
         # a lone CR does not end a line: "CAT" is read as a phoneme of line 1
@@ -95,6 +104,22 @@ class TestLoadLexicon:
         with pytest.raises(LexiconError) as err:
             load_lexicon(str(path))
         assert str(err.value) == f"{path}:2: entry 'BAD' has no pronunciation"
+
+    def test_byte_that_is_not_utf8_names_path_and_line(self, tmp_path):
+        lines = [f"WORD{i}  W ER1 D" for i in range(1000)]
+        lines[600] = "CAF\xc9  K AE0 F EY1"
+        path = tmp_path / "lex.dict"
+        path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+        with pytest.raises(ValueError) as err:
+            load_lexicon(path)
+        assert str(err.value) == f"{path}:601: not UTF-8: invalid continuation byte at byte 3"
+
+    def test_default_lexicon_is_read_by_path(self, monkeypatch):
+        # through the one path reader, so its errors name the packaged file
+        paths = []
+        monkeypatch.setattr(phonemes, "load_lexicon", lambda path: paths.append(Path(path)) or LEX)
+        assert phonemes.load_default_lexicon() is LEX
+        assert [p.parts[-3:] for p in paths] == [("soundscene", "data", "lexicon.dict")]
 
     def test_default_lexicon_is_well_formed(self):
         assert len(LEX) > 100
@@ -168,19 +193,26 @@ class TestBuildVocab:
             assert vocab.id_of(vocab.token_of(i)) == i
 
     def test_token_tuple_built_once(self):
-        vocab = ExtendedVocabulary(base_tokens=["b", "a"], phoneme_tokens=("AH0", "K"))
+        vocab = ExtendedVocabulary(base_tokens=("b", "a"))
         tokens = vocab.all_tokens()
-        assert tokens == ("b", "a", "AH0", "K", "<SPK>", "</SPK>")
+        assert tokens == ("b", "a", *sorted(ARPABET_INVENTORY), "<SPK>", "</SPK>")
         assert vocab.all_tokens() is tokens
-        assert len(vocab) == len(tokens)
+        assert len(vocab) == len(tokens) == 73
         assert [vocab.token_of(i) for i in range(len(vocab))] == list(tokens)
         for bad in (-1, len(tokens)):
-            with pytest.raises(ValueError, match=f"token id {bad} out of range 0..5"):
+            with pytest.raises(ValueError, match=f"token id {bad} out of range 0..72"):
                 vocab.token_of(bad)
 
+    def test_phoneme_segment_is_fixed(self):
+        assert ExtendedVocabulary.phoneme_tokens == tuple(sorted(ARPABET_INVENTORY))
+        assert build_vocab("a b", LEX).phoneme_tokens is ExtendedVocabulary.phoneme_tokens
+        with pytest.raises(TypeError):
+            ExtendedVocabulary(base_tokens=("a",), phoneme_tokens=("AH0",))
+
     def test_rejects_cross_segment_duplicates(self):
-        with pytest.raises(ValueError, match="duplicate token"):
-            ExtendedVocabulary(base_tokens=("AH0",), phoneme_tokens=("AH0",))
+        for token in ("AH0", "<SPK>", "</SPK>"):
+            with pytest.raises(ValueError, match=f"duplicate token across vocabulary segments: '{token}'"):
+                ExtendedVocabulary(base_tokens=("a", token))
 
     def test_unknown_token_error(self):
         vocab = build_vocab("a b", LEX)
@@ -326,7 +358,7 @@ def _ref_build_vocab(lines):
     for line in lines:
         counts.update(_ref_base_tokenize(line))
     base = tuple(tok for tok, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
-    return ExtendedVocabulary(base_tokens=base, phoneme_tokens=tuple(sorted(ARPABET_INVENTORY)))
+    return ExtendedVocabulary(base_tokens=base)
 
 
 def _ref_tokenize_prompt(p, vocab, lex, oov_policy="error"):
@@ -415,20 +447,15 @@ class TestOnePassTokenizerParity:
     @given(
         _prompts(),
         st.sampled_from(OOV_POLICIES),
-        st.sampled_from(["own", "other", "few phonemes"]),
+        st.sampled_from(["own", "other"]),
         st.lists(_free_text, max_size=3),
     )
     def test_tokenize_prompt(self, p, oov_policy, vocab_kind, other_corpus):
         text = serialize(p)
         if vocab_kind == "own":
             vocab = build_vocab(text, LEX)
-        elif vocab_kind == "other":  # base tokens go missing
+        else:  # base tokens go missing
             vocab = build_vocab(other_corpus, LEX)
-        else:  # phoneme tokens go missing
-            vocab = ExtendedVocabulary(
-                base_tokens=build_vocab(text, LEX).base_tokens,
-                phoneme_tokens=("AH0", "K", "S", "T"),
-            )
         got = _outcome(tokenize_prompt, p, vocab, LEX, oov_policy)
         assert got == _outcome(_ref_tokenize_prompt, p, vocab, LEX, oov_policy)
         if vocab_kind == "own" and isinstance(got, TokenizedPrompt):
@@ -446,10 +473,3 @@ class TestOnePassTokenizerParity:
         tp = tokenize_prompt(p, vocab, LEX)
         assert [vocab.token_of(i) for i in tp.ids] == ["kelvin", "k", "i\u0307"]
         assert tp.spans_meta == ((0, 7), (7, 9), (9, 10))
-
-    def test_missing_phoneme_message(self):
-        p = _speech_prompt("hello")
-        vocab = ExtendedVocabulary(base_tokens=build_vocab(serialize(p), LEX).base_tokens,
-                                   phoneme_tokens=("AH0",))
-        with pytest.raises(ValueError, match=r"^token not in vocabulary: 'HH'$"):
-            tokenize_prompt(p, vocab, LEX)
