@@ -191,15 +191,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     manifest_path.unlink(missing_ok=True)  # a failed run leaves no stale manifest
 
     tasks = [(i, derive_scene_seed(cfg.dataset_seed, i), out_dir) for i in range(args.count)]
-    if args.workers == 1 or not tasks:
-        _init_sim_worker(*state)
-        records = [_sim_task(task) for task in tasks]
-        _WORKER_STATE.clear()  # the pools die with this call, not at the next load
-    else:
-        with ProcessPoolExecutor(
-            max_workers=args.workers, initializer=_init_sim_worker, initargs=state
-        ) as pool:
-            records = list(pool.map(_sim_task, tasks))
+    try:
+        if args.workers == 1 or not tasks:
+            _init_sim_worker(*state)
+            try:
+                records = [_sim_task(task) for task in tasks]
+            finally:
+                _WORKER_STATE.clear()  # the pools die with this call, not at the next load
+        else:
+            with ProcessPoolExecutor(
+                max_workers=args.workers, initializer=_init_sim_worker, initargs=state
+            ) as pool:
+                records = list(pool.map(_sim_task, tasks))
+    except BaseException:
+        # every worker has stopped: remove each WAV this run may have
+        # replaced, so audio/ never mixes two runs
+        for i in range(args.count):
+            (out_dir / "audio" / f"scene{i:05d}.wav").unlink(missing_ok=True)
+        raise
 
     write_jsonl_atomic(manifest_path, records)
     print(f"wrote {len(records)} scenes to {manifest_path}")
@@ -307,14 +316,28 @@ def cmd_plan(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- sample
 
 
+# the sample flags only one denoiser reads, with their defaults: argparse
+# leaves them None, so cmd_sample can refuse any the chosen denoiser ignores
+_DENOISER_FLAGS: dict[str, dict[str, Any]] = {
+    "toy_checkpoint": {"checkpoint": None, "condition_id": 0},
+    "gaussian_oracle": {"mu": 2.0, "sigma2": 0.25, "dim": 2},
+}
+
+
 def cmd_sample(args: argparse.Namespace) -> int:
     cfg = _load_config_resolved(args)
     sc = dataclasses.replace(cfg.sampler, **_given_fields(args, SamplerConfig))
     sched = cosine_schedule(sc.T)
 
+    for owner, flags in _DENOISER_FLAGS.items():
+        for name, default in flags.items():
+            given = getattr(args, name)
+            if owner != args.denoiser and given is not None:
+                raise ValueError(f"--{name.replace('_', '-')} needs --denoiser {owner}")
+            if given is None:
+                setattr(args, name, default)
+
     if args.denoiser == "gaussian_oracle":
-        if args.checkpoint:
-            raise ValueError("--checkpoint needs --denoiser toy_checkpoint")
         dim = args.dim
         if dim < 1:
             raise ValueError(f"--dim must be >= 1, got {dim}")
@@ -477,16 +500,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="noise predictor to drive (default: gaussian_oracle)",
     )
     sp.add_argument("--checkpoint", help="trained denoiser checkpoint (toy_checkpoint only)")
+    toy, oracle = _DENOISER_FLAGS["toy_checkpoint"], _DENOISER_FLAGS["gaussian_oracle"]
     sp.add_argument(
-        "--condition-id", type=int, default=0,
-        help="full-granularity condition id for toy_checkpoint (default: 0)",
+        "--condition-id", type=int,
+        help=f"full-granularity condition id for toy_checkpoint (default: {toy['condition_id']})",
     )
-    sp.add_argument("--mu", type=float, default=2.0,
-                    help="gaussian_oracle target mean (default: 2.0)")
-    sp.add_argument("--sigma2", type=float, default=0.25,
-                    help="gaussian_oracle target variance (default: 0.25)")
-    sp.add_argument("--dim", type=int, default=2,
-                    help="latent dimension for gaussian_oracle (default: 2)")
+    sp.add_argument("--mu", type=float,
+                    help=f"gaussian_oracle target mean (default: {oracle['mu']})")
+    sp.add_argument("--sigma2", type=float,
+                    help=f"gaussian_oracle target variance (default: {oracle['sigma2']})")
+    sp.add_argument("--dim", type=int,
+                    help=f"latent dimension for gaussian_oracle (default: {oracle['dim']})")
     _add_field_flags(sp, SamplerConfig, "override sampler.{name}")
     sp.add_argument("--output-dir", help="override the config's output_dir")
     sp.set_defaults(func=cmd_sample)

@@ -7,7 +7,7 @@ Steps are integers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol
 
 import numpy as np
 
@@ -16,8 +16,6 @@ __all__ = [
     "NoiseSchedule",
     "cosine_schedule",
     "forward_noise",
-    "cfg_combine",
-    "reverse_step",
     "GuidanceSchedule",
     "SamplerConfig",
     "sample_progressive",
@@ -40,13 +38,13 @@ def _check_T(T: int) -> None:
         raise ValueError(f"T must be an integer >= 1, got {T!r}")
 
 
-def check_step(t: int, lo: int, hi: int) -> None:
+def check_step(t: int, hi: int) -> None:
     """Raise ValueError naming ``t`` unless it is a Python or numpy integer in
-    lo..hi; a float (50.0 included) and a bool are refused."""
+    0..hi; a float (50.0 included) and a bool are refused."""
     if not _is_int(t):
-        raise ValueError(f"step {t!r} outside {lo}..{hi}: steps are integers, not {type(t).__name__}")
-    if not lo <= t <= hi:
-        raise ValueError(f"step {t} outside {lo}..{hi}")
+        raise ValueError(f"step {t!r} outside 0..{hi}: steps are integers, not {type(t).__name__}")
+    if not 0 <= t <= hi:
+        raise ValueError(f"step {t} outside 0..{hi}")
 
 
 def _check_choice(name: str, value: str, choices: Any) -> None:
@@ -58,7 +56,6 @@ def _check_choice(name: str, value: str, choices: Any) -> None:
 PairFn = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]
 
 
-@runtime_checkable
 class Denoiser(Protocol):
     """Anything that predicts the noise in z_t given the step and an optional
     condition (None means unconditional), and binds both guidance branches
@@ -138,8 +135,8 @@ def forward_noise(
 
 
 def _guide(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.ndarray:
-    """cfg_combine's arithmetic, unchecked; at w in {0, 1} it returns that
-    branch itself, not a copy."""
+    """Classifier-free guidance, eps_uncond + w (eps_cond - eps_uncond),
+    unchecked; at w in {0, 1} it returns that branch itself."""
     if w == 0.0:
         return eps_uncond
     if w == 1.0:
@@ -147,21 +144,9 @@ def _guide(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.ndarray
     return eps_uncond + w * (eps_cond - eps_uncond)
 
 
-def cfg_combine(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.ndarray:
-    """eps_uncond + w * (eps_cond - eps_uncond); exact branches at w in {0, 1}.
-    The result is always a fresh array."""
-    eps_cond = np.asarray(eps_cond, dtype=np.float64)
-    eps_uncond = np.asarray(eps_uncond, dtype=np.float64)
-    if eps_cond.shape != eps_uncond.shape:
-        raise ValueError(f"shape mismatch: {eps_cond.shape} vs {eps_uncond.shape}")
-    eps_hat = _guide(eps_cond, eps_uncond, w)
-    return eps_hat.copy() if eps_hat is eps_cond or eps_hat is eps_uncond else eps_hat
-
-
-def _step_coefficients(sched: NoiseSchedule, t: Any, mode: str) -> tuple[Any, ...]:
-    """The scalars of reverse_step's update at step t, or one array of them
-    per scalar over an integer array of steps (elementwise, so each entry
-    holds the bytes the one-step call gives).
+def _step_coefficients(sched: NoiseSchedule, t: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
+    """The scalars of the reverse update, one array of each over the integer
+    array of steps ``t``.
 
     Deterministic: (sqrt(1-ab), sqrt(ab), sqrt(ab_prev), sqrt(1-ab_prev)).
     Ancestral: (beta / sqrt(1-ab), sqrt(alpha), sqrt(posterior variance)),
@@ -181,13 +166,12 @@ def _apply_step(
     coefficients: tuple[Any, ...],
     mode: str,
     rng: np.random.Generator | None,
-    noise: np.ndarray | None = None,
+    noise: np.ndarray,
 ) -> np.ndarray:
     """z_{t-1} from _step_coefficients' scalars for step t, unchecked (z_t
     and eps_hat are float64 arrays of one shape); ``rng`` draws the
-    ancestral noise and is None at t = 1, which adds none.  The draw goes
-    into ``noise`` when given, a float64 buffer of z_t's shape: the same
-    values a fresh draw gives."""
+    ancestral noise into ``noise``, a float64 buffer of z_t's shape, and is
+    None at t = 1, which adds none."""
     if mode == "deterministic":
         noise_scale, signal_scale, signal_scale_prev, noise_scale_prev = coefficients
         z0_hat = (z_t - noise_scale * eps_hat) / signal_scale
@@ -197,38 +181,6 @@ def _apply_step(
     if rng is None:
         return mean
     return mean + sigma * rng.standard_normal(z_t.shape, out=noise)
-
-
-def _check_mode(mode: str, t_max: int, rng: np.random.Generator | None) -> None:
-    """The mode of a run whose highest step is t_max, and its rng: ancestral
-    steps with t > 1 draw noise, so they need one."""
-    _check_choice("mode", mode, REVERSE_MODES)
-    if mode == "ancestral" and t_max > 1 and rng is None:
-        raise ValueError("ancestral steps with t > 1 need an rng")
-
-
-def reverse_step(
-    z_t: np.ndarray,
-    t: int,
-    eps_hat: np.ndarray,
-    sched: NoiseSchedule,
-    mode: str = "ancestral",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """One reverse-process update z_t -> z_{t-1}.
-
-    Ancestral mode uses the epsilon-parameterized posterior mean with
-    variance beta_t (1 - alpha_bar[t-1]) / (1 - alpha_bar[t]) and fresh
-    Gaussian noise, skipped at t = 1.  Deterministic mode re-noises the
-    implied clean latent with the predicted noise itself (no rng needed).
-    """
-    check_step(t, 1, sched.T)
-    _check_mode(mode, t, rng)
-    z_t = np.asarray(z_t, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    if z_t.shape != eps_hat.shape:
-        raise ValueError(f"shape mismatch: z_t {z_t.shape}, eps_hat {eps_hat.shape}")
-    return _apply_step(z_t, eps_hat, _step_coefficients(sched, t, mode), mode, rng if t > 1 else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +257,10 @@ def sample_progressive(
     """
     if gs.T != sched.T:
         raise ValueError(f"guidance schedule T={gs.T} does not match noise schedule T={sched.T}")
-    _check_mode(mode, sched.T, rng)
+    _check_choice("mode", mode, REVERSE_MODES)
+    # ancestral steps with t > 1 draw noise
+    if mode == "ancestral" and sched.T > 1 and rng is None:
+        raise ValueError("ancestral steps with t > 1 need an rng")
     z = np.asarray(z_T, dtype=np.float64)
     noise = np.empty(z.shape)
     for _, c, w, steps in gs.phases():
@@ -347,14 +302,14 @@ class GaussianOracleDenoiser:
         self.sched = sched
 
     def predict(self, z_t: np.ndarray, t: int, c: GaussianCondition | None = None) -> np.ndarray:
-        check_step(t, 0, self.sched.T)
+        check_step(t, self.sched.T)
         z = np.asarray(z_t, dtype=np.float64)
         return self._eps(z, t, self._condition(c, z.shape))
 
     def bind_pair(self, c: GaussianCondition | None, shape: tuple[int, ...], t_max: int) -> PairFn:
         """fn(z_t, t) = (predict(z_t, t, c), predict(z_t, t, None)) for
         float64 z_t of ``shape`` and steps 0..t_max, checked once here."""
-        check_step(t_max, 0, self.sched.T)
+        check_step(t_max, self.sched.T)
         cond, prior = self._condition(c, tuple(shape)), self._condition(None, tuple(shape))
         return lambda z_t, t: (self._eps(z_t, t, cond), self._eps(z_t, t, prior))
 

@@ -242,7 +242,7 @@ class ToyDenoiser:
         instance; the result is always a fresh array."""
         z = np.asarray(z_t, dtype=np.float64)
         n = self._rows(z.shape)
-        check_step(t, 0, self.T)
+        check_step(t, self.T)
         out = self._layers(self._stacks((self._view(c),), n), t, z)
         return out[0, 0] if z.ndim == 1 else out[0]
 
@@ -258,7 +258,7 @@ class ToyDenoiser:
         bind once per thread (and again after changing the parameters).
         The two results share no memory with each other or the stacks."""
         n = self._rows(tuple(shape))
-        check_step(t_max, 0, self.T)
+        check_step(t_max, self.T)
         stacks = self._stacks((self._view(c), ("null", 0)), n)
         single = len(shape) == 1
 

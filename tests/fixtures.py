@@ -1,9 +1,9 @@
-"""Shared test data, generators for valid prompts, a reference sampler and
-a denoiser wrapper that records how a sampler binds it, the per-latent
-diffusion loss, a reference collar-feasibility graph, a
-reference annotation reader that builds one object per event, and a
-loopback HTTP server that stands in for the planner's chat-completion
-endpoint."""
+"""Shared test data, generators for valid prompts, a reference sampler, a
+denoiser wrapper that records how a sampler binds it, a stub denoiser of
+two given branches, the per-latent diffusion loss, a reference
+collar-feasibility graph, a reference annotation reader that builds one
+object per event, and a loopback HTTP server that stands in for the
+planner's chat-completion endpoint."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from soundscene.diffusion import cfg_combine, forward_noise, reverse_step
+from soundscene.diffusion import forward_noise
 from soundscene.dsl import EventAnnotation, EventSpec, StructuredPrompt, TimeSpan
 from soundscene.manifest import iter_jsonl, read_tsv, require_str
 from soundscene.sed import _TOL, _WINDOW_SLACK, ClipAnnotations
@@ -89,17 +89,32 @@ def random_prompt(rng: np.random.Generator, max_events: int = 4) -> StructuredPr
 
 
 def reference_cfg_loop(denoiser, gs, sched, z_T, rng=None, mode="ancestral"):
-    """Two-phase classifier-free guidance as its own reverse loop, checked
-    at every step: steps t > gs.t1 run under (c1, w_low) and the rest under
-    (c2, w_high), two predict calls give the branches, and the public
-    cfg_combine and reverse_step run the update.  The reference that
+    """Two-phase classifier-free guidance written out from the formulas:
+    steps t > gs.t1 run under (c1, w_low) and the rest under (c2, w_high),
+    two predict calls give the branches, and each step is the DDPM
+    ancestral update (Ho et al. 2020) or the DDIM deterministic one (Song
+    et al. 2021), with no code of the sampler's.  The reference that
     sample_progressive must match bit for bit."""
+    ab = sched.alpha_bar
     z = np.asarray(z_T, dtype=np.float64)
     for t in range(sched.T, 0, -1):
         c, w = (gs.c1, gs.w_low) if t > gs.t1 else (gs.c2, gs.w_high)
         eps_c = np.asarray(denoiser.predict(z, t, c), dtype=np.float64)
         eps_u = np.asarray(denoiser.predict(z, t, None), dtype=np.float64)
-        z = reverse_step(z, t, cfg_combine(eps_c, eps_u, w), sched, mode=mode, rng=rng)
+        # guidance: exactly one branch at w = 0 or 1, so the other never counts
+        eps = eps_u if w == 0.0 else eps_c if w == 1.0 else eps_u + w * (eps_c - eps_u)
+        if mode == "deterministic":
+            # re-noise the implied clean latent with the predicted noise
+            z0_hat = (z - np.sqrt(1.0 - ab[t]) * eps) / np.sqrt(ab[t])
+            z = np.sqrt(ab[t - 1]) * z0_hat + np.sqrt(1.0 - ab[t - 1]) * eps
+            continue
+        # the posterior mean, plus sigma times fresh noise except at t = 1
+        alpha = ab[t] / ab[t - 1]
+        beta = 1.0 - alpha
+        z = (z - beta / np.sqrt(1.0 - ab[t]) * eps) / np.sqrt(alpha)
+        if t > 1:
+            sigma = np.sqrt(beta * (1.0 - ab[t - 1]) / (1.0 - ab[t]))
+            z = z + sigma * rng.standard_normal(z.shape)
     return z
 
 
@@ -123,6 +138,26 @@ class RecordingDenoiser:
             return pair(z_t, t)
 
         return recorded
+
+
+class BranchDenoiser:
+    """A stub whose conditional branch is cond(z_t, t) under every condition
+    but None and whose unconditional branch is uncond(z_t, t).  Its bound
+    function keeps, in ``seen``, each step and a copy of the z_t it is
+    given."""
+
+    def __init__(self, cond, uncond):
+        self.cond, self.uncond, self.seen = cond, uncond, []
+
+    def predict(self, z_t, t, c=None):
+        return (self.uncond if c is None else self.cond)(z_t, t)
+
+    def bind_pair(self, c, shape, t_max):
+        def pair(z_t, t):
+            self.seen.append((t, z_t.copy()))
+            return self.predict(z_t, t, c), self.uncond(z_t, t)
+
+        return pair
 
 
 def expected_bind_log(gs, shape):

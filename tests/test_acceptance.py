@@ -16,6 +16,7 @@ from scipy import stats
 
 from fixtures import (
     PLANNED_PROMPT_SAMPLES,
+    BranchDenoiser,
     RecordingDenoiser,
     diffusion_loss,
     expected_bind_log,
@@ -28,7 +29,6 @@ from soundscene.diffusion import (
     GaussianCondition,
     GaussianOracleDenoiser,
     GuidanceSchedule,
-    cfg_combine,
     cosine_schedule,
     sample_progressive,
 )
@@ -141,13 +141,32 @@ def test_c04_mix_snr_and_placement(capsys, speech_pool, background_pool):
 
 def test_c05_guidance_identities(capsys):
     with criterion(capsys, 5, "guidance identities"):
-        rng = np.random.default_rng(50)
-        e_c = rng.standard_normal((4, 3))
-        e_u = rng.standard_normal((4, 3))
-        assert np.array_equal(cfg_combine(e_c, e_u, 0.0), e_u)
-        assert np.array_equal(cfg_combine(e_c, e_u, 1.0), e_c)
-        combined = cfg_combine(np.array(2.0), np.array(1.0), 3.0)
-        assert float(combined) == 4.0
+        def const(v):
+            return lambda z, t: np.full(z.shape, v)
+
+        def lin(a, b):
+            return lambda z, t: a * z + b
+
+        z_T = np.random.default_rng(50).standard_normal((4, 3))
+
+        def run(cond, uncond, w, T, mode):
+            gs = GuidanceSchedule("c", "c", w, w, t1=0, T=T)
+            den = BranchDenoiser(cond, uncond)
+            return sample_progressive(den, gs, cosine_schedule(T), z_T, np.random.default_rng(51), mode)
+
+        for mode in ("ancestral", "deterministic"):
+            # w = 0 runs the unconditional chain alone, w = 1 the conditional
+            at_0 = run(const(np.nan), lin(0.3, 0.1), 0.0, 50, mode)
+            assert np.all(np.isfinite(at_0))
+            assert at_0.tobytes() == run(lin(0.3, 0.1), lin(0.3, 0.1), 0.0, 50, mode).tobytes()
+            at_1 = run(lin(0.5, -0.2), const(np.nan), 1.0, 50, mode)
+            assert np.all(np.isfinite(at_1))
+            assert at_1.tobytes() == run(lin(0.5, -0.2), lin(0.5, -0.2), 1.0, 50, mode).tobytes()
+            # eps_u + w (eps_c - eps_u) = 1 + 3 (2 - 1): a T = 1 step with eps = 4
+            guided = run(const(2.0), const(1.0), 3.0, 1, mode)
+            assert guided.tobytes() == run(const(4.0), const(4.0), 1.0, 1, mode).tobytes()
+            ab = cosine_schedule(1).alpha_bar[1]
+            np.testing.assert_allclose(guided, (z_T - np.sqrt(1.0 - ab) * 4.0) / np.sqrt(ab), rtol=1e-12)
 
 
 def test_c06_two_phase_step_accounting(capsys):

@@ -326,16 +326,21 @@ class TestSimulate:
         assert f"error: --workers must be >= 1, got {workers}" in err
         assert not (tmp_path / "out" / "scenes.jsonl").exists()
 
-    def test_failed_rerun_leaves_no_stale_manifest(self, run_config, tmp_path, capsys):
-        # the rerun overwrites scene00000-4 before it fails at scene00005
-        assert main(["simulate", "--config", str(run_config), "--count", "8"]) == 0
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_rerun_leaves_no_stale_manifest(self, run_config, tmp_path, capsys, workers):
+        # the rerun overwrites scenes before it fails at scene00005; it then
+        # removes every WAV it may have replaced, and only those
+        assert main(["simulate", "--config", str(run_config), "--count", "10"]) == 0
+        audio = tmp_path / "out" / "audio"
+        (audio / "notes.txt").write_text("kept")
         assert (tmp_path / "out" / "scenes.jsonl").exists()
         cfg = _unarrangeable_config(tmp_path, tmp_path / "out")
-        rc = main(["simulate", "--config", str(cfg), "--count", "8"])
+        rc = main(["simulate", "--config", str(cfg), "--count", "8", "--workers", str(workers)])
         _, err = read_out(capsys)
         assert rc == 1
         assert "scene00005" in err.splitlines()[-1]
         assert not (tmp_path / "out" / "scenes.jsonl").exists()
+        assert sorted(p.name for p in audio.iterdir()) == ["notes.txt", "scene00008.wav", "scene00009.wav"]
 
     def test_config_byte_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
@@ -817,6 +822,35 @@ class TestSample:
         assert rc == 1
         assert err.startswith("error:") and "--checkpoint needs --denoiser toy_checkpoint" in err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("denoiser, flag, needs", [
+        ("gaussian_oracle", "--condition-id=99", "toy_checkpoint"),
+        ("gaussian_oracle", "--condition-id=0", "toy_checkpoint"),
+        ("toy_checkpoint", "--mu=2.0", "gaussian_oracle"),
+        ("toy_checkpoint", "--sigma2=0.25", "gaussian_oracle"),
+        ("toy_checkpoint", "--dim=2", "gaussian_oracle"),
+    ])
+    def test_flag_the_denoiser_ignores_is_refused(self, run_config, tmp_path, capsys,
+                                                  denoiser, flag, needs):
+        # even at its default value: the flag would do nothing
+        ckpt = tmp_path / "toy.ckpt"
+        save_checkpoint(ToyDenoiser(dim=2, T=100), ckpt)
+        argv = ["sample", "--config", str(run_config), "--denoiser", denoiser, flag,
+                "--output-dir", str(tmp_path / "x")]
+        if denoiser == "toy_checkpoint":
+            argv += ["--checkpoint", str(ckpt)]
+        rc = main(argv)
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert err == f"error: {flag.split('=')[0]} needs --denoiser {needs}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_checkpoint_is_refused_before_other_toy_flags(self, run_config, tmp_path, capsys):
+        rc = main(["sample", "--config", str(run_config), "--condition-id", "3",
+                   "--checkpoint", str(tmp_path / "toy.ckpt"), "--mu", "1"])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert err == "error: --checkpoint needs --denoiser toy_checkpoint\n"
 
     def test_non_finite_checkpoint_exits_1(self, run_config, tmp_path, capsys):
         ckpt = tmp_path / "toy.ckpt"

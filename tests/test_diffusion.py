@@ -5,18 +5,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fixtures import RecordingDenoiser, diffusion_loss, expected_bind_log, reference_cfg_loop
-from soundscene import diffusion as diffusion_mod
+from fixtures import BranchDenoiser, RecordingDenoiser, diffusion_loss, expected_bind_log, reference_cfg_loop
 from soundscene.diffusion import (
     GaussianCondition,
     GaussianOracleDenoiser,
     GuidanceSchedule,
     NoiseSchedule,
     SamplerConfig,
-    cfg_combine,
     cosine_schedule,
     forward_noise,
-    reverse_step,
     sample_progressive,
 )
 
@@ -33,6 +30,11 @@ class _StubDenoiser:
 
     def predict(self, z_t, t, c=None):
         return self.fn(z_t, t, c)
+
+
+def zero_branches():
+    """A BranchDenoiser predicting no noise in either branch."""
+    return BranchDenoiser(*[lambda z, t: np.zeros(z.shape)] * 2)
 
 
 def chain_moments(sched, mu, sigma2):
@@ -95,8 +97,12 @@ class TestSchedules:
         # a deterministic step with zero predicted noise scales z by
         # sqrt(alpha_bar[t-1] / alpha_bar[t]) = 1 / sqrt(alpha_t)
         sched = cosine_schedule(20)
-        for t in range(1, 21):
-            inv_sqrt_alpha = reverse_step(np.ones(1), t, np.zeros(1), sched, mode="deterministic")[0]
+        zero = zero_branches()
+        gs = GuidanceSchedule(None, None, 1.0, 1.0, t1=0, T=20)
+        z_0 = sample_progressive(zero, gs, sched, np.ones(1), mode="deterministic")
+        chain = [z for _, z in zero.seen] + [z_0]
+        for (t, z_t), z_prev in zip(zero.seen, chain[1:]):
+            inv_sqrt_alpha = z_prev[0] / z_t[0]
             assert sched.alpha_bar[t] == pytest.approx(
                 sched.alpha_bar[t - 1] / inv_sqrt_alpha**2, rel=1e-12
             )
@@ -113,32 +119,6 @@ class TestSchedules:
         with pytest.raises(ValueError):
             cosine_schedule(0)
 
-    # a schedule's steps are 1..T: reverse_step, the one public per-step
-    # reader of alpha_bar, holds every step to that
-    def test_step_range_checks(self):
-        sched = cosine_schedule(10)
-        for t in (0, 11):
-            for mode in ("ancestral", "deterministic"):
-                with pytest.raises(ValueError, match=f"step {t} outside 1..10"):
-                    reverse_step(np.zeros(2), t, np.zeros(2), sched, mode=mode, rng=np.random.default_rng(0))
-
-    @pytest.mark.parametrize("t", NON_INTEGER_STEPS, ids=repr)
-    def test_non_integer_step_refused(self, t):
-        # refused by name before the rng rule, in both modes
-        sched = cosine_schedule(10)
-        for mode in ("ancestral", "deterministic"):
-            with pytest.raises(ValueError, match=re.escape(f"step {t!r} outside 1..10: steps are integers")):
-                reverse_step(np.zeros(2), t, np.zeros(2), sched, mode=mode)
-
-    def test_numpy_integer_step_is_that_step(self):
-        sched = cosine_schedule(10)
-        z, eps = np.array([0.5, -1.0]), np.array([0.2, 0.3])
-        for mode in ("ancestral", "deterministic"):
-            want = reverse_step(z, 5, eps, sched, mode, np.random.default_rng(1))
-            for kind in (np.int64, np.int32, np.uint8):
-                got = reverse_step(z, kind(5), eps, sched, mode, np.random.default_rng(1))
-                assert got.tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("make", [cosine_schedule])
     @pytest.mark.parametrize("T", [10.5, 10.0, True, np.float64(4)], ids=repr)
     def test_non_integer_length_refused(self, make, T):
@@ -147,6 +127,30 @@ class TestSchedules:
 
     def test_numpy_integer_length_accepted(self):
         assert cosine_schedule(np.int64(10)).alpha_bar.tobytes() == cosine_schedule(10).alpha_bar.tobytes()
+
+    # a schedule's steps are 0..T: forward_noise, the public per-step reader
+    # of alpha_bar, holds every scalar step to that
+    def test_step_range_checks(self):
+        sched = cosine_schedule(10)
+        z = np.ones(2)
+        assert np.array_equal(forward_noise(z, 0, z, sched), z)
+        for t in (-1, 11):
+            with pytest.raises(ValueError, match=re.escape(f"step {t} outside 0..10")):
+                forward_noise(z, t, z, sched)
+
+    @pytest.mark.parametrize("t", NON_INTEGER_STEPS, ids=repr)
+    def test_non_integer_step_refused(self, t):
+        # a whole float and a bool too: neither indexes alpha_bar as a step
+        sched = cosine_schedule(10)
+        with pytest.raises(ValueError, match="steps must be integers, got "):
+            forward_noise(np.zeros(2), t, np.zeros(2), sched)
+
+    def test_numpy_integer_step_is_that_step(self):
+        sched = cosine_schedule(10)
+        z0, eps = np.array([0.5, -1.0]), np.array([0.2, 0.3])
+        want = forward_noise(z0, 5, eps, sched)
+        for kind in (np.int64, np.int32, np.uint8):
+            assert forward_noise(z0, kind(5), eps, sched).tobytes() == want.tobytes()
 
 
 class TestForwardNoise:
@@ -264,141 +268,6 @@ class TestDiffusionLoss:
             diffusion_loss(denoiser, np.zeros(3), None, 2, np.zeros(3), sched)
 
 
-class TestCfgCombine:
-    def test_weight_zero_is_unconditional(self):
-        cond = np.array([1.0, 2.0])
-        uncond = np.array([3.0, 4.0])
-        out = cfg_combine(cond, uncond, 0.0)
-        assert np.array_equal(out, uncond) and not np.shares_memory(out, uncond)
-
-    def test_weight_one_is_conditional(self):
-        cond = np.array([0.1, 0.2])
-        uncond = np.array([5.0, 6.0])
-        out = cfg_combine(cond, uncond, 1.0)
-        assert np.array_equal(out, cond) and not np.shares_memory(out, cond)
-
-    def test_arithmetic_case(self):
-        out = cfg_combine(np.array([2.0]), np.array([1.0]), 3.0)
-        assert out[0] == 4.0
-
-    def test_affine_in_weight(self):
-        rng = np.random.default_rng(1)
-        cond = rng.standard_normal(8)
-        uncond = rng.standard_normal(8)
-        a = cfg_combine(cond, uncond, 2.0)
-        b = cfg_combine(cond, uncond, 6.0)
-        mid = cfg_combine(cond, uncond, 4.0)
-        assert np.allclose(mid, (a + b) / 2)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="shape"):
-            cfg_combine(np.zeros(2), np.zeros(3), 1.0)
-
-
-class TestReverseStep:
-    def test_ancestral_matches_hand_formula(self):
-        sched = cosine_schedule(50)
-        t = 20
-        z_t = np.array([0.5, -1.0])
-        eps_hat = np.array([0.2, 0.3])
-        out = reverse_step(z_t, t, eps_hat, sched, rng=np.random.default_rng(3))
-        ab, ab_prev = sched.alpha_bar[t], sched.alpha_bar[t - 1]
-        alpha = ab / ab_prev
-        beta = 1 - alpha
-        mean = (z_t - beta / np.sqrt(1 - ab) * eps_hat) / np.sqrt(alpha)
-        var = beta * (1 - ab_prev) / (1 - ab)
-        noise = np.random.default_rng(3).standard_normal(2)
-        assert np.allclose(out, mean + np.sqrt(var) * noise)
-
-    @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
-    def test_one_step_check_per_call(self, monkeypatch, mode):
-        calls = []
-        real = diffusion_mod.check_step
-        monkeypatch.setattr(diffusion_mod, "check_step", lambda *a: calls.append(a) or real(*a))
-        reverse_step(np.zeros(2), 7, np.zeros(2), cosine_schedule(10), mode, np.random.default_rng(0))
-        assert calls == [(7, 1, 10)]
-
-    def test_final_step_is_noise_free(self):
-        sched = cosine_schedule(50)
-        z_1 = np.array([0.5, -1.0])
-        eps_hat = np.array([0.2, 0.3])
-        a = reverse_step(z_1, 1, eps_hat, sched)  # no rng required
-        b = reverse_step(z_1, 1, eps_hat, sched)
-        assert np.array_equal(a, b)
-
-    def test_ancestral_needs_rng_above_t1(self):
-        sched = cosine_schedule(50)
-        with pytest.raises(ValueError, match="rng"):
-            reverse_step(np.zeros(2), 2, np.zeros(2), sched)
-
-    def test_deterministic_single_step_consistency(self):
-        # stepping z_t back with the true eps lands exactly on z_{t-1}
-        sched = cosine_schedule(40)
-        rng = np.random.default_rng(5)
-        z0 = rng.standard_normal(6)
-        eps = rng.standard_normal(6)
-        for t in range(1, 41):
-            z_t = forward_noise(z0, t, eps, sched)
-            back = reverse_step(z_t, t, eps, sched, mode="deterministic")
-            expect = forward_noise(z0, t - 1, eps, sched)
-            assert np.max(np.abs(back - expect)) < 1e-9
-
-    def test_deterministic_recovers_z0_at_t1(self):
-        sched = cosine_schedule(40)
-        rng = np.random.default_rng(6)
-        z0 = rng.standard_normal(4)
-        eps = rng.standard_normal(4)
-        z_1 = forward_noise(z0, 1, eps, sched)
-        assert np.max(np.abs(reverse_step(z_1, 1, eps, sched, mode="deterministic") - z0)) < 1e-6
-
-    @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
-    def test_every_step_matches_the_written_formula_byte_for_byte(self, mode):
-        # the sampler runs the same update, so this pins its arithmetic too
-        sched = cosine_schedule(100)
-        rng = np.random.default_rng(5)
-        z_t, eps_hat = rng.standard_normal((2, 3))
-        for t in range(1, sched.T + 1):
-            got = reverse_step(z_t, t, eps_hat, sched, mode, np.random.default_rng(t))
-            ab, ab_prev = sched.alpha_bar[t], sched.alpha_bar[t - 1]
-            if mode == "deterministic":
-                z0_hat = (z_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
-                want = np.sqrt(ab_prev) * z0_hat + np.sqrt(1.0 - ab_prev) * eps_hat
-            else:
-                alpha = float(ab / ab_prev)
-                beta = 1.0 - alpha
-                want = (z_t - beta / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(alpha)
-                if t > 1:
-                    var = beta * (1.0 - ab_prev) / (1.0 - ab)
-                    want = want + np.sqrt(var) * np.random.default_rng(t).standard_normal(3)
-            assert got.tobytes() == want.tobytes(), t
-
-    def test_seeded_rng_reproducible(self):
-        sched = cosine_schedule(50)
-        z = np.ones(3)
-        eps = 0.1 * np.ones(3)
-        a = reverse_step(z, 10, eps, sched, rng=np.random.default_rng(9))
-        b = reverse_step(z, 10, eps, sched, rng=np.random.default_rng(9))
-        assert np.array_equal(a, b)
-
-    def test_bad_mode_raises(self):
-        sched = cosine_schedule(10)
-        with pytest.raises(ValueError, match="mode"):
-            reverse_step(np.zeros(2), 1, np.zeros(2), sched, mode="heun")
-
-    def test_step_out_of_range_raises(self):
-        sched = cosine_schedule(10)
-        with pytest.raises(ValueError, match="outside"):
-            reverse_step(np.zeros(2), 0, np.zeros(2), sched)
-
-    @pytest.mark.parametrize("t", NON_INTEGER_STEPS, ids=repr)
-    @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
-    def test_non_integer_step_refused(self, t, mode):
-        sched = cosine_schedule(10)
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match=re.escape(f"step {t!r} outside 1..10: steps are integers")):
-            reverse_step(np.zeros(2), t, np.zeros(2), sched, mode=mode, rng=rng)
-
-
 class TestGuidanceSchedule:
     def test_phase_boundaries(self):
         gs = GuidanceSchedule(c1="a", c2="b", w_low=3.0, w_high=9.0, t1=88, T=100)
@@ -474,12 +343,16 @@ class TestGuidanceSchedule:
             SamplerConfig(**kwargs)
         assert str(via_config.value) == str(direct.value)
 
-    def test_sampler_config_and_reverse_step_share_mode_check(self):
+    def test_sampler_config_and_sampler_share_mode_check(self):
+        sched = cosine_schedule(10)
+        gs = GuidanceSchedule(None, None, 1.0, 1.0, t1=0, T=10)
         with pytest.raises(ValueError) as direct:
-            reverse_step(np.zeros(2), 1, np.zeros(2), cosine_schedule(10), mode="heun")
+            sample_progressive(zero_branches(), gs, sched, np.zeros(2), mode="heun")
         with pytest.raises(ValueError) as via_config:
             SamplerConfig(mode="heun")
-        assert str(via_config.value) == str(direct.value)
+        assert str(via_config.value) == str(direct.value) == (
+            "mode must be one of ('ancestral', 'deterministic'), got 'heun'"
+        )
 
 
 class TestGaussianOracle:
@@ -509,6 +382,32 @@ class TestGaussianOracle:
         oracle = GaussianOracleDenoiser(prior=GaussianCondition(2.0, 1.0), sched=sched)
         z = np.array([0.3, -1.2])
         assert oracle.predict(z, np.int64(50)).tobytes() == oracle.predict(z, 50).tobytes()
+
+    @pytest.mark.parametrize("t", NON_INTEGER_STEPS, ids=repr)
+    def test_bind_pair_refuses_a_non_integer_t_max(self, t):
+        sched = cosine_schedule(10)
+        oracle = GaussianOracleDenoiser(prior=GaussianCondition(2.0, 1.0), sched=sched)
+        with pytest.raises(ValueError, match=re.escape(f"step {t!r} outside 0..10: steps are integers")):
+            oracle.bind_pair(None, (2,), t)
+
+    def test_bind_pair_refuses_a_t_max_outside_the_schedule(self):
+        sched = cosine_schedule(10)
+        oracle = GaussianOracleDenoiser(prior=GaussianCondition(2.0, 1.0), sched=sched)
+        for t in (-1, 11):
+            with pytest.raises(ValueError, match=re.escape(f"step {t} outside 0..10")):
+                oracle.bind_pair(None, (2,), t)
+        oracle.bind_pair(None, (2,), np.int64(10))
+
+    @pytest.mark.parametrize("c", [None, GaussianCondition(np.array([1.0, -0.5]), 0.3)], ids=["prior", "cond"])
+    def test_bound_pair_is_two_predict_calls(self, c):
+        sched = cosine_schedule(10)
+        oracle = GaussianOracleDenoiser(prior=GaussianCondition(2.0, 1.0), sched=sched)
+        z = np.random.default_rng(2).standard_normal((3, 2))
+        pair = oracle.bind_pair(c, z.shape, 10)
+        for t in range(11):
+            eps_c, eps_u = pair(z, t)
+            assert eps_c.tobytes() == oracle.predict(z, t, c).tobytes()
+            assert eps_u.tobytes() == oracle.predict(z, t, None).tobytes()
 
     def test_no_noise_no_prediction(self):
         sched = cosine_schedule(10)
@@ -694,3 +593,81 @@ class TestSampling:
         assert not np.array_equal(za, zb)
         # late-phase condition b pulls samples toward its mean
         assert za.mean() > zb.mean()
+
+    @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
+    def test_every_step_matches_the_written_formula_byte_for_byte(self, mode):
+        sched = cosine_schedule(100)
+        z_T, eps_hat = np.random.default_rng(5).standard_normal((2, 3))
+        den = BranchDenoiser(lambda z, t: eps_hat, lambda z, t: eps_hat)
+        gs = GuidanceSchedule("c", "c", 1.0, 1.0, t1=0, T=100)
+        z_0 = sample_progressive(den, gs, sched, z_T, np.random.default_rng(6), mode)
+        draws = np.random.default_rng(6)
+        chain = [z for _, z in den.seen] + [z_0]
+        assert [t for t, _ in den.seen] == list(range(100, 0, -1))
+        for (t, z_t), got in zip(den.seen, chain[1:]):
+            ab, ab_prev = sched.alpha_bar[t], sched.alpha_bar[t - 1]
+            if mode == "deterministic":
+                z0_hat = (z_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
+                want = np.sqrt(ab_prev) * z0_hat + np.sqrt(1.0 - ab_prev) * eps_hat
+            else:
+                alpha = float(ab / ab_prev)
+                beta = 1.0 - alpha
+                want = (z_t - beta / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(alpha)
+                if t > 1:
+                    var = beta * (1.0 - ab_prev) / (1.0 - ab)
+                    want = want + np.sqrt(var) * draws.standard_normal(3)
+            assert got.tobytes() == want.tobytes(), t
+
+    @pytest.mark.parametrize("T", [40, 1000])
+    def test_deterministic_chain_inverts_the_forward_process(self, T):
+        # given the noise that built z_T, each step lands on z_{t-1} and the
+        # chain on z0
+        sched = cosine_schedule(T)
+        z0, eps = np.random.default_rng(T).standard_normal((2, 6))
+        den = BranchDenoiser(lambda z, t: eps, lambda z, t: eps)
+        gs = GuidanceSchedule("c", "c", 2.5, 2.5, t1=0, T=T)
+        got = sample_progressive(den, gs, sched, forward_noise(z0, T, eps, sched), mode="deterministic")
+        for t, z_t in den.seen:
+            assert np.max(np.abs(z_t - forward_noise(z0, t, eps, sched))) < 1e-9, t
+        assert np.max(np.abs(got - z0)) < 1e-9
+
+    def test_final_step_is_noise_free(self):
+        # a one-step ancestral chain needs no rng, and draws nothing from one
+        sched = cosine_schedule(1)
+        den = BranchDenoiser(lambda z, t: np.full(2, 0.2), lambda z, t: np.full(2, 0.3))
+        gs = GuidanceSchedule("c", "c", 2.0, 2.0, t1=0, T=1)
+        z_1 = np.array([0.5, -1.0])
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with_rng = sample_progressive(den, gs, sched, z_1, rng)
+        assert rng.bit_generator.state == state
+        assert with_rng.tobytes() == sample_progressive(den, gs, sched, z_1).tobytes()
+
+    def test_seeded_rng_reproducible(self):
+        sched = cosine_schedule(50)
+        cond = GaussianCondition(1.0, 0.5)
+        oracle = GaussianOracleDenoiser(prior=GaussianCondition(0.0, 1.0), sched=sched)
+        gs = GuidanceSchedule(cond, cond, 3.0, 9.0, t1=20, T=50)
+        z_T = np.ones(3)
+        a, b, other = (
+            sample_progressive(oracle, gs, sched, z_T, np.random.default_rng(seed)) for seed in (9, 9, 10)
+        )
+        assert a.tobytes() == b.tobytes()
+        assert not np.array_equal(a, other)
+
+    def test_ancestral_needs_rng_above_t1(self):
+        gs = GuidanceSchedule("c", "c", 1.0, 1.0, t1=0, T=2)
+        with pytest.raises(ValueError, match="ancestral steps with t > 1 need an rng"):
+            sample_progressive(zero_branches(), gs, cosine_schedule(2), np.zeros(2))
+
+    @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
+    def test_guided_step_is_affine_in_weight(self, mode):
+        rng = np.random.default_rng(1)
+        cond, uncond, z_1 = rng.standard_normal((3, 8))
+        den = BranchDenoiser(lambda z, t: cond, lambda z, t: uncond)
+        sched = cosine_schedule(1)
+        a, mid, b = (
+            sample_progressive(den, GuidanceSchedule("c", "c", w, w, t1=0, T=1), sched, z_1, mode=mode)
+            for w in (2.0, 4.0, 6.0)
+        )
+        assert np.allclose(mid, (a + b) / 2)

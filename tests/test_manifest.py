@@ -6,9 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from soundscene import cli
+from soundscene.demo import build_demo_pools
 from soundscene.dsl import TimeSpan
 from soundscene.manifest import decode_event_rows, iter_lines, read_jsonl, write_jsonl_atomic
 from soundscene.phonemes import build_vocab, load_default_lexicon, load_lexicon
+from soundscene.scene import load_background_pool, load_speech_pool
 from soundscene.sed import annotations_from_manifest
 
 
@@ -173,6 +176,8 @@ _SCENES = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in [
 ]).encode("utf-8")
 _EVENTS = "c0\tdog barking\t0.5\t1.25\nc0\tMan speaking\t2\t3.5\nc1\train\t0\t10\n".encode("utf-8")
 _LEXICON = ";;; a comment\nRED  R EH1 D\nCAFÉ  K AE0 F EY1\nREAD(1)  R EH1 D\n".encode("utf-8")
+_TRANSCRIPTS = "c0\t1\tHello, café.\nc0\t3\t\nc1\t0\tgood night\n".encode("utf-8")
+_CAPTIONS = "c0\tRain on a café roof.\nc1\tA dog barks.\n".encode("utf-8")
 
 
 @st.composite
@@ -191,25 +196,44 @@ class TestOneByteEdits:
     """Each line-format reader returns a result or raises ValueError naming
     ``path:line`` for any one-byte edit of a valid file."""
 
+    # valid None: the manifest of that name in a tiny build_demo_pools tree
     READERS = [
         pytest.param("scenes.jsonl", _SCENES, annotations_from_manifest, id="scene-manifest"),
         pytest.param("events.tsv", _EVENTS, annotations_from_manifest, id="events-tsv"),
         pytest.param("lex.dict", _LEXICON, load_lexicon, id="lexicon"),
+        pytest.param("speech_manifest.jsonl", None, load_speech_pool, id="speech-pool"),
+        pytest.param("background_manifest.jsonl", None, load_background_pool, id="background-pool"),
+        pytest.param("tx.tsv", _TRANSCRIPTS, cli._read_transcript_table, id="ingest-transcripts"),
+        pytest.param("cap.tsv", _CAPTIONS, cli._read_caption_table, id="ingest-captions"),
     ]
 
+    @pytest.fixture(scope="class")
+    def pools(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("tiny_pools")
+        build_demo_pools(root, n_speakers=2, utterances_per_speaker=1, n_backgrounds=2)
+        return root
+
+    @pytest.fixture
+    def valid_input(self, tmp_path, pools, name, valid):
+        """The reader's valid bytes, with the pool tree's audio linked into
+        tmp_path so a manifest written there finds its WAVs."""
+        for sub in ("speech", "background"):
+            (tmp_path / sub).symlink_to(pools / sub)
+        return (pools / name).read_bytes() if valid is None else valid
+
     @pytest.mark.parametrize("name, valid, read", READERS)
-    def test_valid_file_reads(self, tmp_path, name, valid, read):
+    def test_valid_file_reads(self, tmp_path, name, valid_input, read):
         path = tmp_path / name
-        path.write_bytes(valid)
+        path.write_bytes(valid_input)
         assert len(read(path)) in (2, 3)
 
     @pytest.mark.parametrize("name, valid, read", READERS)
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_reader_returns_or_names_path_and_line(self, tmp_path, name, valid, read, data):
+    def test_reader_returns_or_names_path_and_line(self, tmp_path, name, valid_input, read, data):
         path = tmp_path / name
-        path.write_bytes(data.draw(_one_byte_edit(valid)))
+        path.write_bytes(data.draw(_one_byte_edit(valid_input)))
         try:
             read(path)
         except ValueError as exc:

@@ -533,8 +533,8 @@ class TestSamplerMatchesReferenceLoop:
     @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
     @pytest.mark.parametrize("w", [0.0, 1.0, 2.5])
     def test_bytes(self, w, mode, shape):
-        # the reference runs two predict calls and the public reverse_step
-        # per step; the sampler one bound pair per phase and per-run coefficients
+        # the reference runs two predict calls and the written-out update per
+        # step; the sampler one bound pair per phase and per-phase coefficients
         dn = _sampling_denoiser()
         sched = cosine_schedule(dn.T)
         c = ("full", 5)
