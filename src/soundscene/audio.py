@@ -107,45 +107,46 @@ class MixResult:
     peak_norm: float
 
 
-def mix_at_snr(
-    speech: np.ndarray,
-    background: np.ndarray,
-    snr_db: float,
-    active: np.ndarray,
-    background_rms: float,
-) -> MixResult:
+def mix_at_snr(segments: list[tuple[int, np.ndarray]], background: np.ndarray,
+               snr_db: float, background_rms: float) -> MixResult:
     """Mix speech over background at a target speech-active SNR.
 
-    The background gain is rms(speech over the ``active`` samples) divided
-    by background_rms * 10^(snr_db/20): speech RMS intentionally counts
-    only the active region, while ``background_rms`` is the caller's
-    ``rms(background)`` over the full clip, so a background mixed into many
-    scenes has it computed once.  If the sum would clip beyond full scale,
-    the output is peak-normalized to 0.95.  The waveform is always a fresh
-    array.
+    ``segments`` are the placed speech: (first sample, 1-D audio) pairs in
+    chronological order, which may touch but not overlap and lie inside the
+    background.  The background gain is rms(the segments' samples) divided
+    by background_rms * 10^(snr_db/20), where ``background_rms`` is the
+    caller's ``rms(background)`` over the full clip, so a background mixed
+    into many scenes has it computed once.  If the sum would clip beyond
+    full scale, the output is peak-normalized to 0.95.  The waveform is
+    always a fresh array.
     """
-    speech = np.asarray(speech, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
-    if speech.ndim != 1 or background.ndim != 1:
-        raise ValueError("mix_at_snr wants 1-D signals")
-    if speech.shape != background.shape:
-        raise ValueError(
-            f"length mismatch: speech {speech.shape[0]}, background {background.shape[0]}"
-        )
-    active = np.asarray(active, dtype=bool)
-    if active.shape != speech.shape:
-        raise ValueError("active mask must match the signal length")
-    if not active.any():
-        raise ValueError("speech-active region is empty")
-    s_rms = rms(speech[active])
+    if background.ndim != 1:
+        raise ValueError(f"mix_at_snr wants a 1-D background, got shape {background.shape}")
+    if not segments:
+        raise ValueError("no speech segments to mix")
+    segments = [(i0, np.asarray(audio, dtype=np.float64)) for i0, audio in segments]
+    end, size = 0, background.shape[0]
+    for i0, audio in segments:
+        if audio.ndim != 1:
+            raise ValueError(f"speech segment at sample {i0} is not 1-D: shape {audio.shape}")
+        if i0 < 0:
+            raise ValueError(f"speech segment at sample {i0} starts before the background")
+        if i0 < end:
+            raise ValueError(f"speech segment at sample {i0} overlaps the one ending at sample {end}")
+        end = i0 + audio.shape[0]
+        if end > size:
+            raise ValueError(f"speech segment at samples {i0}..{end} leaves the {size}-sample background")
+    # disjoint and ascending, so these are the speech-active samples in clip order
+    s_rms = rms(np.concatenate([audio for _, audio in segments]))
     if s_rms == 0.0:
         raise ValueError("silent speech over the active region")
     if not (math.isfinite(background_rms) and background_rms > 0.0):
         raise ValueError(f"background RMS must be finite and positive, got {background_rms}")
     gain = s_rms / (background_rms * 10.0 ** (snr_db / 20.0))
-    # gain * background + speech: one fresh array, no temporaries
     mix = np.multiply(background, gain)
-    mix += speech
+    for i0, audio in segments:
+        mix[i0 : i0 + audio.shape[0]] += audio
     peak = max(float(mix.max()), -float(mix.min()))
     norm = 1.0
     if peak > 1.0:

@@ -11,6 +11,7 @@ partial file behind.
 from __future__ import annotations
 
 import argparse
+import codecs
 import dataclasses
 import functools
 import sys
@@ -37,6 +38,8 @@ from soundscene.diffusion import (
 )
 from soundscene.dsl import (
     EventAnnotation,
+    PromptSyntaxError,
+    StructuredPrompt,
     check_caption,
     from_annotations,
     parse,
@@ -81,23 +84,40 @@ def _load_config_resolved(args: argparse.Namespace) -> PipelineConfig:
     return dataclasses.replace(cfg, **paths)
 
 
-def _read_prompt_arg(args: argparse.Namespace) -> str:
-    """The inline prompt, or the whole text of ``--file`` (quoted speech may
-    span lines): its lines by iter_lines' rule, joined by "\\n", stripped."""
-    if args.file is not None:
-        if args.prompt is not None:
-            raise ValueError("give the prompt inline or via --file, not both")
-        return "\n".join(line for _, line in iter_lines(args.file)).strip()
-    if args.prompt is None:
-        raise ValueError("no prompt given; pass it inline or via --file")
-    return args.prompt
+def _parse_prompt_arg(args: argparse.Namespace) -> StructuredPrompt:
+    """Parse the inline prompt, or the whole text of ``--file`` (quoted
+    speech may span lines): its lines by iter_lines' rule, joined by "\\n",
+    stripped.  A syntax error in a file names ``path:line`` and the byte
+    offset within that line as stored, a byte-order mark included."""
+    if args.file is None:
+        if args.prompt is None:
+            raise ValueError("no prompt given; pass it inline or via --file")
+        return parse(args.prompt)
+    if args.prompt is not None:
+        raise ValueError("give the prompt inline or via --file, not both")
+    rows = list(iter_lines(args.file))
+    text = "\n".join(line for _, line in rows)
+    try:
+        return parse(text.strip())
+    except PromptSyntaxError as exc:
+        # back from the stripped text to the line holding the offset
+        pos = exc.offset + len(text[: len(text) - len(text.lstrip())].encode("utf-8"))
+        for lineno, (where, line) in enumerate(rows, start=1):
+            size = len(line.encode("utf-8"))
+            if pos <= size:
+                break
+            pos -= size + 1  # the line and its "\\n"
+        if lineno == 1:
+            with open(args.file, "rb") as fh:
+                pos += len(codecs.BOM_UTF8) if fh.read(3) == codecs.BOM_UTF8 else 0
+        raise ValueError(f"{where}: {exc.message} at byte {pos}") from exc
 
 
 # ---------------------------------------------------------------- prompts
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    p = parse(_read_prompt_arg(args))
+    p = _parse_prompt_arg(args)
     print(f"caption: {p.caption}")
     for i, ev in enumerate(p.events):
         spans = ", ".join(f"{s.start:.2f}-{s.end:.2f}" for s in ev.spans)
@@ -110,12 +130,12 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_fmt(args: argparse.Namespace) -> int:
-    print(serialize(parse(_read_prompt_arg(args))))
+    print(serialize(_parse_prompt_arg(args)))
     return 0
 
 
 def cmd_tokenize(args: argparse.Namespace) -> int:
-    p = parse(_read_prompt_arg(args))
+    p = _parse_prompt_arg(args)
     lex = load_lexicon(Path(args.lexicon)) if args.lexicon else load_default_lexicon()
     canonical = serialize(p)
     # the prompt's own text always seeds the vocabulary, so every base
@@ -202,7 +222,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             with ProcessPoolExecutor(
                 max_workers=args.workers, initializer=_init_sim_worker, initargs=state
             ) as pool:
-                records = list(pool.map(_sim_task, tasks))
+                # about four chunks per worker: one IPC round trip per chunk, not per scene
+                chunksize = max(1, len(tasks) // (4 * args.workers))
+                records = list(pool.map(_sim_task, tasks, chunksize=chunksize))
     except BaseException:
         # every worker has stopped: remove each WAV this run may have
         # replaced, so audio/ never mixes two runs

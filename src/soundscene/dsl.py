@@ -51,7 +51,7 @@ class PromptSyntaxError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at byte {offset}")
-        self.offset = offset
+        self.message, self.offset = message, offset
 
 
 def _centiseconds(name: str, value: float) -> float:

@@ -4,6 +4,8 @@ mix them over a captioned background, and emit the aligned structured prompt.
 A scene is one 10 s clip.  Scenarios are monologue (one speaker) or dialogue
 (two to four speakers); utterances never overlap, and free time is spread
 across the gaps with a flat Dirichlet so placements vary but stay legal.
+They do not overlap at the sample level either: ``mix_at_snr`` refuses
+overlapping segments.
 """
 
 from __future__ import annotations
@@ -370,9 +372,10 @@ def compose_scene(
     """Compose one fully annotated scene from the pools, deterministically
     for a given seed.
 
-    Draws scenario, utterances, timing, background, and SNR; renders the
-    non-overlapping speech track over the background; and builds the prompt
-    from the background caption plus one annotation per placed utterance.
+    Draws scenario, utterances, timing, background, and SNR; mixes each
+    placed utterance over its own samples of the background; and builds the
+    prompt from the background caption plus one annotation per placed
+    utterance.  A drawn bed that is not one clip long is an error naming it.
     """
     if len(speech_pool) == 0:
         raise ValueError("speech pool is empty")
@@ -404,15 +407,14 @@ def compose_scene(
     lo, hi = priors.snr_range_db
     snr_db = float(rng.uniform(lo, hi))
 
-    speech = np.zeros(CLIP_SAMPLES, dtype=np.float64)
-    active = np.zeros(CLIP_SAMPLES, dtype=bool)
+    if bg.audio.shape != (CLIP_SAMPLES,):
+        raise ValueError(f"background bed {bg.clip_id!r} has shape {bg.audio.shape}, "
+                         f"not one {CLIP_SAMPLES}-sample clip")
+    segments: list[tuple[int, np.ndarray]] = []
     annotations: list[EventAnnotation] = []
     for clip, start in placements:
-        i0 = int(round(start * SAMPLE_RATE))
-        i0 = min(i0, CLIP_SAMPLES - clip.audio.shape[0])
-        i1 = i0 + clip.audio.shape[0]
-        speech[i0:i1] += clip.audio
-        active[i0:i1] = True
+        i0 = min(int(round(start * SAMPLE_RATE)), CLIP_SAMPLES - clip.audio.shape[0])
+        segments.append((i0, clip.audio))
         gender = speech_pool.speaker_gender.get(clip.speaker_id)
         annotations.append(
             EventAnnotation(
@@ -421,7 +423,7 @@ def compose_scene(
                 transcript=clip.transcript,
             )
         )
-    mix = mix_at_snr(speech, bg.audio, snr_db, active=active, background_rms=bg.audio_rms)
+    mix = mix_at_snr(segments, bg.audio, snr_db, background_rms=bg.audio_rms)
     prompt = from_annotations(bg.caption, annotations)
     spec = SceneSpec(
         scenario=scenario,

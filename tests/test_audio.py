@@ -111,9 +111,32 @@ class TestPreprocessClip:
             preprocess_clip(np.array([]), SAMPLE_RATE)
 
 
-def _everywhere(signal):
-    """An active mask covering the whole signal."""
-    return np.ones(signal.shape, dtype=bool)
+def _refusal(segments, background, b_rms=1.0):
+    """The message mix_at_snr refuses these segments with."""
+    with pytest.raises(ValueError) as exc:
+        mix_at_snr(segments, background, 5.0, b_rms)
+    return str(exc.value)
+
+
+@st.composite
+def _placed_segments(draw):
+    """Disjoint ascending segments over a background that just holds them.
+    A gap may be 0: segments touch, the first starts at sample 0, or the
+    last ends on the background's last sample.  Every magnitude is within
+    10% of its scale, so the mix's peak is bounded on both sides."""
+    k = draw(st.integers(1, 5))
+    gaps = draw(st.lists(st.one_of(st.just(0), st.integers(1, 40)), min_size=k + 1, max_size=k + 1))
+    sizes = draw(st.lists(st.integers(1, 60), min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def signed(n):
+        return rng.uniform(0.9, 1.0, n) * rng.choice([-1.0, 1.0], n)
+
+    segments, pos = [], 0
+    for gap, size in zip(gaps, sizes):
+        segments.append((pos + gap, signed(size)))
+        pos += gap + size
+    return segments, signed(pos + gaps[-1])
 
 
 class TestMixAtSnr:
@@ -122,36 +145,35 @@ class TestMixAtSnr:
         # g = 0.1 / (0.2 * 10^0.3) = 0.2505937
         speech = np.full(1000, 0.1)
         background = np.tile([0.2, -0.2], 500)
-        res = mix_at_snr(speech, background, 6.0, _everywhere(speech), rms(background))
+        res = mix_at_snr([(0, speech)], background, 6.0, rms(background))
         assert res.background_gain == pytest.approx(0.2505937, abs=1e-6)
         assert res.peak_norm == 1.0
         assert np.allclose(res.waveform, speech + res.background_gain * background)
 
     def test_measured_snr_matches_target(self):
         rng = np.random.default_rng(3)
-        speech = 0.1 * rng.standard_normal(4000)
+        speech = 0.1 * rng.standard_normal(2000)
         background = 0.05 * rng.standard_normal(4000)
-        active = np.zeros(4000, dtype=bool)
-        active[500:2500] = True
-        speech[~active] = 0.0
-        res = mix_at_snr(speech, background, 7.3, active, rms(background))
-        measured = 20 * np.log10(rms(speech[active]) / rms(res.background_gain * background))
+        res = mix_at_snr([(500, speech)], background, 7.3, rms(background))
+        measured = 20 * np.log10(rms(speech) / rms(res.background_gain * background))
         assert measured == pytest.approx(7.3, abs=1e-9)
+        assert np.array_equal(res.waveform[:500], res.background_gain * background[:500])
+        assert np.array_equal(res.waveform[2500:], res.background_gain * background[2500:])
 
-    def test_active_mask_changes_gain(self):
-        speech = np.concatenate([np.full(100, 0.4), np.zeros(100)])
+    def test_only_segment_samples_count_toward_speech_rms(self):
+        speech = np.full(100, 0.4)
         background = np.full(200, 0.1)
-        active = np.concatenate([np.ones(100, dtype=bool), np.zeros(100, dtype=bool)])
         b_rms = rms(background)
-        g_masked = mix_at_snr(speech, background, 5.0, active, b_rms).background_gain
-        g_full = mix_at_snr(speech, background, 5.0, _everywhere(speech), b_rms).background_gain
-        # full-clip rms counts the silence, so the full-clip gain is smaller
-        assert g_masked == pytest.approx(g_full * np.sqrt(2), rel=1e-9)
+        g_segment = mix_at_snr([(0, speech)], background, 5.0, b_rms).background_gain
+        padded = np.concatenate([speech, np.zeros(100)])
+        g_full = mix_at_snr([(0, padded)], background, 5.0, b_rms).background_gain
+        # a segment's rms counts its own silence, so the padded gain is smaller
+        assert g_segment == pytest.approx(g_full * np.sqrt(2), rel=1e-9)
 
     def test_peak_normalization(self):
         speech = np.full(100, 0.9)
         background = np.full(100, 1.0)
-        res = mix_at_snr(speech, background, 0.0, _everywhere(speech), rms(background))
+        res = mix_at_snr([(0, speech)], background, 0.0, rms(background))
         assert res.peak_norm < 1.0
         assert np.max(np.abs(res.waveform)) == pytest.approx(0.95, abs=1e-12)
         raw = speech + res.background_gain * background
@@ -160,36 +182,49 @@ class TestMixAtSnr:
     def test_no_normalization_below_full_scale(self):
         speech = np.full(100, 0.1)
         background = np.tile([0.1, -0.1], 50)
-        res = mix_at_snr(speech, background, 10.0, _everywhere(speech), rms(background))
+        res = mix_at_snr([(0, speech)], background, 10.0, rms(background))
         assert res.peak_norm == 1.0
 
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError, match="length"):
-            mix_at_snr(np.ones(10), np.ones(11), 5.0, np.ones(10, dtype=bool), 1.0)
+    @pytest.mark.parametrize("segments, message", [
+        pytest.param([(3, np.ones(4)), (6, np.ones(2))],
+                     "speech segment at sample 6 overlaps the one ending at sample 7", id="overlap"),
+        pytest.param([(6, np.ones(4)), (2, np.ones(2))],
+                     "speech segment at sample 2 overlaps the one ending at sample 10",
+                     id="out-of-order"),
+        pytest.param([(0, np.ones(4)), (8, np.ones(3))],
+                     "speech segment at samples 8..11 leaves the 10-sample background",
+                     id="out-of-range"),
+        pytest.param([(-1, np.ones(4))],
+                     "speech segment at sample -1 starts before the background", id="negative-start"),
+        pytest.param([], "no speech segments to mix", id="empty-set"),
+        pytest.param([(0, np.ones((2, 2)))],
+                     "speech segment at sample 0 is not 1-D: shape (2, 2)", id="2-D"),
+        pytest.param([(0, np.zeros(4)), (4, np.zeros(6))],
+                     "silent speech over the active region", id="silent-speech"),
+    ])
+    def test_refusals(self, segments, message):
+        assert _refusal(segments, np.ones(10)) == message
 
-    def test_silent_background_raises(self):
-        with pytest.raises(ValueError, match="background"):
-            mix_at_snr(np.ones(10), np.zeros(10), 5.0, np.ones(10, dtype=bool), rms(np.zeros(10)))
+    def test_touching_segments_are_mixed(self):
+        background = np.full(10, 0.5)
+        res = mix_at_snr([(0, np.ones(4)), (4, np.full(6, -1.0))], background, 0.0, 0.5)
+        assert res.background_gain == 2.0
+        assert res.waveform.tolist() == pytest.approx([0.95] * 4 + [0.0] * 6)
 
-    def test_silent_speech_raises(self):
-        with pytest.raises(ValueError, match="speech"):
-            mix_at_snr(np.zeros(10), np.ones(10), 5.0, np.ones(10, dtype=bool), 1.0)
-
-    def test_empty_active_mask_raises(self):
-        with pytest.raises(ValueError, match="active"):
-            mix_at_snr(np.ones(10), np.ones(10), 5.0, np.zeros(10, dtype=bool), 1.0)
-
-    def test_mask_length_mismatch_raises(self):
-        with pytest.raises(ValueError, match="mask"):
-            mix_at_snr(np.ones(10), np.ones(10), 5.0, np.ones(9, dtype=bool), 1.0)
-
-    def test_2d_raises(self):
-        with pytest.raises(ValueError):
-            mix_at_snr(np.ones((10, 2)), np.ones((10, 2)), 5.0, np.ones((10, 2), dtype=bool), 1.0)
+    def test_2d_background_raises(self):
+        assert _refusal([(0, np.ones(2))], np.ones((10, 2))) == (
+            "mix_at_snr wants a 1-D background, got shape (10, 2)"
+        )
 
     @staticmethod
-    def _reference_mix(speech, background, snr_db, active):
-        """The mixer as first written: fresh arrays on every pass."""
+    def _reference_mix(segments, background, snr_db):
+        """The mixer as first written, over the clip-length speech track and
+        active mask the segments stand for: fresh arrays on every pass."""
+        speech = np.zeros(background.shape[0])
+        active = np.zeros(background.shape[0], dtype=bool)
+        for i0, audio in segments:
+            speech[i0 : i0 + audio.shape[0]] += audio
+            active[i0 : i0 + audio.shape[0]] = True
         s_rms = rms(speech[active])
         gain = s_rms / (rms(background) * 10.0 ** (snr_db / 20.0))
         mix = speech + gain * background
@@ -200,14 +235,11 @@ class TestMixAtSnr:
     @pytest.mark.parametrize("speech_amp", [0.1, 3.0])  # without and with peak normalization
     def test_cached_background_rms_matches_recomputed(self, speech_amp):
         rng = np.random.default_rng(11)
-        speech = speech_amp * rng.standard_normal(CLIP_SAMPLES)
+        speech = speech_amp * rng.standard_normal(89000)
         background = 0.2 * rng.standard_normal(CLIP_SAMPLES)
-        active = np.zeros(CLIP_SAMPLES, dtype=bool)
-        active[1000:90000] = True
-        speech[~active] = 0.0
         kept = background.tobytes(), speech.tobytes()
-        res = mix_at_snr(speech, background, 4.2, active, rms(background))
-        wave, gain, norm = self._reference_mix(speech, background, 4.2, active)
+        res = mix_at_snr([(1000, speech)], background, 4.2, rms(background))
+        wave, gain, norm = self._reference_mix([(1000, speech)], background, 4.2)
         assert (speech_amp > 1.0) == (norm < 1.0)
         assert res.waveform.tobytes() == wave.tobytes()
         assert (res.background_gain, res.peak_norm) == (gain, norm)
@@ -215,10 +247,46 @@ class TestMixAtSnr:
         assert not np.shares_memory(res.waveform, speech)
         assert (background.tobytes(), speech.tobytes()) == kept
 
+    @settings(max_examples=80, deadline=None)
+    @given(placed=_placed_segments(), snr_db=st.floats(6.0, 20.0))
+    @pytest.mark.parametrize("amp", [0.4, 4.0])  # without and with peak normalization
+    def test_property_matches_track_and_mask_mixer(self, tmp_path_factory, placed, snr_db, amp):
+        # |speech| is within 10% of amp and, at 6 dB or more, the scaled bed
+        # is at most 0.56 * amp: 0.4 never reaches full scale, 4.0 always does
+        segments = [(i0, amp * audio) for i0, audio in placed[0]]
+        background = placed[1]
+        res = mix_at_snr(segments, background, snr_db, rms(background))
+        wave, gain, norm = self._reference_mix(segments, background, snr_db)
+        assert (amp > 1.0) == (norm < 1.0)
+        assert np.array_equal(res.waveform, wave)
+        assert res.background_gain == gain and res.peak_norm == norm
+        d = tmp_path_factory.mktemp("mix")
+        write_wav(d / "new.wav", res.waveform)
+        write_wav(d / "old.wav", wave)
+        assert (d / "new.wav").read_bytes() == (d / "old.wav").read_bytes()
+
+    def test_negative_zero_keeps_its_sign_outside_speech(self, tmp_path):
+        # the track-and-mask mixer added the track's +0.0 to every sample, so
+        # a -0.0 of the scaled bed became +0.0; int16 writes both as 0
+        background = np.array([-0.0, 0.5, -0.5, -0.0])
+        res = mix_at_snr([(1, np.array([0.25, 0.25]))], background, 0.0, rms(background))
+        wave, _, _ = self._reference_mix([(1, np.array([0.25, 0.25]))], background, 0.0)
+        assert np.signbit(res.waveform[[0, 3]]).all() and not np.signbit(wave[[0, 3]]).any()
+        assert np.array_equal(res.waveform, wave)
+        write_wav(tmp_path / "new.wav", res.waveform)
+        write_wav(tmp_path / "old.wav", wave)
+        assert (tmp_path / "new.wav").read_bytes() == (tmp_path / "old.wav").read_bytes()
+
+    def test_silent_background_raises(self):
+        assert _refusal([(0, np.ones(10))], np.zeros(10), rms(np.zeros(10))) == (
+            "background RMS must be finite and positive, got 0.0"
+        )
+
     @pytest.mark.parametrize("b_rms", [0.0, float("nan"), float("inf"), -0.5])
     def test_cached_silent_background_raises(self, b_rms):
-        with pytest.raises(ValueError, match="background"):
-            mix_at_snr(np.ones(10), np.ones(10), 5.0, np.ones(10, dtype=bool), b_rms)
+        assert _refusal([(0, np.ones(10))], np.ones(10), b_rms) == (
+            f"background RMS must be finite and positive, got {b_rms}"
+        )
 
 
 class TestWavIo:

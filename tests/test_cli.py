@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -13,6 +14,7 @@ from scipy.io import wavfile
 from soundscene import cli
 from soundscene.audio import SAMPLE_RATE, write_wav
 from soundscene.cli import main
+from soundscene.demo import build_demo_pools
 from soundscene.dsl import EventAnnotation, TimeSpan, parse, serialize, validate
 from soundscene.manifest import read_jsonl
 from soundscene.scene import derive_scene_seed
@@ -112,6 +114,33 @@ class TestParseFmt:
         out, err = read_out(capsys)
         assert rc == 1 and out == ""
         assert err == f"error: {f}:2: not UTF-8: invalid continuation byte at byte 5\n"
+
+    @pytest.mark.parametrize("command", ["parse", "fmt", "tokenize"])
+    @pytest.mark.parametrize("raw, line, message, col, at", [
+        pytest.param(b"\xef\xbb\xbf\r\n  Rain falls @{dog barking & <1.0,2.0}\r\n",
+                     2, "expected '>'", 37, b"}", id="bom-crlf-blank-line"),
+        pytest.param(b"\xef\xbb\xbfRain @{dog barking & <1.0,2.0}\n",
+                     1, "expected '>'", 32, b"}", id="bom-counts-on-line-1"),
+        pytest.param(b"\n\n  \nRain @{a & <2,1>}\n",
+                     4, "span start 2.00 must be strictly below end 1.00", 11, b"<",
+                     id="leading-blank-lines"),
+        pytest.param(b'Rain @{a man & <0,1> "hello\r\nthere\n ok" } @{x & <1,2> <3,4}\n',
+                     3, "expected '>'", 23, b"}", id="speech-spanning-lines"),
+        pytest.param(b'Rain @{a & <0,1> "hi\nthere"\n\n',
+                     2, "expected '}'", 6, b"", id="end-of-input"),
+        pytest.param(b"Rain @{caf\xc3\xa9 & 1,2}\n", 1, "expected '<'", 15, b"1", id="multibyte"),
+    ])
+    def test_prompt_file_syntax_error_names_path_line_and_byte(self, tmp_path, capsys, command,
+                                                               raw, line, message, col, at):
+        # the offset counts within the line as stored: a BOM counts, and
+        # the byte there is the one the message is about
+        f = tmp_path / "pf.txt"
+        f.write_bytes(raw)
+        rc = main([command, "--file", str(f)])
+        out, err = read_out(capsys)
+        assert rc == 1 and out == ""
+        assert err == f"error: {f}:{line}: {message} at byte {col}\n"
+        assert raw.split(b"\n")[line - 1][col : col + 1] == at
 
     def test_inline_and_file_together_rejected(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
@@ -279,18 +308,35 @@ class TestSimulate:
             assert (out_a / wav).read_bytes() == (out_b / wav).read_bytes()
 
     def test_worker_count_does_not_change_output(self, run_config, tmp_path):
+        # 17 scenes at 2 workers go out in chunks of 2, the last chunk of 1
         out_1 = tmp_path / "w1"
         out_2 = tmp_path / "w2"
-        rc = main(["simulate", "--config", str(run_config), "--count", "4",
+        rc = main(["simulate", "--config", str(run_config), "--count", "17",
                    "--output-dir", str(out_1), "--workers", "1"])
         assert rc == 0
-        rc = main(["simulate", "--config", str(run_config), "--count", "4",
+        rc = main(["simulate", "--config", str(run_config), "--count", "17",
                    "--output-dir", str(out_2), "--workers", "2"])
         assert rc == 0
         assert (out_1 / "scenes.jsonl").read_bytes() == (out_2 / "scenes.jsonl").read_bytes()
-        for i in range(4):
+        for i in range(17):
             wav = f"audio/scene{i:05d}.wav"
             assert (out_1 / wav).read_bytes() == (out_2 / wav).read_bytes()
+
+    def test_reference_run_bytes_pinned(self, tmp_path):
+        # the benchmark's simulate/reference run: 12 scenes of dataset seed 0
+        # over demo pools of seed 0, hashed as sha256 over each file's name
+        # and bytes, the manifest first and then the WAVs in name order
+        speech, background = build_demo_pools(tmp_path / "pools", seed=0)
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(f"dataset_seed: 0\noutput_dir: out\nspeech_manifest: {speech}\n"
+                       f"background_manifest: {background}\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), "--count", "12", "--workers", "1"]) == 0
+        out = tmp_path / "out"
+        h = hashlib.sha256()
+        for path in [out / "scenes.jsonl", *sorted((out / "audio").glob("*.wav"))]:
+            h.update(path.name.encode())
+            h.update(path.read_bytes())
+        assert h.hexdigest() == "3c1760a0e6ee670bf36055be1cd8f5c7f6b72f92e56e924e0b4094b143b61530"
 
     def test_scene_record_key_order(self, run_config, tmp_path):
         rc = main(["simulate", "--config", str(run_config), "--count", "1"])

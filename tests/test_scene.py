@@ -540,6 +540,18 @@ class TestComposeScene:
         with pytest.raises(RuntimeError, match="arrange"):
             compose_scene(pool, bg, priors, seed=0)
 
+    @pytest.mark.parametrize("shape", [(CLIP_SAMPLES // 2,), (CLIP_SAMPLES - 1,), (CLIP_SAMPLES + 1,),
+                                       (CLIP_SAMPLES, 2)])
+    def test_bed_that_is_not_one_clip_long_is_named(self, speech_pool, shape):
+        # a half-length bed would fit the first half's segments and give a
+        # short waveform; the scene is refused instead
+        bg = BackgroundPool(clips=[BackgroundClip("beds/short.wav", np.full(shape, 0.05), "A room")])
+        with pytest.raises(ValueError) as exc:
+            compose_scene(speech_pool, bg, ScenePriors(), seed=0)
+        assert str(exc.value) == (
+            f"background bed 'beds/short.wav' has shape {shape}, not one {CLIP_SAMPLES}-sample clip"
+        )
+
     def test_empty_pools_raise(self, background_pool, speech_pool):
         priors = ScenePriors()
         with pytest.raises(ValueError, match="speech pool"):
