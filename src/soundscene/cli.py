@@ -3,9 +3,9 @@
 Subcommands cover the full workflow: prompt handling (parse, fmt,
 tokenize), dataset synthesis (simulate), annotation ingestion (ingest),
 LLM prompt planning (plan), latent sampling (sample), and scoring
-(evaluate).  All outputs are deterministic for a fixed config and seed;
-manifests are written atomically so an interrupted run never leaves a
-partial file behind.
+(evaluate).  All outputs are deterministic for a fixed config and seed.
+Manifests and simulate's ``audio/`` are staged and replace the old output
+whole once complete, so a failed run leaves the previous run as it was.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from soundscene.dsl import (
     serialize,
     validate,
 )
-from soundscene.manifest import encode_events, iter_lines, read_tsv, write_jsonl_atomic
+from soundscene.manifest import _staged, encode_events, iter_lines, read_tsv, write_jsonl_atomic
 from soundscene.phonemes import (
     OOV_POLICIES,
     build_vocab,
@@ -175,7 +175,7 @@ def _init_sim_worker(speech: Any, background: Any, priors: Any) -> None:
 
 
 def _sim_task(task: tuple[int, int, Path]) -> dict[str, Any]:
-    index, seed, out_dir = task
+    index, seed, audio_dir = task
     clip_id = f"scene{index:05d}"
     try:
         scene = compose_scene(
@@ -186,9 +186,8 @@ def _sim_task(task: tuple[int, int, Path]) -> dict[str, Any]:
         )
     except (ValueError, RuntimeError) as exc:  # e.g. a draw that cannot be arranged
         raise type(exc)(f"{clip_id} (seed {seed}): {exc}") from exc
-    record = _scene_record(clip_id, scene)
-    write_wav(out_dir / record["audio"], scene.waveform)
-    return record
+    write_wav(audio_dir / f"{clip_id}.wav", scene.waveform)
+    return _scene_record(clip_id, scene)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -206,12 +205,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"{cfg.speech_manifest}: one speaker cannot hold a dialogue, and "
                          f"priors.p_single_speaker is {cfg.priors.p_single_speaker}")
     out_dir = Path(cfg.output_dir)
-    (out_dir / "audio").mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "scenes.jsonl"
-    manifest_path.unlink(missing_ok=True)  # a failed run leaves no stale manifest
-
-    tasks = [(i, derive_scene_seed(cfg.dataset_seed, i), out_dir) for i in range(args.count)]
-    try:
+    # WAVs go into a staged audio/: a failed run leaves the previous run as it was
+    with _staged(out_dir / "audio") as audio_dir:
+        audio_dir.mkdir()
+        tasks = [(i, derive_scene_seed(cfg.dataset_seed, i), audio_dir) for i in range(args.count)]
         if args.workers == 1 or not tasks:
             _init_sim_worker(*state)
             try:
@@ -225,14 +223,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 # about four chunks per worker: one IPC round trip per chunk, not per scene
                 chunksize = max(1, len(tasks) // (4 * args.workers))
                 records = list(pool.map(_sim_task, tasks, chunksize=chunksize))
-    except BaseException:
-        # every worker has stopped: remove each WAV this run may have
-        # replaced, so audio/ never mixes two runs
-        for i in range(args.count):
-            (out_dir / "audio" / f"scene{i:05d}.wav").unlink(missing_ok=True)
-        raise
-
-    write_jsonl_atomic(manifest_path, records)
+        write_jsonl_atomic(manifest_path, records)
     print(f"wrote {len(records)} scenes to {manifest_path}")
     return 0
 
@@ -387,11 +378,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
     z_T = rng.standard_normal(dim)
 
     z0 = sample_progressive(denoiser, gs, sched, z_T, rng=rng, mode=sc.mode)
-    if not np.all(np.isfinite(z0)):
-        bad = np.count_nonzero(~np.isfinite(z0))
-        raise ValueError(
-            f"sampling produced non-finite latents ({bad} of {z0.size} values); nothing written"
-        )
     # the log walks the phases the sampler ran: steps t = T..1, so row
     # T + 1 - t is the step's 1-based number
     log_lines = ["step\tt\tphase\tcondition\tw"]

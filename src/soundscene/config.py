@@ -123,7 +123,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     try:
         raw = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a bad date, !!int or !!float
         raise ConfigError(f"{p}: invalid YAML: {exc}") from exc
     try:
         return config_from_dict({} if raw is None else raw)

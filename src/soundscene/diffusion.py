@@ -253,7 +253,8 @@ def sample_progressive(
     checks), and drops that binding before the next phase binds; every
     step combines the bound pair's conditional and unconditional
     predictions with the phase's guidance weight.  Ancestral noise is
-    drawn into one buffer reused across steps.
+    drawn into one buffer reused across steps.  A phase that ends with a
+    non-finite latent raises ValueError naming the phase and its steps.
     """
     if gs.T != sched.T:
         raise ValueError(f"guidance schedule T={gs.T} does not match noise schedule T={sched.T}")
@@ -263,13 +264,16 @@ def sample_progressive(
         raise ValueError("ancestral steps with t > 1 need an rng")
     z = np.asarray(z_T, dtype=np.float64)
     noise = np.empty(z.shape)
-    for _, c, w, steps in gs.phases():
+    for phase, c, w, steps in gs.phases():
         pair = denoiser.bind_pair(c, z.shape, steps[0])
         coefficients = zip(*_step_coefficients(sched, np.array(steps), mode))
         for t, coefs in zip(steps, coefficients):
             eps_c, eps_u = pair(z, t)
             z = _apply_step(z, _guide(eps_c, eps_u, w), coefs, mode, rng if t > 1 else None, noise)
         del pair  # with any stacks it owns, before the next phase binds
+        if not np.isfinite(z).all():
+            raise ValueError(f"phase {phase} (steps {steps[0]}..{steps[-1]}) produced non-finite "
+                             f"latents ({np.count_nonzero(~np.isfinite(z))} of {z.size} values)")
     return z
 
 

@@ -13,7 +13,7 @@ inside its block.  Within quoted speech a backslash escapes ``\\"`` and
 parse() reads the caption up to the first '@{'.  A description runs to
 its '&' and may not contain '}', '"' or '@{'; a block needs one or more
 spans; a time is an unsigned decimal of ASCII digits with at most two
-fraction digits; whitespace may separate any two tokens.
+fraction digits, finite as a float; whitespace may separate any two tokens.
 
 validate() is the one list of prompt rules.  serialize() refuses every
 error it reports except a span ending past the clip, and
@@ -198,6 +198,8 @@ def _parse_block(text: str, pos: int) -> tuple[EventSpec, int]:
         if m.lastindex != 5:
             _fail(text, m.end(), _SPAN_ERRORS[m.lastindex or 0])
         start, end = float(m[2]), float(m[4])
+        if start == math.inf or end == math.inf:  # decimals are unsigned
+            _fail(text, m.start(2 if start == math.inf else 4), "time too large for a float")
         if not start < end:
             _fail(text, pos, f"span start {start:.2f} must be strictly below end {end:.2f}")
         spans.append(TimeSpan(start, end))

@@ -1,11 +1,13 @@
-"""The pipeline's line formats: JSONL manifests with atomic writes,
-header-less tab-separated tables, and the ``events`` row codec that the
-scene and prompt manifests share.  Every reader error names ``path:line``."""
+"""The pipeline's line formats: JSONL manifests, header-less TSV tables and
+the ``events`` row codec the manifests share.  Every reader error names
+``path:line``; every write is staged, so a failed one leaves the old output."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -151,24 +153,27 @@ def decode_event_rows(rows: Any, where: str) -> list[_Row]:
     return events
 
 
-def write_jsonl_atomic(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
-    """Serialize records to JSONL and atomically replace ``path``.
-
-    The file is written next to the destination and moved into place with
-    os.replace, so readers never observe a partial manifest.
-    """
-    path = Path(path)
+@contextlib.contextmanager
+def _staged(path: Path) -> Iterator[Path]:
+    """Yield a fresh path in a hidden stage directory beside ``path``.  On a
+    clean exit the file or directory written there replaces ``path`` whole (an
+    old directory is moved into the stage); on an exception ``path`` stays as
+    it was.  The stage is removed either way.  Kinds are never swapped."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    stage = Path(tempfile.mkdtemp(prefix=f".{path.name}.", dir=path.parent))
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(dict(rec), ensure_ascii=False))
-                fh.write("\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+        yield (new := stage / "new")
+        if new.is_dir() and path.is_dir():
+            os.replace(path, stage / "old")
+        os.replace(new, path)  # a file over a directory, or the reverse, raises OSError
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def write_jsonl_atomic(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
+    """Write records as JSONL to ``path`` through ``_staged``: readers never
+    see a partial manifest, and a failed write leaves ``path`` as it was."""
+    with _staged(Path(path)) as new, open(new, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(dict(rec), ensure_ascii=False))
+            fh.write("\n")

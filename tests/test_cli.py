@@ -273,6 +273,11 @@ def _unarrangeable_config(tmp_path, out_dir):
     return cfg
 
 
+def _tree_bytes(root):
+    """{path relative to root: bytes} for every file under root."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 class TestSimulate:
     def test_writes_manifest_and_audio(self, run_config, tmp_path, capsys):
         rc = main(["simulate", "--config", str(run_config), "--count", "3"])
@@ -374,19 +379,37 @@ class TestSimulate:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_rerun_leaves_no_stale_manifest(self, run_config, tmp_path, capsys, workers):
-        # the rerun overwrites scenes before it fails at scene00005; it then
-        # removes every WAV it may have replaced, and only those
+        # the rerun fails at scene00005, after writing scenes 0-4 into its
+        # stage: the previous run stays whole, its manifest still true of
+        # its audio/, and nothing else in the output directory is touched
+        out = tmp_path / "out"
         assert main(["simulate", "--config", str(run_config), "--count", "10"]) == 0
-        audio = tmp_path / "out" / "audio"
-        (audio / "notes.txt").write_text("kept")
-        assert (tmp_path / "out" / "scenes.jsonl").exists()
-        cfg = _unarrangeable_config(tmp_path, tmp_path / "out")
+        (out / "audio" / "notes.txt").write_text("kept")
+        (out / "planner_raw.txt").write_text("raw")
+        before = _tree_bytes(out)
+        cfg = _unarrangeable_config(tmp_path, out)
         rc = main(["simulate", "--config", str(cfg), "--count", "8", "--workers", str(workers)])
         _, err = read_out(capsys)
         assert rc == 1
         assert "scene00005" in err.splitlines()[-1]
-        assert not (tmp_path / "out" / "scenes.jsonl").exists()
-        assert sorted(p.name for p in audio.iterdir()) == ["notes.txt", "scene00008.wav", "scene00009.wav"]
+        assert _tree_bytes(out) == before
+        assert sorted(os.listdir(out)) == ["audio", "planner_raw.txt", "scenes.jsonl"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_smaller_rerun_replaces_audio_whole(self, run_config, tmp_path, workers):
+        # scene i's seed does not depend on --count, so the 4-scene rerun
+        # writes the 10-scene run's first 4 WAVs again, and only those
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(run_config), "--workers", str(workers), "--count"]
+        assert main(argv + ["10"]) == 0
+        ten = _tree_bytes(out)
+        assert main(argv + ["4"]) == 0
+        listed = [rec["audio"] for rec in read_jsonl(out / "scenes.jsonl")]
+        assert listed == [f"audio/scene{i:05d}.wav" for i in range(4)]
+        four = _tree_bytes(out)
+        assert sorted(four) == sorted(listed + ["scenes.jsonl"])
+        assert all(four[name] == ten[name] for name in listed)
+        assert sorted(os.listdir(out)) == ["audio", "scenes.jsonl"]
 
     def test_config_byte_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
@@ -567,6 +590,20 @@ class TestIngest:
         b = records[1]
         assert b["caption"] == ""
         assert b["prompt"].startswith("@{")
+
+    def test_output_directory_in_the_way_is_kept(self, tmp_path, capsys):
+        (tmp_path / "events.tsv").write_text("c\tdog barking\t0.5\t2.0\n")
+        (tmp_path / "tx.tsv").write_text("c\t0\t\n")
+        out_path = tmp_path / "prompts.jsonl"
+        out_path.mkdir()
+        (out_path / "notes.txt").write_text("kept")
+        rc = main(["ingest", "--events", str(tmp_path / "events.tsv"),
+                   "--transcripts", str(tmp_path / "tx.tsv"), "--output", str(out_path)])
+        out, err = read_out(capsys)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and str(out_path) in err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["events.tsv", "prompts.jsonl", "tx.tsv"]
+        assert [(f.name, f.read_text()) for f in out_path.iterdir()] == [("notes.txt", "kept")]
 
     def test_output_line_bytes(self, tmp_path):
         (tmp_path / "events.tsv").write_text("c\tMan speaking\t0.5\t2.0\nc\tdog barking\t3.0\t4.5\n")
@@ -914,18 +951,26 @@ class TestSample:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_latents_exit_1_before_writing(self, run_config, tmp_path, capsys,
                                                       monkeypatch, value):
-        sampler = cli.sample_progressive
+        class Spoiled(cli.GaussianOracleDenoiser):
+            """The oracle, with one conditional value spoiled at step 1."""
 
-        def spoiled(*args, **kwargs):
-            z = sampler(*args, **kwargs)
-            z[-1] = value
-            return z
+            def bind_pair(self, c, shape, t_max):
+                pair = super().bind_pair(c, shape, t_max)
 
-        monkeypatch.setattr(cli, "sample_progressive", spoiled)
+                def spoiled(z_t, t):
+                    eps_c, eps_u = pair(z_t, t)
+                    if t == 1:
+                        eps_c = eps_c.copy()
+                        eps_c[-1] = value
+                    return eps_c, eps_u
+
+                return spoiled
+
+        monkeypatch.setattr(cli, "GaussianOracleDenoiser", Spoiled)
         rc = main(["sample", "--config", str(run_config), "--output-dir", str(tmp_path / "x")])
         _, err = read_out(capsys)
         assert rc == 1
-        assert "non-finite latents (1 of 2 values); nothing written" in err
+        assert err == "error: phase 2 (steps 88..1) produced non-finite latents (1 of 2 values)\n"
         assert not (tmp_path / "x" / "sample").exists()
 
     def test_lying_checkpoint_header_exits_1(self, run_config, tmp_path, capsys):

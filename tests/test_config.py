@@ -243,6 +243,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(write_yaml(tmp_path, "a: [unclosed"))
 
+    @pytest.mark.parametrize("text, reason", [
+        ("dataset_seed: 2001-13-01", "month must be in 1..12"),
+        ("dataset_seed: 2001-02-30", "day is out of range for month"),
+        ('dataset_seed: !!int "abc"', "invalid literal for int() with base 10: 'abc'"),
+        ('dataset_seed: !!float "abc"', "could not convert string to float: 'abc'"),
+    ])
+    def test_value_the_yaml_loader_cannot_build_names_the_file(self, tmp_path, text, reason):
+        p = write_yaml(tmp_path, text)
+        with pytest.raises(ConfigError) as err:
+            load_config(p)
+        assert str(err.value) == f"{p}: invalid YAML: {reason}"
+
     def test_non_mapping_root(self, tmp_path):
         with pytest.raises(ConfigError, match="mapping"):
             load_config(write_yaml(tmp_path, "- 1\n- 2\n"))

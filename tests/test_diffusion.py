@@ -540,6 +540,18 @@ class TestSampling:
         assert a.tobytes() == b.tobytes()
         assert recording.log == [("bind", cond, (16, 2), 40)] + [("step", t) for t in range(40, 0, -1)]
 
+    def test_non_finite_phase_raises_at_its_end(self):
+        # a NaN at step 95 is caught once phase 1 (steps 100..89) has run,
+        # and phase 2 never binds
+        sched = cosine_schedule(100)
+        den = BranchDenoiser(lambda z, t: np.full(z.shape, np.nan if t == 95 else 0.0),
+                             lambda z, t: np.zeros(z.shape))
+        gs = GuidanceSchedule(c1="a", c2="b", w_low=3.0, w_high=9.0, t1=88, T=100)
+        message = "phase 1 (steps 100..89) produced non-finite latents (3 of 3 values)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_progressive(den, gs, sched, np.zeros(3), rng=np.random.default_rng(0))
+        assert [t for t, _ in den.seen] == list(range(100, 88, -1))
+
     def test_schedule_length_mismatch_raises(self):
         sched = cosine_schedule(50)
         cond = GaussianCondition(0.0, 1.0)

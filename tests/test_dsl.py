@@ -138,10 +138,10 @@ class TestParse:
         assert p.events[0].spans == (span(1.0, 2.5), span(3.25, 4.0))
 
     # (text, message, byte offset): every error kind parse() can raise,
-    # with the offset it reports; the id is the text
+    # with the offset it reports; the id is the text, cut at 40 characters
     @pytest.mark.parametrize(
         "text, message, offset",
-        [pytest.param(*case, id=case[0]) for case in [
+        [pytest.param(*case, id=case[0][:40]) for case in [
             # missing '&'
             ("@{a <1,2>}", "forbidden '}' in event description", 9),
             ("@{a", "expected '&' after event description", 3),
@@ -185,6 +185,9 @@ class TestParse:
             ("@{a & <5,2>}", "span start 5.00 must be strictly below end 2.00", 6),
             ("@{a & <1,2.5> <3.00,1.00>}",
              "span start 3.00 must be strictly below end 1.00", 14),
+            # a time that overflows a float: at the byte of that decimal
+            ("Rain @{a & <1," + "9" * 400 + ">}", "time too large for a float", 14),
+            ("@{a & <" + "9" * 400 + "," + "9" * 400 + ">}", "time too large for a float", 7),
             # quoted speech
             ('@{a & <1,2> "unterminated}', "unterminated quoted speech", 26),
             ('@{a & <1,2> "', "unterminated quoted speech", 13),

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -7,9 +8,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from soundscene import cli
+from soundscene.config import ConfigError, load_config
 from soundscene.demo import build_demo_pools
 from soundscene.dsl import TimeSpan
-from soundscene.manifest import decode_event_rows, iter_lines, read_jsonl, write_jsonl_atomic
+from soundscene.manifest import _staged, decode_event_rows, iter_lines, read_jsonl, write_jsonl_atomic
 from soundscene.phonemes import build_vocab, load_default_lexicon, load_lexicon
 from soundscene.scene import load_background_pool, load_speech_pool
 from soundscene.sed import annotations_from_manifest
@@ -148,6 +150,38 @@ class TestWriteJsonlAtomic:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestStaged:
+    def test_directory_replaced_whole(self, tmp_path):
+        old = tmp_path / "audio"
+        old.mkdir()
+        (old / "a.wav").write_text("old")
+        (old / "b.wav").write_text("old")
+        with _staged(old) as new:
+            new.mkdir()
+            (new / "a.wav").write_text("new")
+        assert {f.name: f.read_text() for f in old.iterdir()} == {"a.wav": "new"}
+        assert [f.name for f in tmp_path.iterdir()] == ["audio"]
+
+    def test_failure_keeps_old_directory(self, tmp_path):
+        old = tmp_path / "audio"
+        old.mkdir()
+        (old / "a.wav").write_text("old")
+        with pytest.raises(KeyError), _staged(old) as new:
+            new.mkdir()
+            (new / "a.wav").write_text("new")
+            raise KeyError("stop")
+        assert {f.name: f.read_text() for f in old.iterdir()} == {"a.wav": "old"}
+        assert [f.name for f in tmp_path.iterdir()] == ["audio"]
+
+    def test_directory_never_replaces_file(self, tmp_path):
+        old = tmp_path / "audio"
+        old.write_text("kept")
+        with pytest.raises(NotADirectoryError, match=re.escape(str(old))), _staged(old) as new:
+            new.mkdir()
+        assert old.read_text() == "kept"
+        assert [f.name for f in tmp_path.iterdir()] == ["audio"]
+
+
 class TestDecodeEventRows:
     def test_rows_become_tuples_with_timespan_rounding(self):
         rows = [
@@ -238,3 +272,53 @@ class TestOneByteEdits:
             read(path)
         except ValueError as exc:
             assert re.match(rf"{re.escape(str(path))}:[0-9]+: ", str(exc)), str(exc)
+
+
+def _read_prompt_file(path):
+    return cli._parse_prompt_arg(argparse.Namespace(prompt=None, file=str(path)))
+
+
+_PROMPT = ('Rain on a café roof.\n@{Man speaking & <1.25,3.50> <5,6.5> "Bonjour, \\"toi\\"\n'
+           'à demain."}\n@{rain & <0.00,10.00>}\n').encode("utf-8")
+_CONFIG = """\
+# pools and priors
+dataset_seed: 3
+output_dir: out
+speech_manifest: demo/speech_manifest.jsonl
+background_manifest: demo/background_manifest.jsonl
+priors:
+  p_single_speaker: 0.5
+  snr_range_db: [2.0, 10.0]
+  utterance_count_pmf: {1: 0.5, 2: 0.5}
+sampler: {T: 100, t1: 88, w_low: 3.0, w_high: 9.0, mode: ancestral, seed: 0}
+""".encode("utf-8")
+
+
+class TestOneByteEditsWholeFile:
+    """The readers that take a file whole return a result or raise their
+    documented error for any one-byte edit of a valid file: a ``--file``
+    prompt raises ValueError naming ``path:line``, a YAML config raises
+    ConfigError naming the path."""
+
+    READERS = [
+        pytest.param(_PROMPT, _read_prompt_file, ValueError, "{path}:[0-9]+: ", id="prompt-file"),
+        pytest.param(_CONFIG, load_config, ConfigError, "(cannot read config )?{path}: ", id="config"),
+    ]
+
+    def test_valid_files_read(self, tmp_path):
+        (tmp_path / "p.txt").write_bytes(_PROMPT)
+        assert len(_read_prompt_file(tmp_path / "p.txt").events) == 2
+        (tmp_path / "c.yaml").write_bytes(_CONFIG)
+        assert load_config(tmp_path / "c.yaml").priors.utterance_count_pmf == {1: 0.5, 2: 0.5}
+
+    @pytest.mark.parametrize("valid, read, error, pattern", READERS)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_reader_returns_or_raises_its_error(self, tmp_path, valid, read, error, pattern, data):
+        path = tmp_path / "input"
+        path.write_bytes(data.draw(_one_byte_edit(valid)))
+        try:
+            read(path)
+        except error as exc:
+            assert re.match(pattern.format(path=re.escape(str(path))), str(exc)), str(exc)
