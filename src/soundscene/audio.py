@@ -177,7 +177,8 @@ def read_wav(path: str | Path) -> tuple[int, np.ndarray]:
 
 def write_wav(path: str | Path, audio: np.ndarray, rate: int = SAMPLE_RATE) -> None:
     """Write 16-bit PCM: round(clip(audio, -1, 1) * 32767), half to even.
-    1-D audio is mono, (frames, channels) audio interleaves its channels."""
+    1-D audio is mono, (frames, channels) audio interleaves its channels.
+    A NaN sample raises ValueError naming ``path`` and writes nothing."""
     pcm = np.clip(np.asarray(audio, dtype=np.float64), -1.0, 1.0)
     if pcm.ndim not in (1, 2):
         raise ValueError(f"expected 1-D or (frames, channels) audio, got shape {pcm.shape}")
@@ -185,7 +186,11 @@ def write_wav(path: str | Path, audio: np.ndarray, rate: int = SAMPLE_RATE) -> N
     np.rint(pcm, out=pcm)
     # native byte order: wave swaps to little-endian itself; the row-major
     # ravel of a (frames, channels) array is its interleaved frames
-    frames = pcm.astype(np.int16)
+    try:
+        with np.errstate(invalid="raise"):  # after the clip, only NaN is invalid
+            frames = pcm.astype(np.int16)
+    except FloatingPointError:
+        raise ValueError(f"{path}: NaN sample in audio") from None
     channels = 1 if frames.ndim == 1 else frames.shape[1]
     with open(path, "wb") as f, wave.open(f, "wb") as w:
         w.setparams((channels, 2, rate, frames.shape[0], "NONE", "not compressed"))

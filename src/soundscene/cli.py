@@ -4,8 +4,8 @@ Subcommands cover the full workflow: prompt handling (parse, fmt,
 tokenize), dataset synthesis (simulate), annotation ingestion (ingest),
 LLM prompt planning (plan), latent sampling (sample), and scoring
 (evaluate).  All outputs are deterministic for a fixed config and seed.
-Manifests and simulate's ``audio/`` are staged and replace the old output
-whole once complete, so a failed run leaves the previous run as it was.
+Every output but ``sample/`` is staged and replaces the old one whole once
+complete, so a failed run leaves the previous output as it was.
 """
 
 from __future__ import annotations
@@ -414,7 +414,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     text = render_report(eb, at, cfg)
     print(text)
     if args.report:
-        Path(args.report).write_text(text + "\n", encoding="utf-8")
+        with _staged(Path(args.report)) as new:
+            new.write_text(text + "\n", encoding="utf-8")
     return 0
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from soundscene.dsl import DEFAULT_CLIP_SECONDS, PromptSyntaxError, StructuredPrompt, parse
+from soundscene.manifest import _staged
 
 __all__ = ["PlannerEndpoint", "PlannerError", "PlannerRequest", "PlannerClient"]
 
@@ -201,12 +202,12 @@ class PlannerClient:
                 saved = ""
                 if raw_dump_path is not None:
                     dump = Path(raw_dump_path)
-                    dump.parent.mkdir(parents=True, exist_ok=True)
-                    dump.write_text(
-                        "== attempt 1 ==\n" + first_reply
-                        + "\n== attempt 2 ==\n" + second_reply + "\n",
-                        encoding="utf-8",
-                    )
+                    with _staged(dump) as new:
+                        new.write_text(
+                            "== attempt 1 ==\n" + first_reply
+                            + "\n== attempt 2 ==\n" + second_reply + "\n",
+                            encoding="utf-8",
+                        )
                     saved = f" (raw replies saved to {dump})"
                 raise PlannerError(
                     f"planner reply unparseable after repair retry: {second_err}{saved}"

@@ -15,7 +15,7 @@ unconditional branch used for classifier-free guidance.
 from __future__ import annotations
 
 import functools
-import json
+import hashlib
 import math
 import os
 import struct
@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .diffusion import NoiseSchedule, PairFn, _check_T, _is_int, check_step, forward_noise
+from .manifest import _staged
 
 __all__ = [
     "GRANULARITIES",
@@ -78,7 +79,9 @@ _TOY_SIGMA = 0.4
 _VALIDATION_REPEATS = 8
 
 _CKPT_MAGIC = b"TOYDNZR\x00"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
+# after the magic: version, dim, T, then the sha256 of those 12 bytes and the body
+_CKPT_HEADER = struct.Struct("<III32s")
 
 
 class TrainingDiverged(RuntimeError):
@@ -128,7 +131,7 @@ class ToyDenoiser:
         if not _is_int(dim) or dim < 1:
             raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
         _check_T(T)
-        dim, T = int(dim), int(T)  # a numpy integer would not go into the JSON header
+        dim, T = int(dim), int(T)  # plain ints, as a loaded checkpoint's are
         self._adopt(dim, T, np.zeros(_n_params(dim)))
         rng = np.random.default_rng(0) if rng is None else rng
         for name, shape in _param_shapes(dim).items():  # biases stay zero
@@ -460,59 +463,52 @@ def make_toy_dataset(n: int, dim: int, rng: np.random.Generator) -> list[tuple[n
     return items
 
 
+def _check_finite(flat: np.ndarray, path: str | Path) -> None:
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite parameter {flat[bad[0]]} at index {bad[0]} of {flat.size}")
+
+
 def save_checkpoint(denoiser: ToyDenoiser, path: str | Path) -> None:
-    """Flat binary: magic, version, the JSON header {"dim", "T"}, then the
-    parameter vector as raw little-endian float64.  Its layout (sorted-name
-    order, see _param_views) follows from dim, so the header needs no table."""
-    blob = json.dumps({"dim": denoiser.dim, "T": denoiser.T}).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(blob)) + blob)
-        fh.write(denoiser.flat.astype("<f8", copy=False).tobytes())
+    """Version 3: the magic; version, dim and T as little-endian uint32; the
+    sha256 of those 12 bytes and the body; the body, the parameter vector as
+    little-endian float64 in sorted-name order (see _param_views).  A
+    non-finite parameter raises ValueError, and a failed save keeps ``path``."""
+    _check_finite(denoiser.flat, path)
+    body = denoiser.flat.astype("<f8", copy=False).tobytes()
+    sizes = _CKPT_HEADER.pack(_CKPT_VERSION, denoiser.dim, denoiser.T, b"")[:12]  # digest field dropped
+    with _staged(Path(path)) as new:
+        new.write_bytes(_CKPT_MAGIC + sizes + hashlib.sha256(sizes + body).digest() + body)
 
 
 def load_checkpoint(path: str | Path) -> ToyDenoiser:
-    """Read a save_checkpoint file.  Raises ValueError naming the path unless
-    the header holds just the positive integers dim and T, and the body is
-    exactly the _n_params(dim) float64 values dim implies, all finite.  The
-    size is checked before anything is built, so a lying header costs no
-    memory, and the model is built on the body as read, with no random init."""
+    """Read a save_checkpoint file.  Raises ValueError naming the path for a
+    bad magic, a version other than 3, a zero dim or T, a byte count other
+    than the one dim implies (checked before the body is read, so a lying
+    dim costs no memory), a digest mismatch or a non-finite parameter.  The
+    model is built on the body as read, with no random init."""
     with open(path, "rb") as fh:
         if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a toy-denoiser checkpoint")
-        prefix = fh.read(8)
-        if len(prefix) != 8:
+        header = fh.read(_CKPT_HEADER.size)
+        if len(header) != _CKPT_HEADER.size:
             raise ValueError(f"{path}: truncated checkpoint header")
-        version, header_len = struct.unpack("<II", prefix)
+        version, dim, T, digest = _CKPT_HEADER.unpack(header)
         if version != _CKPT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-        except ValueError as exc:  # bad UTF-8 or bad JSON
-            raise ValueError(f"{path}: unreadable checkpoint header: {exc}") from None
-        if not isinstance(header, dict):
-            raise ValueError(f"{path}: checkpoint header is not a JSON object")
-        extra = sorted(set(header) - {"dim", "T"})
-        if extra:
-            raise ValueError(f"{path}: malformed checkpoint header: unexpected keys {extra}")
-        for key in ("dim", "T"):
-            if key not in header:
-                raise ValueError(f"{path}: checkpoint header has no {key!r}")
-            # type(...) is int: a JSON true is a bool, and 2.0 a float
-            if type(header[key]) is not int or header[key] < 1:
-                raise ValueError(
-                    f"{path}: malformed checkpoint header: {key} must be a positive integer, "
-                    f"got {header[key]!r}"
-                )
-        dim, T = header["dim"], header["T"]
+        if dim < 1 or T < 1:
+            raise ValueError(f"{path}: malformed checkpoint header: dim {dim} and T {T} must be >= 1")
         need = 8 * _n_params(dim)
         have = os.fstat(fh.fileno()).st_size - fh.tell()
         if have != need:
             problem = "truncated checkpoint" if have < need else "trailing bytes after parameters"
             raise ValueError(f"{path}: {problem}: {have} parameter bytes, dim {dim} needs {need}")
-        flat = np.fromfile(fh, dtype="<f8", count=need // 8)
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise ValueError(f"{path}: non-finite parameter {flat[bad[0]]} at index {bad[0]} of {flat.size}")
+        body = bytearray(need)
+        fh.readinto(body)
+    if hashlib.sha256(header[:12] + body).digest() != digest:
+        raise ValueError(f"{path}: checkpoint digest mismatch: the file changed after it was saved")
+    flat = np.frombuffer(body, dtype="<f8")
+    _check_finite(flat, path)
     denoiser = ToyDenoiser.__new__(ToyDenoiser)
     denoiser._adopt(dim, T, flat)
     return denoiser

@@ -2,15 +2,21 @@
 denoiser wrapper that records how a sampler binds it, a stub denoiser of
 two given branches, the per-latent diffusion loss, a reference
 collar-feasibility graph, a reference annotation reader that builds one
-object per event, and a loopback HTTP server that stands in for the
-planner's chat-completion endpoint."""
+object per event, a loopback HTTP server that stands in for the planner's
+chat-completion endpoint, a toy-denoiser checkpoint writer and a write that
+fails partway."""
 
 from __future__ import annotations
 
+import errno
+import hashlib
 import json
+import os
+import struct
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 
@@ -360,3 +366,26 @@ class LoopbackPlanner:
         self._httpd.server_close()
         self._thread.join(timeout=10)
         assert not self._thread.is_alive(), "loopback planner did not stop"
+
+
+def write_checkpoint(path: Path, dim: int, T: int, flat) -> Path:
+    """A version-3 toy-denoiser checkpoint written from its layout: the
+    magic; version 3, dim and T as little-endian uint32; the sha256 of those
+    12 bytes and the body; then the body, ``flat`` as little-endian float64."""
+    sizes = struct.pack("<III", 3, dim, T)
+    body = np.ascontiguousarray(flat, dtype="<f8").tobytes()
+    path.write_bytes(b"TOYDNZR\x00" + sizes + hashlib.sha256(sizes + body).digest() + body)
+    return path
+
+
+def fail_writes_partway(monkeypatch) -> None:
+    """Make Path.write_bytes and Path.write_text write the first half of
+    their data, then raise OSError as a full disk would."""
+
+    def write_half(self, data, *args, **kwargs):
+        with open(self, "wb" if isinstance(data, bytes) else "w", encoding=kwargs.get("encoding")) as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+
+    monkeypatch.setattr(Path, "write_bytes", write_half)
+    monkeypatch.setattr(Path, "write_text", write_half)

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -337,6 +338,13 @@ class TestWavIo:
         _, y = read_wav(path)
         assert y[0] == pytest.approx(32767 / 32768)
         assert y[1] == pytest.approx(-32767 / 32768)
+
+    @pytest.mark.parametrize("audio", [[0.1, np.nan], np.full((3, 2), np.nan)], ids=["mono", "stereo"])
+    def test_nan_sample_raises_and_writes_nothing(self, tmp_path, audio):
+        path = tmp_path / "n.wav"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: NaN sample")):
+            write_wav(path, audio)
+        assert not path.exists()
 
 
 def _reference_wav_bytes(audio, rate=SAMPLE_RATE):

@@ -2,7 +2,6 @@ import hashlib
 import json
 import os
 import re
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +19,7 @@ from soundscene.manifest import read_jsonl
 from soundscene.scene import derive_scene_seed
 from soundscene.toytrain import ToyDenoiser, save_checkpoint
 
+from fixtures import fail_writes_partway, write_checkpoint
 from test_planner import GOOD_PROMPT, chat_reply
 
 
@@ -936,11 +936,9 @@ class TestSample:
         assert err == "error: --checkpoint needs --denoiser toy_checkpoint\n"
 
     def test_non_finite_checkpoint_exits_1(self, run_config, tmp_path, capsys):
-        ckpt = tmp_path / "toy.ckpt"
-        save_checkpoint(ToyDenoiser(dim=2, T=100), ckpt)
-        raw = bytearray(ckpt.read_bytes())
-        raw[-8:] = struct.pack("<d", float("nan"))
-        ckpt.write_bytes(bytes(raw))
+        flat = ToyDenoiser(dim=2, T=100).flat.copy()
+        flat[-1] = np.nan
+        ckpt = write_checkpoint(tmp_path / "toy.ckpt", 2, 100, flat)
         rc = main(["sample", "--config", str(run_config), "--denoiser", "toy_checkpoint",
                    "--checkpoint", str(ckpt), "--output-dir", str(tmp_path / "x")])
         _, err = read_out(capsys)
@@ -974,10 +972,8 @@ class TestSample:
         assert not (tmp_path / "x" / "sample").exists()
 
     def test_lying_checkpoint_header_exits_1(self, run_config, tmp_path, capsys):
-        # ~200 bytes whose header claims a 10^12-dimensional model
-        blob = json.dumps({"dim": 10**12, "T": 100}).encode("utf-8")
-        ckpt = tmp_path / "lying.ckpt"
-        ckpt.write_bytes(b"TOYDNZR\x00" + struct.pack("<II", 2, len(blob)) + blob + bytes(160))
+        # ~200 bytes whose header claims a 4-billion-dimensional model
+        ckpt = write_checkpoint(tmp_path / "lying.ckpt", 2**32 - 1, 100, np.zeros(20))
         rc = main(["sample", "--config", str(run_config), "--denoiser", "toy_checkpoint",
                    "--checkpoint", str(ckpt), "--output-dir", str(tmp_path / "x")])
         _, err = read_out(capsys)
@@ -1173,6 +1169,17 @@ class TestEvaluate:
         out, _ = read_out(capsys)
         assert rc == 0
         assert report.read_text().strip() == out.strip()
+
+    def test_failed_report_write_keeps_previous_report(self, tmp_path, capsys, monkeypatch):
+        truth, pred = _write_scored_pair(tmp_path)
+        report = tmp_path / "report.txt"
+        report.write_text("previous report\n")
+        fail_writes_partway(monkeypatch)
+        rc = main(["evaluate", "--truth", str(truth), "--pred", str(pred), "--report", str(report)])
+        _, err = read_out(capsys)
+        assert rc == 1 and "No space left on device" in err
+        assert report.read_bytes() == b"previous report\n"
+        assert not [f for f in tmp_path.iterdir() if f.name.startswith(".")]
 
     def test_huge_integer_time_names_line(self, tmp_path, capsys):
         truth = tmp_path / "t.jsonl"

@@ -15,6 +15,7 @@ from soundscene.manifest import _staged, decode_event_rows, iter_lines, read_jso
 from soundscene.phonemes import build_vocab, load_default_lexicon, load_lexicon
 from soundscene.scene import load_background_pool, load_speech_pool
 from soundscene.sed import annotations_from_manifest
+from soundscene.toytrain import ToyDenoiser, load_checkpoint, save_checkpoint
 
 
 # the line boundaries of str.splitlines besides "\n", "\r" and "\r\n"
@@ -212,6 +213,7 @@ _EVENTS = "c0\tdog barking\t0.5\t1.25\nc0\tMan speaking\t2\t3.5\nc1\train\t0\t10
 _LEXICON = ";;; a comment\nRED  R EH1 D\nCAFÉ  K AE0 F EY1\nREAD(1)  R EH1 D\n".encode("utf-8")
 _TRANSCRIPTS = "c0\t1\tHello, café.\nc0\t3\t\nc1\t0\tgood night\n".encode("utf-8")
 _CAPTIONS = "c0\tRain on a café roof.\nc1\tA dog barks.\n".encode("utf-8")
+_CORPUS = 'Rain on a café roof. @{rain & <0.00,10.00>}\nA dog barks; "bonjour".\n'.encode("utf-8")
 
 
 @st.composite
@@ -273,6 +275,16 @@ class TestOneByteEdits:
         except ValueError as exc:
             assert re.match(rf"{re.escape(str(path))}:[0-9]+: ", str(exc)), str(exc)
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_vocab_corpus_tokenizes_or_exits_1_naming_path_and_line(self, tmp_path, capsys, data):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(data.draw(_one_byte_edit(_CORPUS)))
+        rc = cli.main(["tokenize", "--vocab-corpus", str(path), 'Rain @{a man & <0,1> "hello"}'])
+        _, err = capsys.readouterr()
+        assert rc == 0 or (rc == 1 and re.match(rf"error: {re.escape(str(path))}:[0-9]+: ", err)), (rc, err)
+
 
 def _read_prompt_file(path):
     return cli._parse_prompt_arg(argparse.Namespace(prompt=None, file=str(path)))
@@ -298,7 +310,8 @@ class TestOneByteEditsWholeFile:
     """The readers that take a file whole return a result or raise their
     documented error for any one-byte edit of a valid file: a ``--file``
     prompt raises ValueError naming ``path:line``, a YAML config raises
-    ConfigError naming the path."""
+    ConfigError naming the path.  A checkpoint is stricter: every edit
+    raises ValueError naming the path, and none loads."""
 
     READERS = [
         pytest.param(_PROMPT, _read_prompt_file, ValueError, "{path}:[0-9]+: ", id="prompt-file"),
@@ -322,3 +335,35 @@ class TestOneByteEditsWholeFile:
             read(path)
         except error as exc:
             assert re.match(pattern.format(path=re.escape(str(path))), str(exc)), str(exc)
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ckpt") / "toy.ckpt"
+        save_checkpoint(ToyDenoiser(dim=1, T=10), path)
+        return path.read_bytes()
+
+    @staticmethod
+    def _assert_refused(path, data):
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ")):
+            load_checkpoint(path)
+
+    def test_every_checkpoint_prefix_edit_is_refused(self, tmp_path, checkpoint):
+        # the magic and the header, at every offset: every flip, and an
+        # insertion or deletion, whose value cannot matter: a body one byte
+        # off a whole number of float64s fails the byte count
+        path, valid = tmp_path / "toy.ckpt", checkpoint
+        path.write_bytes(valid)
+        assert load_checkpoint(path).flat.tobytes() == valid[52:]
+        for i in range(52):
+            for mask in range(1, 256):
+                self._assert_refused(path, valid[:i] + bytes([valid[i] ^ mask]) + valid[i + 1:])
+            for byte in (0x00, 0x01, 0x80, 0xFF):
+                self._assert_refused(path, valid[:i] + bytes([byte]) + valid[i:])
+            self._assert_refused(path, valid[:i] + valid[i + 1:])
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_checkpoint_edit_is_refused(self, tmp_path, checkpoint, data):
+        self._assert_refused(tmp_path / "toy.ckpt", data.draw(_one_byte_edit(checkpoint)))

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from fixtures import Reply
+from fixtures import Reply, fail_writes_partway
 from soundscene.dsl import serialize
 from soundscene.planner import (
     PlannerClient,
@@ -215,6 +215,16 @@ class TestRepairRetry:
         raw = dump.read_text(encoding="utf-8")
         assert "first bad reply" in raw
         assert "second bad reply" in raw
+
+    def test_failed_dump_write_keeps_previous_dump(self, server, endpoint, api_key, tmp_path, monkeypatch):
+        server.replies += [chat_reply("first bad reply"), chat_reply("second bad reply")]
+        dump = tmp_path / "planner_raw.txt"
+        dump.write_text("previous replies\n")
+        fail_writes_partway(monkeypatch)
+        with pytest.raises(OSError, match="No space left on device"):
+            PlannerClient(endpoint).plan("c", raw_dump_path=dump)
+        assert dump.read_bytes() == b"previous replies\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["planner_raw.txt"]
 
     def test_double_failure_without_dump_path(self, server, endpoint, api_key):
         server.replies += [chat_reply("bad"), chat_reply("still bad")]
