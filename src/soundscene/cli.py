@@ -40,6 +40,7 @@ from soundscene.dsl import (
     EventAnnotation,
     PromptSyntaxError,
     StructuredPrompt,
+    _format_time,
     check_caption,
     from_annotations,
     parse,
@@ -120,7 +121,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     p = _parse_prompt_arg(args)
     print(f"caption: {p.caption}")
     for i, ev in enumerate(p.events):
-        spans = ", ".join(f"{s.start:.2f}-{s.end:.2f}" for s in ev.spans)
+        spans = ", ".join(f"{_format_time(s.start)}-{_format_time(s.end)}" for s in ev.spans)
         print(f"event {i}: {ev.description}")
         print(f"  spans: {spans}")
         print(f"  speech: {ev.speech!r}" if ev.speech is not None else "  speech: -")

@@ -4,7 +4,7 @@ A prompt is a free-text caption followed by zero or more event blocks:
 
     caption @{description & <start,end> <start,end> "optional speech"}
 
-Times are seconds at centisecond precision; the default clip is 10.00 s.
+Times are seconds held as whole centiseconds; the default clip is 10.00 s.
 Canonical renderings use exactly two fraction digits, a single space
 between tokens, spans sorted by start time, and the quoted speech last
 inside its block.  Within quoted speech a backslash escapes ``\\"`` and
@@ -13,7 +13,7 @@ inside its block.  Within quoted speech a backslash escapes ``\\"`` and
 parse() reads the caption up to the first '@{'.  A description runs to
 its '&' and may not contain '}', '"' or '@{'; a block needs one or more
 spans; a time is an unsigned decimal of ASCII digits with at most two
-fraction digits, finite as a float; whitespace may separate any two tokens.
+fraction digits, below MAX_SECONDS; whitespace may separate any two tokens.
 
 validate() is the one list of prompt rules.  serialize() refuses every
 error it reports except a span ending past the clip, and
@@ -29,6 +29,7 @@ from typing import NoReturn
 
 __all__ = [
     "DEFAULT_CLIP_SECONDS",
+    "MAX_SECONDS",
     "TimeSpan",
     "EventSpec",
     "StructuredPrompt",
@@ -44,6 +45,9 @@ __all__ = [
 ]
 
 DEFAULT_CLIP_SECONDS = 10.0
+# every time's magnitude stays below this; below 2**46 s neighbouring
+# centiseconds are distinct doubles
+MAX_SECONDS = 1e13
 
 
 class PromptSyntaxError(ValueError):
@@ -54,42 +58,42 @@ class PromptSyntaxError(ValueError):
         self.message, self.offset = message, offset
 
 
-def _centiseconds(name: str, value: float) -> float:
-    """``round(float(value), 2) + 0.0`` for a finite value; see TimeSpan."""
-    v = float(value)
-    if -1e9 < v < 1e9:
-        if round(v * 100) / 100 == v:
-            return v + 0.0
-    elif not math.isfinite(v):
+def _centiseconds(name: str, value: float) -> int:
+    """The one float-to-time rule: ``value`` as the whole centiseconds k
+    whose ``k / 100`` has the bits of ``round(float(value), 2) + 0.0``.
+    Below MAX_SECONDS an ulp is at most 2**-9, so an on-grid ``v`` (the
+    double nearest some k/100) has ``round(v, 2) == v``, and ``v * 100`` or
+    ``round(v, 2) * 100`` is within 0.2 of its k."""
+    try:
+        v = float(value)
+    except OverflowError:  # an integer past every double is past the bound
+        v = MAX_SECONDS
+    if -MAX_SECONDS < v < MAX_SECONDS:
+        k = round(v * 100)
+        return k if k / 100 == v else round(round(v, 2) * 100)
+    if not math.isfinite(v):
         raise ValueError(f"TimeSpan.{name} must be finite, got {v!r}")
-    return round(v, 2) + 0.0
+    raise ValueError(f"TimeSpan.{name} must be below {MAX_SECONDS:.0e} s in magnitude")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class TimeSpan:
-    """Half-open interval in seconds, quantized to centiseconds; spans
-    order by (start, end).
+    """Half-open interval in whole centiseconds, built from seconds by
+    _centiseconds; spans order by (start, end).  Construction rejects a
+    non-finite time, or one not below MAX_SECONDS in magnitude, naming the
+    field; ordering and range problems are data for validate() to report."""
 
-    Each bound is stored as ``round(v, 2) + 0.0``; the + 0.0 turns -0.0
-    into 0.0 so the canonical rendering has no sign.  A ``v`` with
-    ``|v| < 1e9`` and ``round(v * 100) / 100 == v`` skips the decimal
-    rounding: it is then the double nearest some k/100, within one ulp
-    (< 2.4e-7) of it, so ``round(v, 2)`` would return ``v`` itself.
+    start_cs: int
+    end_cs: int
 
-    Construction rejects non-finite values but deliberately not ordering
-    or range problems; those are data for validate() to report.
-    """
+    def __init__(self, start: float, end: float):
+        object.__setattr__(self, "start_cs", _centiseconds("start", start))
+        object.__setattr__(self, "end_cs", _centiseconds("end", end))
 
-    start: float
-    end: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "start", _centiseconds("start", self.start))
-        object.__setattr__(self, "end", _centiseconds("end", self.end))
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+    # in seconds: k / 100 is the double nearest k/100, the bits round(v, 2) gives
+    start = property(lambda self: self.start_cs / 100)
+    end = property(lambda self: self.end_cs / 100)
+    duration = property(lambda self: self.end - self.start)
 
 
 @dataclass(frozen=True)
@@ -198,8 +202,9 @@ def _parse_block(text: str, pos: int) -> tuple[EventSpec, int]:
         if m.lastindex != 5:
             _fail(text, m.end(), _SPAN_ERRORS[m.lastindex or 0])
         start, end = float(m[2]), float(m[4])
-        if start == math.inf or end == math.inf:  # decimals are unsigned
-            _fail(text, m.start(2 if start == math.inf else 4), "time too large for a float")
+        if max(start, end) >= MAX_SECONDS:  # decimals are unsigned
+            at = m.start(2 if start >= MAX_SECONDS else 4)
+            _fail(text, at, f"time must be below {MAX_SECONDS:.0e} s")
         if not start < end:
             _fail(text, pos, f"span start {start:.2f} must be strictly below end {end:.2f}")
         spans.append(TimeSpan(start, end))
@@ -320,19 +325,19 @@ def validate(p: StructuredPrompt) -> list[Violation]:
         if not event.spans:
             add("no-spans", f"event {i}: no spans", i)
         for j, s in enumerate(event.spans):
-            if s.start < 0:
+            if s.start_cs < 0:
                 add("negative-start",
                     f"event {i} span {j}: start {_format_time(s.start)} below 0.00", i, j)
-            if not s.start < s.end:
+            if not s.start_cs < s.end_cs:
                 add("degenerate-span", f"event {i} span {j}: start {_format_time(s.start)} "
                     f"not strictly below end {_format_time(s.end)}", i, j)
-            if s.end > DEFAULT_CLIP_SECONDS:
+            if s.end_cs > DEFAULT_CLIP_SECONDS * 100:
                 add("end-exceeds-clip", f"event {i} span {j}: end {_format_time(s.end)} "
                     f"beyond clip {_format_time(DEFAULT_CLIP_SECONDS)}", i, j)
         if len(event.spans) > 1:
             ordered = sorted(event.spans)
             for a, b in zip(ordered, ordered[1:]):
-                if b.start < a.end:
+                if b.start_cs < a.end_cs:
                     add("overlapping-spans",
                         f"event {i}: spans <{_format_time(a.start)},{_format_time(a.end)}> and "
                         f"<{_format_time(b.start)},{_format_time(b.end)}> overlap",

@@ -102,28 +102,25 @@ def encode_events(events: Iterable[EventAnnotation]) -> list[dict[str, Any]]:
 
 
 def _event_time(row: Mapping[str, Any], key: str) -> float:
-    """``row[key]`` as seconds; it must be an int or float, not a bool (a
-    JSON number).  A plain float, the common case, is checked first."""
+    """``row[key]``, which must be an int or float, not a bool (a JSON
+    number).  A plain float, the common case, is checked first."""
     value = row[key]
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise ValueError(f"{key} {value!r} is not a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{key} is an integer too large for a float") from None
+    return value
 
 
-# a decoded events row: label, onset, offset, transcript
-_Row = tuple[str, float, float, str | None]
+# a decoded events row: label, onset and offset in whole centiseconds, transcript
+_Row = tuple[str, int, int, str | None]
 
 
 def decode_event_rows(rows: Any, where: str) -> list[_Row]:
     """Check ``events`` rows (mappings with a string label, numeric start and
     end in seconds, and an optional string-or-null transcript) and return
-    them as (label, start, end, transcript) tuples, the times rounded to
-    centiseconds by TimeSpan's rule.  Spans must be finite and, once
-    rounded, satisfy 0 <= start < end; any malformed row raises ValueError
-    naming ``where``."""
+    them as (label, start, end, transcript) tuples, the times in whole
+    centiseconds by TimeSpan's rule.  Times must be finite and below
+    MAX_SECONDS in magnitude and, once rounded, satisfy 0 <= start < end;
+    any malformed row raises ValueError naming ``where``."""
     if not isinstance(rows, list):
         raise ValueError(f"{where}: malformed event record: events must be a list")
     events = []
@@ -133,7 +130,6 @@ def decode_event_rows(rows: Any, where: str) -> list[_Row]:
         try:
             label, transcript = row["label"], row.get("transcript")
             start, end = _event_time(row, "start"), _event_time(row, "end")
-            # rejects non-finite times
             start_cs, end_cs = _centiseconds("start", start), _centiseconds("end", end)
         except KeyError as exc:
             raise ValueError(f"{where}: malformed event record: missing field {exc}") from exc
@@ -148,7 +144,7 @@ def decode_event_rows(rows: Any, where: str) -> list[_Row]:
         if not label.strip():
             raise ValueError(f"{where}: empty label")
         if not 0 <= start_cs < end_cs:
-            raise ValueError(f"{where}: invalid span [{start}, {end}]")
+            raise ValueError(f"{where}: invalid span [{float(start)}, {float(end)}]")
         events.append((label, start_cs, end_cs, transcript))
     return events
 

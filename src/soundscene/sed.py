@@ -7,7 +7,7 @@ bipartite matching on the collar-feasibility graph, so scores do not depend
 on event order.  The graph of every pair is built at once: predictions are
 sorted by one complex key, (clip, class) group id as the real part and
 onset as the imaginary part, which numpy orders lexicographically, so one
-binary search per collar bound finds each truth event's candidate window.
+binary search per collar bound finds each truth event's onset window.
 The graph is scored by one Hopcroft-Karp run
 (``scipy.sparse.csgraph.maximum_bipartite_matching``); no edge crosses
 pairs, so that is the per-pair matching.
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple, Sequence, overload
 
 import numpy as np
 
-from .dsl import EventAnnotation, TimeSpan
+from .dsl import MAX_SECONDS, EventAnnotation, TimeSpan
 from .manifest import _Row, decode_event_rows, iter_jsonl, iter_lines, read_tsv, require_str
 
 if TYPE_CHECKING:
@@ -40,12 +40,9 @@ __all__ = [
     "format_score",
 ]
 
-# guards <= comparisons against float dust in span arithmetic
-_TOL = 1e-9
-# relative widening of the onset search window: far above the few-ulp
-# float64 rounding of its bounds and of the onset test, so the window holds
-# every prediction that test accepts
-_WINDOW_SLACK = 1e-9
+# 1e-9 s in centiseconds: guards a collar in seconds times 100, or a float
+# offset allowance, against float dust where it meets an integer distance
+_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -104,7 +101,7 @@ class _Columns(NamedTuple):
     """One side's events as score columns.  Clip ids and labels are listed
     once each, in order of first appearance; per event, ``clip`` and
     ``label`` index those lists, and ``start`` and ``end`` hold its onset
-    and offset."""
+    and offset in whole centiseconds."""
 
     clip_ids: list[str]
     clip: np.ndarray
@@ -123,12 +120,12 @@ def _index(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
 
 def _assemble(
     clip_ids: list[str], counts: Sequence[int], labels: Sequence[str],
-    starts: Sequence[float], ends: Sequence[float],
+    starts: Sequence[int], ends: Sequence[int],
 ) -> _Columns:
     """Score columns from the clip ids, each clip's event count, and the
-    events' labels, onsets and offsets, clip by clip."""
+    events' labels, onsets and offsets in centiseconds, clip by clip."""
     clip = np.repeat(np.arange(len(clip_ids)), counts)
-    start, end = np.array(starts, dtype=np.float64), np.array(ends, dtype=np.float64)
+    start, end = np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
     return _Columns(clip_ids, clip, *_index(labels), start, end)
 
 
@@ -156,7 +153,7 @@ class _ClipTable(Sequence[ClipAnnotations]):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         return ClipAnnotations(self.columns.clip_ids[index], tuple(
-            EventAnnotation(label, TimeSpan(start, end), transcript)
+            EventAnnotation(label, TimeSpan(start / 100, end / 100), transcript)
             for label, start, end, transcript in self._rows[index]
         ))
 
@@ -175,7 +172,7 @@ def _columns(side: Sequence[ClipAnnotations], name: str) -> _Columns:
     spans = [e.span for e in events]
     return _assemble(
         list(clips), [len(clip.events) for clip in clips.values()],
-        [e.label for e in events], [s.start for s in spans], [s.end for s in spans],
+        [e.label for e in events], [s.start_cs for s in spans], [s.end_cs for s in spans],
     )
 
 
@@ -222,22 +219,22 @@ def _feasibility_graph(
 
     # numpy orders complex values by real part, then imaginary part, so
     # predictions sorted by (group, onset) key hold each truth event's
-    # window as a contiguous run; group ids are exact doubles, so it is exact
+    # window as a contiguous run.  Group ids and onsets are whole numbers
+    # below 2**53, exact doubles, so that run is exactly the onset test; a
+    # collar of twice MAX_SECONDS already reaches every onset.
     p_key = _key(p_group, p_start)
     order = np.argsort(p_key, kind="stable")
     p_key = p_key[order]
-    reach = cfg.onset_collar + _TOL
-    slack = _WINDOW_SLACK * (1.0 + np.abs(t_start) + reach)
-    first = np.searchsorted(p_key, _key(t_group, t_start - reach - slack), side="left")
-    count = np.searchsorted(p_key, _key(t_group, t_start + reach + slack), side="right") - first
+    reach = math.floor(min(cfg.onset_collar, 2 * MAX_SECONDS) * 100 + _TOL)
+    first = np.searchsorted(p_key, _key(t_group, t_start - reach), side="left")
+    count = np.searchsorted(p_key, _key(t_group, t_start + reach), side="right") - first
     # expand each truth event's window into (row, position-in-order) pairs
     rows = np.repeat(np.arange(len(t_group)), count)
     offsets = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
     cols = order[np.repeat(first, count) + offsets]
-    allowance = np.maximum(cfg.offset_collar_abs, cfg.offset_collar_rel * (t_end - t_start))
-    ok = (np.abs(p_start[cols] - t_start[rows]) <= reach) & (
-        np.abs(p_end[cols] - t_end[rows]) <= allowance[rows] + _TOL
-    )
+    with np.errstate(over="ignore"):  # an infinite allowance reaches every offset, as it should
+        allowance = np.maximum(cfg.offset_collar_abs * 100, cfg.offset_collar_rel * (t_end - t_start))
+    ok = np.abs(p_end[cols] - t_end[rows]) <= allowance[rows] + _TOL
     rows, cols = rows[ok], cols[ok]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(t_group)))])
     return csr_matrix(

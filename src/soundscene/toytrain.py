@@ -473,7 +473,11 @@ def save_checkpoint(denoiser: ToyDenoiser, path: str | Path) -> None:
     """Version 3: the magic; version, dim and T as little-endian uint32; the
     sha256 of those 12 bytes and the body; the body, the parameter vector as
     little-endian float64 in sorted-name order (see _param_views).  A
-    non-finite parameter raises ValueError, and a failed save keeps ``path``."""
+    non-finite parameter, or a dim or T past 2**32 - 1, raises ValueError
+    naming the path, and a failed save keeps ``path``."""
+    for field, value in (("dim", denoiser.dim), ("T", denoiser.T)):
+        if value > 2**32 - 1:
+            raise ValueError(f"{path}: {field} {value} does not fit the checkpoint header's uint32")
     _check_finite(denoiser.flat, path)
     body = denoiser.flat.astype("<f8", copy=False).tobytes()
     sizes = _CKPT_HEADER.pack(_CKPT_VERSION, denoiser.dim, denoiser.T, b"")[:12]  # digest field dropped

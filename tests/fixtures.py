@@ -23,7 +23,7 @@ import numpy as np
 from soundscene.diffusion import forward_noise
 from soundscene.dsl import EventAnnotation, EventSpec, StructuredPrompt, TimeSpan
 from soundscene.manifest import iter_jsonl, read_tsv, require_str
-from soundscene.sed import _TOL, _WINDOW_SLACK, ClipAnnotations
+from soundscene.sed import _TOL, ClipAnnotations
 
 # Sample planner outputs: caption plus timed event blocks, some with quoted
 # speech. Used for parser fixtures and as recorded planner responses.
@@ -190,17 +190,17 @@ def diffusion_loss(denoiser, z0, c, t, eps, sched):
 
 
 def reference_feasibility_graph(t_group, t_start, t_end, p_group, p_start, p_end, cfg):
-    """The rank-table window search: predictions sorted by lexsort on
-    (group, onset), every onset and window bound replaced by its rank in
-    np.unique of all of them, and (group, rank) folded into one integer key.
-    The reference that sed's feasibility graph must match edge for edge and
-    in column order."""
+    """The rank-table window search over centisecond columns: predictions
+    sorted by lexsort on (group, onset), every onset and window bound
+    replaced by its rank in np.unique of all of them, and (group, rank)
+    folded into one integer key, then both collar tests applied to each
+    pair.  The reference that sed's feasibility graph must match edge for
+    edge and in column order."""
     from scipy.sparse import csr_matrix
 
     order = np.lexsort((p_start, p_group))
-    reach = cfg.onset_collar + _TOL
-    slack = _WINDOW_SLACK * (1.0 + np.abs(t_start) + reach)
-    bounds = np.concatenate([p_start[order], t_start - reach - slack, t_start + reach + slack])
+    reach = int(cfg.onset_collar * 100 + _TOL)
+    bounds = np.concatenate([p_start[order], t_start - reach, t_start + reach])
     values, rank = np.unique(bounds, return_inverse=True)
     key = np.concatenate([p_group[order], t_group, t_group]) * len(values) + rank
     p_key, lo_key, hi_key = np.split(key, [len(order), len(order) + len(t_group)])
@@ -209,7 +209,7 @@ def reference_feasibility_graph(t_group, t_start, t_end, p_group, p_start, p_end
     rows = np.repeat(np.arange(len(t_group)), count)
     offsets = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
     cols = order[np.repeat(first, count) + offsets]
-    allowance = np.maximum(cfg.offset_collar_abs, cfg.offset_collar_rel * (t_end - t_start))
+    allowance = np.maximum(cfg.offset_collar_abs * 100, cfg.offset_collar_rel * (t_end - t_start))
     ok = (np.abs(p_start[cols] - t_start[rows]) <= reach) & (
         np.abs(p_end[cols] - t_end[rows]) <= allowance[rows] + _TOL
     )
@@ -224,10 +224,7 @@ def _reference_event_time(row, key):
     value = row[key]
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise ValueError(f"{key} {value!r} is not a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{key} is an integer too large for a float") from None
+    return value
 
 
 def _reference_decode_events(rows, where):
@@ -254,7 +251,7 @@ def _reference_decode_events(rows, where):
         if not label.strip():
             raise ValueError(f"{where}: empty label")
         if not 0 <= span.start < span.end:
-            raise ValueError(f"{where}: invalid span [{start}, {end}]")
+            raise ValueError(f"{where}: invalid span [{float(start)}, {float(end)}]")
         events.append(EventAnnotation(label, span, transcript))
     return tuple(events)
 
@@ -286,16 +283,16 @@ def reference_annotations(path):
 
 
 def reference_columns(clips, group_of, label_of):
-    """(clip, label) group id, label id, onset and offset of every event of
-    one side, built from its objects; new groups and labels are numbered in
-    order of appearance."""
+    """(clip, label) group id, label id, and onset and offset in
+    centiseconds of every event of one side, built from its objects; new
+    groups and labels are numbered in order of appearance."""
     groups, labels, starts, ends = [], [], [], []
     for clip in clips:
         for e in clip.events:
             groups.append(group_of.setdefault((clip.clip_id, e.label), len(group_of)))
             labels.append(label_of.setdefault(e.label, len(label_of)))
-            starts.append(e.span.start)
-            ends.append(e.span.end)
+            starts.append(e.span.start_cs)
+            ends.append(e.span.end_cs)
     return np.array(groups), np.array(labels), np.array(starts), np.array(ends)
 
 

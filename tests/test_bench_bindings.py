@@ -1,6 +1,8 @@
 """The benchmark in bench/ times the program by wrapping module attributes
 by name (``cli.write_jsonl_atomic``, ``scene.mix_at_snr`` ...).  A renamed
-or removed name would otherwise fail only in a traced benchmark run."""
+or removed name would otherwise fail only in a traced benchmark run.  The
+scoring workloads also run once at their smallest size, so a count that
+drifts from bench/reference.py fails here too."""
 
 import importlib
 from pathlib import Path
@@ -35,3 +37,14 @@ def test_entry_points_bind():
     # loaded denoiser's predict
     assert callable(cli.main)
     assert callable(ToyDenoiser(dim=2, T=10).predict)
+
+
+@pytest.mark.parametrize("name", ["dataset-read", "match-dense"])
+def test_scoring_workload_agrees_with_reference(workloads, tmp_path, name):
+    workload = workloads.WORKLOADS[name](tmp_path, 1, workloads.SIZES["tiny"][name])
+    workload.setup()
+    for op in workload.round_ops(0):
+        if op.prepare:
+            op.prepare()
+        op.fn()
+    assert workload.check(None) == []

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1160,6 +1161,28 @@ class TestEvaluate:
         assert flag[2:].replace("-", "_") in err
         assert "F1" not in out
 
+    @pytest.mark.parametrize("seconds", ["0", "10000000"])
+    def test_onset_collar_edge_holds_at_any_time(self, tmp_path, capsys, seconds):
+        truth, pred = tmp_path / "t.tsv", tmp_path / "p.tsv"
+        truth.write_text(f"c\tdog\t{seconds}.01\t{seconds}.51\n")
+        pred.write_text(f"c\tdog\t{seconds}.21\t{seconds}.71\n")
+        rc = main(["evaluate", "--truth", str(truth), "--pred", str(pred)])
+        out, err = read_out(capsys)
+        assert (rc, err) == (0, "")
+        assert "F1 100.0  (tp=1 fp=0 fn=0)" in out
+
+    def test_collars_past_every_time_match_everything(self, tmp_path, capsys):
+        truth, pred = tmp_path / "t.tsv", tmp_path / "p.tsv"
+        truth.write_text("c\tdog\t0.00\t0.50\n")
+        pred.write_text("c\tdog\t9999999999999.00\t9999999999999.99\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowing collar product is no warning
+            rc = main(["evaluate", "--truth", str(truth), "--pred", str(pred), "--onset-collar",
+                       "1e300", "--offset-collar-abs", "1e308", "--offset-collar-rel", "1e308"])
+        out, err = read_out(capsys)
+        assert (rc, err) == (0, "")
+        assert "F1 100.0  (tp=1 fp=0 fn=0)" in out
+
     def test_report_file_written(self, tmp_path, capsys):
         truth = tmp_path / "t.tsv"
         truth.write_text("c\tdog\t1.0\t2.0\n")
@@ -1188,7 +1211,8 @@ class TestEvaluate:
         rc = main(["evaluate", "--truth", str(truth), "--pred", str(truth)])
         out, err = read_out(capsys)
         assert rc == 1
-        assert err.startswith(f"error: {truth}:1: malformed event record: start is an integer")
+        assert err == (f"error: {truth}:1: malformed event record: "
+                       "TimeSpan.start must be below 1e+13 s in magnitude\n")
         assert "F1" not in out
 
     def test_report_is_pinned_byte_for_byte(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from fixtures import PLANNED_PROMPT_SAMPLES, random_prompt
 from soundscene.dsl import (
+    MAX_SECONDS,
     EventAnnotation,
     EventSpec,
     PromptSyntaxError,
@@ -70,15 +71,28 @@ class TestTimeSpan:
         0.0, -0.0, 1.005, 2.675, -2.675, 0.125, -0.005, 0.1 + 0.2, 999999999.99,
         1e9, -1e9, math.nextafter(1e9, 0.0), math.nextafter(1e9, math.inf),
         math.nextafter(-1e9, 0.0), math.nextafter(-1e9, -math.inf),
-        5e-324, -5e-324, 1e300, -1e300, sys.float_info.max, 4503599627370495.5,
+        5e-324, -5e-324, 9999999999999.99, -9999999999999.995, 2**43 + 0.005,
+        math.nextafter(MAX_SECONDS, 0.0), math.nextafter(-MAX_SECONDS, 0.0),
     ])
     def test_stored_bits_are_round_to_centiseconds(self, v):
         s = TimeSpan(v, v)
         assert _bits(s.start) == _bits(s.end) == _bits(round(v, 2) + 0.0)
+        assert (s.start_cs, s.end_cs) == (round(s.start * 100),) * 2
+
+    @pytest.mark.parametrize("v", [
+        MAX_SECONDS, -MAX_SECONDS, 1e300, -1e300, sys.float_info.max, 4503599627370495.5,
+        10**400, -(10**400),
+    ])
+    def test_times_past_the_bound_are_refused(self, v):
+        for start, end, name in ((v, 0.0, "start"), (0.0, v, "end")):
+            with pytest.raises(ValueError) as exc:
+                TimeSpan(start, end)
+            assert str(exc.value) == f"TimeSpan.{name} must be below 1e+13 s in magnitude"
 
     @settings(max_examples=2000)
     @given(st.one_of(
-        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-MAX_SECONDS, max_value=MAX_SECONDS, exclude_min=True,
+                  exclude_max=True),
         st.floats(min_value=-2e9, max_value=2e9),
         st.integers(-10**11, 10**11).map(lambda k: k / 100),
         st.integers(-10**11, 10**11).map(lambda k: math.nextafter(k / 100, math.inf)),
@@ -185,9 +199,10 @@ class TestParse:
             ("@{a & <5,2>}", "span start 5.00 must be strictly below end 2.00", 6),
             ("@{a & <1,2.5> <3.00,1.00>}",
              "span start 3.00 must be strictly below end 1.00", 14),
-            # a time that overflows a float: at the byte of that decimal
-            ("Rain @{a & <1," + "9" * 400 + ">}", "time too large for a float", 14),
-            ("@{a & <" + "9" * 400 + "," + "9" * 400 + ">}", "time too large for a float", 7),
+            # a time not below MAX_SECONDS: at the byte of that decimal
+            ("Rain @{a & <1," + "9" * 400 + ">}", "time must be below 1e+13 s", 14),
+            ("@{a & <" + "9" * 400 + "," + "9" * 400 + ">}", "time must be below 1e+13 s", 7),
+            ("@{a & <10000000000000,10000000000001>}", "time must be below 1e+13 s", 7),
             # quoted speech
             ('@{a & <1,2> "unterminated}', "unterminated quoted speech", 26),
             ('@{a & <1,2> "', "unterminated quoted speech", 13),

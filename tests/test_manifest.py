@@ -1,6 +1,5 @@
 import argparse
 import json
-import math
 import re
 
 import pytest
@@ -190,12 +189,11 @@ class TestDecodeEventRows:
             {"label": "Speech", "start": 6.985, "end": 7.5, "transcript": "hi"},
         ]
         decoded = decode_event_rows(rows, "m.jsonl:1")
-        assert decoded == [("dog", 0.0, 2.0, None), ("Speech", 6.99, 7.5, "hi")]
+        assert decoded == [("dog", 0, 200, None), ("Speech", 699, 750, "hi")]
         for (_, start, end, _), row in zip(decoded, rows):
             span = TimeSpan(row["start"], row["end"])
-            assert (start, end) == (span.start, span.end)
-        assert math.copysign(1.0, decoded[0][1]) == 1.0
-        assert all(type(t) is float for _, start, end, _ in decoded for t in (start, end))
+            assert (start, end) == (span.start_cs, span.end_cs)
+        assert all(type(t) is int for _, start, end, _ in decoded for t in (start, end))
 
 
 _SCENES = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in [

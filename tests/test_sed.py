@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fixtures import reference_annotations, reference_columns, reference_feasibility_graph
 from soundscene import sed
-from soundscene.dsl import EventAnnotation, TimeSpan
+from soundscene.dsl import MAX_SECONDS, EventAnnotation, TimeSpan
 from soundscene.sed import (
     ClipAnnotations,
     EbConfig,
@@ -296,6 +296,20 @@ class TestEventBasedF1:
         assert got.shape == want.shape
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
+
+    @settings(max_examples=200, deadline=None)
+    # _dense_sides' times stay below 1e6 + 3 s
+    @given(_dense_sides(), st.integers(0, int(MAX_SECONDS) - 10**6 - 3))
+    def test_scores_do_not_depend_on_a_whole_second_shift(self, case, seconds):
+        truth, pred, cfg = case
+
+        def shifted(side):
+            return [clip(c.clip_id, *(ev(e.label, e.span.start + seconds, e.span.end + seconds)
+                                      for e in c.events)) for c in side]
+
+        t_shifted, p_shifted = shifted(truth), shifted(pred)
+        assert event_based_f1(t_shifted, p_shifted, cfg) == event_based_f1(truth, pred, cfg)
+        assert clip_level_macro_f1(t_shifted, p_shifted) == clip_level_macro_f1(truth, pred)
 
     @settings(max_examples=200, deadline=None)
     @given(_sides, _sides, _configs, st.randoms(use_true_random=False))
@@ -641,8 +655,9 @@ class TestManifestReader:
         ('"0.5"', "2.25", "start '0.5' is not a number"),
         ("false", "true", "start False is not a number"),
         ("0.5", "true", "end True is not a number"),
-        ("1" * 400, "2.0", "start is an integer too large for a float"),
-    ], ids=["string", "bools", "bool-end", "huge-int"])
+        ("1" * 400, "2.0", "TimeSpan.start must be below 1e+13 s in magnitude"),
+        ("0.5", "1e13", "TimeSpan.end must be below 1e+13 s in magnitude"),
+    ], ids=["string", "bools", "bool-end", "huge-int", "past-the-bound"])
     def test_jsonl_event_times_are_json_numbers(self, tmp_path, start, end, message):
         path = tmp_path / "scenes.jsonl"
         path.write_text(
@@ -658,6 +673,8 @@ class TestManifestReader:
         for span, message in (
             ("x\t2.00", "malformed event record: could not convert string to float: 'x'"),
             ("nan\t2.00", "malformed event record: TimeSpan.start must be finite, got nan"),
+            ("1e13\t2.00",
+             "malformed event record: TimeSpan.start must be below 1e+13 s in magnitude"),
             ("5.00\t3.00", "invalid span [5.0, 3.0]"),
         ):
             path.write_text(f"c1\tSpeech\t{span}\n")
@@ -707,7 +724,7 @@ class TestManifestReader:
         cols = sed._columns(annotations_from_manifest(tmp_path / "events.tsv"), "truth")
         assert cols.clip.tolist() == [0, 0, 1]
         assert [cols.labels[k] for k in cols.label] == ["dog", "bird", "car"]
-        assert cols.start.tolist() == [1.0, 3.0, 0.5]
+        assert cols.start.tolist() == [100, 300, 50]
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         path = tmp_path / "scenes.jsonl"

@@ -881,6 +881,13 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["toy.ckpt"]
 
+    def test_save_refuses_a_size_past_the_header_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "toy.ckpt"
+        with pytest.raises(ValueError) as exc:
+            save_checkpoint(ToyDenoiser(2, 2**32), path)
+        assert str(exc.value) == f"{path}: T 4294967296 does not fit the checkpoint header's uint32"
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "toy.ckpt"
         save_checkpoint(_tiny_denoiser(seed=0), path)
