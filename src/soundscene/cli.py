@@ -15,7 +15,6 @@ import codecs
 import dataclasses
 import functools
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any
 
@@ -218,6 +217,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             finally:
                 _WORKER_STATE.clear()  # the pools die with this call, not at the next load
         else:
+            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
             with ProcessPoolExecutor(
                 max_workers=args.workers, initializer=_init_sim_worker, initargs=state
             ) as pool:

@@ -19,16 +19,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-import yaml
-
 from soundscene.diffusion import SamplerConfig, _is_int
 from soundscene.planner import PlannerEndpoint
 from soundscene.scene import ScenePriors
 
 __all__ = ["ConfigError", "PipelineConfig", "load_config"]
 
-# libyaml's safe loader when PyYAML was built with it, else the pure-Python one
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+@functools.cache
+def _yaml_loader() -> type:
+    """libyaml's safe loader when PyYAML was built with it, else the
+    pure-Python one."""
+    import yaml
+
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(ValueError):
@@ -121,8 +125,10 @@ def load_config(path: str | Path) -> PipelineConfig:
         text = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
+    import yaml  # on first use: only commands that read a config pay its import
+
     try:
-        raw = yaml.load(text, Loader=_YAML_LOADER)
+        raw = yaml.load(text, Loader=_yaml_loader())
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: a bad date, !!int or !!float
         raise ConfigError(f"{p}: invalid YAML: {exc}") from exc
     try:

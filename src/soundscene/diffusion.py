@@ -134,16 +134,6 @@ def forward_noise(
     return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
 
 
-def _guide(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.ndarray:
-    """Classifier-free guidance, eps_uncond + w (eps_cond - eps_uncond),
-    unchecked; at w in {0, 1} it returns that branch itself."""
-    if w == 0.0:
-        return eps_uncond
-    if w == 1.0:
-        return eps_cond
-    return eps_uncond + w * (eps_cond - eps_uncond)
-
-
 def _step_coefficients(sched: NoiseSchedule, t: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
     """The scalars of the reverse update, one array of each over the integer
     array of steps ``t``.
@@ -158,29 +148,6 @@ def _step_coefficients(sched: NoiseSchedule, t: np.ndarray, mode: str) -> tuple[
     alpha = ab / ab_prev
     beta = 1.0 - alpha
     return beta / np.sqrt(1.0 - ab), np.sqrt(alpha), np.sqrt(beta * (1.0 - ab_prev) / (1.0 - ab))
-
-
-def _apply_step(
-    z_t: np.ndarray,
-    eps_hat: np.ndarray,
-    coefficients: tuple[Any, ...],
-    mode: str,
-    rng: np.random.Generator | None,
-    noise: np.ndarray,
-) -> np.ndarray:
-    """z_{t-1} from _step_coefficients' scalars for step t, unchecked (z_t
-    and eps_hat are float64 arrays of one shape); ``rng`` draws the
-    ancestral noise into ``noise``, a float64 buffer of z_t's shape, and is
-    None at t = 1, which adds none."""
-    if mode == "deterministic":
-        noise_scale, signal_scale, signal_scale_prev, noise_scale_prev = coefficients
-        z0_hat = (z_t - noise_scale * eps_hat) / signal_scale
-        return signal_scale_prev * z0_hat + noise_scale_prev * eps_hat
-    eps_scale, sqrt_alpha, sigma = coefficients
-    mean = (z_t - eps_scale * eps_hat) / sqrt_alpha
-    if rng is None:
-        return mean
-    return mean + sigma * rng.standard_normal(z_t.shape, out=noise)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,11 +217,15 @@ def sample_progressive(
     """Run the full reverse chain from z_T under the two-phase policy.
 
     Each phase binds the denoiser once (``bind_pair``, which makes the
-    checks), and drops that binding before the next phase binds; every
-    step combines the bound pair's conditional and unconditional
-    predictions with the phase's guidance weight.  Ancestral noise is
-    drawn into one buffer reused across steps.  A phase that ends with a
-    non-finite latent raises ValueError naming the phase and its steps.
+    checks), and drops that binding before the next phase binds.  Every
+    step is one in-place update of the sampler's own latent: the bound
+    pair's conditional and unconditional predictions, combined with the
+    phase's guidance weight, go into one buffer, and ancestral noise into
+    another, both reused across steps.  The bound function gets that
+    latent, valid only during the call; the sampler reads both results
+    before its next call and writes into neither, nor into z_T.  A phase
+    that ends with a non-finite latent raises ValueError naming the phase
+    and its steps.
     """
     if gs.T != sched.T:
         raise ValueError(f"guidance schedule T={gs.T} does not match noise schedule T={sched.T}")
@@ -262,14 +233,37 @@ def sample_progressive(
     # ancestral steps with t > 1 draw noise
     if mode == "ancestral" and sched.T > 1 and rng is None:
         raise ValueError("ancestral steps with t > 1 need an rng")
-    z = np.asarray(z_T, dtype=np.float64)
-    noise = np.empty(z.shape)
+    z = np.array(z_T, dtype=np.float64)
+    eps, noise = np.empty(z.shape), np.empty(z.shape)
     for phase, c, w, steps in gs.phases():
         pair = denoiser.bind_pair(c, z.shape, steps[0])
-        coefficients = zip(*_step_coefficients(sched, np.array(steps), mode))
+        coefficients = zip(*(a.tolist() for a in _step_coefficients(sched, np.array(steps), mode)))
         for t, coefs in zip(steps, coefficients):
             eps_c, eps_u = pair(z, t)
-            z = _apply_step(z, _guide(eps_c, eps_u, w), coefs, mode, rng if t > 1 else None, noise)
+            # guidance: exactly one branch at w = 0 or 1, else eps_u + w (eps_c - eps_u)
+            if w == 0.0 or w == 1.0:
+                np.copyto(eps, eps_u if w == 0.0 else eps_c)
+            else:
+                np.subtract(eps_c, eps_u, out=eps)
+                eps *= w
+                eps += eps_u
+            if mode == "deterministic":
+                # z0_hat = (z - noise_scale eps) / signal_scale, re-noised with eps
+                noise_scale, signal_scale, signal_scale_prev, noise_scale_prev = coefs
+                z -= np.multiply(eps, noise_scale, out=noise)
+                z /= signal_scale
+                z *= signal_scale_prev
+                z += np.multiply(eps, noise_scale_prev, out=noise)
+                continue
+            # the posterior mean, plus sigma times fresh noise except at t = 1
+            eps_scale, sqrt_alpha, sigma = coefs
+            eps *= eps_scale
+            z -= eps
+            z /= sqrt_alpha
+            if t > 1:
+                rng.standard_normal(out=noise)
+                noise *= sigma
+                z += noise
         del pair  # with any stacks it owns, before the next phase binds
         if not np.isfinite(z).all():
             raise ValueError(f"phase {phase} (steps {steps[0]}..{steps[-1]}) produced non-finite "

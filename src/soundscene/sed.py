@@ -345,13 +345,19 @@ def format_score(value: float) -> str:
     return f"{100.0 * value:.1f}"
 
 
+def _collar_text(value: float) -> str:
+    """A collar or multiplier with two decimals, or in ``g`` form (1e+300)
+    at or past MAX_SECONDS, where the decimals would run to hundreds of digits."""
+    return f"{value:g}" if value >= MAX_SECONDS else f"{value:.2f}"
+
+
 def render_report(eb: EbResult, at: float, cfg: EbConfig = EbConfig()) -> str:
+    onset, offset_abs, offset_rel = (
+        _collar_text(v) for v in (cfg.onset_collar, cfg.offset_collar_abs, cfg.offset_collar_rel)
+    )
     lines = [
         "Event-based scores (Eb)",
-        (
-            f"  onset collar {cfg.onset_collar:.2f} s; offset collar "
-            f"max({cfg.offset_collar_abs:.2f} s, {cfg.offset_collar_rel:.2f} x truth length)"
-        ),
+        f"  onset collar {onset} s; offset collar max({offset_abs} s, {offset_rel} x truth length)",
         (
             f"  micro: P {format_score(eb.micro.precision)}  R {format_score(eb.micro.recall)}  "
             f"F1 {format_score(eb.micro.f1)}  (tp={eb.micro.tp} fp={eb.micro.fp} fn={eb.micro.fn})"

@@ -1182,6 +1182,10 @@ class TestEvaluate:
         out, err = read_out(capsys)
         assert (rc, err) == (0, "")
         assert "F1 100.0  (tp=1 fp=0 fn=0)" in out
+        # collars at or past MAX_SECONDS print in g form, not as 300-digit decimals
+        assert out.splitlines()[1] == (
+            "  onset collar 1e+300 s; offset collar max(1e+308 s, 1e+308 x truth length)"
+        )
 
     def test_report_file_written(self, tmp_path, capsys):
         truth = tmp_path / "t.tsv"
@@ -1338,12 +1342,14 @@ class TestParserSurface:
         # scipy.signal takes about a second to import and only resampling
         # needs it; scipy.io (WAV reading) and scipy.sparse (the matcher)
         # are likewise loaded on first use, and the planner's HTTP stack
-        # (urllib.request, http.client) on its first request
+        # (urllib.request, http.client) on its first request; PyYAML on the
+        # first config read, and the process pool (concurrent.futures.process,
+        # multiprocessing) when simulate runs more than one worker
         import soundscene
 
         src = str(Path(soundscene.__file__).resolve().parents[1])
         lazy = ("scipy.signal", "scipy.io", "scipy.sparse", "requests", "urllib.request",
-                "http.client")
+                "http.client", "yaml", "concurrent.futures.process", "multiprocessing")
         code = f"import sys, soundscene.cli; print([m for m in {lazy!r} if m in sys.modules])"
         proc = subprocess.run(
             [sys.executable, "-c", code],

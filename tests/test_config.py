@@ -285,7 +285,7 @@ class TestYamlLoader:
 
     def test_prefers_libyaml(self):
         want = yaml.CSafeLoader if HAS_LIBYAML else yaml.SafeLoader
-        assert config_mod._YAML_LOADER is want
+        assert config_mod._yaml_loader() is want
 
     @pytest.mark.skipif(not HAS_LIBYAML, reason="PyYAML built without libyaml")
     @pytest.mark.parametrize("text", YAML_INPUTS, ids=range(len(YAML_INPUTS)))
@@ -299,7 +299,7 @@ class TestYamlLoader:
     def test_load_config_same_under_each_loader(self, tmp_path, monkeypatch, loader):
         if not hasattr(yaml, loader):
             pytest.skip("PyYAML built without libyaml")
-        monkeypatch.setattr(config_mod, "_YAML_LOADER", getattr(yaml, loader))
+        monkeypatch.setattr(config_mod, "_yaml_loader", lambda: getattr(yaml, loader))
         assert load_config(EXAMPLE_CONFIG) == config_from_dict(
             yaml.safe_load(EXAMPLE_CONFIG.read_text(encoding="utf-8"))
         )

@@ -672,6 +672,32 @@ class TestSampling:
         with pytest.raises(ValueError, match="ancestral steps with t > 1 need an rng"):
             sample_progressive(zero_branches(), gs, cosine_schedule(2), np.zeros(2))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("w", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
+    def test_z_T_is_left_unchanged(self, mode, w, shape):
+        # the sampler updates its own copy of z_T in place
+        z_T = np.random.default_rng(8).standard_normal(shape)
+        kept = z_T.copy()
+        den = BranchDenoiser(lambda z, t: 0.1 * z, lambda z, t: -0.1 * z)
+        gs = GuidanceSchedule("c", "c", w, w, t1=0, T=10)
+        z_0 = sample_progressive(den, gs, cosine_schedule(10), z_T, np.random.default_rng(9), mode)
+        assert z_T.tobytes() == kept.tobytes()
+        assert not np.shares_memory(z_0, z_T)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("w", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
+    def test_bound_results_are_left_unchanged(self, mode, w, shape):
+        # the bound function returns the same two arrays on every call; the
+        # sampler reads them and writes into neither
+        eps_c, eps_u = np.random.default_rng(10).standard_normal((2, *shape))
+        kept = eps_c.tobytes(), eps_u.tobytes()
+        den = BranchDenoiser(lambda z, t: eps_c, lambda z, t: eps_u)
+        gs = GuidanceSchedule("c", "c", w, w, t1=0, T=10)
+        sample_progressive(den, gs, cosine_schedule(10), np.ones(shape), np.random.default_rng(11), mode)
+        assert (eps_c.tobytes(), eps_u.tobytes()) == kept
+
     @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
     def test_guided_step_is_affine_in_weight(self, mode):
         rng = np.random.default_rng(1)

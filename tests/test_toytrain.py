@@ -435,8 +435,10 @@ class TestPredictPair:
         rng = np.random.default_rng(12)
         conditions = [None] + [(g, v) for g in GRANULARITIES for v in range(dn.params["E_" + g].shape[0])]
         # a 1-D latent, then interleaved row counts that resize the scratch
-        # stacks; the predict calls between pair calls displace them too
-        for n in (None, 1, 2, 7, 1024, 1, 7, 1024):
+        # stacks; the predict calls between pair calls displace them too.
+        # At 12 rows the pair's two-view stack broadcasts its biases while
+        # predict's one-view stack adds full-shape copies
+        for n in (None, 1, 2, 7, 12, 1024, 1, 7, 1024):
             z = rng.standard_normal(dn.dim if n is None else (n, dn.dim))
             for c in conditions:
                 pair = dn.bind_pair(c, z.shape, dn.T)
