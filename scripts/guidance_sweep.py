@@ -38,20 +38,27 @@ def main() -> int:
     ap.add_argument("--n", type=int, default=4000, help="trajectories per setting")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-
-    sched = cosine_schedule(args.T)
-    prior = GaussianCondition(np.array(0.0), 1.0)
-    target = GaussianCondition(np.array(args.mu), args.sigma2)
+    if args.n < 1:
+        ap.error(f"--n must be >= 1, got {args.n}")
+    if args.seed < 0:
+        ap.error(f"--seed must be >= 0, got {args.seed}")
+    # every setting is checked before the first row is printed
+    try:
+        sched = cosine_schedule(args.T)
+        prior = GaussianCondition(np.array(0.0), 1.0)
+        target = GaussianCondition(np.array(args.mu), args.sigma2)
+        schedules = [
+            GuidanceSchedule(c1=prior, c2=target, w_low=args.w_low, w_high=args.w_high, t1=t1, T=args.T)
+            for t1 in args.t1
+        ]
+    except ValueError as exc:
+        ap.error(str(exc))
     denoiser = GaussianOracleDenoiser(prior=prior, sched=sched)
 
     print(f"coarse N(0, 1) -> full N({args.mu:g}, {args.sigma2:g});"
           f" w_low={args.w_low:g}, w_high={args.w_high:g}, n={args.n}")
     print(f"{'t1':>5} {'mean':>9} {'var':>9} {'|mean-mu|':>10}")
-    for t1 in args.t1:
-        gs = GuidanceSchedule(
-            c1=prior, c2=target, w_low=args.w_low, w_high=args.w_high,
-            t1=t1, T=args.T,
-        )
+    for t1, gs in zip(args.t1, schedules):
         rng = np.random.default_rng(args.seed)
         z_T = rng.standard_normal(args.n)
         z0 = sample_progressive(denoiser, gs, sched, z_T, rng=rng)

@@ -35,12 +35,19 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=5)
     ap.add_argument("--checkpoint", help="save the stage-3 model here")
     args = ap.parse_args()
-
-    sched = cosine_schedule(args.T)
+    for flag, value, least in (("--dim", args.dim, 1), ("--dataset-size", args.dataset_size, 1),
+                               ("--seed", args.seed, 0)):
+        if value < least:
+            ap.error(f"{flag} must be >= {least}, got {value}")
+    # every setting is checked before the first row is printed
+    try:
+        sched = cosine_schedule(args.T)
+        stages = default_curriculum(steps=args.steps, batch_size=args.batch_size, lr=args.lr)
+    except ValueError as exc:
+        ap.error(str(exc))
     dataset = make_toy_dataset(
         args.dataset_size, dim=args.dim, rng=np.random.default_rng(args.seed)
     )
-    stages = default_curriculum(steps=args.steps, batch_size=args.batch_size, lr=args.lr)
     conditional = [g for g in GRANULARITIES if g != "null"]
 
     def val_row(denoiser):

@@ -19,6 +19,7 @@ import hashlib
 import math
 import os
 import struct
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -81,6 +82,10 @@ _VALIDATION_REPEATS = 8
 # _bias: the most layer rows (views times latents) that get a bias copy
 _BIAS_COPY_ROWS = 16
 
+# bind_pair: the fewest latent rows whose two guidance branches run on two
+# threads, the measured crossover (see the README's toy-denoiser section)
+_CONCURRENT_ROWS = 384
+
 _CKPT_MAGIC = b"TOYDNZR\x00"
 _CKPT_VERSION = 3
 # after the magic: version, dim, T, then the sha256 of those 12 bytes and the body
@@ -95,6 +100,13 @@ def _bias(b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if math.prod(shape[:-1]) > _BIAS_COPY_ROWS:
         return b
     return np.broadcast_to(b, shape).copy()
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class TrainingDiverged(RuntimeError):
@@ -288,17 +300,44 @@ class ToyDenoiser:
         stacks; each call writes only the latent and time columns and runs
         one forward over both views.  Every call rewrites those stacks, so
         bind once per thread (and again after changing the parameters).
-        The two results share no memory with each other or the stacks."""
+        The two results share no memory with each other or the stacks.
+
+        From _CONCURRENT_ROWS rows on, when the process may use two or
+        more CPUs, each call runs the two views as two one-view forwards
+        at once: a helper thread runs the null view's slice of the stacks
+        while the caller runs the condition's.  Each slice is the stack
+        predict builds, so the bytes are predict's on either path.  The
+        helper starts with the first call and is joined when the binding
+        is dropped; a call returns, or raises, only after both branches
+        have finished."""
         n = self._rows(tuple(shape))
         check_step(t_max, self.T)
-        layers = self._bind_layers(self._stacks((self._view(c), ("null", 0)), n))
-        single = len(shape) == 1
+        stacks = self._stacks((self._view(c), ("null", 0)), n)
+        if n < _CONCURRENT_ROWS or _cpus() < 2:
+            layers = self._bind_layers(stacks)
+            single = len(shape) == 1
 
-        def pair(z_t: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-            out = layers(t, z_t)
-            return (out[0, 0], out[1, 0]) if single else (out[0], out[1])
+            def pair(z_t: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+                out = layers(t, z_t)
+                return (out[0, 0], out[1, 0]) if single else (out[0], out[1])
 
-        return pair
+            return pair
+
+        from concurrent.futures import ThreadPoolExecutor  # loads logging: only here
+
+        cond, null = (self._bind_layers(tuple(s[i : i + 1] for s in stacks)) for i in (0, 1))
+        helper = ThreadPoolExecutor(1, thread_name_prefix="toy-null-branch")  # starts on submit
+
+        def concurrent_pair(z_t: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+            null_out = helper.submit(null, t, z_t)
+            try:
+                eps_c = cond(t, z_t)[0]
+            finally:
+                eps_u = null_out.result()[0]
+            return eps_c, eps_u
+
+        weakref.finalize(concurrent_pair, helper.shutdown)  # joins the thread
+        return concurrent_pair
 
     def _rows(self, shape: tuple[int, ...]) -> int:
         """The row count of latents of this shape, (dim,) counting as one."""

@@ -5,24 +5,61 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from soundscene import cli
 from soundscene.toytrain import load_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(*argv):
-    proc = subprocess.run(
+def _call(*argv):
+    return subprocess.run(
         [sys.executable, *argv],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, timeout=120,
     )
+
+
+def _run(*argv):
+    proc = _call(*argv)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
 def _run_script(name, *args):
     return _run(str(ROOT / "scripts" / name), *args)
+
+
+@pytest.mark.parametrize(
+    "name,args,message",
+    [
+        ("guidance_sweep.py", ("--n", "0"), "--n must be >= 1, got 0"),
+        ("guidance_sweep.py", ("--n", "-5"), "--n must be >= 1, got -5"),
+        ("guidance_sweep.py", ("--t1", "11", "--T", "10"), "t1 must be an integer in [0, T=10], got 11"),
+        ("guidance_sweep.py", ("--T", "0"), "T must be an integer >= 1, got 0"),
+        ("guidance_sweep.py", ("--sigma2", "0"), "sigma2 must be positive and finite, got 0.0"),
+        ("guidance_sweep.py", ("--w-high", "-1"), "w_high must be finite and >= 0, got -1.0"),
+        ("guidance_sweep.py", ("--seed", "-1"), "--seed must be >= 0, got -1"),
+        ("run_curriculum.py", ("--steps", "0"), "stage 'stage1': steps, batch_size must be positive"),
+        ("run_curriculum.py", ("--batch-size", "0"), "stage 'stage1': steps, batch_size must be positive"),
+        ("run_curriculum.py", ("--lr", "0"), "lr positive and finite, got (300, 64, 0.0)"),
+        ("run_curriculum.py", ("--dim", "0"), "--dim must be >= 1, got 0"),
+        ("run_curriculum.py", ("--dataset-size", "0"), "--dataset-size must be >= 1, got 0"),
+        ("run_curriculum.py", ("--T", "0"), "T must be an integer >= 1, got 0"),
+        ("run_curriculum.py", ("--seed", "-1"), "--seed must be >= 0, got -1"),
+    ],
+    ids=repr,
+)
+def test_bad_arguments_are_usage_errors(name, args, message):
+    # one argparse error line and exit 2, before any output: no traceback,
+    # no table of nan rows
+    proc = _call(str(ROOT / "scripts" / name), *args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith(f"{name}: error: ") and message in last, last
 
 
 def test_run_curriculum_saves_a_loadable_checkpoint(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import struct
 import sys
@@ -24,6 +25,7 @@ from soundscene.diffusion import (
     sample_progressive,
 )
 from soundscene.toytrain import (
+    _CONCURRENT_ROWS,
     GRANULARITIES,
     CurriculumStage,
     ToyDenoiser,
@@ -316,6 +318,16 @@ def _sampling_denoiser():
     return dn
 
 
+def _allow_cpus(monkeypatch, k):
+    """Make bind_pair see k CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+def _helpers(but=()):
+    """The live threads that run a binding's null branch, except ``but``."""
+    return {thread for thread in threading.enumerate() if thread.name.startswith("toy-null-branch")} - set(but)
+
+
 class TestPredictWorkspace:
     CONDITIONS = [None] + [(g, 0 if g == "null" else 1) for g in GRANULARITIES]
 
@@ -430,16 +442,23 @@ class TestPredictPair:
     predict(z, t, None)) from one forward over a two-view stack whose
     condition columns were filled at bind time."""
 
-    def test_bytes_match_two_predict_calls(self):
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_bytes_match_two_predict_calls(self, cpus, monkeypatch):
+        _allow_cpus(monkeypatch, cpus)
         dn = _sampling_denoiser()
         rng = np.random.default_rng(12)
         conditions = [None] + [(g, v) for g in GRANULARITIES for v in range(dn.params["E_" + g].shape[0])]
         # a 1-D latent, then interleaved row counts that resize the scratch
         # stacks; the predict calls between pair calls displace them too.
         # At 12 rows the pair's two-view stack broadcasts its biases while
-        # predict's one-view stack adds full-shape copies
-        for n in (None, 1, 2, 7, 12, 1024, 1, 7, 1024):
+        # predict's one-view stack adds full-shape copies.  From
+        # _CONCURRENT_ROWS rows on, with two CPUs, the branches run on two
+        # threads; on one CPU every row count takes the stacked forward
+        rows = (None, 1, 2, 7, 12, _CONCURRENT_ROWS - 1, _CONCURRENT_ROWS, 1024, 1, 7, 1024)
+        others = _helpers()
+        for n in rows:
             z = rng.standard_normal(dn.dim if n is None else (n, dn.dim))
+            concurrent = cpus > 1 and n is not None and n >= _CONCURRENT_ROWS
             for c in conditions:
                 pair = dn.bind_pair(c, z.shape, dn.T)
                 for t in (dn.T, dn.T // 2, 1, 0):
@@ -447,6 +466,74 @@ class TestPredictPair:
                     assert eps_c.shape == eps_uncond.shape == z.shape
                     assert eps_c.tobytes() == dn.predict(z, t, c).tobytes(), (n, t, c)
                     assert eps_uncond.tobytes() == dn.predict(z, t, None).tobytes(), (n, t, c)
+                assert len(_helpers(but=others)) == concurrent, (n, c)
+                del pair  # its helper, if any, is joined here
+                assert not _helpers(but=others)
+
+    def test_concurrent_pair_waits_for_both_branches(self, monkeypatch):
+        # z of the wrong shape fails in both branches; the call raises only
+        # once the helper's branch has finished, so its error is the one
+        # raised, chained on the conditional branch's, and the next call
+        # gets its own results
+        _allow_cpus(monkeypatch, 2)
+        dn = _sampling_denoiser()
+        z = np.random.default_rng(22).standard_normal((_CONCURRENT_ROWS, dn.dim))
+        pair = dn.bind_pair(("text", 1), z.shape, dn.T)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="broadcast") as raised:
+                pair(z[:-1], 50)
+            assert isinstance(raised.value.__context__, ValueError)
+            eps_c, eps_uncond = pair(z, 50)
+            assert eps_c.tobytes() == dn.predict(z, 50, ("text", 1)).tobytes()
+            assert eps_uncond.tobytes() == dn.predict(z, 50, None).tobytes()
+        del pair, raised  # the failed calls' tracebacks hold this frame
+
+    def test_helper_starts_on_the_first_call_and_ends_with_the_binding(self, monkeypatch):
+        _allow_cpus(monkeypatch, 2)
+        dn = _sampling_denoiser()
+        z = np.random.default_rng(23).standard_normal((1024, dn.dim))
+        others = _helpers()
+        pair = dn.bind_pair(None, z.shape, dn.T)
+        assert not _helpers(but=others)
+        pair(z, 5)
+        (helper,) = _helpers(but=others)
+        pair(z, 4)
+        assert _helpers(but=others) == {helper}
+        del pair
+        helper.join(timeout=10)
+        assert not helper.is_alive()
+
+    def test_batched_bindings_from_threads_give_the_serial_bytes(self, monkeypatch):
+        # two threads, each with its own concurrent binding, so four
+        # branches run at once over two bindings' stacks
+        _allow_cpus(monkeypatch, 2)
+        dn = _sampling_denoiser()
+        rng = np.random.default_rng(24)
+        jobs = [(rng.standard_normal((1024, dn.dim)), c) for c in (("text", 1), ("full", 6))]
+        steps = [int(t) for t in rng.integers(0, dn.T + 1, size=20)]
+        want = [[(dn.predict(z, t, c).tobytes(), dn.predict(z, t, None).tobytes()) for t in steps]
+                for z, c in jobs]
+        got = [None] * len(jobs)
+        start = threading.Barrier(len(jobs))
+
+        def run(i):
+            z, c = jobs[i]
+            pair = dn.bind_pair(c, z.shape, dn.T)
+            start.wait()
+            got[i] = [tuple(out.tobytes() for out in pair(z, t)) for t in steps]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
 
     @pytest.mark.parametrize("shape", [(4,), (1, 4), (64, 4)], ids=str)
     def test_outputs_are_fresh_arrays(self, shape):
@@ -561,6 +648,50 @@ class TestSamplerMatchesReferenceLoop:
         want = reference_cfg_loop(dn, gs, sched, z_T, np.random.default_rng(19), mode)
         assert got.tobytes() == want.tobytes()
         assert recording.log == expected_bind_log(gs, shape)
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
+    @pytest.mark.parametrize("n", [_CONCURRENT_ROWS, 1024])
+    def test_batch_bytes_on_either_path(self, n, mode, cpus, monkeypatch):
+        # two threads per step at two CPUs, the stacked forward at one:
+        # both give the reference loop's bytes
+        _allow_cpus(monkeypatch, cpus)
+        dn = _sampling_denoiser()
+        sched = cosine_schedule(dn.T)
+        gs = GuidanceSchedule(("text", 1), ("full", 5), 3.0, 9.0, t1=88, T=dn.T)
+        z_T = np.random.default_rng(25).standard_normal((n, dn.dim))
+        got = sample_progressive(dn, gs, sched, z_T, np.random.default_rng(26), mode)
+        want = reference_cfg_loop(dn, gs, sched, z_T, np.random.default_rng(26), mode)
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_helper_outlives_a_batched_run(self, monkeypatch):
+        # each phase's helper thread ends with its binding, which the sampler
+        # drops at the phase end
+        _allow_cpus(monkeypatch, 2)
+        dn = _sampling_denoiser()
+        others, seen = _helpers(), set()
+
+        class Watching:
+            def predict(self, z_t, t, c=None):
+                return dn.predict(z_t, t, c)
+
+            def bind_pair(self, c, shape, t_max):
+                pair = dn.bind_pair(c, shape, t_max)
+
+                def watched(z_t, t):
+                    out = pair(z_t, t)
+                    seen.update(_helpers(but=others))
+                    return out
+
+                return watched
+
+        gs = GuidanceSchedule(("text", 1), ("full", 5), 3.0, 9.0, t1=88, T=dn.T)
+        z_T = np.random.default_rng(27).standard_normal((_CONCURRENT_ROWS, dn.dim))
+        sample_progressive(Watching(), gs, cosine_schedule(dn.T), z_T, rng=np.random.default_rng(28))
+        assert len(seen) == 2  # one helper per phase
+        for helper in seen:
+            helper.join(timeout=10)
+        assert not any(helper.is_alive() for helper in seen)
 
     def test_warm_batch_holds_one_binding_at_a_time(self):
         # each phase's binding owns (2, n, .) stacks; the sampler drops one
