@@ -174,8 +174,9 @@ def _init_sim_worker(speech: Any, background: Any, priors: Any) -> None:
     _WORKER_STATE.update(speech=speech, background=background, priors=priors)
 
 
-def _sim_task(task: tuple[int, int, Path]) -> dict[str, Any]:
-    index, seed, audio_dir = task
+def _compose(index: int, seed: int) -> tuple[str, Any]:
+    """Scene ``index``'s clip id and scene, composed from the worker's pools;
+    a scene that cannot be composed raises naming its clip id and seed."""
     clip_id = f"scene{index:05d}"
     try:
         scene = compose_scene(
@@ -186,8 +187,38 @@ def _sim_task(task: tuple[int, int, Path]) -> dict[str, Any]:
         )
     except (ValueError, RuntimeError) as exc:  # e.g. a draw that cannot be arranged
         raise type(exc)(f"{clip_id} (seed {seed}): {exc}") from exc
+    return clip_id, scene
+
+
+def _sim_task(task: tuple[int, int, Path]) -> dict[str, Any]:
+    index, seed, audio_dir = task
+    clip_id, scene = _compose(index, seed)
     write_wav(audio_dir / f"{clip_id}.wav", scene.waveform)
     return _scene_record(clip_id, scene)
+
+
+def _simulate_here(tasks: list[tuple[int, int, Path]]) -> list[dict[str, Any]]:
+    """Run ``tasks`` in this process: one helper thread writes scene i's WAV
+    while this thread composes scene i+1, with one write in flight.  The
+    first failure in scene order is raised, so a write error of scene i wins
+    over a compose error of scene i+1, and the helper is joined on return."""
+    from concurrent.futures import Future, ThreadPoolExecutor  # loads logging: only here
+
+    records = []
+    pending: Future[None] | None = None  # the previous scene's write
+    with ThreadPoolExecutor(1, thread_name_prefix="simulate-writer") as writer:
+        for index, seed, audio_dir in tasks:
+            try:
+                clip_id, scene = _compose(index, seed)
+                records.append(_scene_record(clip_id, scene))
+            finally:
+                if pending is not None:
+                    pending.result()
+            # compose_scene returns a fresh waveform that nothing here touches again
+            pending = writer.submit(write_wav, audio_dir / f"{clip_id}.wav", scene.waveform)
+        if pending is not None:
+            pending.result()
+    return records
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -210,20 +241,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     with _staged(out_dir / "audio") as audio_dir:
         audio_dir.mkdir()
         tasks = [(i, derive_scene_seed(cfg.dataset_seed, i), audio_dir) for i in range(args.count)]
-        if args.workers == 1 or not tasks:
+        # fork starts every worker at the first submit: no more than there are scenes
+        workers = min(args.workers, len(tasks))
+        if workers <= 1:
             _init_sim_worker(*state)
             try:
-                records = [_sim_task(task) for task in tasks]
+                records = _simulate_here(tasks)
             finally:
                 _WORKER_STATE.clear()  # the pools die with this call, not at the next load
         else:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
             with ProcessPoolExecutor(
-                max_workers=args.workers, initializer=_init_sim_worker, initargs=state
+                max_workers=workers, initializer=_init_sim_worker, initargs=state
             ) as pool:
                 # about four chunks per worker: one IPC round trip per chunk, not per scene
-                chunksize = max(1, len(tasks) // (4 * args.workers))
+                chunksize = max(1, len(tasks) // (4 * workers))
                 records = list(pool.map(_sim_task, tasks, chunksize=chunksize))
         write_jsonl_atomic(manifest_path, records)
     print(f"wrote {len(records)} scenes to {manifest_path}")

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -554,6 +555,65 @@ class TestSimulate:
             f"error: scene00005 (seed {derive_scene_seed(1, 5)}): "
             "could not arrange a dialogue scene in 20 draws"
         )
+
+    @pytest.mark.parametrize("write_fails", [True, False], ids=["write-then-compose", "compose"])
+    def test_first_failure_in_scene_order_is_reported(self, run_config, tmp_path, capsys,
+                                                      monkeypatch, write_fails):
+        # the one-process path writes scene 2 on its helper thread while it
+        # composes scene 3; scene 2's write error is the first failure in
+        # scene order, so it wins over scene 3's compose error
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(run_config), "--count", "6"]) == 0
+        before = _tree_bytes(out)
+        real_write, real_compose = cli.write_wav, cli.compose_scene
+
+        def write_wav(path, audio):
+            if write_fails and Path(path).name == "scene00002.wav":
+                raise OSError(f"{path}: disk full")
+            real_write(path, audio)
+
+        def compose_scene(*args, seed):
+            if seed == derive_scene_seed(7, 3):
+                raise ValueError("no room")
+            return real_compose(*args, seed=seed)
+
+        monkeypatch.setattr(cli, "write_wav", write_wav)
+        monkeypatch.setattr(cli, "compose_scene", compose_scene)
+        threads = threading.active_count()
+        rc = main(["simulate", "--config", str(run_config), "--count", "6"])
+        _, err = read_out(capsys)
+        assert rc == 1
+        if write_fails:
+            staged_wav = r"\S*/\.audio\.\w+/new/scene00002\.wav"
+            assert re.fullmatch(f"error: {staged_wav}: disk full\n", err)
+        else:
+            assert err == f"error: scene00003 (seed {derive_scene_seed(7, 3)}): no room\n"
+        assert threading.active_count() == threads
+        assert _tree_bytes(out) == before
+        assert sorted(os.listdir(out)) == ["audio", "scenes.jsonl"]
+
+    @pytest.mark.parametrize("count, pools", [(2, [2]), (1, [])])
+    def test_worker_processes_capped_at_scene_count(self, run_config, tmp_path, monkeypatch,
+                                                    count, pools):
+        # fork starts all max_workers at the pool's first submit; a thread
+        # pool stands in for the process pool, so the test forks nothing
+        import concurrent.futures
+
+        seen = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                seen.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        # its threads run _init_sim_worker in this process: keep the pools out of it
+        monkeypatch.setattr(cli, "_WORKER_STATE", {})
+        argv = ["simulate", "--config", str(run_config), "--count", str(count)]
+        assert main(argv + ["--workers", "4", "--output-dir", str(tmp_path / "w4")]) == 0
+        assert seen == pools
+        assert main(argv + ["--output-dir", str(tmp_path / "w1")]) == 0
+        assert _tree_bytes(tmp_path / "w4") == _tree_bytes(tmp_path / "w1")
 
 
 class TestIngest:
@@ -1343,13 +1403,15 @@ class TestParserSurface:
         # needs it; scipy.io (WAV reading) and scipy.sparse (the matcher)
         # are likewise loaded on first use, and the planner's HTTP stack
         # (urllib.request, http.client) on its first request; PyYAML on the
-        # first config read, and the process pool (concurrent.futures.process,
-        # multiprocessing) when simulate runs more than one worker
+        # first config read; the executors (concurrent.futures) when simulate
+        # runs, and the process pool (concurrent.futures.process,
+        # multiprocessing) only when it runs more than one worker
         import soundscene
 
         src = str(Path(soundscene.__file__).resolve().parents[1])
         lazy = ("scipy.signal", "scipy.io", "scipy.sparse", "requests", "urllib.request",
-                "http.client", "yaml", "concurrent.futures.process", "multiprocessing")
+                "http.client", "yaml", "concurrent.futures", "concurrent.futures.process",
+                "multiprocessing")
         code = f"import sys, soundscene.cli; print([m for m in {lazy!r} if m in sys.modules])"
         proc = subprocess.run(
             [sys.executable, "-c", code],
