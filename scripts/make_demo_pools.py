@@ -22,13 +22,17 @@ def main() -> int:
     args = ap.parse_args()
 
     root = Path(args.root)
-    speech, background = build_demo_pools(
-        root,
-        n_speakers=args.speakers,
-        utterances_per_speaker=args.utterances_per_speaker,
-        n_backgrounds=args.backgrounds,
-        seed=args.seed,
-    )
+    # the counts and the seed are checked before anything is written
+    try:
+        speech, background = build_demo_pools(
+            root,
+            n_speakers=args.speakers,
+            utterances_per_speaker=args.utterances_per_speaker,
+            n_backgrounds=args.backgrounds,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        ap.error(str(exc))
     config = root / "run.yaml"
     config.write_text(
         "dataset_seed: 0\n"

@@ -422,9 +422,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
     sample_dir = Path(cfg.output_dir) / "sample"
     sample_dir.mkdir(parents=True, exist_ok=True)
+    # each output is unlinked and written anew: closing a truncated file
+    # costs the kernel a writeback a new file does not need, and a symlink
+    # in the way is replaced rather than written through
     latents_path = sample_dir / "latents.npy"
+    latents_path.unlink(missing_ok=True)
     np.save(latents_path, z0)
     log_path = sample_dir / "steps.log"
+    log_path.unlink(missing_ok=True)
     log_path.write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     print(f"latents: {latents_path}")
     print(f"step log: {log_path}")

@@ -81,7 +81,14 @@ def build_demo_pools(
 
     Returns (speech_manifest_path, background_manifest_path).  Deterministic
     for a given seed.  Speaker genders rotate male / female / unspecified.
+    Raises ValueError, before writing anything, for a count below 1 or a
+    negative seed.
     """
+    for name, value, least in (("n_speakers", n_speakers, 1),
+                               ("utterances_per_speaker", utterances_per_speaker, 1),
+                               ("n_backgrounds", n_backgrounds, 1), ("seed", seed, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     root = Path(root)
     (root / "speech").mkdir(parents=True, exist_ok=True)
     (root / "background").mkdir(parents=True, exist_ok=True)

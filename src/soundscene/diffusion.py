@@ -26,6 +26,9 @@ __all__ = [
 REVERSE_MODES = ("ancestral", "deterministic")
 # cosine_schedule's offset s: keeps the first betas from vanishing
 COSINE_OFFSET = 0.008
+# bytes of ancestral noise one rng call draws ahead: as many steps' rows as
+# fit, at least one and at most the longest phase
+NOISE_BLOCK_BYTES = 64 * 1024
 
 
 def _is_int(value: Any) -> bool:
@@ -220,9 +223,13 @@ def sample_progressive(
     checks), and drops that binding before the next phase binds.  Every
     step is one in-place update of the sampler's own latent: the bound
     pair's conditional and unconditional predictions, combined with the
-    phase's guidance weight, go into one buffer, and ancestral noise into
-    another, both reused across steps.  The bound function gets that
-    latent, valid only during the call; the sampler reads both results
+    phase's guidance weight, go into one buffer reused across steps.
+    Ancestral noise is drawn a block of steps at a time, as many as
+    NOISE_BLOCK_BYTES holds, into a second reused buffer and scaled there
+    by each step's sigma; a Generator fills an array in order, so the
+    latents and the rng's state after a phase are those of one draw per
+    step.  The deterministic mode draws nothing.  The bound function gets
+    the latent, valid only during the call; the sampler reads both results
     before its next call and writes into neither, nor into z_T.  A phase
     that ends with a non-finite latent raises ValueError naming the phase
     and its steps.
@@ -234,11 +241,20 @@ def sample_progressive(
     if mode == "ancestral" and sched.T > 1 and rng is None:
         raise ValueError("ancestral steps with t > 1 need an rng")
     z = np.array(z_T, dtype=np.float64)
-    eps, noise = np.empty(z.shape), np.empty(z.shape)
-    for phase, c, w, steps in gs.phases():
+    eps = np.empty(z.shape)
+    walk = gs.phases()
+    if mode == "deterministic":
+        scratch = np.empty(z.shape)
+    else:
+        longest = max(len(steps) for *_, steps in walk)
+        noise = np.empty((max(1, min(NOISE_BLOCK_BYTES // max(z.nbytes, 1), longest)), *z.shape))
+    for phase, c, w, steps in walk:
         pair = denoiser.bind_pair(c, z.shape, steps[0])
-        coefficients = zip(*(a.tolist() for a in _step_coefficients(sched, np.array(steps), mode)))
-        for t, coefs in zip(steps, coefficients):
+        coefficients = _step_coefficients(sched, np.array(steps), mode)
+        # ancestral: one sigma per step, shaped to scale that step's row of noise
+        sigmas = coefficients[-1].reshape(-1, *(1,) * z.ndim)
+        noisy = len(steps) - (steps[-1] == 1)  # the phase's steps with t > 1
+        for i, (t, coefs) in enumerate(zip(steps, zip(*(a.tolist() for a in coefficients)))):
             eps_c, eps_u = pair(z, t)
             # guidance: exactly one branch at w = 0 or 1, else eps_u + w (eps_c - eps_u)
             if w == 0.0 or w == 1.0:
@@ -250,20 +266,23 @@ def sample_progressive(
             if mode == "deterministic":
                 # z0_hat = (z - noise_scale eps) / signal_scale, re-noised with eps
                 noise_scale, signal_scale, signal_scale_prev, noise_scale_prev = coefs
-                z -= np.multiply(eps, noise_scale, out=noise)
+                z -= np.multiply(eps, noise_scale, out=scratch)
                 z /= signal_scale
                 z *= signal_scale_prev
-                z += np.multiply(eps, noise_scale_prev, out=noise)
+                z += np.multiply(eps, noise_scale_prev, out=scratch)
                 continue
             # the posterior mean, plus sigma times fresh noise except at t = 1
-            eps_scale, sqrt_alpha, sigma = coefs
+            eps_scale, sqrt_alpha, _ = coefs
             eps *= eps_scale
             z -= eps
             z /= sqrt_alpha
             if t > 1:
-                rng.standard_normal(out=noise)
-                noise *= sigma
-                z += noise
+                row = i % len(noise)
+                if row == 0:  # draw and scale the next block of this phase's steps
+                    block = noise[:min(len(noise), noisy - i)]
+                    rng.standard_normal(out=block)
+                    block *= sigmas[i:i + len(block)]
+                z += noise[row]
         del pair  # with any stacks it owns, before the next phase binds
         if not np.isfinite(z).all():
             raise ValueError(f"phase {phase} (steps {steps[0]}..{steps[-1]}) produced non-finite "

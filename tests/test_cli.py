@@ -883,6 +883,33 @@ class TestSample:
         assert (a / "latents.npy").read_bytes() == (b / "latents.npy").read_bytes()
         assert (a / "steps.log").read_bytes() == (b / "steps.log").read_bytes()
 
+    def test_rerun_replaces_a_symlinked_output(self, run_config, tmp_path):
+        argv = ["sample", "--config", str(run_config), "--output-dir", str(tmp_path / "s")]
+        assert main(argv) == 0
+        latents = tmp_path / "s" / "sample" / "latents.npy"
+        want = latents.read_bytes()
+        outside = tmp_path / "outside.npy"
+        outside.write_bytes(b"not written through")
+        latents.unlink()
+        latents.symlink_to(outside)
+        assert main(argv) == 0
+        assert outside.read_bytes() == b"not written through"
+        assert not latents.is_symlink()
+        assert latents.read_bytes() == want
+
+    def test_directory_at_step_log_fails_after_the_latents(self, run_config, tmp_path, capsys):
+        assert main(["sample", "--config", str(run_config),
+                     "--output-dir", str(tmp_path / "clean")]) == 0
+        sample_dir = tmp_path / "s" / "sample"
+        (sample_dir / "steps.log").mkdir(parents=True)
+        rc = main(["sample", "--config", str(run_config), "--output-dir", str(tmp_path / "s")])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert "steps.log" in err
+        assert (sample_dir / "steps.log").is_dir()
+        want = (tmp_path / "clean" / "sample" / "latents.npy").read_bytes()
+        assert (sample_dir / "latents.npy").read_bytes() == want
+
     @pytest.mark.parametrize("t1", [0, 88, 100])
     def test_step_log_bytes_match_per_step_formula(self, run_config, tmp_path, t1):
         rc = main(["sample", "--config", str(run_config), "--t1", str(t1), "--w-low", "2.5",

@@ -7,6 +7,7 @@ from scipy import stats
 
 from fixtures import BranchDenoiser, RecordingDenoiser, diffusion_loss, expected_bind_log, reference_cfg_loop
 from soundscene.diffusion import (
+    NOISE_BLOCK_BYTES,
     GaussianCondition,
     GaussianOracleDenoiser,
     GuidanceSchedule,
@@ -17,6 +18,11 @@ from soundscene.diffusion import (
     sample_progressive,
 )
 
+
+# latent shapes whose noise block is a whole phase, three steps and one step
+BLOCK_SHAPES = [(4,), (NOISE_BLOCK_BYTES // (8 * 3),), (NOISE_BLOCK_BYTES // 8,)]
+# (T, t1) with blocks that end before, at and across phase ends
+BLOCK_SPLITS = sorted({(T, min(t1, T)) for T in (1, 2, 100) for t1 in (0, 1, 50, T)})
 
 # steps that are not Python or numpy integers: every one is refused by name
 NON_INTEGER_STEPS = [50.5, 5.0, np.float64(5), True, np.True_, "5", None]
@@ -539,6 +545,25 @@ class TestSampling:
         b = reference_cfg_loop(oracle, gs, sched, z_T, rng=np.random.default_rng(4), mode=mode)
         assert a.tobytes() == b.tobytes()
         assert recording.log == [("bind", cond, (16, 2), 40)] + [("step", t) for t in range(40, 0, -1)]
+
+    @pytest.mark.parametrize("mode", ["ancestral", "deterministic"])
+    @pytest.mark.parametrize("T,t1", BLOCK_SPLITS)
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES, ids=lambda shape: f"size{shape[0]}")
+    def test_noise_blocks_give_the_per_step_stream(self, shape, T, t1, mode):
+        # the reference draws each step's noise on its own; the sampler's
+        # blocks must leave the same latents and the same rng state
+        sched = cosine_schedule(T)
+        oracle = GaussianOracleDenoiser(prior=GaussianCondition(0.0, 1.0), sched=sched)
+        gs = GuidanceSchedule(GaussianCondition(1.0, 0.5), GaussianCondition(-0.5, 0.25),
+                              3.0, 9.0, t1=t1, T=T)
+        z_T = np.random.default_rng(T + t1).standard_normal(shape)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = sample_progressive(oracle, gs, sched, z_T, rng=rng, mode=mode)
+        want = reference_cfg_loop(oracle, gs, sched, z_T, rng=ref_rng, mode=mode)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if mode == "deterministic":
+            assert rng.bit_generator.state == np.random.default_rng(7).bit_generator.state
 
     def test_non_finite_phase_raises_at_its_end(self):
         # a NaN at step 95 is caught once phase 1 (steps 100..89) has run,

@@ -13,11 +13,11 @@ from soundscene.toytrain import load_checkpoint
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _call(*argv):
+def _call(*argv, cwd=None):
     return subprocess.run(
         [sys.executable, *argv],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, cwd=cwd,
     )
 
 
@@ -48,15 +48,21 @@ def _run_script(name, *args):
         ("run_curriculum.py", ("--dataset-size", "0"), "--dataset-size must be >= 1, got 0"),
         ("run_curriculum.py", ("--T", "0"), "T must be an integer >= 1, got 0"),
         ("run_curriculum.py", ("--seed", "-1"), "--seed must be >= 0, got -1"),
+        ("make_demo_pools.py", ("--speakers", "0"), "n_speakers must be >= 1, got 0"),
+        ("make_demo_pools.py", ("--utterances-per-speaker", "-2"),
+         "utterances_per_speaker must be >= 1, got -2"),
+        ("make_demo_pools.py", ("--backgrounds", "0"), "n_backgrounds must be >= 1, got 0"),
+        ("make_demo_pools.py", ("--seed", "-1"), "seed must be >= 0, got -1"),
     ],
     ids=repr,
 )
-def test_bad_arguments_are_usage_errors(name, args, message):
+def test_bad_arguments_are_usage_errors(name, args, message, tmp_path):
     # one argparse error line and exit 2, before any output: no traceback,
-    # no table of nan rows
-    proc = _call(str(ROOT / "scripts" / name), *args)
+    # no table of nan rows, no file written under the working directory
+    proc = _call(str(ROOT / "scripts" / name), *args, cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
     assert "Traceback" not in proc.stderr
     last = proc.stderr.splitlines()[-1]
     assert last.startswith(f"{name}: error: ") and message in last, last
