@@ -17,11 +17,14 @@ fraction digits, below MAX_SECONDS; whitespace may separate any two tokens.
 
 validate() is the one list of prompt rules.  serialize() refuses every
 error it reports except a span ending past the clip, and
-from_annotations() refuses every error it reports.
+from_annotations() refuses every error it reports.  A prompt is
+immutable, so it runs the rules, and renders its canonical text, at most
+once: on first use, keeping the result as tuples.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -115,6 +118,19 @@ class StructuredPrompt:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
+
+    # derived once per object, on first use, from fields that cannot change;
+    # not fields, so equality, hashing and dataclasses.replace ignore them
+    @functools.cached_property
+    def _findings(self) -> tuple[Violation, ...]:
+        return _check(self)
+
+    @functools.cached_property
+    def _rendering(self) -> tuple[str, tuple[tuple[int, int, str], ...]]:
+        """serialize_with_speech_regions()'s result; a refusal raises on
+        every access, since nothing is cached when it raises."""
+        _raise_first_error(v for v in self._findings if v.code != "end-exceeds-clip")
+        return _render(self)
 
 
 @dataclass(frozen=True)
@@ -252,8 +268,7 @@ def serialize(p: StructuredPrompt) -> str:
     ending past the clip is rendered: the grammar can carry it, and
     ``fmt`` and ``plan`` accept one.
     """
-    text, _ = serialize_with_speech_regions(p)
-    return text
+    return p._rendering[0]
 
 
 def serialize_with_speech_regions(
@@ -265,7 +280,11 @@ def serialize_with_speech_regions(
     The region covers the quotes themselves; the tokenizer uses the
     regions to swap quoted speech for phoneme token runs.
     """
-    _raise_first_error(v for v in validate(p) if v.code != "end-exceeds-clip")
+    text, regions = p._rendering
+    return text, list(regions)
+
+
+def _render(p: StructuredPrompt) -> tuple[str, tuple[tuple[int, int, str], ...]]:
     parts: list[str] = []
     regions: list[tuple[int, int, str]] = []
     length = 0
@@ -294,7 +313,7 @@ def serialize_with_speech_regions(
         parts.append(block)
         length += len(block)
 
-    return "".join(parts), regions
+    return "".join(parts), tuple(regions)
 
 
 def validate(p: StructuredPrompt) -> list[Violation]:
@@ -303,8 +322,13 @@ def validate(p: StructuredPrompt) -> list[Violation]:
 
     serialize() and from_annotations() refuse a prompt through this list
     alone.  Overlapping spans inside one event are legal data and come
-    back as warnings, not errors.
+    back as warnings, not errors.  Each call returns a new list.
     """
+    return list(p._findings)
+
+
+def _check(p: StructuredPrompt) -> tuple[Violation, ...]:
+    """validate()'s rules, run once per prompt by StructuredPrompt._findings."""
     findings: list[Violation] = []
 
     def add(code: str, message: str, i: int | None = None, j: int | None = None,
@@ -343,7 +367,7 @@ def validate(p: StructuredPrompt) -> list[Violation]:
                         f"<{_format_time(b.start)},{_format_time(b.end)}> overlap",
                         i, severity="warning")
                     break
-    return findings
+    return tuple(findings)
 
 
 def _raise_first_error(findings) -> None:
@@ -383,5 +407,5 @@ def from_annotations(caption: str, annotations: list[EventAnnotation]) -> Struct
                     )
                 )
     p = StructuredPrompt(caption=caption, events=tuple(events))
-    _raise_first_error(validate(p))
+    _raise_first_error(p._findings)
     return p

@@ -14,8 +14,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from pathlib import Path
-from typing import ClassVar, Iterable
+from types import MappingProxyType
+from typing import ClassVar, Iterable, Mapping
 
 from .dsl import serialize_with_speech_regions
 from .manifest import iter_lines
@@ -65,6 +67,11 @@ LETTER_FALLBACK: dict[str, tuple[str, ...]] = {
 OOV_POLICIES = ("error", "skip", "letter_fallback")
 
 
+def _check_oov_policy(oov_policy: str) -> None:
+    if oov_policy not in OOV_POLICIES:
+        raise ValueError(f"unknown oov_policy {oov_policy!r}, want one of {OOV_POLICIES}")
+
+
 class LexiconError(ValueError):
     """Malformed lexicon line; the message starts with ``path:line``."""
 
@@ -77,11 +84,29 @@ class OovWordError(ValueError):
         self.word = word
 
 
+# the most surface words one lexicon remembers, so a long-lived lexicon fed
+# unbounded text stays bounded; words past it are looked up each time
+_FOUND_LIMIT = 1 << 16
+
+
 @dataclass(frozen=True)
 class PhonemeLexicon:
-    """Case-insensitive word -> pronunciation map over a fixed inventory."""
+    """Case-insensitive word -> pronunciation map over a fixed inventory.
 
-    entries: dict[str, tuple[str, ...]]
+    ``entries`` is a read-only copy of the mapping given, so g2p can keep
+    the pronunciation of each surface word it found (case and edge
+    punctuation as written), up to _FOUND_LIMIT words, for the lexicon's
+    lifetime."""
+
+    entries: Mapping[str, tuple[str, ...]]
+    _found: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        object.__setattr__(self, "_found", {})
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return PhonemeLexicon, (dict(self.entries),)
 
     def lookup(self, word: str) -> tuple[str, ...] | None:
         return self.entries.get(word.upper())
@@ -135,24 +160,26 @@ def g2p(text: str, lex: PhonemeLexicon, oov_policy: str = "error") -> list[str]:
     apostrophes survive); words that strip to nothing are skipped.  The
     result is concatenative: g2p(a + " " + b) == g2p(a) + g2p(b).
     """
-    if oov_policy not in OOV_POLICIES:
-        raise ValueError(f"unknown oov_policy {oov_policy!r}, want one of {OOV_POLICIES}")
-    lookup = lex.lookup
+    _check_oov_policy(oov_policy)
+    found = lex._found
     phones: list[str] = []
     for raw_word in text.split():
-        word = _WORD_EDGE_RE.sub("", raw_word)
-        if not word:
-            continue
-        pron = lookup(word)
-        if pron is not None:
-            phones.extend(pron)
-        elif oov_policy == "error":
-            raise OovWordError(word)
-        elif oov_policy == "skip":
-            continue
-        else:  # letter_fallback; non-letters (digits, apostrophes) drop out
-            for ch in word.upper():
-                phones.extend(LETTER_FALLBACK.get(ch, ()))
+        pron = found.get(raw_word)
+        if pron is None:
+            word = _WORD_EDGE_RE.sub("", raw_word)
+            if not word:
+                continue
+            pron = lex.lookup(word)
+            if pron is None:  # not remembered: what follows depends on the policy
+                if oov_policy == "error":
+                    raise OovWordError(word)
+                if oov_policy == "letter_fallback":  # non-letters (digits, apostrophes) drop out
+                    for ch in word.upper():
+                        phones.extend(LETTER_FALLBACK.get(ch, ()))
+                continue
+            if len(found) < _FOUND_LIMIT:
+                found[raw_word] = pron
+        phones.extend(pron)
     return phones
 
 
@@ -214,13 +241,13 @@ def build_vocab(corpus: str | Iterable[str], lex: PhonemeLexicon) -> ExtendedVoc
     """Base tokens ordered by corpus frequency (ties lexicographic), then
     every ARPAbet phoneme, then the boundary pair.  The phoneme segment does
     not depend on ``lex``: a lexicon holds only ARPABET_INVENTORY phonemes."""
-    if isinstance(corpus, str):
-        lines: Iterable[str] = corpus.splitlines()
-    else:
-        lines = corpus
+    # every line break is whitespace, which no token contains, so a string
+    # is matched whole; tokens are counted as written and then folded to
+    # lowercase, which sums the same counts as counting them lowercased
+    texts = (corpus,) if isinstance(corpus, str) else corpus
     counts: Counter[str] = Counter()
-    for line in lines:
-        counts.update(base_tokenize(line))
+    for tok, n in Counter(chain.from_iterable(map(_BASE_TOKEN_RE.findall, texts))).items():
+        counts[tok.lower()] += n
     base = tuple(tok for tok, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
     return ExtendedVocabulary(base_tokens=base)
 
@@ -262,8 +289,10 @@ def tokenize_prompt(
     whitespace joins the token before it.  Each quoted speech segment
     becomes boundary-open, its g2p phoneme tokens, boundary-close, all
     zero-width.  A token missing from ``vocab`` raises
-    ValueError("token not in vocabulary: ...").
+    ValueError("token not in vocabulary: ...").  An ``oov_policy`` outside
+    OOV_POLICIES raises ValueError before anything else is read.
     """
+    _check_oov_policy(oov_policy)
     source, regions = serialize_with_speech_regions(p)
     open_id = vocab.id_of(vocab.boundary_open)
     close_id = vocab.id_of(vocab.boundary_close)

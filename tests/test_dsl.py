@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 import struct
 import sys
 
@@ -22,6 +25,7 @@ from soundscene.dsl import (
     from_annotations,
     parse,
     serialize,
+    serialize_with_speech_regions,
     validate,
 )
 
@@ -576,3 +580,77 @@ class TestProperties:
         for _ in range(200):
             p = random_prompt(rng)
             assert parse(serialize(p)) == p
+
+
+def _results(p):
+    """What validate, serialize and serialize_with_speech_regions give for
+    ``p``: each result, or the refusal's type and message."""
+    out = []
+    for fn in (validate, serialize, serialize_with_speech_regions):
+        try:
+            out.append(fn(p))
+        except ValueError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+# valid, refused and end-past-the-clip prompts: each derived value once per
+# prompt object must not show in any result
+_memo_prompts = st.one_of(
+    _prompts,
+    _any_prompts,
+    st.builds(StructuredPrompt, st.just(""),
+              st.lists(st.builds(EventSpec, _descriptions,
+                                 st.lists(_wide_spans, min_size=1, max_size=3)), max_size=3)),
+)
+
+
+class TestPromptMemo:
+    @given(_memo_prompts)
+    @settings(max_examples=300)
+    def test_filled_memo_gives_fresh_results(self, p):
+        first = _results(p)
+        assert _results(p) == first  # a refusal raises on every call
+        assert _results(StructuredPrompt(p.caption, p.events)) == first
+        for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p),
+                     dataclasses.replace(p)):
+            assert twin == p
+            assert _results(twin) == first
+
+    def test_replace_renders_the_new_fields(self):
+        p = parse('rain @{dog & <1.00,2.00> "woof"}')
+        assert serialize(p) == 'rain @{dog & <1.00,2.00> "woof"}'
+        text, regions = serialize_with_speech_regions(dataclasses.replace(p, caption="snow"))
+        assert text == 'snow @{dog & <1.00,2.00> "woof"}'
+        assert regions == [(25, 31, "woof")] and text[25:31] == '"woof"'
+        bad = dataclasses.replace(p, caption="a @{ b")
+        with pytest.raises(ValueError, match="opener"):
+            serialize(bad)
+        assert serialize(p) == 'rain @{dog & <1.00,2.00> "woof"}'
+
+    def test_refusal_raises_every_time(self):
+        p = StructuredPrompt("", (EventSpec("x", (span(4, 4),)),))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not strictly below"):
+                serialize(p)
+            with pytest.raises(ValueError, match="not strictly below"):
+                serialize_with_speech_regions(p)
+
+    def test_returned_lists_are_the_callers(self):
+        p = StructuredPrompt("", (EventSpec("x", (span(1, 5), span(4, 6)), "hi"),))
+        findings = validate(p)
+        assert [v.code for v in findings] == ["overlapping-spans"]
+        findings.clear()
+        assert [v.code for v in validate(p)] == ["overlapping-spans"]
+        assert validate(p) is not validate(p)
+        text, regions = serialize_with_speech_regions(p)
+        regions.append((0, 0, "injected"))
+        assert serialize_with_speech_regions(p) == (text, [(len(text) - 5, len(text) - 1, "hi")])
+
+    def test_memo_is_not_a_field(self):
+        p = parse("rain @{dog & <1.00,2.00>}")
+        serialize(p)
+        assert p == parse("rain @{dog & <1.00,2.00>}")
+        assert hash(p) == hash(parse("rain @{dog & <1.00,2.00>}"))
+        assert [f.name for f in dataclasses.fields(p)] == ["caption", "events"]
+        assert repr(p) == repr(parse("rain @{dog & <1.00,2.00>}"))

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import re
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import PLANNED_PROMPT_SAMPLES
+from fixtures import PLANNED_PROMPT_SAMPLES, random_prompt
 from soundscene import phonemes
+from soundscene.demo import DEMO_SENTENCES
 from soundscene.dsl import (
     EventSpec,
     StructuredPrompt,
@@ -27,6 +33,7 @@ from soundscene.phonemes import (
     ExtendedVocabulary,
     LexiconError,
     OovWordError,
+    PhonemeLexicon,
     base_tokenize,
     build_vocab,
     g2p,
@@ -312,6 +319,13 @@ class TestTokenizePrompt:
         with pytest.raises(ValueError, match="not in vocabulary"):
             tokenize_prompt(p, vocab, LEX)
 
+    def test_unknown_policy_rejected_without_speech(self):
+        p = parse("Rain @{Rain & <0.00,1.00>}")
+        vocab = _vocab_for(p)
+        want = re.escape(f"unknown oov_policy 'bogus', want one of {OOV_POLICIES}")
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            tokenize_prompt(p, vocab, LEX, oov_policy="bogus")
+
 
 # ---- the one-pass tokenizer against the per-token reference -------------
 #
@@ -473,3 +487,100 @@ class TestOnePassTokenizerParity:
         tp = tokenize_prompt(p, vocab, LEX)
         assert [vocab.token_of(i) for i in tp.ids] == ["kelvin", "k", "i\u0307"]
         assert tp.spans_meta == ((0, 7), (7, 9), (9, 10))
+
+
+# _prompts(), sometimes with one more event on a refused span or one
+# ending past the clip (which renders)
+_odd_spans = st.sampled_from([(-0.5, 1.0), (3.0, 3.0), (4.0, 2.0), (9.5, 10.5), (12.0, 14.0)])
+
+
+@st.composite
+def _checked_prompts(draw):
+    p = draw(_prompts())
+    if draw(st.booleans()):
+        extra = EventSpec("rain", (TimeSpan(*draw(_odd_spans)),), speech=draw(st.none() | _speech))
+        p = StructuredPrompt(p.caption, (*p.events, extra))
+    return p
+
+
+class TestMemos:
+    """A prompt's findings and rendering, and a lexicon's surface-word
+    pronunciations, are kept after first use; no result may show it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_checked_prompts(), st.sampled_from(OOV_POLICIES))
+    def test_tokenize_prompt_with_a_filled_memo(self, p, oov_policy):
+        text = _outcome(serialize, p)  # fills the memo, or refuses
+        vocab = build_vocab(text if isinstance(text, str) else "", LEX)
+        first = _outcome(tokenize_prompt, p, vocab, LEX, oov_policy)
+        assert _outcome(tokenize_prompt, p, vocab, LEX, oov_policy) == first
+        fresh = StructuredPrompt(p.caption, p.events)
+        assert _outcome(tokenize_prompt, fresh, vocab, LEX, oov_policy) == first
+        fresh = StructuredPrompt(p.caption, p.events)
+        assert _outcome(_ref_tokenize_prompt, fresh, vocab, LEX, oov_policy) == first
+        fresh_lex = PhonemeLexicon(dict(LEX.entries))
+        assert _outcome(tokenize_prompt, p, vocab, fresh_lex, oov_policy) == first
+
+    def test_entries_are_a_read_only_copy(self):
+        given_entries = {"RAIN": ("R", "EY1", "N")}
+        lex = PhonemeLexicon(entries=given_entries)
+        assert g2p("rain", lex) == ["R", "EY1", "N"]
+        given_entries["RAIN"] = ("S", "N", "OW1")
+        given_entries["SNOW"] = ("S", "N", "OW1")
+        assert g2p("rain", lex) == ["R", "EY1", "N"]
+        assert g2p("Rain!", lex) == ["R", "EY1", "N"]
+        with pytest.raises(OovWordError):
+            g2p("snow", lex)
+        with pytest.raises(TypeError):
+            lex.entries["SNOW"] = ("S", "N", "OW1")
+        assert "snow" not in lex and len(lex) == 1
+
+    def test_surface_words_under_every_policy(self):
+        lex = PhonemeLexicon(dict(LEX.entries))
+        # 'Zyxq' is first seen out of the lexicon; each text runs twice
+        texts = ["(Zyxq) Hello, HELLO! hello-- 'you' You.", "hello zyxq.", "YOU, zyxq? Hello"]
+        for policy in ("skip", "letter_fallback", "error", "letter_fallback", "skip"):
+            for text in texts * 2:
+                assert _outcome(g2p, text, lex, policy) == _outcome(_ref_g2p, text, LEX, policy)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_speech, st.sampled_from(OOV_POLICIES)), min_size=1, max_size=6))
+    def test_g2p_on_a_fresh_lexicon(self, calls):
+        lex = PhonemeLexicon(dict(LEX.entries))
+        for text, policy in calls:
+            assert _outcome(g2p, text, lex, policy) == _outcome(_ref_g2p, text, LEX, policy)
+
+    def test_pickle_and_copy(self):
+        lex = PhonemeLexicon({"RAIN": ("R", "EY1", "N")})
+        g2p("Rain", lex)
+        for twin in (pickle.loads(pickle.dumps(lex)), copy.copy(lex), copy.deepcopy(lex)):
+            assert twin == lex and dict(twin.entries) == {"RAIN": ("R", "EY1", "N")}
+            assert g2p("rain RAIN.", twin) == ["R", "EY1", "N"] * 2
+            with pytest.raises(TypeError):
+                twin.entries["SNOW"] = ("S", "N", "OW1")
+
+    def test_two_threads_tokenize_alike(self):
+        def prompts():
+            rng = np.random.default_rng(5)
+            out = []
+            for i in range(400):
+                p = random_prompt(rng)
+                said = EventSpec("Man speaking", (TimeSpan(1.0, 2.0),),
+                                 speech=DEMO_SENTENCES[i % len(DEMO_SENTENCES)])
+                out.append(StructuredPrompt(p.caption, (*p.events, said)))
+            return out
+
+        vocab = build_vocab([serialize(p) for p in prompts()], LEX)
+        lex = PhonemeLexicon(dict(LEX.entries))
+        want = [tokenize_prompt(p, vocab, lex, "letter_fallback") for p in prompts()]
+        shared, lex = prompts(), PhonemeLexicon(dict(LEX.entries))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                runs = [pool.submit(lambda: [tokenize_prompt(p, vocab, lex, "letter_fallback")
+                                             for p in shared]) for _ in range(2)]
+                got = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want, want]
