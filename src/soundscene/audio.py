@@ -162,16 +162,14 @@ def read_wav(path: str | Path) -> tuple[int, np.ndarray]:
     from scipy.io import wavfile
 
     rate, data = wavfile.read(path)
-    if data.dtype == np.int16:
-        audio = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        audio = data.astype(np.float64) / 2147483648.0
-    elif data.dtype == np.uint8:
-        audio = (data.astype(np.float64) - 128.0) / 128.0
-    else:  # float32/float64 files are already in [-1, 1]
-        audio = data.astype(np.float64)
-        if not np.isfinite(audio).all():
-            raise ValueError("non-finite sample in a floating-point WAV")
+    audio = data.astype(np.float64)
+    if data.dtype.kind in "iu":  # PCM: centre (128 for uint8), then full scale
+        info = np.iinfo(data.dtype)
+        half = (int(info.max) - int(info.min) + 1) // 2
+        audio -= int(info.min) + half
+        audio /= half
+    elif not np.isfinite(audio).all():  # float files are already in [-1, 1]
+        raise ValueError("non-finite sample in a floating-point WAV")
     return int(rate), audio
 
 

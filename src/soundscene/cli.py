@@ -340,6 +340,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             f" (clip {key[0]!r}, index {key[1]}); row skipped",
             file=sys.stderr,
         )
+    for clip_id in sorted(set(captions).difference(clip.clip_id for clip in clips)):
+        print(f"warning: caption row for unknown clip {clip_id!r}; row skipped", file=sys.stderr)
 
     out_path = Path(args.output)
     write_jsonl_atomic(out_path, records)

@@ -33,7 +33,6 @@ __all__ = [
     "load_lexicon",
     "load_default_lexicon",
     "g2p",
-    "base_tokenize",
     "ExtendedVocabulary",
     "build_vocab",
     "TokenizedPrompt",
@@ -187,10 +186,6 @@ def g2p(text: str, lex: PhonemeLexicon, oov_policy: str = "error") -> list[str]:
 # non-space symbols; lowercasing keeps base tokens disjoint from the
 # uppercase phoneme tokens
 _BASE_TOKEN_RE = re.compile(r"[A-Za-z0-9']+|[^\sA-Za-z0-9']")
-
-
-def base_tokenize(text: str) -> list[str]:
-    return list(map(str.lower, _BASE_TOKEN_RE.findall(text)))
 
 
 @dataclass(frozen=True)

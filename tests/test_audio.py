@@ -332,6 +332,22 @@ class TestWavIo:
         assert rate == 22050
         assert y.dtype == np.float64 and y.tolist() == [0.25, -0.5, 1.0]
 
+    @pytest.mark.parametrize("dtype, centre, full", [
+        (np.uint8, 128.0, 128.0),
+        (np.int16, 0.0, 32768.0),
+        (np.int32, 0.0, 2.0 ** 31),
+        (np.int64, 0.0, 2.0 ** 63),
+    ], ids=["uint8", "int16", "int32", "int64"])
+    def test_integer_pcm_reads_into_unit_range(self, tmp_path, dtype, centre, full):
+        info = np.iinfo(dtype)
+        half = info.max // 2
+        x = np.array([[info.min, info.max], [0, 1], [half, half + 1]], dtype=dtype)
+        wavfile.write(tmp_path / "i.wav", 22050, x)
+        rate, y = read_wav(tmp_path / "i.wav")
+        assert rate == 22050 and y.dtype == np.float64 and y.shape == (3, 2)
+        assert np.array_equal(y, (x.astype(np.float64) - centre) / full)
+        assert y.min() == -1.0 and y.max() <= 1.0
+
     def test_write_clips_out_of_range(self, tmp_path):
         path = tmp_path / "d.wav"
         write_wav(path, np.array([1.5, -1.5]))

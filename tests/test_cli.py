@@ -718,6 +718,22 @@ class TestIngest:
         assert err.count("row skipped") == 2
         assert "'zzz'" in err
 
+    def test_caption_for_unknown_clip_skipped_with_warning(self, tmp_path, capsys):
+        (tmp_path / "events.tsv").write_text("clipA\tthud\t0.5\t1.0\n")
+        (tmp_path / "tx.tsv").write_text("clipA\t0\t\n")
+        (tmp_path / "cap.tsv").write_text("zzz\tA ghost\nclipa\tA thud\n")
+        out_path = tmp_path / "o.jsonl"
+        rc = main(["ingest", "--events", str(tmp_path / "events.tsv"),
+                   "--transcripts", str(tmp_path / "tx.tsv"),
+                   "--captions", str(tmp_path / "cap.tsv"), "--output", str(out_path)])
+        _, err = read_out(capsys)
+        assert rc == 0
+        assert err == (
+            "warning: caption row for unknown clip 'clipa'; row skipped\n"
+            "warning: caption row for unknown clip 'zzz'; row skipped\n"
+        )
+        assert [r["caption"] for r in read_jsonl(out_path)] == [""]
+
     def test_missing_input_named_in_error(self, tmp_path, capsys):
         (tmp_path / "events.tsv").write_text("c\tthud\t0.5\t1.0\n")
         rc = main(["ingest", "--events", str(tmp_path / "events.tsv"),

@@ -1,9 +1,13 @@
-"""The package surface is the library modules' own ``__all__`` lists, and
-every exported name resolves, in the package and in each module."""
+"""Each public name has one import path, its own module: every exported
+name resolves in its module, and no two modules export one name."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -24,10 +28,6 @@ def _module_exports() -> list[str]:
     return [n for name in LIBRARY_MODULES for n in importlib.import_module(name).__all__]
 
 
-def test_package_exports_resolve():
-    assert _unresolved(soundscene) == []
-
-
 @pytest.mark.parametrize("name", MODULES)
 def test_module_exports_resolve(name):
     module = importlib.import_module(name)
@@ -39,18 +39,45 @@ def test_library_module_declares_all(name):
     assert isinstance(importlib.import_module(name).__all__, list)
 
 
-def test_package_surface_is_module_lists_plus_version():
-    assert soundscene.__all__ == _module_exports() + ["__version__"]
-
-
 def test_no_name_exported_by_two_modules():
     assert [n for n, count in Counter(_module_exports()).items() if count > 1] == []
 
 
-def test_star_import_binds_exactly_the_surface():
-    namespace: dict = {}
-    exec("from soundscene import *", namespace)
-    namespace.pop("__builtins__")
-    assert sorted(namespace) == sorted(_module_exports() + ["__version__"])
-    for name, value in namespace.items():
-        assert value is getattr(soundscene, name)
+
+# a fresh interpreter that cannot import numpy, scipy or PyYAML
+_TEXT_LAYER_ALONE = """
+import sys
+from importlib.abc import MetaPathFinder
+
+
+class Refuse(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("numpy", "scipy", "yaml"):
+            raise ModuleNotFoundError(f"refused: {name}", name=name)
+
+
+sys.meta_path.insert(0, Refuse())
+import soundscene.manifest
+from soundscene.dsl import parse, serialize
+from soundscene.phonemes import build_vocab, load_default_lexicon, render_tokens, tokenize_prompt
+
+prompt = parse('rain @{a man & <4,6> "hello"}')
+lex = load_default_lexicon()
+vocab = build_vocab(serialize(prompt), lex)
+print(serialize(prompt))
+print(render_tokens(tokenize_prompt(prompt, vocab, lex), vocab))
+"""
+
+
+def test_text_layer_runs_on_the_stdlib_alone():
+    src = str(Path(soundscene.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _TEXT_LAYER_ALONE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        'rain @{a man & <4.00,6.00> "hello"}\n'
+        "rain @{a man & <4.00,6.00> <SPK> HH AH0 L OW1 </SPK>}\n"
+    )

@@ -34,7 +34,6 @@ from soundscene.phonemes import (
     LexiconError,
     OovWordError,
     PhonemeLexicon,
-    base_tokenize,
     build_vocab,
     g2p,
     load_default_lexicon,
@@ -270,7 +269,7 @@ class TestTokenizePrompt:
         vocab = _vocab_for(p)
         tp = tokenize_prompt(p, vocab, LEX)
         source = serialize(p)
-        base_count = len(base_tokenize(_non_speech_text(source)))
+        base_count = len(_ref_base_tokenize(_non_speech_text(source)))
         speech_count = sum(
             2 + len(g2p(e.speech, LEX)) for e in p.events if e.speech is not None
         )
@@ -329,7 +328,7 @@ class TestTokenizePrompt:
 
 # ---- the one-pass tokenizer against the per-token reference -------------
 #
-# Straightforward versions of g2p, base_tokenize, build_vocab and
+# Straightforward versions of g2p, the base tokenizer, build_vocab and
 # tokenize_prompt: a regex sub on every word, a list of (token, start, end)
 # per segment, one vocabulary lookup per token.  The package's versions
 # must give the same output, and the same error, on every input.
@@ -446,8 +445,6 @@ class TestOnePassTokenizerParity:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_free_text, max_size=5))
     def test_base_tokenize_and_build_vocab(self, lines):
-        for line in lines:
-            assert base_tokenize(line) == _ref_base_tokenize(line)
         assert build_vocab(lines, LEX).all_tokens() == _ref_build_vocab(lines).all_tokens()
         corpus = "\n".join(lines)
         assert build_vocab(corpus, LEX).all_tokens() == _ref_build_vocab(corpus.splitlines()).all_tokens()
