@@ -154,7 +154,8 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------- simulate
 
-_WORKER_STATE: dict[str, Any] = {}
+# a process worker's (speech, background, priors), stored once per process
+_WORKER_STATE: tuple[Any, ...] = ()
 
 
 def _scene_record(clip_id: str, scene: Any) -> dict[str, Any]:
@@ -170,36 +171,11 @@ def _scene_record(clip_id: str, scene: Any) -> dict[str, Any]:
     }
 
 
-def _init_sim_worker(speech: Any, background: Any, priors: Any) -> None:
-    _WORKER_STATE.update(speech=speech, background=background, priors=priors)
-
-
-def _compose(index: int, seed: int) -> tuple[str, Any]:
-    """Scene ``index``'s clip id and scene, composed from the worker's pools;
-    a scene that cannot be composed raises naming its clip id and seed."""
-    clip_id = f"scene{index:05d}"
-    try:
-        scene = compose_scene(
-            _WORKER_STATE["speech"],
-            _WORKER_STATE["background"],
-            _WORKER_STATE["priors"],
-            seed=seed,
-        )
-    except (ValueError, RuntimeError) as exc:  # e.g. a draw that cannot be arranged
-        raise type(exc)(f"{clip_id} (seed {seed}): {exc}") from exc
-    return clip_id, scene
-
-
-def _sim_task(task: tuple[int, int, Path]) -> dict[str, Any]:
-    index, seed, audio_dir = task
-    clip_id, scene = _compose(index, seed)
-    write_wav(audio_dir / f"{clip_id}.wav", scene.waveform)
-    return _scene_record(clip_id, scene)
-
-
-def _simulate_here(tasks: list[tuple[int, int, Path]]) -> list[dict[str, Any]]:
-    """Run ``tasks`` in this process: one helper thread writes scene i's WAV
-    while this thread composes scene i+1, with one write in flight.  The
+def _simulate_tasks(tasks: list[tuple[int, int, Path]], state: tuple[Any, ...]) -> list[dict[str, Any]]:
+    """Compose ``tasks``' scenes from ``state``, the (speech, background,
+    priors) pools, and return their records: one helper thread writes scene
+    i's WAV while this thread composes scene i+1, with one write in flight.
+    A scene that cannot be composed raises naming its clip id and seed.  The
     first failure in scene order is raised, so a write error of scene i wins
     over a compose error of scene i+1, and the helper is joined on return."""
     from concurrent.futures import Future, ThreadPoolExecutor  # loads logging: only here
@@ -208,17 +184,29 @@ def _simulate_here(tasks: list[tuple[int, int, Path]]) -> list[dict[str, Any]]:
     pending: Future[None] | None = None  # the previous scene's write
     with ThreadPoolExecutor(1, thread_name_prefix="simulate-writer") as writer:
         for index, seed, audio_dir in tasks:
+            clip_id = f"scene{index:05d}"
             try:
-                clip_id, scene = _compose(index, seed)
-                records.append(_scene_record(clip_id, scene))
+                scene = compose_scene(*state, seed=seed)
+            except (ValueError, RuntimeError) as exc:  # e.g. a draw that cannot be arranged
+                raise type(exc)(f"{clip_id} (seed {seed}): {exc}") from exc
             finally:
                 if pending is not None:
                     pending.result()
+            records.append(_scene_record(clip_id, scene))
             # compose_scene returns a fresh waveform that nothing here touches again
             pending = writer.submit(write_wav, audio_dir / f"{clip_id}.wav", scene.waveform)
         if pending is not None:
             pending.result()
     return records
+
+
+def _init_sim_worker(*state: Any) -> None:
+    global _WORKER_STATE
+    _WORKER_STATE = state
+
+
+def _simulate_in_worker(tasks: list[tuple[int, int, Path]]) -> list[dict[str, Any]]:
+    return _simulate_tasks(tasks, _WORKER_STATE)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -244,20 +232,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # fork starts every worker at the first submit: no more than there are scenes
         workers = min(args.workers, len(tasks))
         if workers <= 1:
-            _init_sim_worker(*state)
-            try:
-                records = _simulate_here(tasks)
-            finally:
-                _WORKER_STATE.clear()  # the pools die with this call, not at the next load
+            records = _simulate_tasks(tasks, state)
         else:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
+            # about four runs of consecutive scenes per worker: one IPC round trip per run
+            size = max(1, len(tasks) // (4 * workers))
+            runs = [tasks[i : i + size] for i in range(0, len(tasks), size)]
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_sim_worker, initargs=state
             ) as pool:
-                # about four chunks per worker: one IPC round trip per chunk, not per scene
-                chunksize = max(1, len(tasks) // (4 * workers))
-                records = list(pool.map(_sim_task, tasks, chunksize=chunksize))
+                records = [rec for run in pool.map(_simulate_in_worker, runs) for rec in run]
         write_jsonl_atomic(manifest_path, records)
     print(f"wrote {len(records)} scenes to {manifest_path}")
     return 0

@@ -29,6 +29,9 @@ COSINE_OFFSET = 0.008
 # bytes of ancestral noise one rng call draws ahead: as many steps' rows as
 # fit, at least one and at most the longest phase
 NOISE_BLOCK_BYTES = 64 * 1024
+# the most steps a schedule may have: its arrays, and sample's step log,
+# grow with T (about 56 MB peak for a whole `sample` run at this bound)
+MAX_T = 100_000
 
 
 def _is_int(value: Any) -> bool:
@@ -39,6 +42,8 @@ def _is_int(value: Any) -> bool:
 def _check_T(T: int) -> None:
     if not _is_int(T) or T < 1:
         raise ValueError(f"T must be an integer >= 1, got {T!r}")
+    if T > MAX_T:
+        raise ValueError(f"T must be at most MAX_T = {MAX_T}, got {T}")
 
 
 def check_step(t: int, hi: int) -> None:

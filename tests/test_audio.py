@@ -70,9 +70,10 @@ class TestResample:
         # 2 s window -> 0.5 Hz bins, so 440 Hz lands at bin 880
         assert abs(int(np.argmax(spectrum)) - 880) <= 1
 
-    def test_bad_rate_raises(self):
-        with pytest.raises(ValueError):
-            resample_to_clip_rate(np.zeros(10), 0)
+    @pytest.mark.parametrize("rate", [0, -1])
+    def test_bad_rate_raises(self, rate):
+        with pytest.raises(ValueError, match=re.escape(f"source_rate must be positive, got {rate}")):
+            resample_to_clip_rate(np.zeros(10), rate)
 
     @pytest.mark.parametrize("rate", [22050, 44100, 8000])
     def test_bits_match_resample_poly_default_window(self, rate):
@@ -185,6 +186,12 @@ class TestMixAtSnr:
         background = np.tile([0.1, -0.1], 50)
         res = mix_at_snr([(0, speech)], background, 10.0, rms(background))
         assert res.peak_norm == 1.0
+
+    def test_no_normalization_at_exactly_full_scale(self):
+        # 0.5 speech over a 0.5 bed at 0 dB peaks at exactly 1.0: left as it is
+        res = mix_at_snr([(0, np.full(4, 0.5))], np.full(10, 0.5), 0.0, 0.5)
+        assert res.peak_norm == 1.0
+        assert res.waveform.max() == 1.0
 
     @pytest.mark.parametrize("segments, message", [
         pytest.param([(3, np.ones(4)), (6, np.ones(2))],

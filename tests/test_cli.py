@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -16,6 +17,7 @@ from soundscene import cli
 from soundscene.audio import SAMPLE_RATE, write_wav
 from soundscene.cli import main
 from soundscene.demo import build_demo_pools
+from soundscene.diffusion import MAX_T
 from soundscene.dsl import EventAnnotation, TimeSpan, parse, serialize, validate
 from soundscene.manifest import read_jsonl
 from soundscene.scene import derive_scene_seed
@@ -608,12 +610,29 @@ class TestSimulate:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         # its threads run _init_sim_worker in this process: keep the pools out of it
-        monkeypatch.setattr(cli, "_WORKER_STATE", {})
+        monkeypatch.setattr(cli, "_WORKER_STATE", ())
         argv = ["simulate", "--config", str(run_config), "--count", str(count)]
         assert main(argv + ["--workers", "4", "--output-dir", str(tmp_path / "w4")]) == 0
         assert seen == pools
         assert main(argv + ["--output-dir", str(tmp_path / "w1")]) == 0
         assert _tree_bytes(tmp_path / "w4") == _tree_bytes(tmp_path / "w1")
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_start_method_does_not_change_output(self, run_config, tmp_path, monkeypatch, method):
+        # a fresh process (spawn, forkserver) gets the pools by pickle, a
+        # forked one inherits them: the same scenes either way
+        import concurrent.futures
+
+        real = concurrent.futures.ProcessPoolExecutor
+
+        def in_context(*args, **kwargs):
+            return real(*args, mp_context=multiprocessing.get_context(method), **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", in_context)
+        argv = ["simulate", "--config", str(run_config), "--count", "6", "--output-dir"]
+        assert main(argv + [str(tmp_path / "w2"), "--workers", "2"]) == 0
+        assert main(argv + [str(tmp_path / "w1")]) == 0
+        assert _tree_bytes(tmp_path / "w2") == _tree_bytes(tmp_path / "w1")
 
 
 class TestIngest:
@@ -1119,6 +1138,15 @@ class TestSample:
         _, err = read_out(capsys)
         assert rc == 1
         assert flag[2:].replace("-", "_") in err and value in err
+        assert not (tmp_path / "x").exists()
+
+    def test_T_above_bound_exits_1(self, run_config, tmp_path, capsys):
+        # refused by name before any schedule array is built, not killed for memory
+        rc = main(["sample", "--config", str(run_config), "--T", str(MAX_T + 1),
+                   "--output-dir", str(tmp_path / "x")])
+        _, err = read_out(capsys)
+        assert rc == 1
+        assert err == f"error: T must be at most MAX_T = {MAX_T}, got {MAX_T + 1}\n"
         assert not (tmp_path / "x").exists()
 
     def test_schedule_setting_is_gone(self, run_config, tmp_path, capsys):

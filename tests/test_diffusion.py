@@ -7,6 +7,7 @@ from scipy import stats
 
 from fixtures import BranchDenoiser, RecordingDenoiser, diffusion_loss, expected_bind_log, reference_cfg_loop
 from soundscene.diffusion import (
+    MAX_T,
     NOISE_BLOCK_BYTES,
     GaussianCondition,
     GaussianOracleDenoiser,
@@ -335,6 +336,16 @@ class TestGuidanceSchedule:
     def test_sampler_config_integer_fields(self, field, kwargs):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SamplerConfig(**kwargs)
+
+    def test_T_above_bound_refused(self):
+        # one bound behind every T: the schedule, the guidance phases, the settings
+        want = re.escape(f"T must be at most MAX_T = {MAX_T}, got {MAX_T + 1}")
+        for make in (cosine_schedule, lambda T: GuidanceSchedule(None, None, 1.0, 1.0, t1=0, T=T),
+                     lambda T: SamplerConfig(T=T)):
+            with pytest.raises(ValueError, match=want):
+                make(MAX_T + 1)
+        assert len(cosine_schedule(MAX_T).alpha_bar) == MAX_T + 1
+        assert SamplerConfig(T=MAX_T).T == MAX_T
 
     def test_sampler_config_numpy_integers_accepted(self):
         sc = SamplerConfig(T=np.int64(10), t1=np.int64(4), seed=np.uint32(3))

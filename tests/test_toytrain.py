@@ -126,6 +126,7 @@ class TestConstructor:
         (2, True, "T must be an integer >= 1, got True"),
         (2, 10.0, "T must be an integer >= 1, got 10.0"),
         (2, 0, "T must be an integer >= 1, got 0"),
+        (2, 100_001, "T must be at most MAX_T = 100000, got 100001"),
         (2.5, 10, "dim must be an integer >= 1, got 2.5"),
         (True, 10, "dim must be an integer >= 1, got True"),
         (np.float64(2.0), 10, "dim must be an integer >= 1, got np.float64(2.0)"),
@@ -1015,9 +1016,13 @@ class TestCheckpoint:
         assert [f.name for f in tmp_path.iterdir()] == ["toy.ckpt"]
 
     def test_save_refuses_a_size_past_the_header_and_writes_nothing(self, tmp_path):
+        # the constructor refuses this T (above MAX_T); built around it the
+        # way load_checkpoint builds a model, it is still refused at save
         path = tmp_path / "toy.ckpt"
+        dn = ToyDenoiser.__new__(ToyDenoiser)
+        dn._adopt(2, 2**32, _tiny_denoiser().flat)
         with pytest.raises(ValueError) as exc:
-            save_checkpoint(ToyDenoiser(2, 2**32), path)
+            save_checkpoint(dn, path)
         assert str(exc.value) == f"{path}: T 4294967296 does not fit the checkpoint header's uint32"
         assert list(tmp_path.iterdir()) == []
 
