@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import SAMPLE_RATE, write_wav
+from .diffusion import _is_int
 from .manifest import write_jsonl_atomic
 
 __all__ = ["DEMO_SENTENCES", "build_demo_pools"]
@@ -81,12 +82,15 @@ def build_demo_pools(
 
     Returns (speech_manifest_path, background_manifest_path).  Deterministic
     for a given seed.  Speaker genders rotate male / female / unspecified.
-    Raises ValueError, before writing anything, for a count below 1 or a
+    Raises ValueError, before writing anything, for a count or a seed that
+    is not a Python or numpy integer (a bool is not), a count below 1 or a
     negative seed.
     """
     for name, value, least in (("n_speakers", n_speakers, 1),
                                ("utterances_per_speaker", utterances_per_speaker, 1),
                                ("n_backgrounds", n_backgrounds, 1), ("seed", seed, 0)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
     root = Path(root)

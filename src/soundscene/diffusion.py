@@ -144,7 +144,8 @@ def forward_noise(
 
 def _step_coefficients(sched: NoiseSchedule, t: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
     """The scalars of the reverse update, one array of each over the integer
-    array of steps ``t``.
+    array of steps ``t``, starting with the (a, b) of (z - a eps) / b: z0_hat
+    for deterministic, the posterior mean for ancestral.
 
     Deterministic: (sqrt(1-ab), sqrt(ab), sqrt(ab_prev), sqrt(1-ab_prev)).
     Ancestral: (beta / sqrt(1-ab), sqrt(alpha), sqrt(posterior variance)),
@@ -227,17 +228,18 @@ def sample_progressive(
     Each phase binds the denoiser once (``bind_pair``, which makes the
     checks), and drops that binding before the next phase binds.  Every
     step is one in-place update of the sampler's own latent: the bound
-    pair's conditional and unconditional predictions, combined with the
-    phase's guidance weight, go into one buffer reused across steps.
-    Ancestral noise is drawn a block of steps at a time, as many as
-    NOISE_BLOCK_BYTES holds, into a second reused buffer and scaled there
-    by each step's sigma; a Generator fills an array in order, so the
-    latents and the rng's state after a phase are those of one draw per
-    step.  The deterministic mode draws nothing.  The bound function gets
-    the latent, valid only during the call; the sampler reads both results
-    before its next call and writes into neither, nor into z_T.  A phase
-    that ends with a non-finite latent raises ValueError naming the phase
-    and its steps.
+    pair's predictions, combined with the phase's guidance weight in one
+    reused buffer eps, take z to (z - a eps) / b, which the deterministic
+    mode (DDIM) re-noises with eps and the ancestral one (DDPM) with sigma
+    times fresh noise, except at t = 1.  Ancestral noise is drawn a block
+    of steps at a time, as many as NOISE_BLOCK_BYTES holds, into a reused
+    buffer and scaled there by each step's sigma; a Generator fills an
+    array in order, so the latents and the rng's state after a phase are
+    those of one draw per step.  The deterministic mode draws nothing.  The
+    bound function gets the latent, valid only during the call; the sampler
+    reads both results before its next call and writes into neither, nor
+    into z_T.  A phase that ends with a non-finite latent raises ValueError
+    naming the phase and its steps.
     """
     if gs.T != sched.T:
         raise ValueError(f"guidance schedule T={gs.T} does not match noise schedule T={sched.T}")
@@ -247,10 +249,9 @@ def sample_progressive(
         raise ValueError("ancestral steps with t > 1 need an rng")
     z = np.array(z_T, dtype=np.float64)
     eps = np.empty(z.shape)
+    scratch = np.empty(z.shape)
     walk = gs.phases()
-    if mode == "deterministic":
-        scratch = np.empty(z.shape)
-    else:
+    if mode == "ancestral":
         longest = max(len(steps) for *_, steps in walk)
         noise = np.empty((max(1, min(NOISE_BLOCK_BYTES // max(z.nbytes, 1), longest)), *z.shape))
     for phase, c, w, steps in walk:
@@ -268,20 +269,13 @@ def sample_progressive(
                 np.subtract(eps_c, eps_u, out=eps)
                 eps *= w
                 eps += eps_u
-            if mode == "deterministic":
-                # z0_hat = (z - noise_scale eps) / signal_scale, re-noised with eps
-                noise_scale, signal_scale, signal_scale_prev, noise_scale_prev = coefs
-                z -= np.multiply(eps, noise_scale, out=scratch)
-                z /= signal_scale
-                z *= signal_scale_prev
-                z += np.multiply(eps, noise_scale_prev, out=scratch)
-                continue
-            # the posterior mean, plus sigma times fresh noise except at t = 1
-            eps_scale, sqrt_alpha, _ = coefs
-            eps *= eps_scale
-            z -= eps
-            z /= sqrt_alpha
-            if t > 1:
+            # (z - a eps) / b: z0_hat (deterministic) or the posterior mean (ancestral)
+            z -= np.multiply(eps, coefs[0], out=scratch)
+            z /= coefs[1]
+            if mode == "deterministic":  # re-noised with eps
+                z *= coefs[2]
+                z += np.multiply(eps, coefs[3], out=scratch)
+            elif t > 1:  # plus sigma times fresh noise
                 row = i % len(noise)
                 if row == 0:  # draw and scale the next block of this phase's steps
                     block = noise[:min(len(noise), noisy - i)]

@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .diffusion import NoiseSchedule, PairFn, _check_T, _is_int, check_step, forward_noise
+from .diffusion import MAX_T, NoiseSchedule, PairFn, _check_T, _is_int, check_step, forward_noise
 from .manifest import _staged
 
 __all__ = [
@@ -215,20 +215,17 @@ class ToyDenoiser:
             x_view[:, f:] = self.params["E_" + granularity][view_ids]
         return stacks
 
-    def _layers(self, stacks: tuple[np.ndarray, ...], t: np.ndarray | int, z_t: np.ndarray) -> np.ndarray:
-        """Write z_t and the time features of ``t`` (steps in 0..T, per row or
-        one for all rows) into _stacks' x and run the three layers over the
-        stacks: a fresh (k, n, dim) output; the activations stay in the
-        stacks.  np.matmul runs the same 2-D kernel on each (n, .) slice, so
-        slice i holds the bytes a one-view stack of views[i] gives."""
-        return self._bind_layers(stacks)(t, z_t)
-
     def _bind_layers(
         self, stacks: tuple[np.ndarray, ...]
     ) -> Callable[[np.ndarray | int, np.ndarray], np.ndarray]:
-        """fn(t, z_t) = _layers(stacks, t, z_t), with the stacks' column views,
-        the time table, the parameter views and (see _bias) the biases taken
-        once, so a change to the parameters needs a new fn."""
+        """fn(t, z_t) writes z_t and the time features of ``t`` (steps in
+        0..T, per row or one for all rows) into _stacks' x and runs the three
+        layers over the stacks: a fresh (k, n, dim) output; the activations
+        stay in the stacks.  np.matmul runs the same 2-D kernel on each
+        (n, .) slice, so slice i holds the bytes a one-view stack of views[i]
+        gives.  The stacks' column views, the time table, the parameter views
+        and (see _bias) the biases are taken once, at binding, so a change to
+        the parameters needs a new fn."""
         x, h1, h2 = stacks
         d = self.dim
         x_z, x_time = x[:, :, :d], x[:, :, d : d + 2 * _N_FREQ]
@@ -257,7 +254,7 @@ class ToyDenoiser:
         laid out as ``flat`` (untouched embedding tables get zero rows)."""
         n = z_t.shape[0]
         stacks = self._stacks(((granularity, view_ids),), n)
-        out = self._layers(stacks, t, z_t)[0]
+        out = self._bind_layers(stacks)(t, z_t)[0]
         x, h1, h2 = (s[0] for s in stacks)
         diff = out - eps
         loss = float(np.sum(diff * diff)) / n
@@ -287,7 +284,7 @@ class ToyDenoiser:
         z = np.asarray(z_t, dtype=np.float64)
         n = self._rows(z.shape)
         check_step(t, self.T)
-        out = self._layers(self._stacks((self._view(c),), n), t, z)
+        out = self._bind_layers(self._stacks((self._view(c),), n))(t, z)
         return out[0, 0] if z.ndim == 1 else out[0]
 
     def bind_pair(self, c: tuple[str, int] | None, shape: tuple[int, ...], t_max: int) -> PairFn:
@@ -507,7 +504,7 @@ def validation_loss(
         z_t, t, eps, view_ids = _noised_batch(z0_all, cid_all, granularity, sched, rng)
         out = 0.0
         if denoiser is not None:
-            out = denoiser._layers(denoiser._stacks(((granularity, view_ids),), len(t)), t, z_t)[0]
+            out = denoiser._bind_layers(denoiser._stacks(((granularity, view_ids),), len(t)))(t, z_t)[0]
         total += float(np.sum((out - eps) ** 2))
     return total / (z0_all.shape[0] * _VALIDATION_REPEATS)
 
@@ -555,7 +552,8 @@ def save_checkpoint(denoiser: ToyDenoiser, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> ToyDenoiser:
     """Read a save_checkpoint file.  Raises ValueError naming the path for a
-    bad magic, a version other than 3, a zero dim or T, a byte count other
+    bad magic, a version other than 3, a zero dim or T, a T above MAX_T
+    (checked, as the sizes are, from the header alone), a byte count other
     than the one dim implies (checked before the body is read, so a lying
     dim costs no memory), a digest mismatch or a non-finite parameter.  The
     model is built on the body as read, with no random init."""
@@ -570,6 +568,8 @@ def load_checkpoint(path: str | Path) -> ToyDenoiser:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         if dim < 1 or T < 1:
             raise ValueError(f"{path}: malformed checkpoint header: dim {dim} and T {T} must be >= 1")
+        if T > MAX_T:
+            raise ValueError(f"{path}: malformed checkpoint header: T {T} is above MAX_T = {MAX_T}")
         need = 8 * _n_params(dim)
         have = os.fstat(fh.fileno()).st_size - fh.tell()
         if have != need:

@@ -119,8 +119,12 @@ class TestSchedules:
             NoiseSchedule(np.array([0.9, 0.5]))
         with pytest.raises(ValueError, match="decreasing"):
             NoiseSchedule(np.array([1.0, 0.5, 0.6]))
+        with pytest.raises(ValueError, match="decreasing"):  # a flat step
+            NoiseSchedule(np.array([1.0, 0.5, 0.5]))
         with pytest.raises(ValueError, match="positive"):
             NoiseSchedule(np.array([1.0, 0.5, -0.1]))
+        with pytest.raises(ValueError, match="positive"):  # a final alpha_bar of exactly 0
+            NoiseSchedule(np.array([1.0, 0.5, 0.0]))
         with pytest.raises(ValueError, match="length"):
             NoiseSchedule(np.array([1.0]))
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import stats
 from scipy.io import wavfile
 
 from soundscene.audio import CLIP_SAMPLES, SAMPLE_RATE, rms, write_wav
+from soundscene.demo import build_demo_pools
 from soundscene.dsl import parse, serialize, validate
 from soundscene.scene import (
     FILL_BUDGET,
@@ -384,6 +386,21 @@ class TestPoolLoading:
         with pytest.raises(ValueError) as exc_info:
             load(manifest)
         assert str(exc_info.value) == f"{manifest}:2: field {field!r} must be a string, got null"
+
+
+class TestDemoPools:
+    @pytest.mark.parametrize("name, value", [
+        ("n_speakers", 2.5), ("seed", 1.5), ("n_backgrounds", True), ("utterances_per_speaker", np.float64(2)),
+    ])
+    def test_non_integer_count_or_seed_raises_before_writing(self, tmp_path, name, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
+            build_demo_pools(tmp_path / "pools", **{name: value})
+        assert not (tmp_path / "pools").exists()
+
+    def test_numpy_integers_are_counts(self, tmp_path):
+        paths = build_demo_pools(tmp_path, n_speakers=np.int64(1), utterances_per_speaker=np.uint8(1),
+                                 n_backgrounds=np.int32(1), seed=np.int64(3))
+        assert [len(p.read_text(encoding="utf-8").splitlines()) for p in paths] == [1, 1]
 
 
 class TestComposeScene:

@@ -18,6 +18,7 @@ from fixtures import (
     write_checkpoint,
 )
 from soundscene.diffusion import (
+    MAX_T,
     GaussianCondition,
     GaussianOracleDenoiser,
     GuidanceSchedule,
@@ -50,7 +51,7 @@ def _sorted_params(dn):
 
 
 def _loss_only(dn, z_t, t, eps, gran, view_ids):
-    out = dn._layers(dn._stacks(((gran, view_ids),), z_t.shape[0]), t, z_t)[0]
+    out = dn._bind_layers(dn._stacks(((gran, view_ids),), z_t.shape[0]))(t, z_t)[0]
     return float(np.sum((out - eps) ** 2)) / z_t.shape[0]
 
 
@@ -879,7 +880,7 @@ class TestValidationLoss:
                 total += float(np.sum(eps * eps))
                 continue
             views = np.array([0 if granularity == "null" else dn.view_of(c, granularity) for c in cids])
-            out = dn._layers(dn._stacks(((granularity, views),), 40), t, z_t)[0]
+            out = dn._bind_layers(dn._stacks(((granularity, views),), 40))(t, z_t)[0]
             total += float(np.sum((out - eps) ** 2))
         got = validation_loss(dn, data, sched, granularity or "text", np.random.default_rng(4))
         assert got == total / (40 * 8)
@@ -1103,17 +1104,27 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_large_T_costs_no_time_table_until_used(self, tmp_path):
-        # the (T+1)-row time-feature table is built on the first forward pass
+        # the (T+1)-row time-feature table (about 6.4 MB at MAX_T) is built
+        # on the first forward pass
         dn = _tiny_denoiser()
-        path = write_checkpoint(tmp_path / "big_T.ckpt", dn.dim, 2**32 - 1, dn.flat)
+        path = write_checkpoint(tmp_path / "big_T.ckpt", dn.dim, MAX_T, dn.flat)
         tracemalloc.start()
         try:
             loaded = load_checkpoint(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert loaded.T == 2**32 - 1 and "_times" not in vars(loaded)
+        assert loaded.T == MAX_T and "_times" not in vars(loaded)
         assert peak < 1024 * 1024
+
+    def test_T_above_MAX_T_rejected(self, tmp_path):
+        # the constructor's bound: a loaded model's first predict would
+        # otherwise ask for a (T+1, 8) time table
+        dn = _tiny_denoiser()
+        path = write_checkpoint(tmp_path / "huge_T.ckpt", dn.dim, MAX_T + 1, dn.flat)
+        message = f"{path}: malformed checkpoint header: T {MAX_T + 1} is above MAX_T = {MAX_T}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(path)
 
     def test_lying_dim_rejected_before_allocation(self, tmp_path):
         # a ~200-byte file whose header claims a 4-billion-dimensional model
